@@ -20,7 +20,8 @@ from . import dual
 from .chern_weil import Connection, transgression
 from .errors import (ChartError, ProjectorError, RankError, ShapeError,
                      VanishingSectionError)
-from .forms import Form, MatrixForm, SmoothMap
+from .forms import (Form, MatrixForm, SmoothMap, _mul_smat, _smul_mat,
+                    sup_abs)
 from .geometry import ChartDomain, FiberBundleDomain
 
 
@@ -62,57 +63,21 @@ class Subbundle:
 
     def check(self, points, tol: float = 1e-10) -> float:
         """Worst idempotency/symmetry defect; raises beyond tol."""
-        worst = 0.0
         m = self.rank
+        defects = []
         for x in points:
             P = self.projector(x)
             for i in range(m):
                 for j in range(m):
                     pij = dual.real(P[i][j])
-                    worst = max(worst, abs(pij - dual.real(P[j][i])))
-                    sq = sum(dual.real(P[i][a]) * dual.real(P[a][j]) for a in range(m))
-                    worst = max(worst, abs(sq - pij))
-        if worst > tol:
+                    defects.append(pij - dual.real(P[j][i]))
+                    defects.append(sum(dual.real(P[i][a]) * dual.real(P[a][j])
+                                       for a in range(m)) - pij)
+        worst = sup_abs(defects)
+        if not worst <= tol:
             raise ProjectorError(
                 f"projector {self.label or '?'} defect {worst:.3e} > {tol:.1e}")
         return worst
-
-
-def _smul_mat(S, M):
-    """Scalar matrix times matrix of coefficient lists."""
-    m = len(S)
-    ncomp = len(M[0][0])
-    out = [[[0.0] * ncomp for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for a in range(m):
-            s = S[i][a]
-            if isinstance(s, float) and s == 0.0:
-                continue
-            row = M[a]
-            dst = out[i]
-            for j in range(m):
-                src = row[j]
-                d = dst[j]
-                for c in range(ncomp):
-                    d[c] = d[c] + s * src[c]
-    return out
-
-
-def _mul_smat(M, S):
-    m = len(S)
-    ncomp = len(M[0][0])
-    out = [[[0.0] * ncomp for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            d = out[i][j]
-            for a in range(m):
-                s = S[a][j]
-                if isinstance(s, float) and s == 0.0:
-                    continue
-                src = M[i][a]
-                for c in range(ncomp):
-                    d[c] = d[c] + src[c] * s
-    return out
 
 
 def projected_connection(conn: Connection, sub: Subbundle,
@@ -203,16 +168,13 @@ def frame_split_connection(conn: Connection, frames,
 
     def gram_defect(x):
         F = [f(x) for f in frames]
-        worst = 0.0
-        for a in range(r):
-            for b in range(r):
-                g = dual.real(sum(F[a][i] * F[b][i] for i in range(m)))
-                worst = max(worst, abs(g - (1.0 if a == b else 0.0)))
-        return worst
+        return sup_abs(dual.real(sum(F[a][i] * F[b][i] for i in range(m)))
+                       - (1.0 if a == b else 0.0)
+                       for a in range(r) for b in range(r))
 
     for x in check_points:
         defect = gram_defect(x)
-        if defect > tol:
+        if not defect <= tol:
             raise ProjectorError(f"frame Gram defect {defect:.3e} > {tol:.1e}")
 
     def G_entries(x):

@@ -18,11 +18,12 @@ import math
 import random
 from functools import lru_cache
 
-from .errors import (ConsistencyError, DegreeError, NumericsError, RankError,
-                     ShapeError, SymmetryPreconditionError)
-from .forms import (Form, MatrixForm, SmoothMap, ZeroForm, combo_index,
-                    combos, mat_mul_wedge, scale_coeffs, sub_coeffs,
-                    sup_abs, wedge_coeffs, zero_coeffs)
+from .errors import (ConsistencyError, DegreeError, RankError, ShapeError,
+                     SymmetryPreconditionError)
+from .forms import (Form, MatrixForm, SmoothMap, ZeroForm, _mul_smat,
+                    _smul_mat, combo_index, combos, mat_mul_wedge,
+                    scale_coeffs, sub_coeffs, sup_abs, wedge_coeffs,
+                    zero_coeffs)
 from .geometry import ChartDomain, FiberBundleDomain, gauss_nodes
 
 TWO_PI = 2.0 * math.pi
@@ -114,25 +115,11 @@ class Connection:
         return Connection(self.rank, self.A.pullback(phi), label or self.label)
 
     def skew_residual(self, points) -> float:
-        worst = 0.0
-        for x in points:
-            A = self.A.eval(x)
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    for a, b in zip(A[i][j], A[j][i]):
-                        worst = max(worst, abs(a + b))
-        return worst
-
-    def check_skew(self, points, tol: float = 1e-10):
-        res = self.skew_residual(points)
-        if res > tol:
-            raise NumericsError(
-                f"connection {self.label or '?'} skewness residual {res:.3e} > {tol:.1e}")
-        return res
-
-
-def curvature(conn: Connection) -> MatrixForm:
-    return conn.curvature()
+        """Sup over the points of |A + A^T|, entry by entry."""
+        m = self.rank
+        return sup_abs(a + b for A in map(self.A.eval, points)
+                       for i in range(m) for j in range(m)
+                       for a, b in zip(A[i][j], A[j][i]))
 
 
 def pf_form(conn: Connection) -> Form:
@@ -374,13 +361,13 @@ def loop_transgression(loop: Connection, extension: Connection,
         for t in (0.0, 0.31, 0.77):
             a = loop.A.eval([t] + list(x))
             b = extension.A.eval([math.cos(TWO_PI * t), math.sin(TWO_PI * t)] + list(x))
-            for i in range(loop.rank):
-                for j in range(loop.rank):
-                    # loop coefficients: (dt, base...); extension: (dz1, dz2, base...)
-                    for ca, cb in zip(a[i][j][1:], b[i][j][2:]):
-                        if abs(ca - cb) > tol:
-                            raise ConsistencyError(
-                                "extension does not restrict to the loop on the circle")
+            # loop coefficients: (dt, base...); extension: (dz1, dz2, base...)
+            gap = sup_abs(ca - cb for i in range(loop.rank)
+                          for j in range(loop.rank)
+                          for ca, cb in zip(a[i][j][1:], b[i][j][2:]))
+            if not gap <= tol:
+                raise ConsistencyError(
+                    "extension does not restrict to the loop on the circle")
     t_fiber = ChartDomain.interval("t", 0.0, 1.0, order)
     T = FiberBundleDomain(t_fiber, base).fiber_integrate(pf_form(loop))
     disk = ChartDomain.ball(2, order=order)
@@ -398,28 +385,8 @@ def gauge_pullback_potential(conn: Connection, phi: SmoothMap, psi) -> MatrixFor
     m = conn.rank
     pulled = conn.A.pullback(phi)
     psiT = [[psi[j][i] for j in range(m)] for i in range(m)]
-
-    def eval_fn(x):
-        A = pulled.eval(x)
-        ncomp = len(A[0][0])
-        out = [[[0.0] * ncomp for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                dst = out[i][j]
-                for a in range(m):
-                    pia = psiT[i][a]
-                    if pia == 0.0:
-                        continue
-                    for b in range(m):
-                        pbj = psi[b][j]
-                        if pbj == 0.0:
-                            continue
-                        row = A[a][b]
-                        for c in range(ncomp):
-                            dst[c] += pia * row[c] * pbj
-        return out
-
-    return MatrixForm(conn.n, 1, m, eval_fn)
+    return MatrixForm(conn.n, 1, m,
+                      lambda x: _mul_smat(_smul_mat(psiT, pulled.eval(x)), psi))
 
 
 def gauge_residual(conn: Connection, phi: SmoothMap, psi,

@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .errors import ConfigError
 from .scenarios import (
     Config,
-    Scenario,
     ScenarioReport,
     all_scenarios,
     get_scenario,
@@ -44,16 +41,6 @@ def list_scenarios(module: Optional[str] = None) -> list:
     """
     scens = scenarios_for(module) if module else all_scenarios()
     return [(s.name, s.description) for s in scens]
-
-
-def run_all(scens: Sequence[Scenario], config: Config,
-            jobs: int = 1) -> list:
-    """Run scenarios, concurrently up to ``jobs``, reports in input order."""
-    if jobs <= 1 or len(scens) <= 1:
-        return [run_scenario(s, config) for s in scens]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_scenario, s, config) for s in scens]
-        return [f.result() for f in futures]
 
 
 def report_payload(reports: Sequence[ScenarioReport], config: Config) -> dict:
@@ -146,14 +133,6 @@ def emit_report(reports: Sequence[ScenarioReport], format: str = "text",
     return text
 
 
-def _jobs_default() -> int:
-    raw = os.environ.get("CGB_VERIFY_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cgb-verify",
@@ -180,8 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="random forms per identity (default 50)")
     p_run.add_argument("--rank", type=int, default=1,
                        help="bundle rank for rank-parametrized scenarios")
-    p_run.add_argument("--jobs", type=int, default=None,
-                       help="concurrent scenarios (default CGB_VERIFY_JOBS or 1)")
     p_run.add_argument("--json", dest="json_path", metavar="PATH",
                        default=None, help="also write the report as JSON")
     p_run.add_argument("--check", action="store_true",
@@ -199,10 +176,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = Config(quad_order=args.quad_order, tol=args.tol,
-                    seed=args.seed, count=args.count, rank=args.rank)
-    jobs = args.jobs if args.jobs is not None else _jobs_default()
     try:
+        config = Config(quad_order=args.quad_order, tol=args.tol,
+                        seed=args.seed, count=args.count, rank=args.rank)
         if args.names:
             scens = [get_scenario(n) for n in args.names]
         else:
@@ -210,7 +186,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                          else all_scenarios())
         if args.names and args.filter:
             scens = [s for s in scens if args.filter in s.modules]
-        reports = run_all(scens, config, jobs)
+        reports = [run_scenario(s, config) for s in scens]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -375,9 +375,6 @@ class MatrixForm:
                     raise ShapeError("matrix entries must share chart and degree")
         return MatrixForm(n, p, m, lambda x: [[f.comps(list(x)) for f in row] for row in grid])
 
-    def entry(self, i: int, j: int) -> Form:
-        return Form(self.n, self.p, lambda x: self.eval(x)[i][j])
-
     def __add__(self, other: "MatrixForm") -> "MatrixForm":
         self._compat(other)
         def eval_fn(x):
@@ -399,12 +396,6 @@ class MatrixForm:
         def eval_fn(x):
             A = self.eval(x)
             return [[scale_coeffs(c, A[i][j]) for j in range(self.m)] for i in range(self.m)]
-        return MatrixForm(self.n, self.p, self.m, eval_fn)
-
-    def transpose(self) -> "MatrixForm":
-        def eval_fn(x):
-            A = self.eval(x)
-            return [[A[j][i] for j in range(self.m)] for i in range(self.m)]
         return MatrixForm(self.n, self.p, self.m, eval_fn)
 
     def wedge(self, other: "MatrixForm") -> "MatrixForm":
@@ -450,15 +441,6 @@ class MatrixForm:
                      for j in range(m)] for i in range(m)]
         return MatrixForm(n_src, p, m, eval_fn)
 
-    def trace(self) -> Form:
-        def comps(x):
-            A = self.eval(x)
-            out = list(A[0][0])
-            for i in range(1, self.m):
-                out = add_coeffs(out, A[i][i])
-            return out
-        return Form(self.n, self.p, comps)
-
     def _compat(self, other: "MatrixForm"):
         if (self.n, self.p, self.m) != (other.n, other.p, other.m):
             raise ShapeError("incompatible matrix forms")
@@ -482,11 +464,38 @@ def mat_mul_wedge(n: int, p: int, q: int, A, B):
     return out
 
 
-def mat_add(A, B):
-    m = len(A)
-    return [[add_coeffs(A[i][j], B[i][j]) for j in range(m)] for i in range(m)]
+def _smul_mat(S, M):
+    """Scalar matrix times matrix of coefficient lists."""
+    m = len(S)
+    ncomp = len(M[0][0])
+    out = [[[0.0] * ncomp for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for a in range(m):
+            s = S[i][a]
+            if isinstance(s, float) and s == 0.0:
+                continue
+            row = M[a]
+            dst = out[i]
+            for j in range(m):
+                src = row[j]
+                d = dst[j]
+                for c in range(ncomp):
+                    d[c] = d[c] + s * src[c]
+    return out
 
 
-def mat_scale(c, A):
-    m = len(A)
-    return [[scale_coeffs(c, A[i][j]) for j in range(m)] for i in range(m)]
+def _mul_smat(M, S):
+    m = len(S)
+    ncomp = len(M[0][0])
+    out = [[[0.0] * ncomp for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            d = out[i][j]
+            for a in range(m):
+                s = S[a][j]
+                if isinstance(s, float) and s == 0.0:
+                    continue
+                src = M[i][a]
+                for c in range(ncomp):
+                    d[c] = d[c] + src[c] * s
+    return out

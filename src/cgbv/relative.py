@@ -183,7 +183,7 @@ def _check_boundary_compat(phi: SmoothMap, t: float, source: RelativeDomain,
         for x in pts:
             for s in (0.37 * t, 0.81 * t, t):
                 defect = target.boundary_defect(phi([s] + list(x)))
-                if abs(defect) > tol:
+                if not abs(defect) <= tol:
                     raise HomotopyError(
                         f"flow leaves the boundary at s={s:.3f}: defect {defect:.3e}")
 
@@ -305,36 +305,6 @@ class SignConstants:
     def table(max_n: int = 6) -> dict:
         return {(n, k): (SignConstants.tau(n, k), SignConstants.upsilon(n, k))
                 for n in range(max_n + 1) for k in range(n + 1)}
-
-
-# ---------------------------------------------------------------------------
-# currents
-
-class CurrentEvaluator:
-    """Current given purely by its evaluation rule on test forms."""
-
-    def __init__(self, dim: int, fn, label: str = ""):
-        self.dim = dim
-        self.fn = fn
-        self.label = label
-
-    def __call__(self, form: Form) -> float:
-        return self.fn(form)
-
-    @staticmethod
-    def from_chart(chart: ChartDomain) -> "CurrentEvaluator":
-        return CurrentEvaluator(chart.dim, chart.integrate, chart.name)
-
-    @staticmethod
-    def from_signed_points(entries, label: str = "signed-points") -> "CurrentEvaluator":
-        """0-dimensional current: sum of signed point evaluations."""
-
-        def ev(form: Form) -> float:
-            if form.p != 0:
-                raise DegreeError("signed point sets evaluate 0-forms only")
-            return sum(sign * form(list(pt))[0] for sign, pt in entries)
-
-        return CurrentEvaluator(0, ev, label)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ by the theorem under test, ``derived`` for oracles computed independently
 of the code (closed-form volumes, hand counts, calibrated signs), and
 ``trivial`` for identities that hold by definition.  Runners are pure
 functions of a :class:`Config`; a fixed configuration reproduces every
-digit, so scenarios can run concurrently and reports can be diffed.
+digit, so reports can be diffed.
 """
 
 from __future__ import annotations
@@ -72,6 +72,13 @@ class Config:
     seed: int = 0
     count: int = 50
     rank: int = 1
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ConfigError(f"count must be at least 1, got {self.count}")
+        if self.quad_order is not None and self.quad_order < 1:
+            raise ConfigError(
+                f"quadrature order must be at least 1, got {self.quad_order}")
 
     def order(self, default: int) -> int:
         return default if self.quad_order is None else self.quad_order
@@ -210,10 +217,6 @@ def _random_polynomial_map(src: int, dst: int, rng: random.Random) -> SmoothMap:
     return SmoothMap(src, dst, fn)
 
 
-def _max_comp(form: Form, x) -> float:
-    return sup_abs(form(x))
-
-
 def _disk_domain(order: int) -> RelativeDomain:
     ball = ChartDomain.ball(2, order=order)
     return RelativeDomain(ball,
@@ -249,7 +252,7 @@ def _run_quadrature_volumes(cfg: Config) -> dict:
 
 
 def _run_boundary_orientation(cfg: Config) -> dict:
-    reps = max(1, min(cfg.count, 12))
+    reps = min(cfg.count, 12)
     curved = cfg.order(16)
     flat = cfg.order(8)
     domains = (
@@ -263,11 +266,9 @@ def _run_boundary_orientation(cfg: Config) -> dict:
     out = {}
     for key, dom in domains:
         rng = _rng(cfg, f"boundary-orientation:{key}")
-        worst = 0.0
-        for _ in range(reps):
-            alpha = _random_polynomial_form(dom.ambient_dim, dom.dim - 1, rng)
-            worst = max(worst, stokes_residual(alpha, dom))
-        out[key] = worst
+        out[key] = sup_abs(stokes_residual(
+            _random_polynomial_form(dom.ambient_dim, dom.dim - 1, rng), dom)
+            for _ in range(reps))
     return out
 
 
@@ -277,11 +278,9 @@ def _run_stokes_convention(cfg: Config) -> dict:
     sq = ChartDomain.box("B", [(0.0, 1.0), (0.0, 1.0)], [o, o])
     cyl = ChartDomain.product(seg, sq)
     rng = _rng(cfg, "stokes-convention")
-    worst = 0.0
-    for _ in range(cfg.count):
-        alpha = _random_polynomial_form(3, 2, rng)
-        worst = max(worst, stokes_residual(alpha, cyl, cylinder=True))
-    return {"cylinder-stokes-sup": worst}
+    return {"cylinder-stokes-sup": sup_abs(
+        stokes_residual(_random_polynomial_form(3, 2, rng), cyl, cylinder=True)
+        for _ in range(cfg.count))}
 
 
 def _run_fiber_projection(cfg: Config) -> dict:
@@ -289,14 +288,14 @@ def _run_fiber_projection(cfg: Config) -> dict:
     base = ChartDomain.box("Q", [(0.0, 1.0), (-0.5, 0.5)], [cfg.order(8)] * 2)
     fb = FiberBundleDomain(fiber, base)
     rng = _rng(cfg, "fiber-projection")
-    worst = 0.0
-    for _ in range(max(1, min(cfg.count, 10))):
+    gaps = []
+    for _ in range(min(cfg.count, 10)):
         alpha = _random_polynomial_form(4, 2, rng)
         beta = _random_polynomial_form(2, 1, rng)
         lhs = fb.total.integrate(alpha.wedge(beta.pullback(fb.projection())))
         rhs = base.integrate(fb.fiber_integrate(alpha).wedge(beta))
-        worst = max(worst, abs(lhs - rhs))
-    return {"projection-formula": worst}
+        gaps.append(lhs - rhs)
+    return {"projection-formula": sup_abs(gaps)}
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +303,8 @@ def _run_fiber_projection(cfg: Config) -> dict:
 
 def _run_forms_calculus(cfg: Config) -> dict:
     rng = _rng(cfg, "forms-calculus")
-    d2 = nat = leib = 0.0
-    for _ in range(max(1, min(cfg.count, 25))):
+    d2, nat, leib = [], [], []
+    for _ in range(min(cfg.count, 25)):
         a = _random_polynomial_form(3, 1, rng)
         b = _random_polynomial_form(3, 1, rng)
         phi = _random_polynomial_map(3, 3, rng)
@@ -314,11 +313,12 @@ def _run_forms_calculus(cfg: Config) -> dict:
         product = a.wedge(b).d() - a.d().wedge(b) + a.wedge(b.d())
         for _ in range(4):
             x = [rng.uniform(-1.0, 1.0) for _ in range(3)]
-            d2 = max(d2, _max_comp(dd, x))
-            nat = max(nat, _max_comp(natural, x))
-            leib = max(leib, _max_comp(product, x))
-    return {"d-squared-sup": d2, "pullback-naturality-sup": nat,
-            "leibniz-sup": leib}
+            d2 += dd(x)
+            nat += natural(x)
+            leib += product(x)
+    return {"d-squared-sup": sup_abs(d2),
+            "pullback-naturality-sup": sup_abs(nat),
+            "leibniz-sup": sup_abs(leib)}
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +333,11 @@ def _scalar_pfaffian(M) -> float:
 
 def _run_pfaffian_identities(cfg: Config) -> dict:
     rng = _rng(cfg, "pfaffian-identities")
-    norm = sq = rot = refl = 0.0
-    reps = max(1, min(cfg.count, 25))
+    norm, sq, rot, refl = [], [], [], []
+    reps = min(cfg.count, 25)
     for _ in range(reps):
         a = rng.uniform(-2.0, 2.0)
-        norm = max(norm, abs(_scalar_pfaffian([[0.0, a], [-a, 0.0]]) - a))
+        norm.append(_scalar_pfaffian([[0.0, a], [-a, 0.0]]) - a)
         for m in (2, 4, 6):
             M = np.zeros((m, m))
             for i in range(m):
@@ -345,21 +345,22 @@ def _run_pfaffian_identities(cfg: Config) -> dict:
                     M[i, j] = rng.uniform(-1.0, 1.0)
                     M[j, i] = -M[i, j]
             pf = _scalar_pfaffian(M.tolist())
-            sq = max(sq, abs(pf * pf - float(np.linalg.det(M))))
+            sq.append(pf * pf - float(np.linalg.det(M)))
             G = np.array([[rng.gauss(0.0, 1.0) for _ in range(m)]
                           for _ in range(m)])
             R, _ = np.linalg.qr(G)
             if np.linalg.det(R) < 0.0:
                 R[:, 0] = -R[:, 0]
             conj = R.T @ M @ R
-            rot = max(rot, abs(_scalar_pfaffian(conj.tolist()) - pf))
+            rot.append(_scalar_pfaffian(conj.tolist()) - pf)
             S = R.copy()
             S[:, 0] = -S[:, 0]
             conj = S.T @ M @ S
-            refl = max(refl, abs(_scalar_pfaffian(conj.tolist()) + pf))
-    return {"pfaffian-normalization": norm, "pfaffian-square-det": sq,
-            "pfaffian-rotation-invariance": rot,
-            "pfaffian-reflection-sign": refl}
+            refl.append(_scalar_pfaffian(conj.tolist()) + pf)
+    return {"pfaffian-normalization": sup_abs(norm),
+            "pfaffian-square-det": sup_abs(sq),
+            "pfaffian-rotation-invariance": sup_abs(rot),
+            "pfaffian-reflection-sign": sup_abs(refl)}
 
 
 def _run_transgression_derivative(cfg: Config) -> dict:
@@ -370,12 +371,11 @@ def _run_transgression_derivative(cfg: Config) -> dict:
         c2 = _random_skew_connection(n, m, rng)
         dT = transgression(c1, c2).d()
         pf1, pf2 = pf_form(c1), pf_form(c2)
-        worst = 0.0
+        resid = []
         for _ in range(cfg.count):
             x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-            resid = [t - b + a for t, a, b in zip(dT(x), pf1(x), pf2(x))]
-            worst = max(worst, max(abs(v) for v in resid))
-        out[f"transgression-derivative-{key}"] = worst
+            resid += [t - b + a for t, a, b in zip(dT(x), pf1(x), pf2(x))]
+        out[f"transgression-derivative-{key}"] = sup_abs(resid)
     return out
 
 
@@ -404,15 +404,16 @@ def _run_secondary_transgression(cfg: Config) -> dict:
     dQ = secondary_transgression(*cs).d()
     edges = [transgression(cs[0], cs[1]), transgression(cs[1], cs[2]),
              transgression(cs[2], cs[0])]
-    worst = 0.0
+    total = []
     for _ in range(cfg.count):
         x = [rng.uniform(0.0, TWO_PI)]
-        total = [q + a + b + c for q, a, b, c
-                 in zip(dQ(x), edges[0](x), edges[1](x), edges[2](x))]
-        worst = max(worst, max(abs(v) for v in total))
+        total += [q + a + b + c for q, a, b, c
+                  in zip(dQ(x), edges[0](x), edges[1](x), edges[2](x))]
     const = secondary_transgression(cs[0], cs[0], cs[0])
-    flat = max(_max_comp(const, [rng.uniform(0.0, TWO_PI)]) for _ in range(8))
-    return {"secondary-sum-rule": worst, "secondary-constant-family": flat}
+    flat = sup_abs(v for _ in range(8)
+                   for v in const([rng.uniform(0.0, TWO_PI)]))
+    return {"secondary-sum-rule": sup_abs(total),
+            "secondary-constant-family": flat}
 
 
 def _run_loop_transgression(cfg: Config) -> dict:
@@ -436,11 +437,11 @@ def _run_loop_transgression(cfg: Config) -> dict:
     ext = Connection(2, MatrixForm(3, 1, 2, ext_eval), "extension")
     T, P = loop_transgression(loop, ext, base)
     dP = P.d()
-    worst = 0.0
+    resid = []
     for _ in range(cfg.count):
         x = [rng.uniform(-0.95, 0.95)]
-        worst = max(worst, max(abs(p + t) for p, t in zip(dP(x), T(x))))
-    return {"loop-primitive-sup": worst}
+        resid += [p + t for p, t in zip(dP(x), T(x))]
+    return {"loop-primitive-sup": sup_abs(resid)}
 
 
 def _run_symmetry_rotation(cfg: Config) -> dict:
@@ -506,16 +507,16 @@ def _run_thom_fiber(cfg: Config) -> dict:
     fi = fiber_integral(tau, bundle.base, 2, cfg.order(24))
     rng = _rng(cfg, "thom-fiber-integral")
     pts = bundle.base.sample_ambient_points(rng, 20)
-    worst = max(abs(fi(x)[0] - 1.0) for x in pts)
+    worst = sup_abs(fi(x)[0] - 1.0 for x in pts)
     dtau = tau.d()
-    closed = 0.0
+    closed = []
     for _ in range(12):
         r = rng.uniform(0.1, 2.3)
         t = rng.uniform(0.0, TWO_PI)
         y = bundle.base.sample_ambient_points(rng, 1)[0]
-        closed = max(closed, _max_comp(
-            dtau, [r * math.cos(t), r * math.sin(t)] + list(y)))
-    return {"fiber-normalization-sup": worst, "thom-closedness-sup": closed}
+        closed += dtau([r * math.cos(t), r * math.sin(t)] + list(y))
+    return {"fiber-normalization-sup": worst,
+            "thom-closedness-sup": sup_abs(closed)}
 
 
 def _run_nu_roundtrip(cfg: Config) -> dict:
@@ -526,11 +527,8 @@ def _run_nu_roundtrip(cfg: Config) -> dict:
     for key, eta in (("constant", Form(2, 0, lambda x: [1.0])),
                      ("area", Form(2, 2, lambda x: [dual.sin(x[0])]))):
         back = nu(sc, nu_inverse_even(sc, eta))
-        worst = 0.0
-        for x in pts:
-            worst = max(worst, max(abs(g - w)
-                                   for g, w in zip(back(x), eta(x))))
-        out[f"nu-roundtrip-{key}"] = worst
+        out[f"nu-roundtrip-{key}"] = sup_abs(
+            g - w for x in pts for g, w in zip(back(x), eta(x)))
     return out
 
 
@@ -625,17 +623,16 @@ def _run_zero_set(cfg: Config) -> dict:
                               2.0 * x[0] * x[1]]),
     )
     out = {}
-    oracle = winding = 0.0
+    oracle, winding = [], []
     for key, section in sections:
         p = FormPair(dom, pf, section_transgression(conn, section).smul(-1.0))
         value = lefschetz_I(p, one)
         out[f"zero-count-{key}"] = value
         total, _ = signed_zero_count(section, dom.manifold)
-        oracle = max(oracle, abs(value - float(total)))
-        winding = max(winding,
-                      abs(boundary_winding(section, dom.manifold) - value))
-    out["zero-count-oracle-gap"] = oracle
-    out["zero-count-winding-gap"] = winding
+        oracle.append(value - float(total))
+        winding.append(boundary_winding(section, dom.manifold) - value)
+    out["zero-count-oracle-gap"] = sup_abs(oracle)
+    out["zero-count-winding-gap"] = sup_abs(winding)
     return out
 
 
@@ -643,18 +640,17 @@ def _run_homotopy_operators(cfg: Config) -> dict:
     dom = _disk_domain(cfg.order(22))
     phi = _twist_flow()
     rng = _rng(cfg, "homotopy-operators")
-    first = second = 0.0
+    first, second = [], []
     for i in range(cfg.count):
         k = 1 + (i % 2)
         omega = _random_polynomial_form(2, k, rng)
         gamma = _random_polynomial_form(2, k - 1, rng)
         p = FormPair(dom, omega, gamma)
         eta = _random_polynomial_form(2, 2 - k, rng)
-        first = max(first, homotopy_defect_I(phi, 0.6, p, eta, dom, t_order=10))
-        second = max(second,
-                     homotopy_defect_II(phi, 0.6, eta, p, dom, t_order=10))
-    return {"homotopy-defect-absolute": first,
-            "homotopy-defect-relative": second}
+        first.append(homotopy_defect_I(phi, 0.6, p, eta, dom, t_order=10))
+        second.append(homotopy_defect_II(phi, 0.6, eta, p, dom, t_order=10))
+    return {"homotopy-defect-absolute": sup_abs(first),
+            "homotopy-defect-relative": sup_abs(second)}
 
 
 def _run_chain_sign_laws(cfg: Config) -> dict:
@@ -662,74 +658,66 @@ def _run_chain_sign_laws(cfg: Config) -> dict:
     rng = _rng(cfg, "chain-sign-laws")
     pts = dom.manifold.sample_ambient_points(rng, 6)
 
-    dd_sup = 0.0
-    transpose_sup = 0.0
+    dd, transpose = [], []
     for i in range(cfg.count):
         k = i % 2
         p = FormPair(dom, _random_polynomial_form(2, k, rng),
                      None if k == 0 else _random_polynomial_form(2, k - 1, rng))
         ddp = pair_d(pair_d(p))
         for x in pts[:3]:
-            dd_sup = max(dd_sup, _max_comp(ddp.omega, x),
-                         _max_comp(ddp.gamma, x))
+            dd += ddp.omega(x) + ddp.gamma(x)
         eta = _random_polynomial_form(2, 1 - k, rng)
         sign = -1.0 if k % 2 else 1.0
         lhs = lefschetz_I(pair_d(p), eta)
         rhs = sign * lefschetz_I(p, eta.d())
-        transpose_sup = max(transpose_sup, abs(lhs - rhs))
+        transpose.append(lhs - rhs)
 
     # fiber collapse: pushing the cone differential below commutes with d
     # up to the sign set by the fiber dimension
-    collapse_sup = 0.0
+    collapse = []
     for m in (1, 2):
         base = ChartDomain.box("B2", [(0.0, 1.0), (-0.5, 0.5)], [10, 10])
         sc = ThomScenario(TrivializedBundle(
             m, base, Connection.flat(m, 2, "flat"), "flat-collapse"))
         sign = 1.0 if m % 2 else -1.0
         n = m + 2
-        for _ in range(max(1, min(cfg.count, 12))):
+        for _ in range(min(cfg.count, 12)):
             k = rng.randint(1, m + 1)
             p = sc.pair(_random_polynomial_form(n, k, rng),
                         _random_polynomial_form(n, k - 1, rng))
             lhs = nu(sc, pair_d(p))
             rhs = nu(sc, p).d()
             for x in sc.base.sample_ambient_points(rng, 3):
-                L, R = lhs(x), rhs(x)
-                if not L:
-                    continue
-                collapse_sup = max(collapse_sup,
-                                   max(abs(a - sign * b)
-                                       for a, b in zip(L, R)))
+                collapse += [a - sign * b for a, b in zip(lhs(x), rhs(x))]
 
     # cutoff interpolation: mu of the cone differential is -d of mu
     rho = BumpProfile.exponential()
-    mu_sup = 0.0
+    cutoff = []
     mu_pts = []
     while len(mu_pts) < 6:
         x = [rng.uniform(-2.3, 2.3) for _ in range(3)]
         if math.hypot(x[0], x[1]) > 0.05:
             mu_pts.append(x)
-    for _ in range(max(1, min(cfg.count, 20))):
+    for _ in range(min(cfg.count, 20)):
         k = rng.randint(1, 2)
         om = _random_polynomial_form(3, k, rng)
         ga = _random_polynomial_form(3, k - 1, rng)
         lhs = mu(om.d().smul(-1.0), om + ga.d(), rho, 2)
         rhs = mu(om, ga, rho, 2).d().smul(-1.0)
         for x in mu_pts:
-            mu_sup = max(mu_sup, max(abs(a - b)
-                                     for a, b in zip(lhs(x), rhs(x))))
+            cutoff += [a - b for a, b in zip(lhs(x), rhs(x))]
 
-    return {"pair-d-squared-sup": dd_sup,
-            "weak-transposition-sup": transpose_sup,
-            "fiber-collapse-sign-sup": collapse_sup,
-            "cutoff-chain-sup": mu_sup}
+    return {"pair-d-squared-sup": sup_abs(dd),
+            "weak-transposition-sup": sup_abs(transpose),
+            "fiber-collapse-sign-sup": sup_abs(collapse),
+            "cutoff-chain-sup": sup_abs(cutoff)}
 
 
 # ---------------------------------------------------------------------------
 # discrete scenarios
 
 def _run_discrete_duality(cfg: Config) -> dict:
-    cone_gap = reversal = euler = 0
+    cone_gap, reversal, euler = [], [], []
     for name in MESH_REGISTRY:
         mesh = make_mesh(name)
         cm, cb, r = mesh.complexes()
@@ -738,16 +726,16 @@ def _run_discrete_duality(cfg: Config) -> dict:
         bd = dirichlet_betti(cm, cb, r)
         for k in range(len(bc)):
             dirichlet = bd[k] if k < len(bd) else 0
-            cone_gap = max(cone_gap, abs(bc[k] - dirichlet))
+            cone_gap.append(bc[k] - dirichlet)
         n = cm.top
         for k in range(n + 1):
             absolute = bm[n - k] if 0 <= n - k < len(bm) else 0
             relative = bc[k] if k < len(bc) else 0
-            reversal = max(reversal, abs(relative - absolute))
-        euler = max(euler, abs(cone.euler() - (cm.euler() - cb.euler())))
-    return {"cone-dirichlet-gap": float(cone_gap),
-            "betti-reversal-gap": float(reversal),
-            "euler-additivity-gap": float(euler)}
+            reversal.append(relative - absolute)
+        euler.append(cone.euler() - (cm.euler() - cb.euler()))
+    return {"cone-dirichlet-gap": float(sup_abs(cone_gap)),
+            "betti-reversal-gap": float(sup_abs(reversal)),
+            "euler-additivity-gap": float(sup_abs(euler))}
 
 
 def _run_mesh_les(cfg: Config) -> dict:

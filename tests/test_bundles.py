@@ -83,6 +83,14 @@ class TestProjectedConnection:
         with pytest.raises(ProjectorError):
             projected_connection(conn, bad, check_points=[[0.0]])
 
+    def test_nan_after_finite_point_raises(self):
+        def proj(x):
+            v = 1.0 if x[0] == 0.0 else math.nan
+            return [[v, 0.0], [0.0, 0.0]]
+
+        with pytest.raises(ProjectorError):
+            Subbundle(2, proj, "nan").check([[0.0], [1.0]])
+
     def test_rank_mismatch(self):
         with pytest.raises(ShapeError):
             projected_connection(Connection.flat(2, 1),
@@ -137,6 +145,12 @@ class TestFrameSplit:
         conn = Connection.flat(2, 1)
         with pytest.raises(ProjectorError):
             frame_split_connection(conn, [lambda x: [1.0, 1.0]],
+                                   check_points=[[0.0]])
+
+    def test_nan_frame_raises(self):
+        conn = Connection.flat(2, 1)
+        with pytest.raises(ProjectorError):
+            frame_split_connection(conn, [lambda x: [math.nan, 0.0]],
                                    check_points=[[0.0]])
 
     def test_single_frame_matches_section_split_on_flat(self):

@@ -1,5 +1,5 @@
 import json
-import os
+import math
 import subprocess
 import sys
 
@@ -7,7 +7,7 @@ import pytest
 
 from cgbv.cli import (EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_NUMERICAL,
                       EXIT_OK, EXIT_REPORT_PATH, emit_report, list_scenarios,
-                      main, report_payload, run_all)
+                      main, report_payload)
 from cgbv.errors import ConfigError
 from cgbv.scenarios import Config, all_scenarios, get_scenario, run_scenario
 
@@ -15,13 +15,9 @@ from cgbv.scenarios import Config, all_scenarios, get_scenario, run_scenario
 FAST = ["quadrature-volumes", "cgb-sphere"]
 
 
-def cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("CGB_VERIFY_JOBS", None)
-    if env_extra:
-        env.update(env_extra)
+def cli(*args):
     return subprocess.run([sys.executable, "-m", "cgbv.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 def strip_walls(payload: dict) -> dict:
@@ -94,6 +90,18 @@ def test_run_bad_rank_exits_two():
     proc = cli("run", "odd-rank-point", "--rank", "2")
     assert proc.returncode == EXIT_BAD_CONFIG
     assert "error:" in proc.stderr
+
+
+def test_run_zero_count_exits_two():
+    proc = cli("run", "stokes-convention", "--count", "0")
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert "error: count" in proc.stderr
+
+
+def test_run_zero_quad_order_exits_two():
+    proc = cli("run", "cgb-sphere", "--quad-order", "0")
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert "error: quadrature order" in proc.stderr
 
 
 def test_check_converts_failure_to_exit_one():
@@ -187,24 +195,6 @@ def test_unknown_format_rejected():
 
 
 # ---------------------------------------------------------------------------
-# run: concurrency
-
-
-def test_parallel_run_matches_sequential():
-    scens = [get_scenario(n) for n in
-             ("quadrature-volumes", "cgb-sphere", "forms-calculus")]
-    seq = report_payload(run_all(scens, Config(), jobs=1), Config())
-    par = report_payload(run_all(scens, Config(), jobs=3), Config())
-    assert strip_walls(seq) == strip_walls(par)
-
-
-def test_jobs_env_variable_honored():
-    proc = cli("run", *FAST, env_extra={"CGB_VERIFY_JOBS": "2"})
-    assert proc.returncode == EXIT_OK
-    assert "2/2 scenarios passed" in proc.stdout
-
-
-# ---------------------------------------------------------------------------
 # entry point
 
 
@@ -217,3 +207,13 @@ def test_main_returns_int(capsys):
 def test_tol_override_applies_to_every_item():
     report = run_scenario(get_scenario("cgb-sphere"), Config(tol=1e-2))
     assert all(item.tol == 1e-2 for item in report.items)
+
+
+def test_nan_residual_after_finite_one_fails_the_item(monkeypatch):
+    residuals = iter([0.1, math.nan])
+    monkeypatch.setattr("cgbv.scenarios.stokes_residual",
+                        lambda *args, **kwargs: next(residuals))
+    report = run_scenario(get_scenario("stokes-convention"), Config(count=2))
+    (item,) = report.items
+    assert math.isnan(item.computed)
+    assert not item.passed

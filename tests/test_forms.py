@@ -209,11 +209,6 @@ class TestMatrixForm:
                     for u, v in zip(whole[i][j], single):
                         assert u == pytest.approx(v, abs=1e-12)
 
-    def test_trace_and_transpose(self):
-        A = MatrixForm(2, 0, 2, lambda x: [[[x[0]], [x[1]]], [[2.0 * x[1]], [x[0] * x[0]]]])
-        assert A.trace()([3.0, 4.0])[0] == pytest.approx(12.0)
-        assert A.transpose().eval([3.0, 4.0])[0][1][0] == pytest.approx(8.0)
-
     def test_pullback_entrywise(self):
         from cgbv.dual import sin as dsin
         phi = SmoothMap(2, 2, lambda u: [u[0] ** 2, dsin(u[1])])

@@ -10,7 +10,7 @@ from cgbv.errors import (BoundaryZeroError, ChartError, DegreeError,
                          HomotopyError, TransversalityError)
 from cgbv.forms import Form, SmoothMap, combos
 from cgbv.geometry import ChartDomain
-from cgbv.relative import (CurrentEvaluator, FormPair, RelativeDomain,
+from cgbv.relative import (FormPair, RelativeDomain,
                            SignConstants, absolute_part, boundary_winding,
                            from_boundary, homotopy_TI, homotopy_TII,
                            homotopy_defect_I, homotopy_defect_II, lefschetz_I,
@@ -254,7 +254,7 @@ class TestLefschetzII:
             g = affine_form(4, 0, rng)
             closed = FormPair(dom, g.d(), g.smul(-1.0))
             curvature_side = sum(lefschetz_II(pf, closed))
-            zero_set_side = CurrentEvaluator.from_chart(core)(g.d())
+            zero_set_side = core.integrate(g.d())
             assert abs(curvature_side) <= 1e-6
             assert abs(zero_set_side) <= 1e-6
             assert abs(curvature_side - zero_set_side) <= 1e-6
@@ -386,23 +386,6 @@ class TestSignConstants:
         table = SignConstants.table(4)
         assert table[(4, 2)] == (2, 4)
         assert set(table) == {(n, k) for n in range(5) for k in range(n + 1)}
-
-
-class TestCurrentEvaluator:
-    def test_chart_current(self):
-        rng = random.Random(150)
-        ball = ChartDomain.ball(2, order=10)
-        ev = CurrentEvaluator.from_chart(ball)
-        eta = random_polynomial_form(2, 2, rng)
-        assert ev.dim == 2
-        assert abs(ev(eta) - ball.integrate(eta)) <= 1e-12
-
-    def test_signed_points_current(self):
-        ev = CurrentEvaluator.from_signed_points([(1, [0.5]), (-1, [-0.25])])
-        g = Form.scalar(1, lambda x: x[0] ** 3 + 1.0)
-        assert abs(ev(g) - (0.5 ** 3 - (-0.25) ** 3)) <= 1e-15
-        with pytest.raises(DegreeError):
-            ev(Form.constant(1, 1, [1.0]))
 
 
 def doubling_section(x):

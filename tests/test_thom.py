@@ -280,6 +280,12 @@ class TestNuInverseEven:
         with pytest.raises(ClosednessError):
             nu_inverse_even(sc, crooked)
 
+    def test_nan_input_rejected(self):
+        sc = flat_scenario(2)
+        broken = Form(2, 1, lambda x: [x[0] * math.nan, 0.0])
+        with pytest.raises(ClosednessError):
+            nu_inverse_even(sc, broken)
+
     @pytest.mark.parametrize("label", ["constant", "area"])
     def test_round_trip_on_sphere(self, label):
         sc = ThomScenario(make_bundle("tangent-s2"))
