@@ -48,19 +48,6 @@ class Subbundle:
         self.projector = projector
         self.label = label
 
-    def matrix(self, x):
-        return self.projector(x)
-
-    def complement(self) -> "Subbundle":
-        m = self.rank
-
-        def comp(x):
-            P = self.projector(x)
-            return [[(1.0 if i == j else 0.0) - P[i][j] for j in range(m)]
-                    for i in range(m)]
-
-        return Subbundle(m, comp, f"{self.label}-perp")
-
     def check(self, points, tol: float = 1e-10) -> float:
         """Worst idempotency/symmetry defect; raises beyond tol."""
         m = self.rank
@@ -139,18 +126,17 @@ def section_splitting_connection(conn: Connection, section,
         if len(s) != m:
             raise ShapeError(f"section has {len(s)} components, rank is {m}")
         norm2 = sum(v * v for v in s)
-        if dual.real(norm2) < threshold * threshold:
+        if not dual.real(norm2) >= threshold * threshold:
             raise VanishingSectionError(
                 f"section length {math.sqrt(max(dual.real(norm2), 0.0)):.3e} "
                 f"below {threshold:.1e}")
         return [[s[i] * s[j] / norm2 for j in range(m)] for i in range(m)]
 
-    if check_points:
-        min_len = min(math.sqrt(max(dual.real(sum(v * v for v in section(x))), 0.0))
-                      for x in check_points)
-        if min_len < threshold:
+    for x in check_points:
+        length = math.sqrt(max(dual.real(sum(v * v for v in section(x))), 0.0))
+        if not length >= threshold:
             raise VanishingSectionError(
-                f"min section length {min_len:.3e} below {threshold:.1e}")
+                f"section length {length:.3e} at {x} below {threshold:.1e}")
     return projected_connection(conn, Subbundle(m, proj, "line"),
                                 check_points=check_points)
 
@@ -319,8 +305,8 @@ class OddRankTriple:
 
     ``split`` makes the tautological section parallel, ``ambient`` is the
     plain extended pullback, ``plane_split`` trivializes the plane framed by
-    the constant first basis vector and the normalized fiber part of the
-    tautological section (defined away from the poles).
+    ``plane_frame``: the constant first basis vector and the normalized fiber
+    part of the tautological section (defined away from the poles).
     """
 
     def __init__(self, bundle: TrivializedBundle, fiber_order: int = 16):
@@ -332,10 +318,6 @@ class OddRankTriple:
         self.total_rank = m + 1
         self.assoc = AssociatedBundles(bundle, fiber_order)
         self.sre = self.assoc.sre
-        self.se = FiberBundleDomain(ChartDomain.sphere(m, order=fiber_order),
-                                    bundle.base, "SE")
-        self.de = FiberBundleDomain(ChartDomain.ball(m, order=fiber_order),
-                                    bundle.base, "DE")
         # all three live on the (m+1)-fiber-ambient sphere-of-sums chart
         amb = total_connection(rank_extension(bundle.connection), m + 1)
         self.ambient = Connection(m + 1, amb.A, "ambient")
@@ -355,9 +337,10 @@ class OddRankTriple:
             norm = dual.sqrt(sum(v * v for v in u))
             return [0.0] + [v / norm for v in u]
 
+        self.plane_frame = (f_const, f_fiber)
         self.plane_split = Connection(
             m + 1,
-            frame_split_connection(amb, [f_const, f_fiber]).A,
+            frame_split_connection(amb, self.plane_frame).A,
             "plane-split")
         self.stereo = self.assoc.stereo
         if m >= 2:
@@ -395,12 +378,6 @@ def _tangent_s2() -> TrivializedBundle:
 
     conn = Connection(2, MatrixForm(2, 1, 2, A_eval), "round-s2")
     return TrivializedBundle(2, base, conn, "tangent-s2")
-
-
-def _circle_plane() -> TrivializedBundle:
-    base = ChartDomain.interval("psi", 0.0, 2.0 * math.pi, 16)
-    return TrivializedBundle(2, base, Connection.flat(2, 1, "plane"),
-                             "circle-plane")
 
 
 def _flat_disk(rank: int) -> TrivializedBundle:
@@ -441,13 +418,6 @@ def _random_disk(rank: int, seed: int) -> TrivializedBundle:
     return TrivializedBundle(rank, base, conn, f"random-rank{rank}-disk")
 
 
-def _random_annulus(seed: int) -> TrivializedBundle:
-    base = ChartDomain.annulus(0.5, 1.5, order=16)
-    conn = Connection(2, MatrixForm(2, 1, 2, _random_skew_polynomial(2, 2, seed)),
-                      f"annulus-{seed}")
-    return TrivializedBundle(2, base, conn, "random-rank2-annulus")
-
-
 def _odd_point(rank: int) -> TrivializedBundle:
     return TrivializedBundle(rank, point_base(), Connection.flat(rank, 0, "point"),
                              f"odd-rank{rank}-point")
@@ -455,11 +425,8 @@ def _odd_point(rank: int) -> TrivializedBundle:
 
 REGISTRY = {
     "tangent-s2": _tangent_s2,
-    "circle-plane": _circle_plane,
     "flat-rank2-disk": lambda: _flat_disk(2),
     "random-rank2-disk": lambda: _random_disk(2, 11),
-    "random-rank4-disk": lambda: _random_disk(4, 12),
-    "random-rank2-annulus": lambda: _random_annulus(13),
     "odd-rank1-point": lambda: _odd_point(1),
     "odd-rank3-point": lambda: _odd_point(3),
 }

@@ -185,10 +185,6 @@ class SmoothMap:
             cols.append([deriv(c) for c in yj])
         return [[cols[j][i] for j in range(self.src_dim)] for i in range(self.dst_dim)]
 
-    def value_and_jacobian(self, x):
-        y = self.fn(list(x))
-        return y, self.jacobian(x)
-
     def compose(self, inner: "SmoothMap") -> "SmoothMap":
         if inner.dst_dim != self.src_dim:
             raise ShapeError("composition dimensions do not line up")

@@ -184,8 +184,7 @@ class ChartDomain:
             raise ChartError("products with point domains are not supported")
         name = name or f"{a.name}x{b.name}"
         na, nb = a.ambient_dim, b.ambient_dim
-        ea = a.embed or SmoothMap.identity(a.dim)
-        eb = b.embed or SmoothMap.identity(b.dim)
+        ea, eb = a.embedding(), b.embedding()
         da = a.dim
 
         def fn(x):
@@ -228,29 +227,33 @@ class ChartDomain:
         return self._copy(orders=list(order))
 
     def embedding(self) -> SmoothMap:
-        return self.embed or SmoothMap.identity(self.dim)
+        """Reference to ambient coordinates; a point set's points are ambient."""
+        return self.embed or SmoothMap(self.dim, self.ambient_dim, lambda x: list(x))
 
     # ------------------------------------------------------------------
     # integration
+
+    def nodes(self):
+        """(reference point, weight) pairs of the quadrature rule.
+
+        A signed point set weighs each of its points by its sign; every
+        other chart uses the tensor Gauss-Legendre grid.
+        """
+        if self.kind == "points":
+            return [(list(pt), float(sign)) for sign, pt in self.point_entries]
+        return tensor_nodes(self.bounds, self.orders)
 
     def integrate(self, form: Form) -> float:
         """Integral of an ambient form of degree equal to the chart dimension."""
         if form.n != self.ambient_dim:
             raise ChartError(
                 f"form lives in dimension {form.n}, domain {self.name} embeds in {self.ambient_dim}")
-        if self.kind == "points":
-            if form.p != 0:
-                raise DegreeError("point domains integrate 0-forms only")
-            total = 0.0
-            for sign, pt in self.point_entries:
-                total += sign * form(pt)[0]
-            return self.orientation * total
         if form.p != self.dim:
             raise DegreeError(
                 f"degree {form.p} form cannot be integrated over {self.dim}-dimensional {self.name}")
         pulled = form.pullback(self.embed) if self.embed is not None else form
         total = 0.0
-        for pt, w in tensor_nodes(self.bounds, self.orders):
+        for pt, w in self.nodes():
             total += w * pulled.comps(pt)[0]
         return self.orientation * total
 
@@ -327,12 +330,8 @@ class FiberBundleDomain:
 
     def fiber_nodes(self):
         """(ambient fiber point, jacobian, weight) triples for the fiber rule."""
-        if self.fiber.kind == "points":
-            for sign, pt in self.fiber.point_entries:
-                yield list(pt), [[] for _ in range(self.fiber.ambient_dim)], float(sign)
-            return
         emb = self.fiber.embedding()
-        for pt, w in tensor_nodes(self.fiber.bounds, self.fiber.orders):
+        for pt, w in self.fiber.nodes():
             yield emb(pt), emb.jacobian(pt), w * self.fiber.orientation
 
     def fiber_integrate(self, form: Form) -> Form:
@@ -372,11 +371,7 @@ class FiberBundleDomain:
                 for iI, entries in enumerate(layout):
                     acc = 0.0
                     for K, iM in entries:
-                        c = vals[iM]
-                        if fd:
-                            acc = acc + c * det(submatrix(Jf, K, all_cols))
-                        else:
-                            acc = acc + c
+                        acc = acc + vals[iM] * det(submatrix(Jf, K, all_cols))
                     out[iI] += w * acc
             return out
 

@@ -107,31 +107,29 @@ def pair_pullback(p: FormPair, phi: SmoothMap, source: RelativeDomain) -> FormPa
 # ---------------------------------------------------------------------------
 # pairings
 
-def lefschetz_I(p: FormPair, eta: Form) -> float:
-    """Pair against a test form: int_M omega^eta + int_bM gamma^eta."""
+def _pairing(p: FormPair, eta: Form) -> tuple:
+    """(int_M omega^eta, int_bM gamma^eta), the second 0.0 without gamma."""
     dom = p.domain
     if p.omega.p + eta.p != dom.dim:
         raise DegreeError(
             f"pairing a degree {p.omega.p} pair needs a degree "
             f"{dom.dim - p.omega.p} test form, got {eta.p}")
-    total = dom.integrate(p.omega.wedge(eta))
-    if p.gamma is not None:
-        total += dom.integrate_boundary(p.gamma.wedge(eta))
-    return total
-
-
-def lefschetz_II(eta: Form, p: FormPair) -> tuple:
-    """The two current evaluations (int_M omega^eta, int_bM gamma^eta)."""
-    dom = p.domain
-    if eta.p + p.omega.p != dom.dim:
-        raise DegreeError(
-            f"degree {eta.p} test form cannot pair with a degree "
-            f"{p.omega.p} pair on a {dom.dim}-dimensional chart")
     first = dom.integrate(p.omega.wedge(eta))
     second = 0.0
     if p.gamma is not None:
         second = dom.integrate_boundary(p.gamma.wedge(eta))
     return first, second
+
+
+def lefschetz_I(p: FormPair, eta: Form) -> float:
+    """Pair against a test form: int_M omega^eta + int_bM gamma^eta."""
+    first, second = _pairing(p, eta)
+    return first + second
+
+
+def lefschetz_II(eta: Form, p: FormPair) -> tuple:
+    """The two current evaluations (int_M omega^eta, int_bM gamma^eta)."""
+    return _pairing(p, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +174,44 @@ def _check_boundary_compat(phi: SmoothMap, t: float, source: RelativeDomain,
             f"target domain {target.manifold.name} has no boundary defect function")
     rng = random.Random(7)
     for face in source.faces:
-        pts = face.sample_ref_points(rng, samples)
-        if face.kind != "points":
-            emb = face.embedding()
-            pts = [emb(ref) for ref in pts]
-        for x in pts:
+        for x in face.sample_ambient_points(rng, samples):
             for s in (0.37 * t, 0.81 * t, t):
                 defect = target.boundary_defect(phi([s] + list(x)))
                 if not abs(defect) <= tol:
                     raise HomotopyError(
                         f"flow leaves the boundary at s={s:.3f}: defect {defect:.3e}")
+
+
+def _cylinder_pairing(phi: SmoothMap, t: float, p: FormPair, eta: Form,
+                      source: RelativeDomain, target: RelativeDomain,
+                      pair_map: SmoothMap, eta_map: SmoothMap,
+                      t_order: int) -> tuple:
+    """Both cylinder integrals of a pair and a test form over [0,t] x source.
+
+    The pair is pulled back along ``pair_map`` and the test form along
+    ``eta_map``, one of them the flow and the other the projection that
+    drops the parameter.  Returns (-int_{[0,t] x B} omega_c ^ eta_c,
+    sum over the faces of int_{[0,t] x face} gamma_c ^ eta_c).
+    """
+    if (phi.src_dim != source.ambient_dim + 1
+            or phi.dst_dim != target.ambient_dim):
+        raise ChartError("flow does not map the source cylinder to the target chart")
+    if p.omega.p + eta.p != source.dim + 1:
+        raise DegreeError(
+            f"cylinder pairing needs degree {source.dim + 1 - p.omega.p} "
+            f"test forms, got {eta.p}")
+    _check_boundary_compat(phi, t, source, target)
+    seg = ChartDomain.interval("s", 0.0, t, t_order)
+    eta_c = eta.pullback(eta_map)
+    first = -ChartDomain.product(seg, source.manifold).integrate(
+        p.omega.pullback(pair_map).wedge(eta_c))
+    second = 0.0
+    if p.gamma is not None:
+        gpull = p.gamma.pullback(pair_map)
+        for face in source.faces:
+            for cyl in _segment_cylinders(seg, face):
+                second += cyl.integrate(gpull.wedge(eta_c))
+    return first, second
 
 
 def homotopy_TI(phi: SmoothMap, t: float, p: FormPair, eta: Form,
@@ -195,24 +221,9 @@ def homotopy_TI(phi: SmoothMap, t: float, p: FormPair, eta: Form,
     The value is -int_{[0,t] x B} phi^*omega ^ pr^*eta plus the boundary
     cylinder integral of phi^*gamma ^ pr^*eta, pr the projection to B.
     """
-    nb = source.ambient_dim
-    if phi.src_dim != nb + 1 or phi.dst_dim != p.domain.ambient_dim:
-        raise ChartError("flow does not map the source cylinder to the target chart")
-    if p.omega.p + eta.p != source.dim + 1:
-        raise DegreeError(
-            f"cylinder pairing needs degree {source.dim + 1 - p.omega.p} "
-            f"test forms, got {eta.p}")
-    _check_boundary_compat(phi, t, source, p.domain)
-    seg = ChartDomain.interval("s", 0.0, t, t_order)
-    eta_c = eta.pullback(_drop_first(nb))
-    total = -ChartDomain.product(seg, source.manifold).integrate(
-        p.omega.pullback(phi).wedge(eta_c))
-    if p.gamma is not None:
-        gpull = p.gamma.pullback(phi)
-        for face in source.faces:
-            for cyl in _segment_cylinders(seg, face):
-                total += cyl.integrate(gpull.wedge(eta_c))
-    return total
+    first, second = _cylinder_pairing(phi, t, p, eta, source, p.domain, phi,
+                                      _drop_first(source.ambient_dim), t_order)
+    return first + second
 
 
 def homotopy_TII(phi: SmoothMap, t: float, eta: Form, p: FormPair,
@@ -223,26 +234,8 @@ def homotopy_TII(phi: SmoothMap, t: float, eta: Form, p: FormPair,
              int_{[0,t] x bB} pr^*gamma ^ phi^*eta).
     """
     source = p.domain
-    nb = source.ambient_dim
-    if phi.src_dim != nb + 1 or phi.dst_dim != target.ambient_dim:
-        raise ChartError("flow does not map the source cylinder to the target chart")
-    if p.omega.p + eta.p != source.dim + 1:
-        raise DegreeError(
-            f"cylinder pairing needs degree {source.dim + 1 - p.omega.p} "
-            f"test forms, got {eta.p}")
-    _check_boundary_compat(phi, t, source, target)
-    seg = ChartDomain.interval("s", 0.0, t, t_order)
-    eta_c = eta.pullback(phi)
-    pr = _drop_first(nb)
-    first = -ChartDomain.product(seg, source.manifold).integrate(
-        p.omega.pullback(pr).wedge(eta_c))
-    second = 0.0
-    if p.gamma is not None:
-        gpull = p.gamma.pullback(pr)
-        for face in source.faces:
-            for cyl in _segment_cylinders(seg, face):
-                second += cyl.integrate(gpull.wedge(eta_c))
-    return first, second
+    return _cylinder_pairing(phi, t, p, eta, source, target,
+                             _drop_first(source.ambient_dim), phi, t_order)
 
 
 def homotopy_defect_I(phi: SmoothMap, t: float, p: FormPair, eta: Form,
@@ -426,8 +419,8 @@ def boundary_winding(section, B: ChartDomain) -> float:
     smap = SmoothMap(2, 2, section)
 
     def comps(x):
-        v, J = smap.value_and_jacobian(x)
-        s1, s2 = v
+        s1, s2 = smap(x)
+        J = smap.jacobian(x)
         den = (s1 * s1 + s2 * s2) * (2.0 * math.pi)
         return [(s1 * J[1][c] - s2 * J[0][c]) / den for c in range(2)]
 

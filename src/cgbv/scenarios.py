@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +79,8 @@ class Config:
         if self.quad_order is not None and self.quad_order < 1:
             raise ConfigError(
                 f"quadrature order must be at least 1, got {self.quad_order}")
+        if self.tol is not None and not self.tol >= 0:
+            raise ConfigError(f"tolerance must be at least 0, got {self.tol}")
 
     def order(self, default: int) -> int:
         return default if self.quad_order is None else self.quad_order
@@ -112,8 +114,7 @@ class Scenario:
 
     ``expected`` is either a tuple of :class:`Expected` or a callable
     producing one from the config, for scenarios whose tolerance depends
-    on a config switch.  ``params`` records the fixed choices (registry
-    keys, default orders) that make the run reproducible.
+    on a config switch.
     """
 
     name: str
@@ -121,7 +122,6 @@ class Scenario:
     modules: tuple
     runner: object
     expected: object
-    params: dict = field(default_factory=dict)
 
     def expected_for(self, config: Config) -> tuple:
         exp = self.expected(config) if callable(self.expected) else self.expected
@@ -763,7 +763,6 @@ _SCENARIOS = (
          Expected("sphere2-flux", 4.0 * math.pi, 1e-10, "derived"),
          Expected("annulus-area", 3.0 * math.pi, 1e-10, "derived"),
          Expected("ball4-volume", math.pi ** 2 / 2.0, 1e-10, "derived")),
-        {"quad_order": 16},
     ),
     Scenario(
         "boundary-orientation",
@@ -774,7 +773,6 @@ _SCENARIOS = (
          _zero("stokes-annulus2", 1e-8, "derived"),
          _zero("stokes-box3", 1e-8, "derived"),
          _zero("stokes-product3", 1e-8, "derived")),
-        {"quad_order": 16, "forms": "degree <= 3"},
     ),
     Scenario(
         "stokes-convention",
@@ -782,7 +780,6 @@ _SCENARIOS = (
         ("geometry",),
         _run_stokes_convention,
         (_zero("cylinder-stokes-sup", 1e-8, "paper"),),
-        {"domain": "[0,1] x [0,1]^2", "forms": "degree <= 3"},
     ),
     Scenario(
         "fiber-projection",
@@ -790,7 +787,6 @@ _SCENARIOS = (
         ("geometry",),
         _run_fiber_projection,
         (_zero("projection-formula", 1e-8, "derived"),),
-        {"fiber": "circle", "base": "rectangle"},
     ),
     Scenario(
         "forms-calculus",
@@ -800,7 +796,6 @@ _SCENARIOS = (
         (_zero("d-squared-sup", 1e-10, "trivial"),
          _zero("pullback-naturality-sup", 1e-10, "trivial"),
          _zero("leibniz-sup", 1e-10, "trivial")),
-        {"chart": "R^3", "forms": "degree <= 3"},
     ),
     Scenario(
         "pfaffian-identities",
@@ -811,7 +806,6 @@ _SCENARIOS = (
          _zero("pfaffian-square-det", 1e-8, "derived"),
          _zero("pfaffian-rotation-invariance", 1e-8, "derived"),
          _zero("pfaffian-reflection-sign", 1e-8, "derived")),
-        {"sizes": (2, 4, 6)},
     ),
     Scenario(
         "transgression-derivative",
@@ -820,7 +814,6 @@ _SCENARIOS = (
         _run_transgression_derivative,
         (_zero("transgression-derivative-rank2", 1e-7, "paper"),
          _zero("transgression-derivative-rank4", 1e-7, "paper")),
-        {"ranks": (2, 4), "charts": ("R^2", "R^4")},
     ),
     Scenario(
         "secondary-transgression",
@@ -829,7 +822,6 @@ _SCENARIOS = (
         _run_secondary_transgression,
         (_zero("secondary-sum-rule", 1e-6, "paper"),
          _zero("secondary-constant-family", 1e-12, "trivial")),
-        {"rank": 2, "base": "circle"},
     ),
     Scenario(
         "loop-transgression",
@@ -837,7 +829,6 @@ _SCENARIOS = (
         ("chern_weil",),
         _run_loop_transgression,
         (_zero("loop-primitive-sup", 1e-6, "paper"),),
-        {"rank": 2, "loop": "one harmonic"},
     ),
     Scenario(
         "cgb-sphere",
@@ -845,7 +836,6 @@ _SCENARIOS = (
         ("chern_weil", "geometry", "bundles"),
         _run_cgb_sphere,
         (Expected("euler-number-s2", 2.0, 1e-8, "paper"),),
-        {"bundle": "tangent-s2", "quad_order": 24},
     ),
     Scenario(
         "cgb-disk",
@@ -853,7 +843,6 @@ _SCENARIOS = (
         ("chern_weil", "geometry", "bundles"),
         _run_cgb_disk,
         (Expected("euler-number-disk", 1.0, 1e-6, "derived"),),
-        {"bundle": "flat rank 2", "split": "outward normal"},
     ),
     Scenario(
         "cgb-caps",
@@ -863,7 +852,6 @@ _SCENARIOS = (
         (Expected("euler-number-cap30", 1.0, 1e-6, "derived"),
          Expected("euler-number-cap90", 1.0, 1e-6, "derived"),
          Expected("euler-number-cap120", 1.0, 1e-6, "derived")),
-        {"bundle": "tangent-s2", "polar_angles": (30, 90, 120)},
     ),
     Scenario(
         "persistent-section-vanishing",
@@ -876,7 +864,6 @@ _SCENARIOS = (
          _zero("slice-vanishing-taut-rank3", 1e-8, "paper"),
          _zero("slice-vanishing-ambient-rank3", 1e-8, "paper"),
          _zero("persistent-sections-rank3", 1e-9, "derived")),
-        {"bundles": ("odd-rank1-point", "odd-rank3-point")},
     ),
     Scenario(
         "thom-fiber-integral",
@@ -885,7 +872,6 @@ _SCENARIOS = (
         _run_thom_fiber,
         (_zero("fiber-normalization-sup", 1e-6, "paper"),
          _zero("thom-closedness-sup", 1e-7, "paper")),
-        {"bundle": "random-rank2-disk", "quad_order": 24},
     ),
     Scenario(
         "nu-roundtrip-even",
@@ -894,7 +880,6 @@ _SCENARIOS = (
         _run_nu_roundtrip,
         (_zero("nu-roundtrip-constant", 1e-6, "paper"),
          _zero("nu-roundtrip-area", 1e-6, "paper")),
-        {"bundle": "tangent-s2", "test_forms": ("1", "area")},
     ),
     Scenario(
         "odd-rank-point",
@@ -902,7 +887,6 @@ _SCENARIOS = (
         ("thom", "bundles"),
         _run_odd_rank_point,
         _odd_rank_expected,
-        {"ranks": (1, 3), "default_rank": 1},
     ),
     Scenario(
         "zero-set-duality",
@@ -914,7 +898,6 @@ _SCENARIOS = (
          Expected("zero-count-square", 2.0, 1e-6, "derived"),
          _zero("zero-count-oracle-gap", 1e-6, "derived"),
          _zero("zero-count-winding-gap", 1e-6, "derived")),
-        {"bundle": "flat rank 2", "quad_order": 40},
     ),
     Scenario(
         "homotopy-operators",
@@ -923,7 +906,6 @@ _SCENARIOS = (
         _run_homotopy_operators,
         (_zero("homotopy-defect-absolute", 1e-6, "paper"),
          _zero("homotopy-defect-relative", 1e-6, "derived")),
-        {"flow": "twist", "time": 0.6},
     ),
     Scenario(
         "chain-sign-laws",
@@ -934,7 +916,6 @@ _SCENARIOS = (
          _zero("weak-transposition-sup", 1e-7, "paper"),
          _zero("fiber-collapse-sign-sup", 1e-7, "derived"),
          _zero("cutoff-chain-sup", 1e-7, "paper")),
-        {"domain": "disk", "fiber_ranks": (1, 2)},
     ),
     Scenario(
         "discrete-duality",
@@ -944,7 +925,6 @@ _SCENARIOS = (
         (_zero("cone-dirichlet-gap", 0.0, "paper"),
          _zero("betti-reversal-gap", 0.0, "paper"),
          _zero("euler-additivity-gap", 0.0, "trivial")),
-        {"meshes": tuple(MESH_REGISTRY)},
     ),
     Scenario(
         "mesh-les",
@@ -952,7 +932,6 @@ _SCENARIOS = (
         ("discrete",),
         _run_mesh_les,
         (_zero("les-exactness-failures", 0.0, "derived"),),
-        {"meshes": tuple(MESH_REGISTRY)},
     ),
     Scenario(
         "symmetry-rotation",
@@ -960,7 +939,6 @@ _SCENARIOS = (
         ("chern_weil", "bundles"),
         _run_symmetry_rotation,
         (_zero("rotation-invariance", 1e-8, "paper"),),
-        {"bundle": "tangent-s2", "shift": 0.7},
     ),
     Scenario(
         "symmetry-reflection",
@@ -973,7 +951,6 @@ _SCENARIOS = (
          _zero("parallel-pair-vanishing", 1e-8, "paper"),
          _zero("pushforward-cancellation", 1e-6, "derived"),
          Expected("pushforward-magnitude", 1.0, 1e-6, "derived")),
-        {"bundle": "odd-rank3-point", "flip": "first axis"},
     ),
 )
 

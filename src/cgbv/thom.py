@@ -200,13 +200,12 @@ class ThomScenario:
         if self.parity == "even":
             self.assoc = AssociatedBundles(bundle, fiber_order)
             self.triple = None
-            self.de, self.se = self.assoc.de, self.assoc.se
             self.pi_connection = total_connection(bundle.connection, m)
         else:
             self.triple = OddRankTriple(bundle, fiber_order)
             self.assoc = self.triple.assoc
-            self.de, self.se = self.triple.de, self.triple.se
             self.pi_connection = None
+        self.de, self.se = self.assoc.de, self.assoc.se
 
         def defect(x, m=m):
             return sum(x[i] * x[i] for i in range(m)) - 1.0
@@ -405,19 +404,12 @@ def persistent_section_residual(scenario: ThomScenario,
         raise RankError("plane-comparison vanishing needs an odd-rank bundle")
     tri = scenario.triple
     m1 = tri.total_rank
+    e0, fiber_part = tri.plane_frame
 
     def taut(x):
         v = list(x[:m1])
         norm = dual.sqrt(sum(c * c for c in v))
         return [c / norm for c in v]
-
-    def fiber_part(x):
-        u = list(x[1:m1])
-        norm = dual.sqrt(sum(c * c for c in u))
-        return [0.0] + [c / norm for c in u]
-
-    def e0(x):
-        return [1.0] + [0.0] * (m1 - 1)
 
     rng = random.Random(41)
     values = []

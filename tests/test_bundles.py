@@ -124,6 +124,23 @@ class TestSectionSplitting:
             section_splitting_connection(conn, lambda x: [x[0], 0.0],
                                          check_points=[[1.0], [1e-12]])
 
+    @staticmethod
+    def _nan_at_one(x):
+        return [1.0, math.nan if dual.real(x[0]) > 0.5 else 0.0]
+
+    def test_nan_after_finite_check_point_raises(self):
+        # min(1.0, nan) == 1.0 would let the NaN length pass the check
+        conn = Connection.flat(2, 1)
+        with pytest.raises(VanishingSectionError):
+            section_splitting_connection(conn, self._nan_at_one,
+                                         check_points=[[0.0], [1.0]])
+
+    def test_nan_at_evaluation_raises(self):
+        conn = Connection.flat(2, 1)
+        out = section_splitting_connection(conn, self._nan_at_one)
+        with pytest.raises(VanishingSectionError):
+            out.A.eval([1.0])
+
     def test_circle_winding_transgression(self):
         # the unit section winding once around the plane bundle over [0, 2pi]
         # transgresses to total winding -1

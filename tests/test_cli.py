@@ -104,6 +104,13 @@ def test_run_zero_quad_order_exits_two():
     assert "error: quadrature order" in proc.stderr
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_run_bad_tolerance_exits_two(tol):
+    proc = cli("run", "quadrature-volumes", "--tol", tol)
+    assert proc.returncode == EXIT_BAD_CONFIG
+    assert "error: tolerance" in proc.stderr
+
+
 def test_check_converts_failure_to_exit_one():
     bad = cli("run", "cgb-sphere", "--quad-order", "2", "--check")
     good = cli("run", "cgb-sphere", "--check")

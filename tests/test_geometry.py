@@ -191,6 +191,9 @@ class TestFiberIntegration:
         assert out([0.7])[0] == pytest.approx(0.0, abs=1e-14)
         w2 = Form(2, 1, lambda x: [0.0, x[0] ** 3 + x[1]])
         assert bundle.fiber_integrate(w2)([0.7])[0] == pytest.approx(2.0, abs=1e-14)
+        # the fiber's orientation sign reaches the fiber integral, as in integrate
+        flipped = FiberBundleDomain(fiber.reorient(-1), base)
+        assert flipped.fiber_integrate(w2)([0.7])[0] == pytest.approx(-2.0, abs=1e-14)
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_projection_formula(self, seed):

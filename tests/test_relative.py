@@ -355,6 +355,20 @@ class TestHomotopyOperators:
         with pytest.raises(HomotopyError):
             homotopy_TI(shrink, 0.5, p, eta.d(), dom)
 
+    def test_boundary_violation_on_point_face_raises(self):
+        # the flow keeps x = 1 fixed but drags x = 0 into the interior
+        rng = random.Random(143)
+        box_dom = interval_domain(order=10)
+        pts_dom = RelativeDomain(
+            box_dom.manifold,
+            faces=[ChartDomain.points("ends", [(1, [1.0]), (-1, [0.0])])],
+            boundary_defect=box_dom.boundary_defect)
+        drift = SmoothMap(2, 1, lambda z: [z[1] + 0.3 * z[0] * (1.0 - z[1])])
+        p = random_pair(pts_dom, 1, rng)
+        eta = random_polynomial_form(1, 0, rng)
+        with pytest.raises(HomotopyError):
+            homotopy_TI(drift, 0.5, p, eta.d(), pts_dom)
+
     def test_missing_defect_raises(self):
         rng = random.Random(141)
         bare = RelativeDomain(ChartDomain.ball(2, order=8))
