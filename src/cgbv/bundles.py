@@ -317,7 +317,6 @@ class OddRankTriple:
         nb = bundle.base.ambient_dim
         self.total_rank = m + 1
         self.assoc = AssociatedBundles(bundle, fiber_order)
-        self.sre = self.assoc.sre
         # all three live on the (m+1)-fiber-ambient sphere-of-sums chart
         amb = total_connection(rank_extension(bundle.connection), m + 1)
         self.ambient = Connection(m + 1, amb.A, "ambient")
@@ -342,7 +341,6 @@ class OddRankTriple:
             m + 1,
             frame_split_connection(amb, self.plane_frame).A,
             "plane-split")
-        self.stereo = self.assoc.stereo
         if m >= 2:
             eq_src = m - 1 + nb
             sphere_embed = ChartDomain.sphere(m).embedding()

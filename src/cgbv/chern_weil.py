@@ -6,14 +6,18 @@ metric compatibility is plain matrix skewness.  The normalization divides
 curvature by 2*pi inside the Pfaffian, pinned by the round two-sphere whose
 Pfaffian form integrates to 2.
 
-Transgressions are integrals over a parameter block placed in front of the
-base coordinates.  The affine path between two potentials has cylinder
-curvature dt ^ (A2 - A1) + F(A_t), so the t-integral needs no derivatives
-in t; the generic cylinder construction is kept alongside for cross tests.
+Transgressions are integrals over a parameter simplex placed in front of
+the base coordinates, and both share one kernel.  The affine family
+A_l = sum_a l_a A_a over the q-simplex has curvature
+sum_a dl_a ^ (A_a - A_0) + F(A_l), so the parameter integral needs no
+derivatives in the parameters: q = 1 is the transgression along a path,
+q = 2 the secondary transgression over a triangle.  The generic family
+construction is kept alongside for cross tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from functools import lru_cache
@@ -21,7 +25,7 @@ from functools import lru_cache
 from .errors import (ConsistencyError, DegreeError, RankError, ShapeError,
                      SymmetryPreconditionError)
 from .forms import (Form, MatrixForm, SmoothMap, ZeroForm, _mul_smat,
-                    _smul_mat, combo_index, combos, mat_mul_wedge,
+                    _smul_mat, add_coeffs, combos, mat_mul_wedge,
                     scale_coeffs, sub_coeffs, sup_abs, wedge_coeffs,
                     zero_coeffs)
 from .geometry import ChartDomain, FiberBundleDomain, gauss_nodes
@@ -142,39 +146,80 @@ def _even_pair(c1: Connection, c2: Connection):
 def transgression(c1: Connection, c2: Connection, t_order: int = 16) -> Form:
     """Degree 2k-1 form with d(result) = pf_form(c2) - pf_form(c1).
 
-    The affine path (1-t)A1 + tA2 has cylinder curvature
-    dt ^ (A2 - A1) + F_t with F_t = (1-t)dA1 + t dA2 + A_t ^ A_t, so the
-    integrand of the front dt-block is assembled from six matrices computed
-    once per point; only the scalar weights move with t.
+    The q = 1 case of :func:`_simplex_transgression`: Gauss nodes on the
+    path parameter t, family (1-t)A1 + tA2.
     """
-    k = _even_pair(c1, c2)
-    n, m = c1.n, c1.rank
-    if 2 * k - 1 > n:
-        # output degree above the chart dimension: identically zero
-        return ZeroForm(n, 2 * k - 1)
-    dA1_mf, dA2_mf = c1.A.d(), c2.A.d()
-    nodes = list(zip(*gauss_nodes(t_order, 0.0, 1.0)))
-    matchings = perfect_matchings(m)
-    scale = TWO_PI ** -k
-    out_deg = 2 * k - 1
+    nodes = [((1.0 - t, t), w) for t, w in zip(*gauss_nodes(t_order, 0.0, 1.0))]
+    return _simplex_transgression((c1, c2), nodes)
+
+
+def _simplex_transgression(conns, nodes) -> Form:
+    """Front dl_1 ^ ... ^ dl_q coefficient of Pf(Omega/2pi), node-integrated.
+
+    ``conns`` are the vertices A_0..A_q of the affine family
+    A_l = sum_a l_a A_a over the q-simplex and ``nodes`` its quadrature
+    rule as (barycentric weights (l_0..l_q), weight) pairs.  The family
+    curvature is sum_a dl_a ^ theta_a + F_l with theta_a = A_a - A_0 and
+    F_l = sum_a l_a dA_a + sum_ab l_a l_b A_a ^ A_b, so each matching
+    contributes, for every injective placement of theta_1..theta_q on its
+    pairs, theta_1 ^ ... ^ theta_q ^ (F_l on the other pairs); moving the
+    dl_a to the front costs the sign (-1)^(q(q-1)/2).  Only the scalar
+    weights move with the node, so everything else is built once per point.
+    """
+    c0 = conns[0]
+    for c in conns[1:]:
+        k = _even_pair(c0, c)
+    q = len(conns) - 1
+    n, m = c0.n, c0.rank
+    out_deg = 2 * k - q
+    if q > k or out_deg > n:
+        # fewer pairs than parameter directions, or degree above the chart
+        return ZeroForm(n, out_deg)
+    dA_mfs = [c.A.d() for c in conns]
+    placements = []
+    for sign, matching in perfect_matchings(m):
+        for slots in itertools.permutations(range(k), q):
+            placements.append((sign, tuple(matching[r] for r in slots),
+                               [pr for r, pr in enumerate(matching)
+                                if r not in slots]))
+    fronts_used = {front for _, front, _ in placements}
+    f_pairs = {pr for _, _, rest in placements for pr in rest}
+    pairs = combos(m, 2)
+    upper = [(a, b) for a in range(q + 1) for b in range(a, q + 1)]
+    scale = (-1) ** (q * (q - 1) // 2) * TWO_PI ** -k
 
     def comps(x):
-        A1, A2 = c1.A.eval(x), c2.A.eval(x)
-        dA1, dA2 = dA1_mf.eval(x), dA2_mf.eval(x)
-        theta = [[sub_coeffs(A2[i][j], A1[i][j]) for j in range(m)] for i in range(m)]
-        W11 = mat_mul_wedge(n, 1, 1, A1, A1)
-        W12 = mat_mul_wedge(n, 1, 1, A1, A2)
-        W21 = mat_mul_wedge(n, 1, 1, A2, A1)
-        W22 = mat_mul_wedge(n, 1, 1, A2, A2)
-        ncomp2 = len(combos(n, 2))
+        A = [c.A.eval(x) for c in conns]
+        dA = [mf.eval(x) for mf in dA_mfs]
+        W = [[mat_mul_wedge(n, 1, 1, Aa, Ab) for Ab in A] for Aa in A]
+        thetas = [{(i, j): sub_coeffs(Aa[i][j], A[0][i][j]) for i, j in pairs}
+                  for Aa in A[1:]]
+        # theta_1 ^ ... ^ theta_q for each placement, node independent
+        fronts = {}
+        for front in fronts_used:
+            prod = thetas[0][front[0]]
+            for a in range(1, q):
+                prod = wedge_coeffs(n, a, 1, prod, thetas[a][front[a]])
+            fronts[front] = prod
+        # curvature terms per pair, in the order their weights are summed
+        terms = {(i, j): [d[i][j] for d in dA]
+                 + [W[a][b][i][j] if a == b
+                    else add_coeffs(W[a][b][i][j], W[b][a][i][j])
+                    for a, b in upper]
+                 for i, j in f_pairs}
         out = zero_coeffs(n, out_deg)
-        for t, w in nodes:
-            s = 1.0 - t
-            F = [[[s * dA1[i][j][c] + t * dA2[i][j][c]
-                   + s * s * W11[i][j][c] + s * t * (W12[i][j][c] + W21[i][j][c])
-                   + t * t * W22[i][j][c]
-                   for c in range(ncomp2)] for j in range(m)] for i in range(m)]
-            block = _dt_block(n, theta, F, matchings, out_deg)
+        for lam, w in nodes:
+            coefs = list(lam) + [lam[a] * lam[b] for a, b in upper]
+            F = {pr: _weighted_sum(coefs, vecs) for pr, vecs in terms.items()}
+            block = zero_coeffs(n, out_deg)
+            for sign, front, rest in placements:
+                prod = fronts[front]
+                deg = q
+                for pr in rest:
+                    prod = wedge_coeffs(n, deg, 2, prod, F[pr])
+                    deg += 2
+                for idx, v in enumerate(prod):
+                    block[idx] += sign * v
             for idx in range(len(out)):
                 out[idx] += w * block[idx]
         return scale_coeffs(scale, out)
@@ -182,20 +227,11 @@ def transgression(c1: Connection, c2: Connection, t_order: int = 16) -> Form:
     return Form(n, out_deg, comps)
 
 
-def _dt_block(n: int, theta, F, matchings, out_deg: int):
-    """Front dt-coefficient of Pf(dt ^ theta + F): one theta factor per term."""
-    out = zero_coeffs(n, out_deg)
-    for sign, pairs in matchings:
-        for pos, (i, j) in enumerate(pairs):
-            prod = list(theta[i][j])
-            deg = 1
-            for q, (a, b) in enumerate(pairs):
-                if q == pos:
-                    continue
-                prod = wedge_coeffs(n, deg, 2, prod, F[a][b])
-                deg += 2
-            for idx, v in enumerate(prod):
-                out[idx] += sign * v
+def _weighted_sum(coefs, vecs):
+    """sum_r coefs[r] * vecs[r] componentwise, added left to right."""
+    out = [coefs[0] * v for v in vecs[0]]
+    for c, vec in zip(coefs[1:], vecs[1:]):
+        out = [o + c * v for o, v in zip(out, vec)]
     return out
 
 
@@ -255,69 +291,15 @@ def secondary_transgression(c1: Connection, c2: Connection, c3: Connection,
     """Degree 2k-2 form whose -d equals the sum of the three edge
     transgressions (edges of the parameter triangle, each run forward).
 
-    Integration over the triangle {s,t >= 0, s+t <= 1} uses the square
-    substitution (u,v) -> (u(1-v), uv) with Jacobian u, orientation ds^dt.
+    The q = 2 case of :func:`_simplex_transgression`.  Integration over the
+    triangle {s,t >= 0, s+t <= 1} uses the square substitution
+    (u,v) -> (u(1-v), uv) with Jacobian u, orientation ds^dt.
     """
-    k = _even_pair(c1, c2)
-    _even_pair(c1, c3)
-    n, m = c1.n, c1.rank
-    if 2 * k - 2 > n:
-        return ZeroForm(n, 2 * k - 2)
-    dA1_mf, dO21_mf = c1.A.d(), (c2.A - c1.A).d()
-    dO31_mf = (c3.A - c1.A).d()
     xs, ws = gauss_nodes(order, 0.0, 1.0)
-    duffy_nodes = [((u * (1.0 - v), u * v), wu * wv * u)
-                   for u, wu in zip(xs, ws) for v, wv in zip(xs, ws)]
-    matchings = perfect_matchings(m)
-    N = n + 2
-    idx2 = combo_index(N, 2)
-    # base index maps into the enlarged chart: 2-form block, ds block, dt block
-    base2 = [idx2[(I[0] + 2, I[1] + 2)] for I in combos(n, 2)]
-    ds1 = [idx2[(0, i + 2)] for i in range(n)]
-    dt1 = [idx2[(1, i + 2)] for i in range(n)]
-    n2comp = len(combos(N, 2))
-    out_deg = 2 * k - 2
-    idx_out = combo_index(N, 2 * k)
-    front = [idx_out[(0, 1) + tuple(i + 2 for i in I)] for I in combos(n, out_deg)]
-    scale = TWO_PI ** -k
-
-    def comps(x):
-        A1 = c1.A.eval(x)
-        O21 = _mat_sub(c2.A.eval(x), A1)
-        O31 = _mat_sub(c3.A.eval(x), A1)
-        dA1, dO21, dO31 = dA1_mf.eval(x), dO21_mf.eval(x), dO31_mf.eval(x)
-        basis = (A1, O21, O31)
-        W = [[mat_mul_wedge(n, 1, 1, a, b) for b in basis] for a in basis]
-        out = [0.0] * len(front)
-        for (s, t), w in duffy_nodes:
-            c_s = (1.0, s, t)
-            big = []
-            for i in range(m):
-                row = []
-                for j in range(m):
-                    coeff = [0.0] * n2comp
-                    for cidx, amb in enumerate(base2):
-                        val = dA1[i][j][cidx] + s * dO21[i][j][cidx] + t * dO31[i][j][cidx]
-                        for a in range(3):
-                            for b in range(3):
-                                val += c_s[a] * c_s[b] * W[a][b][i][j][cidx]
-                        coeff[amb] = val
-                    for cidx in range(n):
-                        coeff[ds1[cidx]] = O21[i][j][cidx]
-                        coeff[dt1[cidx]] = O31[i][j][cidx]
-                    row.append(coeff)
-                big.append(row)
-            pf = pfaffian_coeffs(N, 2, big)
-            for oidx, amb in enumerate(front):
-                out[oidx] += w * pf[amb]
-        return scale_coeffs(scale, out)
-
-    return Form(n, out_deg, comps)
-
-
-def _mat_sub(A, B):
-    m = len(A)
-    return [[sub_coeffs(A[i][j], B[i][j]) for j in range(m)] for i in range(m)]
+    duffy = [(u * (1.0 - v), u * v, wu * wv * u)
+             for u, wu in zip(xs, ws) for v, wv in zip(xs, ws)]
+    nodes = [((1.0 - s - t, s, t), w) for s, t, w in duffy]
+    return _simplex_transgression((c1, c2, c3), nodes)
 
 
 def transgression_forms_of_family(family: Connection, base: ChartDomain,

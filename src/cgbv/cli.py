@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -205,8 +206,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_OK if not failing else EXIT_CHECK_FAILED
     if failing:
         for name, it in failing:
-            print(f"numerical failure: {name}:{it.identity} "
-                  f"error={it.error:.3e} exceeds tol={it.tol:g}",
+            reason = (f"error={it.error:.3e} exceeds tol={it.tol:g}"
+                      if math.isfinite(it.computed)
+                      else f"computed value {it.computed} is not finite")
+            print(f"numerical failure: {name}:{it.identity} {reason}",
                   file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -50,20 +50,20 @@ class BumpProfile:
 
     def _validate(self):
         for r in (0.0, 0.25, 0.5, 1.0):
-            if abs(self.value(r) - 1.0) > 1e-12:
+            if not abs(self.value(r) - 1.0) <= 1e-12:
                 raise BumpError(f"{self.label}: value is not 1 at r={r}")
         for r in (2.0, 2.5, 10.0):
-            if abs(self.value(r)) > 1e-12:
+            if not abs(self.value(r)) <= 1e-12:
                 raise BumpError(f"{self.label}: support leaks past 2 at r={r}")
         for r in (0.0, 0.3, 0.9):
-            if abs(self.slope(r)) > 1e-12:
+            if not abs(self.slope(r)) <= 1e-12:
                 raise BumpError(f"{self.label}: slope does not vanish at r={r}")
         for r in (1.1, 1.3, 1.5, 1.7, 1.9):
             v = self.value(r)
             if not -1e-12 <= v <= 1.0 + 1e-12:
                 raise BumpError(f"{self.label}: value {v} out of range at r={r}")
             forward = dual.deriv(self.value(dual.Dual(r, 1.0)))
-            if abs(forward - self.slope(r)) > 1e-9:
+            if not abs(forward - self.slope(r)) <= 1e-9:
                 raise BumpError(
                     f"{self.label}: slope {self.slope(r)} disagrees with the "
                     f"value derivative {forward} at r={r}")
@@ -280,7 +280,7 @@ def odd_dual_pair(scenario: ThomScenario, ordering: str = ODD_ORDERING,
     m, nb = scenario.rank, scenario.base.ambient_dim
     t12, q = _odd_core(scenario, ordering, t_order)
     inc = SmoothMap(m + nb, 1 + m + nb, lambda x: [0.0] + list(x))
-    return (t12.pullback(scenario.triple.stereo).smul(-1.0),
+    return (t12.pullback(scenario.assoc.stereo).smul(-1.0),
             q.pullback(inc).smul(-1.0))
 
 

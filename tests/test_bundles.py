@@ -313,7 +313,7 @@ class TestOddRankTriple:
     def test_rank1_sre_integral(self):
         tri = OddRankTriple(make_bundle("odd-rank1-point"))
         T = transgression(*tri.ordered_pair("split-first"))
-        val = tri.sre.fiber_integrate(T)([])
+        val = tri.assoc.sre.fiber_integrate(T)([])
         assert val[0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_ordering_labels(self):

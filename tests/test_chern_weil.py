@@ -179,15 +179,18 @@ class TestTransgression:
         assert T([0.1, 0.2]) == []
         assert all(abs(v) < 1e-15 for v in T.d()([0.1, 0.2]))
 
-    def test_generic_cylinder_route_agrees(self):
+    # rank 4 puts a curvature factor into T; rank 2 has none
+    @pytest.mark.parametrize("n,m,t_order", [(2, 2, 16), (3, 4, 8)])
+    def test_generic_cylinder_route_agrees(self, n, m, t_order):
         rng = random.Random(6)
-        c1 = random_skew_connection(2, 2, rng)
-        c2 = random_skew_connection(2, 2, rng)
+        c1 = random_skew_connection(n, m, rng)
+        c2 = random_skew_connection(n, m, rng)
         fast = transgression(c1, c2)
-        base = ChartDomain.box("b", [(-1.0, 1.0), (-1.0, 1.0)], [4, 4])
-        generic = transgression_forms_of_family(connection_path(c1, c2), base)
+        base = ChartDomain.box("b", [(-1.0, 1.0)] * n, [4] * n)
+        generic = transgression_forms_of_family(connection_path(c1, c2), base,
+                                                t_order=t_order)
         for _ in range(10):
-            x = [rng.uniform(-1, 1), rng.uniform(-1, 1)]
+            x = [rng.uniform(-1, 1) for _ in range(n)]
             assert max(abs(a - b) for a, b in zip(fast(x), generic(x))) < 1e-12
 
     def test_path_endpoints(self):
@@ -273,14 +276,17 @@ class TestSecondaryTransgression:
                         for a, b in zip(got[i][j][2:], want[i][j][1:]):
                             assert a == pytest.approx(b, abs=1e-8)
 
-    def test_generic_simplex_route_agrees(self):
+    # at rank 2 the secondary vanishes identically; rank 4 does not
+    @pytest.mark.parametrize("n,m,t_order", [(2, 2, 16), (3, 4, 8)])
+    def test_generic_simplex_route_agrees(self, n, m, t_order):
         rng = random.Random(12)
-        cs = [random_skew_connection(2, 2, rng) for _ in range(3)]
+        cs = [random_skew_connection(n, m, rng) for _ in range(3)]
         fast = secondary_transgression(*cs)
-        base = ChartDomain.box("b", [(-1.0, 1.0), (-1.0, 1.0)], [4, 4])
-        generic = transgression_forms_of_family(simplex_family(*cs), base)
+        base = ChartDomain.box("b", [(-1.0, 1.0)] * n, [4] * n)
+        generic = transgression_forms_of_family(simplex_family(*cs), base,
+                                                t_order=t_order)
         for _ in range(5):
-            x = [rng.uniform(-1, 1), rng.uniform(-1, 1)]
+            x = [rng.uniform(-1, 1) for _ in range(n)]
             assert max(abs(a - b) for a, b in zip(fast(x), generic(x))) < 1e-10
 
 

@@ -224,3 +224,15 @@ def test_nan_residual_after_finite_one_fails_the_item(monkeypatch):
     (item,) = report.items
     assert math.isnan(item.computed)
     assert not item.passed
+
+
+def test_nan_residual_is_named_not_finite(monkeypatch, capsys):
+    residuals = iter([0.1, math.nan])
+    monkeypatch.setattr("cgbv.scenarios.stokes_residual",
+                        lambda *args, **kwargs: next(residuals))
+    code = main(["run", "stokes-convention", "--count", "2"])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert ("numerical failure: stokes-convention:cylinder-stokes-sup "
+            "computed value nan is not finite") in err
+    assert "exceeds" not in err

@@ -82,6 +82,17 @@ class TestBumpProfile:
         with pytest.raises(BumpError):
             BumpProfile(ref.value, lambda r: 2.0 * ref.slope(r), "doubled")
 
+    @pytest.mark.parametrize("part", ["plateau", "tail", "slope"])
+    def test_nan_profile_raises(self, part):
+        ref = BumpProfile.exponential()
+        nan_where = {"plateau": lambda r: dual.real(r) <= 1.0,
+                     "tail": lambda r: dual.real(r) >= 2.0,
+                     "slope": lambda r: False}[part]
+        value = lambda r: math.nan if nan_where(r) else ref.value(r)
+        slope = (lambda r: math.nan) if part == "slope" else ref.slope
+        with pytest.raises(BumpError):
+            BumpProfile(value, slope, f"nan-{part}")
+
 
 class TestMu:
     def test_equals_first_slot_inside_unit_ball(self):
