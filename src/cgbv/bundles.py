@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import dual
 from .chern_weil import Connection, transgression
 from .errors import (ChartError, ProjectorError, RankError, ShapeError,
@@ -126,10 +128,12 @@ def section_splitting_connection(conn: Connection, section,
         if len(s) != m:
             raise ShapeError(f"section has {len(s)} components, rank is {m}")
         norm2 = sum(v * v for v in s)
-        if not dual.real(norm2) >= threshold * threshold:
+        length2 = dual.real(norm2)
+        # np.all: a NaN at any node of a block fails the comparison
+        if not np.all(length2 >= threshold * threshold):
+            shortest = np.min(np.sqrt(np.maximum(length2, 0.0)))
             raise VanishingSectionError(
-                f"section length {math.sqrt(max(dual.real(norm2), 0.0)):.3e} "
-                f"below {threshold:.1e}")
+                f"section length {shortest:.3e} below {threshold:.1e}")
         return [[s[i] * s[j] / norm2 for j in range(m)] for i in range(m)]
 
     for x in check_points:

@@ -175,7 +175,6 @@ def _simplex_transgression(conns, nodes) -> Form:
     if q > k or out_deg > n:
         # fewer pairs than parameter directions, or degree above the chart
         return ZeroForm(n, out_deg)
-    dA_mfs = [c.A.d() for c in conns]
     placements = []
     for sign, matching in perfect_matchings(m):
         for slots in itertools.permutations(range(k), q):
@@ -184,14 +183,14 @@ def _simplex_transgression(conns, nodes) -> Form:
                                 if r not in slots]))
     fronts_used = {front for _, front, _ in placements}
     f_pairs = {pr for _, _, rest in placements for pr in rest}
+    # with k = q every pair holds a theta and F is never needed
+    dA_mfs = [c.A.d() for c in conns] if f_pairs else []
     pairs = combos(m, 2)
     upper = [(a, b) for a in range(q + 1) for b in range(a, q + 1)]
     scale = (-1) ** (q * (q - 1) // 2) * TWO_PI ** -k
 
     def comps(x):
         A = [c.A.eval(x) for c in conns]
-        dA = [mf.eval(x) for mf in dA_mfs]
-        W = [[mat_mul_wedge(n, 1, 1, Aa, Ab) for Ab in A] for Aa in A]
         thetas = [{(i, j): sub_coeffs(Aa[i][j], A[0][i][j]) for i, j in pairs}
                   for Aa in A[1:]]
         # theta_1 ^ ... ^ theta_q for each placement, node independent
@@ -202,11 +201,15 @@ def _simplex_transgression(conns, nodes) -> Form:
                 prod = wedge_coeffs(n, a, 1, prod, thetas[a][front[a]])
             fronts[front] = prod
         # curvature terms per pair, in the order their weights are summed
-        terms = {(i, j): [d[i][j] for d in dA]
-                 + [W[a][b][i][j] if a == b
-                    else add_coeffs(W[a][b][i][j], W[b][a][i][j])
-                    for a, b in upper]
-                 for i, j in f_pairs}
+        terms = {}
+        if f_pairs:
+            dA = [mf.eval(x) for mf in dA_mfs]
+            W = [[mat_mul_wedge(n, 1, 1, Aa, Ab) for Ab in A] for Aa in A]
+            terms = {(i, j): [d[i][j] for d in dA]
+                     + [W[a][b][i][j] if a == b
+                        else add_coeffs(W[a][b][i][j], W[b][a][i][j])
+                        for a, b in upper]
+                     for i, j in f_pairs}
         out = zero_coeffs(n, out_deg)
         for lam, w in nodes:
             coefs = list(lam) + [lam[a] * lam[b] for a, b in upper]

@@ -4,17 +4,25 @@ A :class:`Dual` carries a value ``a`` and a derivative ``b`` along one chosen
 direction.  Both slots may themselves hold duals, so second derivatives fall
 out of running the same code twice.  All derivative extraction in this
 package goes through these numbers: no finite differences anywhere.
+
+A slot may also hold a 1-D numpy array, one entry per quadrature node, so
+the same code evaluates one point or a block; value selection goes through
+:func:`where` instead of ``if``.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 class Dual:
     """Number of the form a + b*eps with eps*eps = 0."""
 
     __slots__ = ("a", "b")
+    # numpy defers binary operators with an array on the left to Dual
+    __array_ufunc__ = None
 
     def __init__(self, a, b=0.0):
         self.a = a
@@ -75,7 +83,7 @@ class Dual:
         return Dual(self.a ** n, n * self.a ** (n - 1) * self.b)
 
     def __abs__(self):
-        return self if real(self) >= 0.0 else -self
+        return where(real(self) >= 0.0, self, -self)
 
     # Branching compares real parts only: derivative info never changes
     # control flow, matching the piecewise-smooth functions we evaluate.
@@ -113,42 +121,60 @@ def deriv(x):
     return x.b if isinstance(x, Dual) else 0.0
 
 
+def where(cond, a, b):
+    """``a`` where ``cond`` holds, else ``b``, slot by slot through nested duals.
+
+    A plain boolean picks one operand whole; a boolean array selects node by
+    node.  Both operands are evaluated, so callers clamp the arguments of a
+    branch that would be invalid on the nodes it does not serve.
+    """
+    if not isinstance(cond, np.ndarray):
+        return a if cond else b
+    if isinstance(a, Dual) or isinstance(b, Dual):
+        return Dual(where(cond, _value(a), _value(b)), where(cond, deriv(a), deriv(b)))
+    return np.where(cond, a, b)
+
+
+def _value(x):
+    return x.a if isinstance(x, Dual) else x
+
+
 def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.a), x.b * cos(x.a))
-    return math.sin(x)
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.a), -x.b * sin(x.a))
-    return math.cos(x)
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
 
 
 def exp(x):
     if isinstance(x, Dual):
         e = exp(x.a)
         return Dual(e, x.b * e)
-    return math.exp(x)
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
 def sqrt(x):
     if isinstance(x, Dual):
         r = sqrt(x.a)
         return Dual(r, x.b / (2.0 * r))
-    return math.sqrt(x)
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def log(x):
     if isinstance(x, Dual):
         return Dual(log(x.a), x.b / x.a)
-    return math.log(x)
+    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
 
 
 def atan(x):
     if isinstance(x, Dual):
         return Dual(atan(x.a), x.b / (1.0 + x.a * x.a))
-    return math.atan(x)
+    return np.arctan(x) if isinstance(x, np.ndarray) else math.atan(x)
 
 
 def atan2(y, x):

@@ -2,8 +2,9 @@
 
 A degree-p form on an n-dimensional chart is a callable returning the list
 of coefficients against the lexicographic basis ``dx_I``, ``|I| = p``.
-Coefficients can be plain floats or :class:`~cgbv.dual.Dual` numbers, so the
-same closures serve integration and differentiation.  Exterior derivatives
+Coefficients can be plain floats, 1-D arrays over a block of quadrature
+nodes, or :class:`~cgbv.dual.Dual` numbers over either, so the same closures
+serve integration and differentiation.  Exterior derivatives
 are exact (forward-mode duals, one direction at a time), never finite
 differences.
 """
@@ -131,7 +132,7 @@ def det(M) -> float:
     # Laplace along the first row; matrices here never exceed size 6
     total = 0.0
     for c in range(s):
-        if M[0][c] == 0.0 and not isinstance(M[0][c], Dual):
+        if isinstance(M[0][c], float) and M[0][c] == 0.0:
             continue
         minor = [[M[r][cc] for cc in range(s) if cc != c] for r in range(1, s)]
         term = M[0][c] * det(minor)
@@ -152,7 +153,7 @@ def pullback_coeffs(p: int, J, coeffs: list, n_dst: int, n_src: int) -> list:
         acc = 0.0
         for iI, I in enumerate(combos(n_dst, p)):
             aI = coeffs[iI]
-            if aI == 0.0 and not isinstance(aI, Dual):
+            if isinstance(aI, float) and aI == 0.0:
                 continue
             acc = acc + aI * det(submatrix(J, I, K))
         out.append(acc)

@@ -73,33 +73,33 @@ class BumpProfile:
         """Quotient-of-exponentials step on [1,2]; sharpness rescales the tails."""
         c = float(sharpness)
 
+        # Each branch is evaluated on every node, so the arguments of the
+        # step are clamped to an interior point where it is not selected.
+        # A NaN radius fails every comparison and stays NaN.
         def psi(u):
-            if dual.real(u) <= 0.0:
-                return 0.0
-            return dual.exp(-c / u)
+            off = dual.real(u) <= 0.0
+            return dual.where(off, 0.0, dual.exp(-c / dual.where(off, 1.0, u)))
 
         def psi_slope(u):
-            if dual.real(u) <= 0.0:
-                return 0.0
-            return dual.exp(-c / u) * (c / (u * u))
+            off = dual.real(u) <= 0.0
+            uc = dual.where(off, 1.0, u)
+            return dual.where(off, 0.0, dual.exp(-c / uc) * (c / (uc * uc)))
 
         def value(r):
             rr = dual.real(r)
-            if rr <= 1.0:
-                return 1.0
-            if rr >= 2.0:
-                return 0.0
-            f, g = psi(2.0 - r), psi(r - 1.0)
-            return f / (f + g)
+            low, high = rr <= 1.0, rr >= 2.0
+            rc = dual.where(low | high, 1.5, r)
+            f, g = psi(2.0 - rc), psi(rc - 1.0)
+            return dual.where(low, 1.0, dual.where(high, 0.0, f / (f + g)))
 
         def slope(r):
             rr = dual.real(r)
-            if rr <= 1.0 or rr >= 2.0:
-                return 0.0
-            f, g = psi(2.0 - r), psi(r - 1.0)
-            fp, gp = -psi_slope(2.0 - r), psi_slope(r - 1.0)
+            off = (rr <= 1.0) | (rr >= 2.0)
+            rc = dual.where(off, 1.5, r)
+            f, g = psi(2.0 - rc), psi(rc - 1.0)
+            fp, gp = -psi_slope(2.0 - rc), psi_slope(rc - 1.0)
             den = f + g
-            return (fp * g - f * gp) / (den * den)
+            return dual.where(off, 0.0, (fp * g - f * gp) / (den * den))
 
         return BumpProfile(value, slope, f"exp-bump-{c:g}")
 
@@ -109,10 +109,9 @@ def _scaled_comps(omega: Form, rho: BumpProfile, fiber_dim: int):
         r2 = 0.0
         for i in range(fiber_dim):
             r2 = r2 + x[i] * x[i]
-        if dual.real(r2) < 0.64:
-            scale = 1.0  # rho is identically 1 well below the step
-        else:
-            scale = rho(dual.sqrt(r2))
+        # rho is identically 1 well below the step, where sqrt(r2) may be 0
+        core = dual.real(r2) < 0.64
+        scale = dual.where(core, 1.0, rho(dual.sqrt(dual.where(core, 1.0, r2))))
         return [scale * c for c in omega.comps(x)]
 
     return comps
@@ -125,11 +124,12 @@ def _slope_dr(rho: BumpProfile, fiber_dim: int, n: int) -> Form:
         r2 = 0.0
         for i in range(fiber_dim):
             r2 = r2 + x[i] * x[i]
-        if not 1.0 < dual.real(r2) < 4.0:
-            return [0.0] * n
-        r = dual.sqrt(r2)
+        rr2 = dual.real(r2)
+        step = (1.0 < rr2) & (rr2 < 4.0)
+        r = dual.sqrt(dual.where(step, r2, 2.25))
         s = rho.slope(r)
-        return [s * x[i] / r if i < fiber_dim else 0.0 for i in range(n)]
+        return [dual.where(step, s * x[i] / r, 0.0) if i < fiber_dim else 0.0
+                for i in range(n)]
 
     return Form(n, 1, comps)
 

@@ -9,6 +9,7 @@ from cgbv.cli import (EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_NUMERICAL,
                       EXIT_OK, EXIT_REPORT_PATH, emit_report, list_scenarios,
                       main, report_payload)
 from cgbv.errors import ConfigError
+from cgbv.geometry import ChartDomain
 from cgbv.scenarios import Config, all_scenarios, get_scenario, run_scenario
 
 # fast scenarios only; the heavyweight ones are exercised elsewhere
@@ -236,3 +237,22 @@ def test_nan_residual_is_named_not_finite(monkeypatch, capsys):
     assert ("numerical failure: stokes-convention:cylinder-stokes-sup "
             "computed value nan is not finite") in err
     assert "exceeds" not in err
+
+
+def test_nan_at_one_quadrature_node_fails_the_item(monkeypatch, capsys):
+    nodes = ChartDomain.nodes
+
+    def poisoned(domain):
+        coords, weights = nodes(domain)
+        if domain.name == "D4":
+            coords = [c.copy() for c in coords]
+            coords[0][7] = math.nan  # one radius inside the first block
+        return coords, weights
+
+    monkeypatch.setattr(ChartDomain, "nodes", poisoned)
+    code = main(["run", "quadrature-volumes"])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert ("numerical failure: quadrature-volumes:ball4-volume "
+            "computed value nan is not finite") in err
+    assert "ball2-area" not in err

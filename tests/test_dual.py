@@ -3,9 +3,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from cgbv.dual import Dual, atan, atan2, cos, deriv, exp, log, real, sin, sqrt
+from cgbv.dual import (Dual, atan, atan2, cos, deriv, exp, log, real, sin, sqrt,
+                       where)
 
 
 def df(f, x: float) -> float:
@@ -96,3 +98,34 @@ class TestBranching:
         v = bump(Dual(0.5, 1.0))
         assert real(v) == pytest.approx(math.exp(-2.0), rel=1e-14)
         assert deriv(v) == pytest.approx(math.exp(-2.0) / 0.25, rel=1e-12)
+
+
+class TestArraySlots:
+    def test_functions_match_per_entry_values(self):
+        xs = [0.3, 1.1, 2.5]
+        for f in (sin, cos, exp, sqrt, log, atan):
+            g = lambda x: f(x * x + 0.5) * x
+            v = g(Dual(np.array(xs), 1.0))
+            # numpy and math may round the last bit differently
+            assert list(real(v)) == pytest.approx(
+                [real(g(Dual(x, 1.0))) for x in xs], rel=1e-15)
+            assert list(deriv(v)) == pytest.approx(
+                [deriv(g(Dual(x, 1.0))) for x in xs], rel=1e-15)
+
+    def test_array_on_the_left_defers_to_dual(self):
+        v = np.array([1.0, 2.0]) * Dual(np.array([3.0, 4.0]), 1.0)
+        assert isinstance(v, Dual)
+        assert list(v.b) == [1.0, 2.0]
+
+    def test_where_selects_slots_through_nested_duals(self):
+        x = Dual(Dual(np.array([-1.0, 2.0]), 1.0), 1.0)
+        v = where(real(x) > 0.0, x * x, 0.0)
+        assert list(real(v)) == [0.0, 4.0]
+        assert list(v.b.b) == [0.0, 2.0]  # second derivative of x^2
+        assert where(True, x, 0.0) is x
+        assert where(False, x, 0.0) == 0.0
+
+    def test_abs_of_array_dual(self):
+        v = abs(Dual(np.array([-3.0, 2.0, math.nan]), 1.0))
+        assert list(v.a[:2]) == [3.0, 2.0] and math.isnan(v.a[2])
+        assert list(v.b[:2]) == [-1.0, 1.0]
