@@ -5,9 +5,9 @@ direction.  Both slots may themselves hold duals, so second derivatives fall
 out of running the same code twice.  All derivative extraction in this
 package goes through these numbers: no finite differences anywhere.
 
-A slot may also hold a 1-D numpy array, one entry per quadrature node, so
-the same code evaluates one point or a block; value selection goes through
-:func:`where` instead of ``if``.
+A slot may also hold a numpy array whose last axis runs over quadrature
+nodes, so the same code evaluates one point or a block; value selection goes
+through :func:`where` instead of ``if``.
 """
 
 from __future__ import annotations
@@ -133,6 +133,21 @@ def where(cond, a, b):
     if isinstance(a, Dual) or isinstance(b, Dual):
         return Dual(where(cond, _value(a), _value(b)), where(cond, deriv(a), deriv(b)))
     return np.where(cond, a, b)
+
+
+def trailing(x):
+    """``x`` with a new last axis on every array slot, so nodes broadcast."""
+    if isinstance(x, Dual):
+        return Dual(trailing(x.a), trailing(x.b))
+    return x[..., None] if isinstance(x, np.ndarray) else x
+
+
+def node_sum(w, x):
+    """Sum of ``w * x`` over the last (node) axis, slot by slot; 0-d gives a float."""
+    if isinstance(x, Dual):
+        return Dual(node_sum(w, x.a), node_sum(w, x.b))
+    s = np.sum(w * x, axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def _value(x):

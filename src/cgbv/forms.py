@@ -2,7 +2,7 @@
 
 A degree-p form on an n-dimensional chart is a callable returning the list
 of coefficients against the lexicographic basis ``dx_I``, ``|I| = p``.
-Coefficients can be plain floats, 1-D arrays over a block of quadrature
+Coefficients can be plain floats, arrays over a block of quadrature
 nodes, or :class:`~cgbv.dual.Dual` numbers over either, so the same closures
 serve integration and differentiation.  Exterior derivatives
 are exact (forward-mode duals, one direction at a time), never finite

@@ -7,12 +7,17 @@ embedding and applies tensor Gauss-Legendre quadrature, so every integral
 in the package reduces to polynomial-exact rules on boxes.
 
 Evaluation model: a form closure, an embedding and a section receive a
-point as a list of coordinates, each either a float or a 1-D numpy array
-holding one entry per node of a block (all of equal length).  ``integrate``
-passes blocks of up to ``BLOCK`` nodes; pointwise checks, sampling and
-Newton steps pass floats.  Closures therefore compute elementwise and must
-not branch on values: a piecewise formula selects through
+point as a list of coordinates, each either a float or a numpy array whose
+last axis holds one entry per node of a block (all of equal shape).
+``integrate`` passes blocks of up to ``BLOCK`` nodes and reduces the node
+axis with :func:`cgbv.dual.node_sum`; pointwise checks, sampling and Newton
+steps pass floats.  Closures therefore compute elementwise and must not
+branch on values: a piecewise formula selects through
 :func:`cgbv.dual.where` on clamped arguments.
+
+A fiber integral is a chart integral over the fiber, its base point given a
+trailing axis (:func:`cgbv.dual.trailing`): a block of B base points meets F
+fiber nodes as (B, F) arrays, and a dual base point passes through.
 
 Orientation conventions, pinned once and tested:
 
@@ -37,15 +42,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dual import cos, sin
+from .dual import cos, node_sum, sin, trailing
 from .errors import ChartError, DegreeError
-from .forms import Form, SmoothMap, ZeroForm, combos, combo_index, det, submatrix
+from .forms import Form, SmoothMap, ZeroForm, combos, combo_index
 
 
 # Nodes per closure evaluation in ChartDomain.integrate, chosen by peak RSS:
 # the odd-rank cylinder transgressions (second-order duals) take about 8 KB
 # per node, so 2048-node blocks lift symmetry-reflection from 33 to 41 MB,
-# for about 40% less time on homotopy-operators and chain-sign-laws.
+# for about 40% less time on homotopy-operators and chain-sign-laws.  A fiber
+# integral on a base block holds at most BLOCK**2 entries per array (base
+# block x fiber block); in the registry fiber-projection reaches 64 x 16.
 BLOCK = 128
 
 
@@ -268,7 +275,7 @@ class ChartDomain:
         total = 0.0
         for s in range(0, len(weights), BLOCK):
             block = [c[s:s + BLOCK] for c in coords]
-            total += float(np.sum(weights[s:s + BLOCK] * pulled.comps(block)[0]))
+            total += node_sum(weights[s:s + BLOCK], pulled.comps(block)[0])
         return self.orientation * total
 
     def boundary_faces(self):
@@ -342,22 +349,14 @@ class FiberBundleDomain:
         return SmoothMap(fa + self.base.ambient_dim, self.base.ambient_dim,
                          lambda x: list(x[fa:]))
 
-    def fiber_nodes(self):
-        """(ambient fiber point, jacobian, weight) triples for the fiber rule."""
-        emb = self.fiber.embedding()
-        coords, weights = self.fiber.nodes()
-        cols = [c.tolist() for c in coords]
-        for i, w in enumerate(weights.tolist()):
-            pt = [col[i] for col in cols]
-            yield emb(pt), emb.jacobian(pt), w * self.fiber.orientation
-
     def fiber_integrate(self, form: Form) -> Form:
         """Integrate the front block of a total-space form over the fiber.
 
         The result is the base form whose dx_I coefficient is the fiber
-        integral of the dt_1..dt_f ^ dx_I coefficient, dt the fiber block.
-        Degrees below the fiber dimension integrate to zero and come back
-        as a flagged :class:`ZeroForm`.
+        integral of the dt_1..dt_f ^ dx_I coefficient, dt the fiber block,
+        each one :meth:`ChartDomain.integrate` over the fiber.  Degrees below
+        the fiber dimension integrate to zero and come back as a flagged
+        :class:`ZeroForm`.
         """
         fa, fd = self.fiber.ambient_dim, self.fiber.dim
         nb = self.base.ambient_dim
@@ -370,27 +369,19 @@ class FiberBundleDomain:
         if p_out > nb:
             return ZeroForm(nb, p_out)
         idx_tot = combo_index(n_tot, form.p)
-        # index layout: fiber-ambient block K in front, base block I shifted by fa
-        layout = []
-        for iI, I in enumerate(combos(nb, p_out)):
-            shifted = tuple(i + fa for i in I)
-            entries = []
-            for K in combos(fa, fd):
-                entries.append((K, idx_tot[K + shifted]))
-            layout.append(entries)
-        nodes = list(self.fiber_nodes())
-        all_cols = list(range(fd))
+        # per base index I: the total indices of K + I, K over the fiber block
+        rows = [[idx_tot[K + tuple(i + fa for i in I)] for K in combos(fa, fd)]
+                for I in combos(nb, p_out)]
+
+        def front_block(row, tail):
+            def comps(v):
+                vals = form.comps(list(v) + tail)
+                return [vals[i] for i in row]
+            return Form(fa, fd, comps)
 
         def comps(y):
-            out = [0.0] * len(layout)
-            for v, Jf, w in nodes:
-                vals = form.comps(list(v) + list(y))
-                for iI, entries in enumerate(layout):
-                    acc = 0.0
-                    for K, iM in entries:
-                        acc = acc + vals[iM] * det(submatrix(Jf, K, all_cols))
-                    out[iI] += w * acc
-            return out
+            tail = [trailing(c) for c in y]
+            return [self.fiber.integrate(front_block(row, tail)) for row in rows]
 
         return Form(nb, p_out, comps)
 

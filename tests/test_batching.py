@@ -8,6 +8,11 @@ a reduction that reorders the rule, shows up as a disagreement.  The sums
 are taken in a different order, hence agreement to 1e-13 relative rather
 than bit for bit.  Zero-dimensional charts, signed point sets and a NaN at
 a single node of a block are pinned too.
+
+``FiberBundleDomain.fiber_integrate`` is a chart integral over the fiber:
+its oracle below walks the fiber rule node by node with the Jacobian minors
+written out, at a float base point, inside a base chart integral (where the
+base arrives as a block), and at a dual base point (``.d()``).
 """
 
 import itertools
@@ -21,8 +26,8 @@ from cgbv import dual
 from cgbv.bundles import section_transgression
 from cgbv.chern_weil import Connection
 from cgbv.errors import VanishingSectionError
-from cgbv.forms import Form
-from cgbv.geometry import BLOCK, ChartDomain
+from cgbv.forms import Form, combo_index, combos
+from cgbv.geometry import BLOCK, ChartDomain, FiberBundleDomain, stokes_residual
 from cgbv.thom import thom_form
 
 from test_forms import random_polynomial_form
@@ -30,23 +35,52 @@ from test_forms import random_polynomial_form
 REL = 1e-13
 
 
-def per_node_integral(domain: ChartDomain, form: Form) -> float:
-    """Integral as a running sum over single float nodes."""
-    pulled = form.pullback(domain.embed) if domain.embed is not None else form
+def per_node_rule(domain: ChartDomain):
+    """(reference point, weight) pairs, one float point at a time."""
     if domain.kind == "points":
-        total = sum(sign * pulled.comps([float(v) for v in pt])[0]
-                    for sign, pt in domain.point_entries)
-        return domain.orientation * total
+        for sign, pt in domain.point_entries:
+            yield [float(v) for v in pt], float(sign)
+        return
     rules = [np.polynomial.legendre.leggauss(o) for o in domain.orders]
-    total = 0.0
     for idx in itertools.product(*(range(o) for o in domain.orders)):
         pt, w = [], 1.0
         for (lo, hi), (xs, ws), i in zip(domain.bounds, rules, idx):
             half = 0.5 * (hi - lo)
             pt.append(0.5 * (lo + hi) + half * float(xs[i]))
             w *= half * float(ws[i])
+        yield pt, w
+
+
+def per_node_integral(domain: ChartDomain, form: Form) -> float:
+    """Integral as a running sum over single float nodes."""
+    pulled = form.pullback(domain.embed) if domain.embed is not None else form
+    total = 0.0
+    for pt, w in per_node_rule(domain):
         total += w * pulled.comps(pt)[0]
     return domain.orientation * total
+
+
+def per_node_fiber_integral(bundle: FiberBundleDomain, form: Form) -> Form:
+    """Fiber integral as running sums over single fiber nodes, minors by hand."""
+    fiber = bundle.fiber
+    fa, fd, nb = fiber.ambient_dim, fiber.dim, bundle.base.ambient_dim
+    emb = fiber.embedding()
+    idx = combo_index(fa + nb, form.p)
+    bases = combos(nb, form.p - fd)
+
+    def comps(y):
+        out = [0.0] * len(bases)
+        for u, w in per_node_rule(fiber):
+            J = np.array(emb.jacobian(u), dtype=float).reshape(fa, fd)
+            vals = form.comps(emb(u) + list(y))
+            for iI, I in enumerate(bases):
+                for K in combos(fa, fd):
+                    minor = float(np.linalg.det(J[list(K)])) if fd else 1.0
+                    iM = idx[K + tuple(i + fa for i in I)]
+                    out[iI] = out[iI] + fiber.orientation * w * minor * vals[iM]
+        return out
+
+    return Form(nb, form.p - fd, comps)
 
 
 def smooth_form(n: int, p: int, seed: int) -> Form:
@@ -158,3 +192,103 @@ class TestNaNInsideABatch:
         form = Form(1, 1, lambda x: [x[0] * nan_at(x[0], bad)])
         assert math.isnan(self.seg.integrate(form))
         assert math.isfinite(self.seg.integrate(Form(1, 1, lambda x: [x[0]])))
+
+
+def unit_square() -> ChartDomain:
+    return ChartDomain.box("xy", [(0.0, 1.0), (-0.5, 0.5)], [5, 4])
+
+
+FIBERS = {
+    # 256 fiber nodes: two blocks of the fiber rule per coefficient
+    "ball2-long": lambda: ChartDomain.ball(2, order=16),
+    "sphere2": lambda: ChartDomain.sphere(3, order=7),
+    "zero-sphere": lambda: ChartDomain.sphere(1),
+    "reoriented-annulus": lambda: ChartDomain.annulus(0.5, 1.5, order=7).reorient(-1),
+    "point": lambda: ChartDomain.box("pt", []),
+}
+
+
+def fiber_cases(top: int = 2):
+    """(bundle, degree) for each fiber and base degree 0..top of the result."""
+    for name in sorted(FIBERS):
+        bundle = FiberBundleDomain(FIBERS[name](), unit_square())
+        fd = bundle.fiber.dim
+        for p in range(fd, fd + top + 1):
+            yield pytest.param(bundle, p, id=f"{name}-p{p}")
+
+
+def total_form(bundle: FiberBundleDomain, p: int) -> Form:
+    return smooth_form(bundle.fiber.ambient_dim + 2, p, 5 + p)
+
+
+class TestFiberIntegralAgainstPerNodeSums:
+    def test_fiber_rule_spans_several_blocks(self):
+        _, weights = FIBERS["ball2-long"]().nodes()
+        assert len(weights) > BLOCK
+
+    @pytest.mark.parametrize("bundle, p", fiber_cases())
+    def test_float_base_point(self, bundle, p):
+        w = total_form(bundle, p)
+        y = [0.3, -0.2]
+        got = bundle.fiber_integrate(w)(y)
+        want = per_node_fiber_integral(bundle, w)(y)
+        assert all(isinstance(v, float) for v in got)
+        assert got == pytest.approx(want, rel=REL, abs=1e-14)
+
+    @pytest.mark.parametrize("bundle, p", fiber_cases())
+    def test_base_block(self, bundle, p):
+        # integrating over the base chart hands the fiber integral a block
+        w = total_form(bundle, p)
+        base = bundle.base
+        eta = smooth_form(2, 2 - (p - bundle.fiber.dim), 9)
+        got = base.integrate(bundle.fiber_integrate(w).wedge(eta))
+        want = per_node_integral(base, per_node_fiber_integral(bundle, w).wedge(eta))
+        assert got == pytest.approx(want, rel=REL, abs=1e-14)
+
+    # below top degree on the base, where d is not the empty zero form
+    @pytest.mark.parametrize("bundle, p", fiber_cases(top=1))
+    def test_dual_base_point(self, bundle, p):
+        w = total_form(bundle, p)
+        y = [0.3, -0.2]
+        got = bundle.fiber_integrate(w).d()(y)
+        want = per_node_fiber_integral(bundle, w).d()(y)
+        assert got == pytest.approx(want, rel=REL, abs=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(FIBERS))
+    def test_duals_over_arrays(self, name):
+        # d of a fiber integral over the base chart: duals whose slots are blocks
+        # polynomial in the base coordinates, so the base rule makes Stokes exact
+        bundle = FiberBundleDomain(FIBERS[name](), unit_square())
+        p = bundle.fiber.dim + 1
+        poly = random_polynomial_form(bundle.fiber.ambient_dim + 2, p, random.Random(p))
+        assert stokes_residual(bundle.fiber_integrate(poly), bundle.base) <= 1e-12
+        w = total_form(bundle, p)
+        got = bundle.base.integrate(bundle.fiber_integrate(w).d())
+        want = per_node_integral(bundle.base, per_node_fiber_integral(bundle, w).d())
+        assert got == pytest.approx(want, rel=REL, abs=1e-14)
+
+    def test_reoriented_fiber_flips_the_sign(self):
+        bundle = FiberBundleDomain(FIBERS["reoriented-annulus"](), unit_square())
+        upright = FiberBundleDomain(bundle.fiber.reorient(-1), bundle.base)
+        w = total_form(bundle, 3)
+        y = [0.1, 0.4]
+        flipped, kept = bundle.fiber_integrate(w)(y), upright.fiber_integrate(w)(y)
+        assert flipped == [-v for v in kept]
+        assert any(v != 0.0 for v in kept)
+
+    def test_point_fiber_returns_the_form(self):
+        bundle = FiberBundleDomain(FIBERS["point"](), unit_square())
+        w = total_form(bundle, 1)
+        assert bundle.fiber_integrate(w)([0.3, -0.2]) == w([0.3, -0.2])
+
+    def test_nan_at_one_fiber_node_gives_nan(self):
+        fiber = ChartDomain.interval("t", 0.0, 1.0, order=16)
+        bundle = FiberBundleDomain(fiber, unit_square())
+        bad = float(fiber.nodes()[0][0][7])
+        healthy = Form(3, 2, lambda x: [x[0] * x[1], x[0] + x[2], x[1] * x[2]])
+        poisoned = Form(3, 2, lambda x: [v * nan_at(x[0], bad) for v in healthy.comps(x)])
+        got = bundle.fiber_integrate(poisoned)([0.3, -0.2])
+        assert all(math.isnan(v) for v in got)
+        assert all(math.isfinite(v) for v in bundle.fiber_integrate(healthy)([0.3, -0.2]))
+        eta = Form(2, 1, lambda x: [1.0, x[0]])
+        assert math.isnan(bundle.base.integrate(bundle.fiber_integrate(poisoned).wedge(eta)))

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cgbv
 from cgbv.cli import (EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_NUMERICAL,
                       EXIT_OK, EXIT_REPORT_PATH, emit_report, list_scenarios,
                       main, report_payload)
@@ -17,8 +19,12 @@ FAST = ["quadrature-volumes", "cgb-sphere"]
 
 
 def cli(*args):
+    # the child imports the same cgbv as this process, installed or not
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cgbv.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "cgbv.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def strip_walls(payload: dict) -> dict:
