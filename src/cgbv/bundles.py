@@ -9,7 +9,9 @@ to arrange.
 
 The unit-sphere, unit-disk, and sphere-of-sum charts attached to a bundle
 put fiber coordinates in front of base coordinates, matching the fiber
-integration convention of :mod:`cgbv.geometry`.
+integration convention of :mod:`cgbv.geometry`.  The unit-sphere bundle is
+one bundle per boundary piece of the unit disk: a single S^(m-1) bundle
+for m >= 2, and the two signed end bundles for m = 1.
 """
 
 from __future__ import annotations
@@ -289,8 +291,10 @@ class AssociatedBundles:
     def __init__(self, bundle: TrivializedBundle, fiber_order: int = 16):
         self.bundle = bundle
         m, base = bundle.rank, bundle.base
-        self.se = FiberBundleDomain(ChartDomain.sphere(m, order=fiber_order), base, "SE")
-        self.de = FiberBundleDomain(ChartDomain.ball(m, order=fiber_order), base, "DE")
+        disk = ChartDomain.ball(m, order=fiber_order)
+        self.de = FiberBundleDomain(disk, base, "DE")
+        self.se = tuple(FiberBundleDomain(piece, base, "SE")
+                        for piece in disk.boundary_faces())
         self.sre = FiberBundleDomain(ChartDomain.sphere(m + 1, order=fiber_order),
                                      base, "SRE")
         self.stereo = stereographic_total(m, base.ambient_dim)
@@ -311,6 +315,8 @@ class OddRankTriple:
     plain extended pullback, ``plane_split`` trivializes the plane framed by
     ``plane_frame``: the constant first basis vector and the normalized fiber
     part of the tautological section (defined away from the poles).
+    ``equators`` holds one (piece, inclusion) pair per piece of the
+    unit-sphere bundle: the piece's chart and its inclusion at height 0.
     """
 
     def __init__(self, bundle: TrivializedBundle, fiber_order: int = 16):
@@ -345,17 +351,8 @@ class OddRankTriple:
             m + 1,
             frame_split_connection(amb, self.plane_frame).A,
             "plane-split")
-        if m >= 2:
-            eq_src = m - 1 + nb
-            sphere_embed = ChartDomain.sphere(m).embedding()
-
-            def eq_fn(ang_b):
-                u = sphere_embed(list(ang_b[:m - 1]))
-                return [0.0] + u + list(ang_b[m - 1:])
-
-            self.equator = SmoothMap(eq_src, m + 1 + nb, eq_fn)
-        else:
-            self.equator = None
+        self.equators = tuple((se.fiber, _equator(se.fiber, nb))
+                              for se in self.assoc.se)
 
     def ordered_pair(self, ordering: str):
         """Transgression endpoints for the two documented label orders."""
@@ -364,6 +361,16 @@ class OddRankTriple:
         if ordering == "ambient-first":
             return self.ambient, self.split
         raise ChartError(f"unknown ordering {ordering!r}")
+
+
+def _equator(piece: ChartDomain, nb: int) -> SmoothMap:
+    """A unit-sphere piece at height 0 of the extended chart.
+
+    (reference coordinates, base) -> (0, u, base), u the piece's embedding.
+    """
+    emb, k = piece.embedding(), piece.dim
+    return SmoothMap(k + nb, 1 + piece.ambient_dim + nb,
+                     lambda x: [0.0] + emb(list(x[:k])) + list(x[k:]))
 
 
 def point_base() -> ChartDomain:

@@ -190,12 +190,3 @@ def atan(x):
     if isinstance(x, Dual):
         return Dual(atan(x.a), x.b / (1.0 + x.a * x.a))
     return np.arctan(x) if isinstance(x, np.ndarray) else math.atan(x)
-
-
-def atan2(y, x):
-    if isinstance(y, Dual) or isinstance(x, Dual):
-        ya, xa = (y.a if isinstance(y, Dual) else y), (x.a if isinstance(x, Dual) else x)
-        yb, xb = deriv(y), deriv(x)
-        denom = xa * xa + ya * ya
-        return Dual(atan2(ya, xa), (yb * xa - ya * xb) / denom)
-    return math.atan2(y, x)

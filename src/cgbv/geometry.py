@@ -1,8 +1,10 @@
 """Oriented chart domains, quadrature, boundaries, and fiber integration.
 
-A :class:`ChartDomain` is a reference box (or signed point set) together
-with an embedding into the ambient coordinates its forms are written in,
-plus a global orientation sign.  Integration pulls the form back along the
+A :class:`ChartDomain` is a reference box together with an embedding into
+the ambient coordinates its forms are written in, plus a global orientation
+sign.  A 0-dimensional box is a signed point: S^0 is
+``ChartDomain.ball(1).boundary_faces()``, the point +r with sign +1 and
+-r with sign -1.  Integration pulls the form back along the
 embedding and applies tensor Gauss-Legendre quadrature, so every integral
 in the package reduces to polynomial-exact rules on boxes.
 
@@ -92,7 +94,7 @@ class ChartDomain:
 
     def __init__(self, name: str, kind: str, dim: int, ambient_dim: int,
                  bounds=None, orders=None, embed: SmoothMap | None = None,
-                 orientation: int = 1, point_entries=None, boundary_builder=None):
+                 orientation: int = 1, boundary_builder=None):
         self.name = name
         self.kind = kind
         self.dim = dim
@@ -101,12 +103,8 @@ class ChartDomain:
         self.orders = list(orders) if orders is not None else [16] * dim
         self.embed = embed
         self.orientation = orientation
-        self.point_entries = list(point_entries) if point_entries is not None else None
         self._boundary_builder = boundary_builder
-        if kind == "points":
-            if dim != 0 or not self.point_entries:
-                raise ChartError("points domain needs dim 0 and at least one entry")
-        elif len(self.bounds) != dim or len(self.orders) != dim:
+        if len(self.bounds) != dim or len(self.orders) != dim:
             raise ChartError(f"domain {name}: need {dim} bounds and orders")
 
     # ------------------------------------------------------------------
@@ -131,20 +129,19 @@ class ChartDomain:
         return ChartDomain.box(name, [(lo, hi)], [order])
 
     @staticmethod
-    def points(name: str, entries) -> "ChartDomain":
-        amb = len(entries[0][1])
-        return ChartDomain(name, "points", 0, amb, point_entries=entries)
-
-    @staticmethod
     def sphere(ambient_dim: int, radius: float = 1.0, order: int = 16,
                name: str | None = None) -> "ChartDomain":
-        """S^(m-1) in R^m, positively oriented (outward normal first)."""
+        """S^(m-1) in R^m, positively oriented (outward normal first).
+
+        S^0 is not one chart but two signed points:
+        ``ChartDomain.ball(1).boundary_faces()``.
+        """
         m = ambient_dim
         name = name or f"S{m - 1}"
-        if m < 1:
-            raise ChartError("sphere needs ambient dimension >= 1")
-        if m == 1:
-            return ChartDomain.points(name, [(1, [radius]), (-1, [-radius])])
+        if m < 2:
+            raise ChartError(
+                f"sphere needs ambient dimension >= 2, got {m}; "
+                "S^0 is ChartDomain.ball(1).boundary_faces()")
         embed = SmoothMap(m - 1, m,
                           lambda a: [radius * v for v in unit_sphere_point(a)])
         return ChartDomain(name, "sphere", m - 1, m, sphere_bounds(m),
@@ -189,8 +186,6 @@ class ChartDomain:
     @staticmethod
     def product(a: "ChartDomain", b: "ChartDomain", name: str | None = None) -> "ChartDomain":
         """Product domain; coordinates and ambient blocks of ``a`` come first."""
-        if a.kind == "points" or b.kind == "points":
-            raise ChartError("products with point domains are not supported")
         name = name or f"{a.name}x{b.name}"
         na, nb = a.ambient_dim, b.ambient_dim
         ea, eb = a.embedding(), b.embedding()
@@ -219,8 +214,7 @@ class ChartDomain:
         kw = dict(name=self.name, kind=self.kind, dim=self.dim,
                   ambient_dim=self.ambient_dim, bounds=self.bounds,
                   orders=self.orders, embed=self.embed,
-                  orientation=self.orientation, point_entries=self.point_entries,
-                  boundary_builder=self._boundary_builder)
+                  orientation=self.orientation, boundary_builder=self._boundary_builder)
         kw.update(overrides)
         out = ChartDomain(**kw)
         if hasattr(self, "factors"):
@@ -236,7 +230,7 @@ class ChartDomain:
         return self._copy(orders=list(order))
 
     def embedding(self) -> SmoothMap:
-        """Reference to ambient coordinates; a point set's points are ambient."""
+        """Reference to ambient coordinates; the identity without an embedding."""
         return self.embed or SmoothMap(self.dim, self.ambient_dim, lambda x: list(x))
 
     # ------------------------------------------------------------------
@@ -245,16 +239,10 @@ class ChartDomain:
     def nodes(self):
         """Quadrature rule as (coordinate arrays, weight array).
 
-        One coordinate array per reference axis, node i at index i of each.
-        A signed point set lists its points' ambient coordinates and weighs
-        each point by its sign; every other chart uses the tensor
-        Gauss-Legendre grid in row-major order, which has a single node of
-        weight 1 when the chart is 0-dimensional.
+        One coordinate array per reference axis, node i at index i of each,
+        on the tensor Gauss-Legendre grid in row-major order; a
+        0-dimensional chart has a single node of weight 1.
         """
-        if self.kind == "points":
-            coords = np.array([pt for _, pt in self.point_entries], dtype=float)
-            signs = np.array([sign for sign, _ in self.point_entries], dtype=float)
-            return list(coords.T), signs
         axes = [gauss_nodes(o, lo, hi) for (lo, hi), o in zip(self.bounds, self.orders)]
         grids = np.meshgrid(*(np.array(xs) for xs, _ in axes), indexing="ij")
         weights = np.ones(())
@@ -282,7 +270,7 @@ class ChartDomain:
         """Oriented codimension-one faces; empty for closed domains."""
         if self._boundary_builder is not None:
             return self._boundary_builder()
-        if self.kind in ("sphere", "points"):
+        if self.kind == "sphere":
             return []
         if self.kind == "box":
             return self._box_faces()
@@ -309,8 +297,6 @@ class ChartDomain:
 
     def sample_ref_points(self, rng: random.Random, count: int, margin: float = 0.05):
         """Reference points away from coordinate edges, for pointwise tests."""
-        if self.kind == "points":
-            return [list(pt) for _, pt in self.point_entries][:count]
         pts = []
         for _ in range(count):
             pt = []
@@ -338,10 +324,7 @@ class FiberBundleDomain:
         self.fiber = fiber
         self.base = base
         self.name = name or f"{fiber.name}->{base.name}"
-        if fiber.kind == "points":
-            self.total = None  # zero-dimensional fiber: no product chart needed
-        else:
-            self.total = ChartDomain.product(fiber, base, name=self.name)
+        self.total = ChartDomain.product(fiber, base, name=self.name)
 
     def projection(self) -> SmoothMap:
         """Total ambient -> base ambient, dropping the fiber block."""

@@ -145,26 +145,6 @@ def _drop_first(n: int) -> SmoothMap:
     return SmoothMap(n + 1, n, lambda x: list(x[1:]))
 
 
-def _segment_cylinders(seg: ChartDomain, face: ChartDomain):
-    """Cylinders over one boundary face, in product orientation.
-
-    Faces that are signed point sets get one embedded segment per point,
-    carrying the point's sign, since the product constructor rejects
-    zero-dimensional point factors.
-    """
-    if face.kind != "points":
-        return [ChartDomain.product(seg, face)]
-    out = []
-    for sign, pt in face.point_entries:
-        fixed = [float(v) for v in pt]
-        emb = SmoothMap(1, 1 + len(fixed), lambda x, fixed=fixed: [x[0]] + fixed)
-        out.append(ChartDomain(
-            f"{seg.name}x{face.name}", "box", 1, 1 + len(fixed),
-            list(seg.bounds), list(seg.orders), emb,
-            face.orientation * sign))
-    return out
-
-
 def _check_boundary_compat(phi: SmoothMap, t: float, source: RelativeDomain,
                            target: RelativeDomain, samples: int = 4,
                            tol: float = 1e-8):
@@ -209,8 +189,7 @@ def _cylinder_pairing(phi: SmoothMap, t: float, p: FormPair, eta: Form,
     if p.gamma is not None:
         gpull = p.gamma.pullback(pair_map)
         for face in source.faces:
-            for cyl in _segment_cylinders(seg, face):
-                second += cyl.integrate(gpull.wedge(eta_c))
+            second += ChartDomain.product(seg, face).integrate(gpull.wedge(eta_c))
     return first, second
 
 

@@ -20,7 +20,7 @@ from .chern_weil import Connection, pf_form, secondary_transgression, transgress
 from .errors import (BumpError, ClosednessError, ConfigError, RankError,
                      SignConventionError)
 from .forms import Form, SmoothMap, ZeroForm, lift_point, sup_abs
-from .geometry import ChartDomain, FiberBundleDomain, sphere_bounds
+from .geometry import ChartDomain, FiberBundleDomain
 from .relative import FormPair, RelativeDomain
 
 # Calibrated once against the unit pairing over a point: with the split
@@ -193,9 +193,8 @@ class ThomScenario:
         def defect(x, m=m):
             return sum(x[i] * x[i] for i in range(m)) - 1.0
 
-        faces = ([self.se.total] if self.se.total is not None
-                 else self.de.total.boundary_faces())
-        self.relative = RelativeDomain(self.de.total, faces=faces,
+        self.relative = RelativeDomain(self.de.total,
+                                       faces=[se.total for se in self.se],
                                        boundary_defect=defect)
 
     def pair(self, omega: Form, gamma: Form | None) -> FormPair:
@@ -203,11 +202,15 @@ class ThomScenario:
 
 
 def nu(scenario: ThomScenario, p: FormPair) -> Form:
-    """Disk fiber integral of the first slot plus sphere fiber integral of the second."""
+    """Disk fiber integral of the first slot plus sphere fiber integral of the second.
+
+    The sphere part sums the fiber integrals over the pieces of SE.
+    """
     de_part = scenario.de.fiber_integrate(p.omega)
     if p.gamma is None:
         return de_part
-    se_part = scenario.se.fiber_integrate(p.gamma)
+    parts = [se.fiber_integrate(p.gamma) for se in scenario.se]
+    se_part = sum(parts[1:], parts[0])
     if isinstance(de_part, ZeroForm) and isinstance(se_part, ZeroForm):
         return de_part
     return de_part + se_part
@@ -268,20 +271,17 @@ def odd_dual_pair(scenario: ThomScenario, ordering: str = ODD_ORDERING,
 
 
 def _se_sample_points(scenario: ThomScenario, rng: random.Random, count: int):
-    if scenario.se.total is not None:
-        return scenario.se.total.sample_ambient_points(rng, count)
-    base_pts = scenario.base.sample_ambient_points(rng, max(count, 1))
-    return [list(vpt) + list(b)
-            for _, vpt in scenario.se.fiber.point_entries for b in base_pts]
+    return [x for se in scenario.se
+            for x in se.total.sample_ambient_points(rng, count)]
 
 
-def _equator_samples(scenario: ThomScenario, rng: random.Random, count: int):
-    """Reference points for the equator chart: sphere angles, then base coords."""
-    m = scenario.rank
+def _equator_samples(scenario: ThomScenario, piece: ChartDomain,
+                     rng: random.Random, count: int):
+    """Reference points for an equator chart: piece angles, then base coords."""
     base_pts = scenario.base.sample_ambient_points(rng, count)
     out = []
     for b in base_pts:
-        ang = [lo + rng.random() * (hi - lo) for lo, hi in sphere_bounds(m)]
+        ang = [lo + rng.random() * (hi - lo) for lo, hi in piece.bounds]
         out.append(ang + list(b))
     return out
 
@@ -294,9 +294,9 @@ def odd_pair_residual(scenario: ThomScenario, ordering: str = ODD_ORDERING,
     extended chart because both endpoint connections are reducible and
     have vanishing Pfaffians; that is checked in ambient coordinates.
     The triangle differential cancels the edge only along the equator
-    and only tangentially, so that part is pulled back through the
-    equator chart first (rank 1 has no equator chart and contributes
-    nothing).
+    and only tangentially, so that part is pulled back through each
+    equator chart first (at rank 1 over a point the two equator points
+    carry no degree-1 components and contribute nothing).
     """
     t12, q = _odd_core(scenario, ordering, t_order)
     tri = scenario.triple
@@ -305,25 +305,11 @@ def odd_pair_residual(scenario: ThomScenario, ordering: str = ODD_ORDERING,
            for p in _se_sample_points(scenario, rng, check_points)]
     d_edge = t12.d()
     values = [v for x in pts for v in d_edge(x)]
-    if tri.equator is not None:
-        defect = (t12 + q.d()).pullback(tri.equator)
-        values += [v for x in _equator_samples(scenario, rng, check_points)
+    for piece, inc in tri.equators:
+        defect = (t12 + q.d()).pullback(inc)
+        values += [v for x in _equator_samples(scenario, piece, rng, check_points)
                    for v in defect(x)]
     return sup_abs(values)
-
-
-def _slice_inclusions(scenario: ThomScenario):
-    """Inclusion charts of the unit-sphere slice into the extended chart.
-
-    Rank one has no angle chart; its slice is the pair of points (0, +-1)
-    over the base, included one point at a time.
-    """
-    tri = scenario.triple
-    if tri.equator is not None:
-        return [tri.equator]
-    nb = scenario.base.ambient_dim
-    return [SmoothMap(nb, 2 + nb, lambda x, s=sign: [0.0, s] + list(x))
-            for sign in (1.0, -1.0)]
 
 
 def parallel_pair_residuals(scenario: ThomScenario, t_order: int = 16,
@@ -345,13 +331,10 @@ def parallel_pair_residuals(scenario: ThomScenario, t_order: int = 16,
     out = {}
     for key, first in (("tautological", tri.split), ("ambient", tri.ambient)):
         values = []
-        for inc in _slice_inclusions(scenario):
+        for piece, inc in tri.equators:
             t = transgression(first.pullback(inc),
                               tri.plane_split.pullback(inc), t_order=t_order)
-            pts = (_equator_samples(scenario, rng, check_points)
-                   if tri.equator is not None
-                   else scenario.base.sample_ambient_points(rng, check_points))
-            for y in pts:
+            for y in _equator_samples(scenario, piece, rng, check_points):
                 values.extend(t(y))
         out[key] = sup_abs(values)
     return out
@@ -440,7 +423,7 @@ def resolve_odd_ordering(scenario: ThomScenario, t_order: int = 16,
     for ordering in ("split-first", "ambient-first"):
         w, g = odd_dual_pair(scenario, ordering, t_order)
         total = scenario.de.fiber_integrate(w)(b0)[0]
-        total += scenario.se.fiber_integrate(g)(b0)[0]
+        total += sum(se.fiber_integrate(g)(b0)[0] for se in scenario.se)
         values[ordering] = ODD_SCALE * total
     hits = [o for o, v in values.items() if abs(v - 1.0) <= tol]
     if len(hits) != 1:

@@ -6,8 +6,9 @@ rebuilds the tensor Gauss-Legendre rule itself and calls the same closures
 with one float point at a time, so any closure that branches on values, or
 a reduction that reorders the rule, shows up as a disagreement.  The sums
 are taken in a different order, hence agreement to 1e-13 relative rather
-than bit for bit.  Zero-dimensional charts, signed point sets and a NaN at
-a single node of a block are pinned too.
+than bit for bit.  Zero-dimensional charts (S^0 among them, as the two
+signed faces of the interval) and a NaN at a single node of a block are
+pinned too.
 
 ``FiberBundleDomain.fiber_integrate`` is a chart integral over the fiber:
 its oracle below walks the fiber rule node by node with the Jacobian minors
@@ -26,7 +27,7 @@ from cgbv import dual
 from cgbv.bundles import section_transgression
 from cgbv.chern_weil import Connection
 from cgbv.errors import VanishingSectionError
-from cgbv.forms import Form, combo_index, combos
+from cgbv.forms import Form, SmoothMap, combo_index, combos
 from cgbv.geometry import BLOCK, ChartDomain, FiberBundleDomain, stokes_residual
 from cgbv.thom import thom_form
 
@@ -37,10 +38,6 @@ REL = 1e-13
 
 def per_node_rule(domain: ChartDomain):
     """(reference point, weight) pairs, one float point at a time."""
-    if domain.kind == "points":
-        for sign, pt in domain.point_entries:
-            yield [float(v) for v in pt], float(sign)
-        return
     rules = [np.polynomial.legendre.leggauss(o) for o in domain.orders]
     for idx in itertools.product(*(range(o) for o in domain.orders)):
         pt, w = [], 1.0
@@ -110,7 +107,7 @@ CHARTS = {
     "product": lambda: [ChartDomain.product(
         ChartDomain.interval("t", -1.0, 0.5, 5), ChartDomain.sphere(2, order=9))],
     "box-faces": lambda: square().boundary_faces() + cube().boundary_faces(),
-    "zero-sphere": lambda: [ChartDomain.sphere(1)],
+    "zero-sphere": lambda: ChartDomain.ball(1).boundary_faces(),
 }
 
 
@@ -157,11 +154,16 @@ class TestZeroDimensionalCharts:
         faces = ChartDomain.interval("t", 0.0, 2.0).boundary_faces()
         assert [face.integrate(f) for face in faces] == [5.0, -1.0]
 
-    def test_reoriented_point_set_keeps_its_signs(self):
-        ends = ChartDomain.points("ends", [(1, [1.0, 0.5]), (-1, [0.0, 2.0])])
+    def test_reoriented_interval_faces_keep_their_signs(self):
+        # the ends of a segment embedded from (0, 2) to (1, 0.5)
+        seg = ChartDomain.box("seg", [(0.0, 1.0)], embed=SmoothMap(
+            1, 2, lambda t: [t[0], 2.0 - 1.5 * t[0]]))
+        ends = seg.boundary_faces()
         f = Form.scalar(2, lambda x: 3.0 * x[0] + x[1])
-        assert ends.integrate(f) == pytest.approx(3.5 - 2.0)
-        assert ends.reorient(-1).integrate(f) == pytest.approx(-(3.5 - 2.0))
+        assert [face.orientation for face in ends] == [1, -1]
+        assert sum(face.integrate(f) for face in ends) == pytest.approx(3.5 - 2.0)
+        assert sum(face.reorient(-1).integrate(f) for face in ends) == pytest.approx(
+            -(3.5 - 2.0))
 
 
 def nan_at(t, node: float):
@@ -202,7 +204,9 @@ FIBERS = {
     # 256 fiber nodes: two blocks of the fiber rule per coefficient
     "ball2-long": lambda: ChartDomain.ball(2, order=16),
     "sphere2": lambda: ChartDomain.sphere(3, order=7),
-    "zero-sphere": lambda: ChartDomain.sphere(1),
+    # the -1 end of S^0 = ball(1).boundary_faces(): a reoriented 0-dim
+    # fiber whose embedding is the constant -1
+    "zero-sphere": lambda: ChartDomain.ball(1).boundary_faces()[1],
     "reoriented-annulus": lambda: ChartDomain.annulus(0.5, 1.5, order=7).reorient(-1),
     "point": lambda: ChartDomain.box("pt", []),
 }

@@ -231,7 +231,8 @@ class TestLifts:
 class TestAssociatedBundles:
     def test_chart_dimensions(self):
         assoc = AssociatedBundles(make_bundle("tangent-s2"))
-        assert assoc.se.fiber.dim == 1 and assoc.se.fiber.ambient_dim == 2
+        (se,) = assoc.se
+        assert se.fiber.dim == 1 and se.fiber.ambient_dim == 2
         assert assoc.de.fiber.dim == 2 and assoc.de.fiber.ambient_dim == 2
         assert assoc.sre.fiber.dim == 2 and assoc.sre.fiber.ambient_dim == 3
 
@@ -277,14 +278,18 @@ class TestOddRankTriple:
         # restricted to the equator sphere, the section splitting and the
         # plane splitting produce the same potential
         tri = OddRankTriple(make_bundle("odd-rank3-point"))
-        r1 = tri.split.pullback(tri.equator)
-        r3 = tri.plane_split.pullback(tri.equator)
+        ((_, equator),) = tri.equators
+        r1 = tri.split.pullback(equator)
+        r3 = tri.plane_split.pullback(equator)
         for pt in ([0.5, 1.0], [1.2, 2.0], [2.4, 5.1], [0.9, 0.1]):
             assert mat_diff(r1.A.eval(pt), r3.A.eval(pt)) < 1e-10
 
-    def test_rank1_equator_is_none(self):
+    def test_rank1_equators_are_the_two_end_points(self):
+        # S^0 = ball(1).boundary_faces(): +1 with sign +1, then -1 with sign -1
         tri = OddRankTriple(make_bundle("odd-rank1-point"))
-        assert tri.equator is None
+        assert [(piece.dim, piece.orientation) for piece, _ in tri.equators] == [
+            (0, 1), (0, -1)]
+        assert [inc([]) for _, inc in tri.equators] == [[0.0, 1.0], [0.0, -1.0]]
 
     def test_ambient_plane_transgression_vanishes_on_equator(self):
         # the constant frame vector stays parallel for both endpoints, so
@@ -301,7 +306,7 @@ class TestOddRankTriple:
         tri = OddRankTriple(make_bundle("odd-rank3-point"))
         for other in (tri.split, tri.ambient):
             T = transgression(other, tri.plane_split, t_order=8)
-            restricted = T.pullback(tri.equator)
+            restricted = T.pullback(tri.equators[0][1])
             assert restricted([0.5, 1.0]) == []
 
     def test_rank1_transgression_vanishes_at_equator_points(self):

@@ -6,8 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cgbv.dual import (Dual, atan, atan2, cos, deriv, exp, log, real, sin, sqrt,
-                       where)
+from cgbv.dual import Dual, atan, cos, deriv, exp, log, real, sin, sqrt, where
 
 
 def df(f, x: float) -> float:
@@ -44,12 +43,6 @@ class TestFirstDerivatives:
         for _ in range(20):
             x0 = rng.uniform(0.2, 2.5)
             assert df(fn, x0) == pytest.approx(dfn(x0), rel=1e-12)
-
-    def test_atan2_angle_form(self):
-        # d/dt atan2(sin t, cos t) = 1
-        f = lambda t: atan2(sin(t), cos(t))
-        for t0 in (0.3, 1.1, 2.9, -2.0):
-            assert df(f, t0) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_integer_power(self):
         f = lambda x: x ** -2

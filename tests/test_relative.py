@@ -331,12 +331,13 @@ class TestHomotopyOperators:
             assert homotopy_defect_I(phi, 0.9, p, eta, dom, t_order=10) <= 1e-6
 
     def test_point_faces_match_box_faces(self):
-        # S^0-style signed point faces give the same operator as 0-dim box faces
+        # faces handed over explicitly, each a signed 0-dim box, give the same
+        # operator as the faces the domain derives itself
         rng = random.Random(139)
         box_dom = interval_domain(order=10)
         pts_dom = RelativeDomain(
             box_dom.manifold,
-            faces=[ChartDomain.points("ends", [(1, [1.0]), (-1, [0.0])])],
+            faces=ChartDomain.interval("x", 0.0, 1.0).boundary_faces(),
             boundary_defect=box_dom.boundary_defect)
         phi = SmoothMap(2, 1, lambda z: [z[1] + 0.4 * z[0] * z[1] * (1.0 - z[1])])
         p = random_pair(box_dom, 1, rng)
@@ -361,7 +362,7 @@ class TestHomotopyOperators:
         box_dom = interval_domain(order=10)
         pts_dom = RelativeDomain(
             box_dom.manifold,
-            faces=[ChartDomain.points("ends", [(1, [1.0]), (-1, [0.0])])],
+            faces=ChartDomain.interval("x", 0.0, 1.0).boundary_faces(),
             boundary_defect=box_dom.boundary_defect)
         drift = SmoothMap(2, 1, lambda z: [z[1] + 0.3 * z[0] * (1.0 - z[1])])
         p = random_pair(pts_dom, 1, rng)

@@ -20,6 +20,8 @@ from cgbv.thom import (BumpProfile, ThomScenario, cgb_defect, fiber_integral,
                        persistent_section_residual, resolve_odd_ordering,
                        support_pieces, thom_form)
 
+from test_forms import random_polynomial_form
+
 
 def affine_form(n, p, rng):
     rows = [[rng.uniform(-1.0, 1.0) for _ in range(n + 1)]
@@ -225,6 +227,21 @@ class TestNu:
         out = nu(sc, p)
         assert isinstance(out, ZeroForm)
         assert out.p == 0
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_relative_faces_are_the_sphere_bundle(self, m):
+        """The boundary of the relative domain is SE at every rank.
+
+        Over a base with boundary the lateral faces D^m x boundary(B) are not
+        part of it, so the boundary integral is the SE fiber integral
+        integrated over the base.
+        """
+        base = box_base()
+        sc = ThomScenario(TrivializedBundle(
+            m, base, Connection.flat(m, 2, "flat"), "flat-faces"), fiber_order=10)
+        gamma = random_polynomial_form(m + 2, m + 1, random.Random(5))
+        want = sum(base.integrate(se.fiber_integrate(gamma)) for se in sc.se)
+        assert sc.relative.integrate_boundary(gamma) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("rank,sign", [(1, 1.0), (2, -1.0)])
     def test_chain_law_sign(self, rank, sign):
