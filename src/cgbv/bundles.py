@@ -25,7 +25,7 @@ from .chern_weil import Connection, transgression
 from .errors import (ChartError, ProjectorError, RankError, ShapeError,
                      VanishingSectionError)
 from .forms import (Form, MatrixForm, SmoothMap, _mul_smat, _smul_mat,
-                    sup_abs)
+                    as_block, sup_abs)
 from .geometry import ChartDomain, FiberBundleDomain
 
 
@@ -164,10 +164,9 @@ def frame_split_connection(conn: Connection, frames,
                        - (1.0 if a == b else 0.0)
                        for a in range(r) for b in range(r))
 
-    for x in check_points:
-        defect = gram_defect(x)
-        if not defect <= tol:
-            raise ProjectorError(f"frame Gram defect {defect:.3e} > {tol:.1e}")
+    defect = gram_defect(as_block(check_points)) if check_points else 0.0
+    if not defect <= tol:
+        raise ProjectorError(f"frame Gram defect {defect:.3e} > {tol:.1e}")
 
     def G_entries(x):
         F = [f(x) for f in frames]

@@ -25,7 +25,7 @@ from functools import lru_cache
 from .errors import (ConsistencyError, DegreeError, RankError, ShapeError,
                      SymmetryPreconditionError)
 from .forms import (Form, MatrixForm, SmoothMap, ZeroForm, _mul_smat,
-                    _smul_mat, add_coeffs, combos, mat_mul_wedge,
+                    _smul_mat, add_coeffs, as_block, combos, mat_mul_wedge,
                     scale_coeffs, sub_coeffs, sup_abs, wedge_coeffs,
                     zero_coeffs)
 from .geometry import ChartDomain, FiberBundleDomain, gauss_nodes
@@ -73,7 +73,7 @@ def pfaffian_coeffs(n: int, p: int, A) -> list:
             prod = wedge_coeffs(n, deg, p, prod, A[i][j])
             deg += p
         for idx, v in enumerate(prod):
-            out[idx] += sign * v
+            out[idx] = out[idx] + sign * v
     return out
 
 
@@ -120,9 +120,8 @@ class Connection:
 
     def skew_residual(self, points) -> float:
         """Sup over the points of |A + A^T|, entry by entry."""
-        m = self.rank
-        return sup_abs(a + b for A in map(self.A.eval, points)
-                       for i in range(m) for j in range(m)
+        m, A = self.rank, self.A.eval(as_block(points))
+        return sup_abs(a + b for i in range(m) for j in range(m)
                        for a, b in zip(A[i][j], A[j][i]))
 
 
@@ -222,9 +221,9 @@ def _simplex_transgression(conns, nodes) -> Form:
                     prod = wedge_coeffs(n, deg, 2, prod, F[pr])
                     deg += 2
                 for idx, v in enumerate(prod):
-                    block[idx] += sign * v
+                    block[idx] = block[idx] + sign * v
             for idx in range(len(out)):
-                out[idx] += w * block[idx]
+                out[idx] = out[idx] + w * block[idx]
         return scale_coeffs(scale, out)
 
     return Form(n, out_deg, comps)
@@ -339,20 +338,16 @@ def loop_transgression(loop: Connection, extension: Connection,
     n = base.ambient_dim
     if loop.n != n + 1 or extension.n != n + 2:
         raise ShapeError("loop/extension charts must add one/two directions")
-    rng_pts = base.sample_ref_points(random.Random(5), check_points)
-    emb = base.embedding()
-    for pt in rng_pts:
-        x = emb(pt)
-        for t in (0.0, 0.31, 0.77):
-            a = loop.A.eval([t] + list(x))
-            b = extension.A.eval([math.cos(TWO_PI * t), math.sin(TWO_PI * t)] + list(x))
-            # loop coefficients: (dt, base...); extension: (dz1, dz2, base...)
-            gap = sup_abs(ca - cb for i in range(loop.rank)
-                          for j in range(loop.rank)
-                          for ca, cb in zip(a[i][j][1:], b[i][j][2:]))
-            if not gap <= tol:
-                raise ConsistencyError(
-                    "extension does not restrict to the loop on the circle")
+    xs = base.sample_ambient_points(random.Random(5), check_points)
+    ts = (0.0, 0.31, 0.77)
+    a = loop.A.eval(as_block([[t] + list(x) for x in xs for t in ts]))
+    b = extension.A.eval(as_block([[math.cos(TWO_PI * t), math.sin(TWO_PI * t)]
+                                   + list(x) for x in xs for t in ts]))
+    # loop coefficients: (dt, base...); extension: (dz1, dz2, base...)
+    gap = sup_abs(ca - cb for i in range(loop.rank) for j in range(loop.rank)
+                  for ca, cb in zip(a[i][j][1:], b[i][j][2:]))
+    if not gap <= tol:
+        raise ConsistencyError("extension does not restrict to the loop on the circle")
     t_fiber = ChartDomain.interval("t", 0.0, 1.0, order)
     T = FiberBundleDomain(t_fiber, base).fiber_integrate(pf_form(loop))
     disk = ChartDomain.ball(2, order=order)
@@ -382,9 +377,9 @@ def gauge_residual(conn: Connection, phi: SmoothMap, psi,
     at every sample point; NaN if any entry is NaN there.
     """
     transformed = gauge_pullback_potential(conn, phi, psi)
-    return sup_abs(a - b for x in sample_points
-                   for got_row, want_row in zip(transformed.eval(x),
-                                                conn.A.eval(x))
+    x = as_block(sample_points)
+    return sup_abs(a - b for got_row, want_row in zip(transformed.eval(x),
+                                                      conn.A.eval(x))
                    for got, want in zip(got_row, want_row)
                    for a, b in zip(got, want))
 
@@ -408,6 +403,5 @@ def symmetry_check(form: Form, conns, phi: SmoothMap, psi,
             raise SymmetryPreconditionError(
                 f"map does not preserve connection {conn.label or '?'}: "
                 f"residual {worst_pre:.3e}")
-    pulled = form.pullback(phi)
-    return sup_abs(a - b for x in sample_points
-                   for a, b in zip(pulled(x), form(x)))
+    x = as_block(sample_points)
+    return sup_abs(a - b for a, b in zip(form.pullback(phi)(x), form(x)))

@@ -5,8 +5,9 @@ one-line descriptions, ``run`` executes a selection (default: all) and
 prints an aligned report table, optionally writing the same data as
 JSON.  Exit codes: 0 when every line item is within tolerance, 1 for
 failures under ``--check``, 2 for configuration errors such as an
-unknown scenario name, 3 for numerical failures outside ``--check``,
-4 when the JSON report path cannot be written.
+unknown scenario name, 3 for numerical failures outside ``--check`` and
+for any other typed error a scenario raises, 4 when the JSON report path
+cannot be written.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, VerificationError
 from .scenarios import (
     Config,
     ScenarioReport,
@@ -187,10 +188,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
                          else all_scenarios())
         if args.names and args.filter:
             scens = [s for s in scens if args.filter in s.modules]
-        reports = [run_scenario(s, config) for s in scens]
+        reports = []
+        for scen in scens:
+            reports.append(run_scenario(scen, config))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except VerificationError as exc:
+        # only a runner raises anything but ConfigError, so scen is bound
+        print(f"numerical failure: {scen.name}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
 
     sys.stdout.write(emit_report(reports, "text", None, config))
     if args.json_path is not None:

@@ -35,7 +35,7 @@ def _mat_mul(A, B):
 
 
 def _rref(rows):
-    """Row echelon over Fraction; returns (reduced rows, pivot columns)."""
+    """Row echelon over Fraction, zero entries skipped; returns (rows, pivot columns)."""
     mat = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -46,11 +46,11 @@ def _rref(rows):
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv = ONE / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
+        mat[r] = [v * inv if v else v for v in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == len(mat):

@@ -2,11 +2,12 @@
 
 A degree-p form on an n-dimensional chart is a callable returning the list
 of coefficients against the lexicographic basis ``dx_I``, ``|I| = p``.
-Coefficients can be plain floats, arrays over a block of quadrature
-nodes, or :class:`~cgbv.dual.Dual` numbers over either, so the same closures
-serve integration and differentiation.  Exterior derivatives
-are exact (forward-mode duals, one direction at a time), never finite
-differences.
+Coefficients can be plain floats, arrays over a block of quadrature nodes
+or of sample points (:func:`as_block`), or :class:`~cgbv.dual.Dual` numbers
+over either, so the same closures serve integration, sampled checks and
+differentiation.  Exterior derivatives are exact (forward-mode duals, one
+direction at a time), never finite differences.  Sums are ``a = a + b``:
+an in-place ``+=`` cannot widen (B, 1) base points against F fiber nodes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+
+import numpy as np
 
 from .dual import Dual, deriv
 from .errors import DegreeError, ShapeError
@@ -87,17 +90,27 @@ def scale_coeffs(c, a: list) -> list:
     return [c * x for x in a]
 
 
+def as_block(points) -> list:
+    """Equal-length points as one block: a full-length float array per coordinate."""
+    return [np.array(c, dtype=float) for c in zip(*points)]
+
+
 def sup_abs(values) -> float:
     """Largest |v| over values, 0.0 when empty; NaN as soon as any v is NaN.
 
-    The running ``max(worst, v)`` idiom drops a NaN that follows a finite
-    value, since ``max(0.0, nan) == 0.0``; residual sups go through this
-    instead so a non-finite sample cannot grade as zero.  Infinities need
-    no special case: they win every comparison.
+    A value may be an array, each entry counting.  The running
+    ``max(worst, v)`` idiom drops a NaN that follows a finite value, since
+    ``max(0.0, nan) == 0.0``; residual sups go through this instead so a
+    non-finite sample cannot grade as zero.  Infinities need no special
+    case: they win every comparison.
     """
     worst = 0.0
     for v in values:
-        a = abs(v)
+        if isinstance(v, np.ndarray):
+            # np.max propagates NaN
+            a = float(np.max(np.abs(v))) if v.size else 0.0
+        else:
+            a = abs(v)
         if math.isnan(a):
             return a
         worst = max(worst, a)
@@ -107,7 +120,7 @@ def sup_abs(values) -> float:
 def wedge_coeffs(n: int, p: int, q: int, a: list, b: list) -> list:
     out = zero_coeffs(n, p + q)
     for iI, iJ, iK, sign in wedge_table(n, p, q):
-        out[iK] += sign * a[iI] * b[iJ]
+        out[iK] = out[iK] + sign * a[iI] * b[iJ]
     return out
 
 
@@ -289,7 +302,7 @@ class Form:
             for j in range(n):
                 vals = self.comps(lift_point(x, j))
                 for iI, iK, sign in table[j]:
-                    out[iK] += sign * deriv(vals[iI])
+                    out[iK] = out[iK] + sign * deriv(vals[iI])
             return out
 
         return Form(n, p + 1, comps)
@@ -420,7 +433,7 @@ class MatrixForm:
                         row = A[r][c]
                         dst = out[r][c]
                         for iI, iK, sign in tj:
-                            dst[iK] += sign * deriv(row[iI])
+                            dst[iK] = dst[iK] + sign * deriv(row[iI])
             return out
         return MatrixForm(n, p + 1, m, eval_fn)
 
@@ -457,7 +470,7 @@ def mat_mul_wedge(n: int, p: int, q: int, A, B):
                 a = Ai[j]
                 b = B[j][k]
                 for iI, iJ, iK, sign in table:
-                    acc[iK] += sign * a[iI] * b[iJ]
+                    acc[iK] = acc[iK] + sign * a[iI] * b[iJ]
     return out
 
 

@@ -12,9 +12,10 @@ Evaluation model: a form closure, an embedding and a section receive a
 point as a list of coordinates, each either a float or a numpy array whose
 last axis holds one entry per node of a block (all of equal shape).
 ``integrate`` passes blocks of up to ``BLOCK`` nodes and reduces the node
-axis with :func:`cgbv.dual.node_sum`; pointwise checks, sampling and Newton
-steps pass floats.  Closures therefore compute elementwise and must not
-branch on values: a piecewise formula selects through
+axis with :func:`cgbv.dual.node_sum`; a sampled check passes its sample
+points as one block (:func:`cgbv.forms.as_block`), while sampling and
+Newton steps pass floats.  Closures therefore compute elementwise and must
+not branch on values: a piecewise formula selects through
 :func:`cgbv.dual.where` on clamped arguments.
 
 A fiber integral is a chart integral over the fiber, its base point given a
@@ -297,14 +298,8 @@ class ChartDomain:
 
     def sample_ref_points(self, rng: random.Random, count: int, margin: float = 0.05):
         """Reference points away from coordinate edges, for pointwise tests."""
-        pts = []
-        for _ in range(count):
-            pt = []
-            for lo, hi in self.bounds:
-                u = rng.uniform(margin, 1.0 - margin)
-                pt.append(lo + (hi - lo) * u)
-            pts.append(pt)
-        return pts
+        return [[lo + (hi - lo) * rng.uniform(margin, 1.0 - margin)
+                 for lo, hi in self.bounds] for _ in range(count)]
 
     def sample_ambient_points(self, rng: random.Random, count: int, margin: float = 0.05):
         emb = self.embedding()

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from . import dual
 from .bundles import (AssociatedBundles, OddRankTriple, TrivializedBundle,
                       section_transgression, total_connection)
 from .chern_weil import Connection, pf_form, secondary_transgression, transgression
 from .errors import (BumpError, ClosednessError, ConfigError, RankError,
                      SignConventionError)
-from .forms import Form, SmoothMap, ZeroForm, lift_point, sup_abs
+from .forms import Form, SmoothMap, ZeroForm, as_block, lift_point, sup_abs
 from .geometry import ChartDomain, FiberBundleDomain
 from .relative import FormPair, RelativeDomain
 
@@ -217,13 +219,14 @@ def nu(scenario: ThomScenario, p: FormPair) -> Form:
 
 
 def _require_closed(eta: Form, base: ChartDomain, tol: float):
-    deta = eta.d()
-    rng = random.Random(11)
-    for x in base.sample_ambient_points(rng, 8):
-        worst = sup_abs(deta(x))
-        if not worst <= tol:
+    pts = base.sample_ambient_points(random.Random(11), 8)
+    # one row per coefficient, one column per point; np.max keeps a NaN
+    deta = np.broadcast_arrays(np.zeros(len(pts)), *eta.d()(as_block(pts)))
+    worst = np.max(np.abs(deta), axis=0)
+    for x, w in zip(pts, worst):
+        if not w <= tol:
             raise ClosednessError(
-                f"test form is not closed: |d eta| = {worst:.3e} at {x}")
+                f"test form is not closed: |d eta| = {w:.3e} at {x}")
 
 
 def nu_inverse_even(scenario: ThomScenario, eta: Form, t_order: int = 16,
@@ -278,12 +281,8 @@ def _se_sample_points(scenario: ThomScenario, rng: random.Random, count: int):
 def _equator_samples(scenario: ThomScenario, piece: ChartDomain,
                      rng: random.Random, count: int):
     """Reference points for an equator chart: piece angles, then base coords."""
-    base_pts = scenario.base.sample_ambient_points(rng, count)
-    out = []
-    for b in base_pts:
-        ang = [lo + rng.random() * (hi - lo) for lo, hi in piece.bounds]
-        out.append(ang + list(b))
-    return out
+    return [[lo + rng.random() * (hi - lo) for lo, hi in piece.bounds] + list(b)
+            for b in scenario.base.sample_ambient_points(rng, count)]
 
 
 def odd_pair_residual(scenario: ThomScenario, ordering: str = ODD_ORDERING,
@@ -303,12 +302,11 @@ def odd_pair_residual(scenario: ThomScenario, ordering: str = ODD_ORDERING,
     rng = random.Random(23)
     pts = [[0.0] + list(p)
            for p in _se_sample_points(scenario, rng, check_points)]
-    d_edge = t12.d()
-    values = [v for x in pts for v in d_edge(x)]
+    values = list(t12.d()(as_block(pts)))
     for piece, inc in tri.equators:
         defect = (t12 + q.d()).pullback(inc)
-        values += [v for x in _equator_samples(scenario, piece, rng, check_points)
-                   for v in defect(x)]
+        values += defect(as_block(_equator_samples(scenario, piece, rng,
+                                                   check_points)))
     return sup_abs(values)
 
 
@@ -334,14 +332,14 @@ def parallel_pair_residuals(scenario: ThomScenario, t_order: int = 16,
         for piece, inc in tri.equators:
             t = transgression(first.pullback(inc),
                               tri.plane_split.pullback(inc), t_order=t_order)
-            for y in _equator_samples(scenario, piece, rng, check_points):
-                values.extend(t(y))
+            values += t(as_block(_equator_samples(scenario, piece, rng,
+                                                  check_points)))
         out[key] = sup_abs(values)
     return out
 
 
 def _parallel_defect(conn: Connection, section, x) -> float:
-    """Largest component of the covariant derivative of a section at x."""
+    """Largest component of the covariant derivative of a section at x (or a block)."""
     vals = section(list(x))
     A = conn.A.eval(list(x))
     defects = []
@@ -350,7 +348,7 @@ def _parallel_defect(conn: Connection, section, x) -> float:
         for a in range(conn.rank):
             tot = dual.deriv(lifted[a])
             for b in range(conn.rank):
-                tot += A[a][b][j] * vals[b]
+                tot = tot + A[a][b][j] * vals[b]
             defects.append(tot)
     return sup_abs(defects)
 
@@ -377,15 +375,13 @@ def persistent_section_residual(scenario: ThomScenario,
         norm = dual.sqrt(sum(c * c for c in v))
         return [c / norm for c in v]
 
-    rng = random.Random(41)
-    values = []
-    for p in _se_sample_points(scenario, rng, check_points):
-        x = [0.0] + list(p)
-        values += [_parallel_defect(tri.split, taut, x),
-                   _parallel_defect(tri.plane_split, fiber_part, x),
-                   _parallel_defect(tri.plane_split, e0, x),
-                   _parallel_defect(tri.ambient, e0, x)]
-        values += [a - b for a, b in zip(taut(x), fiber_part(x))]
+    x = as_block([[0.0] + list(p) for p in
+                  _se_sample_points(scenario, random.Random(41), check_points)])
+    values = [_parallel_defect(tri.split, taut, x),
+              _parallel_defect(tri.plane_split, fiber_part, x),
+              _parallel_defect(tri.plane_split, e0, x),
+              _parallel_defect(tri.ambient, e0, x)]
+    values += [a - b for a, b in zip(taut(x), fiber_part(x))]
     return sup_abs(values)
 
 

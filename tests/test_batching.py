@@ -14,23 +14,35 @@ pinned too.
 its oracle below walks the fiber rule node by node with the Jacobian minors
 written out, at a float base point, inside a base chart integral (where the
 base arrives as a block), and at a dual base point (``.d()``).
+
+Sampled checks stack their sample points into one block as well; each
+batched checker is compared with a per-point loop over float points, and
+the values of the sampled scenarios are pinned by a golden file recorded
+when every sampled check still looped point by point.
 """
 
 import itertools
+import json
 import math
+import os
 import random
 
 import numpy as np
 import pytest
 
 from cgbv import dual
-from cgbv.bundles import section_transgression
-from cgbv.chern_weil import Connection
-from cgbv.errors import VanishingSectionError
-from cgbv.forms import Form, SmoothMap, combo_index, combos
+from cgbv.bundles import make_bundle, section_transgression
+from cgbv.chern_weil import (Connection, MatrixForm, gauge_pullback_potential,
+                             gauge_residual, pf_form, symmetry_check)
+from cgbv.errors import ClosednessError, VanishingSectionError
+from cgbv.forms import Form, SmoothMap, as_block, combo_index, combos
 from cgbv.geometry import BLOCK, ChartDomain, FiberBundleDomain, stokes_residual
-from cgbv.thom import thom_form
+from cgbv.scenarios import Config, get_scenario, run_scenario
+from cgbv.thom import (ODD_ORDERING, ThomScenario, _equator_samples, _odd_core,
+                       _parallel_defect, _require_closed, _se_sample_points,
+                       odd_pair_residual, persistent_section_residual, thom_form)
 
+from test_chern_weil import random_skew_connection, round_sphere_connection
 from test_forms import random_polynomial_form
 
 REL = 1e-13
@@ -285,6 +297,17 @@ class TestFiberIntegralAgainstPerNodeSums:
         w = total_form(bundle, 1)
         assert bundle.fiber_integrate(w)([0.3, -0.2]) == w([0.3, -0.2])
 
+    def test_fiber_and_base_shapes_meet_inside_d(self):
+        # on a base block, a coefficient of the fiber coordinates alone is an
+        # (F,) array and one of the base alone (B, 1); d adds them up
+        bundle = FiberBundleDomain(FIBERS["ball2-long"](), unit_square())
+        w = Form(4, 1, lambda x: [x[2] * x[3], x[0] * x[1], x[0] * x[3], x[1] * x[2]])
+        eta = smooth_form(2, 2, 9)
+        got = bundle.base.integrate(bundle.fiber_integrate(w.d()).wedge(eta))
+        want = per_node_integral(bundle.base,
+                                 per_node_fiber_integral(bundle, w.d()).wedge(eta))
+        assert got == pytest.approx(want, rel=REL, abs=1e-14)
+
     def test_nan_at_one_fiber_node_gives_nan(self):
         fiber = ChartDomain.interval("t", 0.0, 1.0, order=16)
         bundle = FiberBundleDomain(fiber, unit_square())
@@ -296,3 +319,153 @@ class TestFiberIntegralAgainstPerNodeSums:
         assert all(math.isfinite(v) for v in bundle.fiber_integrate(healthy)([0.3, -0.2]))
         eta = Form(2, 1, lambda x: [1.0, x[0]])
         assert math.isnan(bundle.base.integrate(bundle.fiber_integrate(poisoned).wedge(eta)))
+
+
+def per_point_sup(values_at, pts) -> float:
+    """Largest |v| over ``values_at(x)`` for each float point x; NaN wins."""
+    worst = 0.0
+    for x in pts:
+        for v in values_at(x):
+            if math.isnan(v):
+                return math.nan
+            worst = max(worst, abs(v))
+    return worst
+
+
+def nan_at_point(x, pt):
+    """NaN at the sample point pt, 1.0 at the other points of a block."""
+    return dual.where(abs(dual.real(x[0]) - pt[0]) < 1e-12, math.nan, 1.0)
+
+
+class TestSampledChecks:
+    """Each checker evaluates its points as one block; the oracles loop."""
+
+    # not a symmetry of either connection, so the residuals are sizeable
+    phi = SmoothMap(2, 2, lambda x: [x[0] + 0.1 * x[1], x[1] + 0.7])
+    rot = SmoothMap(2, 2, lambda x: [x[0], x[1] + 0.7])
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    pts = [[0.5, 1.0], [1.2, 2.0], [2.0, 5.5], [0.9, 0.3], [0.3, -0.8]]
+
+    @pytest.mark.parametrize("conn, psi", [
+        (round_sphere_connection(), [[math.cos(0.3), -math.sin(0.3)],
+                                     [math.sin(0.3), math.cos(0.3)]]),
+        (random_skew_connection(2, 3, random.Random(4)),
+         [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]),
+    ], ids=["round-s2", "skew-rank3"])
+    def test_gauge_residual(self, conn, psi):
+        transformed = gauge_pullback_potential(conn, self.phi, psi)
+
+        def entries(x):
+            return [a - b for got, want in zip(transformed.eval(x), conn.A.eval(x))
+                    for g, w in zip(got, want) for a, b in zip(g, w)]
+
+        want = per_point_sup(entries, self.pts)
+        assert want > 0.1
+        got = gauge_residual(conn, self.phi, psi, self.pts)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_symmetry_check(self):
+        conn = round_sphere_connection()
+        form = pf_form(conn) + Form(2, 2, lambda x: [dual.sin(x[0]) * dual.cos(x[1])])
+        pulled = form.pullback(self.rot)
+        want = per_point_sup(lambda x: [a - b for a, b in zip(pulled(x), form(x))],
+                             self.pts)
+        assert want > 0.1
+        got = symmetry_check(form, conn, self.rot, self.eye, self.pts)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_nan_at_the_middle_point_gives_nan(self):
+        good = round_sphere_connection()
+        middle = self.pts[2]
+
+        def A_eval(x):
+            poison = nan_at_point(x, middle)
+            return [[[c * poison for c in entry] for entry in row]
+                    for row in good.A.eval(x)]
+
+        poisoned = Connection(2, MatrixForm(2, 1, 2, A_eval), "poisoned")
+        assert math.isnan(gauge_residual(poisoned, self.rot, self.eye, self.pts))
+        form = Form(2, 2, lambda x: [dual.cos(x[0]) * nan_at_point(x, middle)])
+        assert math.isnan(symmetry_check(form, good, self.rot, self.eye, self.pts))
+
+    @pytest.mark.parametrize("ordering", [ODD_ORDERING, "ambient-first"])
+    def test_odd_pair_residual(self, ordering):
+        # the wrong ordering leaves a sizeable defect along the equator
+        sc = ThomScenario(make_bundle("odd-rank1-point"))
+        t12, q = _odd_core(sc, ordering, 16)
+        rng = random.Random(23)
+        pts = [[0.0] + list(p) for p in _se_sample_points(sc, rng, 4)]
+        want = per_point_sup(t12.d(), pts)
+        for piece, inc in sc.triple.equators:
+            defect = (t12 + q.d()).pullback(inc)
+            want = max(want, per_point_sup(defect, _equator_samples(sc, piece, rng, 4)))
+        assert odd_pair_residual(sc, ordering, 16, 4) == pytest.approx(want, abs=1e-12)
+
+    def test_persistent_section_residual(self):
+        sc = ThomScenario(make_bundle("odd-rank3-point"))
+        tri = sc.triple
+        e0, fiber_part = tri.plane_frame
+        pts = [[0.0] + list(p) for p in _se_sample_points(sc, random.Random(41), 6)]
+
+        def taut(x):
+            v = list(x[:tri.total_rank])
+            norm = dual.sqrt(sum(c * c for c in v))
+            return [c / norm for c in v]
+
+        want = per_point_sup(lambda x: [
+            _parallel_defect(tri.split, taut, x),
+            _parallel_defect(tri.plane_split, fiber_part, x),
+            _parallel_defect(tri.plane_split, e0, x),
+            _parallel_defect(tri.ambient, e0, x),
+            *(a - b for a, b in zip(taut(x), fiber_part(x)))], pts)
+        assert persistent_section_residual(sc) == pytest.approx(want, abs=1e-12)
+        # e0 is not parallel for the tautological splitting
+        want = per_point_sup(lambda x: [_parallel_defect(tri.split, e0, x)], pts)
+        assert want > 0.1
+        got = _parallel_defect(tri.split, e0, as_block(pts))
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+class TestRequireClosed:
+    base = ChartDomain.box("B2", [(0.0, 1.0), (-1.0, 1.0)], [4, 4])
+    # the eight points _require_closed draws
+    pts = base.sample_ambient_points(random.Random(11), 8)
+
+    def test_closed_form_passes(self):
+        eta = Form.scalar(2, lambda x: x[0] * dual.sin(x[1])).d()
+        _require_closed(eta, self.base, 1e-8)
+
+    def test_names_the_first_point_over_tolerance(self):
+        # d eta = -2 y dx ^ dy, so the defect changes from point to point
+        eta = Form(2, 1, lambda x: [x[1] * x[1], 0.0])
+        sizes = [per_point_sup(eta.d(), [x]) for x in self.pts]
+        tol = sorted(sizes)[4]
+        first = next(i for i, v in enumerate(sizes) if not v <= tol)
+        assert first > 0
+        with pytest.raises(ClosednessError) as err:
+            _require_closed(eta, self.base, tol)
+        assert str(err.value) == (f"test form is not closed: |d eta| = "
+                                  f"{sizes[first]:.3e} at {self.pts[first]}")
+
+    def test_nan_at_the_middle_point_raises(self):
+        middle = self.pts[4]
+        eta = Form(2, 1, lambda x: [x[1] * nan_at_point(x, middle), x[0]])
+        with pytest.raises(ClosednessError) as err:
+            _require_closed(eta, self.base, 1e-8)
+        assert str(err.value) == (f"test form is not closed: |d eta| = "
+                                  f"nan at {middle}")
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "sampled_seed3.json")
+
+
+def test_sampled_scenarios_match_golden_values():
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    cfg = Config(**golden["config"])
+    for name, values in golden["computed"].items():
+        report = run_scenario(get_scenario(name), cfg)
+        got = {item.identity: item.computed for item in report.items}
+        assert got.keys() == values.keys()
+        for identity, want in values.items():
+            assert abs(got[identity] - want) <= 1e-12, (name, identity)

@@ -469,7 +469,7 @@ class TestSymmetry:
         # finite at the first sample point, NaN at the second: a running
         # max(worst, v) would report 0.0 here
         conn = round_sphere_connection()
-        form = Form(2, 2, lambda x: [math.nan if x[0] > 1.0 else 1.0])
+        form = Form(2, 2, lambda x: [dual.where(dual.real(x[0]) > 1.0, math.nan, 1.0)])
         rot = SmoothMap(2, 2, lambda x: [x[0], x[1] + 0.7])
         eye = [[1.0, 0.0], [0.0, 1.0]]
         pts = [[0.5, 1.0], [1.2, 2.0]]
@@ -479,8 +479,9 @@ class TestSymmetry:
         good = round_sphere_connection()
 
         def A_eval(x):
-            A = good.A.eval(x)
-            return [[[math.nan] * 2] * 2] * 2 if x[0] > 1.0 else A
+            bad = dual.real(x[0]) > 1.0
+            return [[[dual.where(bad, math.nan, c) for c in entry] for entry in row]
+                    for row in good.A.eval(x)]
 
         conn = Connection(2, MatrixForm(2, 1, 2, A_eval), "poisoned")
         pf = pf_form(good)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,8 @@ import cgbv
 from cgbv.cli import (EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_NUMERICAL,
                       EXIT_OK, EXIT_REPORT_PATH, emit_report, list_scenarios,
                       main, report_payload)
-from cgbv.errors import ConfigError
+from cgbv import scenarios
+from cgbv.errors import ClosednessError, ConfigError
 from cgbv.geometry import ChartDomain
 from cgbv.scenarios import Config, all_scenarios, get_scenario, run_scenario
 
@@ -85,6 +87,18 @@ def test_run_numerical_failure_exits_three_and_names_identity():
     assert proc.returncode == EXIT_NUMERICAL
     assert "numerical failure: cgb-sphere:euler-number-s2" in proc.stderr
     assert "exceeds tol" in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["--check"]])
+def test_typed_error_in_a_runner_exits_three(monkeypatch, capsys, flags):
+    def runner(cfg):
+        raise ClosednessError("test form is not closed at [0.5]")
+
+    scen = dataclasses.replace(get_scenario("forms-calculus"), runner=runner)
+    monkeypatch.setitem(scenarios._BY_NAME, "forms-calculus", scen)
+    assert main(["run", "cgb-sphere", "forms-calculus", *flags]) == EXIT_NUMERICAL
+    assert ("numerical failure: forms-calculus: ClosednessError: "
+            "test form is not closed at [0.5]") in capsys.readouterr().err
 
 
 def test_run_unknown_scenario_exits_two():

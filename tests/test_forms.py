@@ -3,11 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cgbv.errors import DegreeError, ShapeError
-from cgbv.forms import (Form, MatrixForm, SmoothMap, combos, det, merge_sign,
-                        sup_abs, wedge_coeffs, zero_coeffs)
+from cgbv.forms import (Form, MatrixForm, SmoothMap, as_block, combos, det,
+                        merge_sign, sup_abs, wedge_coeffs, zero_coeffs)
 
 
 def random_polynomial_form(n: int, p: int, rng: random.Random) -> Form:
@@ -231,3 +232,22 @@ def test_sup_abs_keeps_non_finite_values():
     assert sup_abs([0.5, -2.0, 1.0]) == 2.0
     assert math.isnan(sup_abs([0.0, 3.0, math.nan, 1.0]))
     assert sup_abs([1.0, -math.inf, 2.0]) == math.inf
+
+
+def test_sup_abs_reduces_arrays_entry_by_entry():
+    assert sup_abs([np.array([0.5, -3.0]), 1.0]) == 3.0
+    assert isinstance(sup_abs([np.array([0.5, -3.0])]), float)
+    assert sup_abs([np.array([])]) == 0.0
+    assert sup_abs([2.0, np.array([]), -1.0]) == 2.0
+    # NaN after finite entries of the same array, and after a finite float
+    assert math.isnan(sup_abs([4.0, np.array([1.0, 2.0, math.nan]), 0.5]))
+    assert sup_abs([np.array([1.0, -math.inf]), 2.0]) == math.inf
+
+
+def test_as_block_gives_one_full_length_array_per_coordinate():
+    block = as_block([[0.0, 1.0], [0.0, 2.5], [0.0, -1.0]])
+    assert [c.tolist() for c in block] == [[0.0, 0.0, 0.0], [1.0, 2.5, -1.0]]
+    # a block of points evaluates as each point does
+    f = Form(2, 1, lambda x: [x[0] * x[1], 2.0])
+    assert f(block)[0].tolist() == [f(x)[0] for x in ([0.0, 1.0], [0.0, 2.5], [0.0, -1.0])]
+    assert as_block([[], []]) == []
