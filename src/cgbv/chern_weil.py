@@ -25,8 +25,8 @@ from functools import lru_cache
 from .errors import (ConsistencyError, DegreeError, RankError, ShapeError,
                      SymmetryPreconditionError)
 from .forms import (Form, MatrixForm, SmoothMap, ZeroForm, _mul_smat,
-                    _smul_mat, add_coeffs, as_block, combos, mat_mul_wedge,
-                    scale_coeffs, sub_coeffs, sup_abs, wedge_coeffs,
+                    _smul_mat, add_coeffs, as_block, combos, scale_coeffs,
+                    sub_coeffs, sup_abs, wedge_coeffs, wedge_entry,
                     zero_coeffs)
 from .geometry import ChartDomain, FiberBundleDomain, gauss_nodes
 
@@ -203,10 +203,11 @@ def _simplex_transgression(conns, nodes) -> Form:
         terms = {}
         if f_pairs:
             dA = [mf.eval(x) for mf in dA_mfs]
-            W = [[mat_mul_wedge(n, 1, 1, Aa, Ab) for Ab in A] for Aa in A]
+            def W(a, b, i, j):
+                return wedge_entry(n, 1, 1, A[a], A[b], i, j)
             terms = {(i, j): [d[i][j] for d in dA]
-                     + [W[a][b][i][j] if a == b
-                        else add_coeffs(W[a][b][i][j], W[b][a][i][j])
+                     + [W(a, b, i, j) if a == b
+                        else add_coeffs(W(a, b, i, j), W(b, a, i, j))
                         for a, b in upper]
                      for i, j in f_pairs}
         out = zero_coeffs(n, out_deg)

@@ -1,13 +1,19 @@
 """Forward-mode dual numbers, nestable for repeated differentiation.
 
-A :class:`Dual` carries a value ``a`` and a derivative ``b`` along one chosen
-direction.  Both slots may themselves hold duals, so second derivatives fall
-out of running the same code twice.  All derivative extraction in this
-package goes through these numbers: no finite differences anywhere.
+A :class:`Dual` carries a value ``a`` and a derivative ``b``.  Both slots may
+themselves hold duals, so second derivatives fall out of running the same
+code twice.  All derivative extraction in this package goes through these
+numbers: no finite differences anywhere.
 
 A slot may also hold a numpy array whose last axis runs over quadrature
 nodes, so the same code evaluates one point or a block; value selection goes
 through :func:`where` instead of ``if``.
+
+A derivative slot may hold every chart direction at once, on a leading axis
+of each of its arrays (:func:`cgbv.forms.lift_point` seeds them), so one
+pass through a closure yields all directions; :func:`direction` reads one
+back.  An inner level's direction axis broadcasts behind the outer one, and
+the node axis stays last.
 """
 
 from __future__ import annotations
@@ -119,6 +125,41 @@ def real(x):
 def deriv(x):
     """Derivative slot of ``x``; zero when ``x`` is an ordinary number."""
     return x.b if isinstance(x, Dual) else 0.0
+
+
+def depth(x) -> int:
+    """Number of dual levels nested in ``x``; 0 for a float or an array."""
+    if isinstance(x, Dual):
+        return 1 + max(depth(x.a), depth(x.b))
+    return 0
+
+
+def direction(x, j: int, levels: int = 0):
+    """Direction j of a derivative slot seeded by :func:`cgbv.forms.lift_point`.
+
+    Axis 0 of every array slot runs over the directions.  ``levels`` counts
+    the dual levels of the point that was lifted: broadcasting against the
+    seed leaves a singleton axis for each of them in front of an array, up
+    to the first derivative slot of a lower level, and those are dropped.
+    An array left with a single entry becomes a float, as a constant
+    derivative is with one pass per direction.
+    """
+    return _direction(x, j, levels, 0)
+
+
+def _direction(x, j, drop, above):
+    if isinstance(x, Dual):
+        return Dual(_direction(x.a, j, drop, above + 1),
+                    _direction(x.b, j, min(drop, above), above + 1))
+    if not isinstance(x, np.ndarray):
+        return x
+    v = x[j]
+    if v.size == 1:
+        return v.item()
+    while drop and v.shape[0] == 1:
+        v = v[0]
+        drop -= 1
+    return v
 
 
 def where(cond, a, b):

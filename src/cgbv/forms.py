@@ -5,9 +5,13 @@ of coefficients against the lexicographic basis ``dx_I``, ``|I| = p``.
 Coefficients can be plain floats, arrays over a block of quadrature nodes
 or of sample points (:func:`as_block`), or :class:`~cgbv.dual.Dual` numbers
 over either, so the same closures serve integration, sampled checks and
-differentiation.  Exterior derivatives are exact (forward-mode duals, one
-direction at a time), never finite differences.  Sums are ``a = a + b``:
-an in-place ``+=`` cannot widen (B, 1) base points against F fiber nodes.
+differentiation.  Exterior derivatives and Jacobians are exact (forward-mode
+duals), never finite differences: :func:`lift_point` seeds every chart
+direction at once on a leading axis of the derivative slots, so ``d``, a
+matrix ``d`` and a Jacobian run their closure once per evaluation and read
+each direction back with :func:`cgbv.dual.direction`.  Sums are
+``a = a + b``: an in-place ``+=`` cannot widen (B, 1) base points against F
+fiber nodes.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dual import Dual, deriv
+from .dual import Dual, depth, deriv, direction
 from .errors import DegreeError, ShapeError
 
 
@@ -124,9 +128,41 @@ def wedge_coeffs(n: int, p: int, q: int, a: list, b: list) -> list:
     return out
 
 
-def lift_point(x, j: int) -> list:
-    """Embed a point one dual level up, seeding direction j."""
-    return [Dual(xk, 1.0 if k == j else 0.0) for k, xk in enumerate(x)]
+def lift_point(x, dirs) -> list:
+    """Embed a point one dual level up, seeding every direction in ``dirs``.
+
+    Coordinate k gets the derivative slot one-hot at the positions i with
+    ``dirs[i] == k``, an array of shape ``(len(dirs),) + (1,) * r`` where r
+    is the largest ndim among the slots of x: the new direction axis leads,
+    and the axes of inner levels and of the nodes broadcast behind it.  The
+    seeds are built once per shape and are read-only.
+    """
+    r = max((_ndim(xk) for xk in x), default=0)
+    return [Dual(xk, s) for xk, s in zip(x, _seeds(len(x), tuple(dirs), r))]
+
+
+@lru_cache(maxsize=None)
+def _seeds(n: int, dirs: tuple, r: int) -> tuple:
+    seeds = []
+    for k in range(n):
+        s = np.zeros((len(dirs),) + (1,) * r)
+        for i, d in enumerate(dirs):
+            if d == k:
+                s[i] = 1.0
+        s.flags.writeable = False
+        seeds.append(s)
+    return tuple(seeds)
+
+
+def _ndim(v) -> int:
+    if isinstance(v, Dual):
+        return max(_ndim(v.a), _ndim(v.b))
+    return v.ndim if isinstance(v, np.ndarray) else 0
+
+
+def _levels(x) -> int:
+    """Dual levels in a point, the ``levels`` of :func:`cgbv.dual.direction`."""
+    return max((depth(xk) for xk in x), default=0)
 
 
 def det(M) -> float:
@@ -192,12 +228,14 @@ class SmoothMap:
         return y
 
     def jacobian(self, x):
-        """dst_dim x src_dim matrix of partials at x, one dual pass per column."""
-        cols = []
-        for j in range(self.src_dim):
-            yj = self.fn(lift_point(x, j))
-            cols.append([deriv(c) for c in yj])
-        return [[cols[j][i] for j in range(self.src_dim)] for i in range(self.dst_dim)]
+        """dst_dim x src_dim matrix of partials at x from one dual pass.
+
+        Every column rides on the leading direction axis of the derivative
+        slots, so the map runs once whatever the source dimension.
+        """
+        levels = _levels(x)
+        y = self.fn(lift_point(x, range(self.src_dim)))
+        return [[direction(deriv(c), j, levels) for j in range(self.src_dim)] for c in y]
 
     def compose(self, inner: "SmoothMap") -> "SmoothMap":
         if inner.dst_dim != self.src_dim:
@@ -287,7 +325,7 @@ class Form:
         return Form(n, p + q, lambda x: wedge_coeffs(n, p, q, self.comps(x), other.comps(x)))
 
     def d(self) -> "Form":
-        """Exterior derivative via one dual-number pass per direction.
+        """Exterior derivative from one dual pass carrying every direction.
 
         The derivative of a form at or above top degree vanishes; it is
         returned as the empty zero form one degree up.
@@ -298,11 +336,12 @@ class Form:
         table = d_table(n, p)
 
         def comps(x):
+            levels = _levels(x)
+            tangents = [deriv(v) for v in self.comps(lift_point(x, range(n)))]
             out = zero_coeffs(n, p + 1)
             for j in range(n):
-                vals = self.comps(lift_point(x, j))
                 for iI, iK, sign in table[j]:
-                    out[iK] = out[iK] + sign * deriv(vals[iI])
+                    out[iK] = out[iK] + sign * direction(tangents[iI], j, levels)
             return out
 
         return Form(n, p + 1, comps)
@@ -355,8 +394,9 @@ class MatrixForm:
 
     Evaluation returns an m x m nested list whose entries are coefficient
     lists aligned with ``combos(n, p)``.  Batching the whole matrix into one
-    closure keeps dual-number differentiation passes proportional to the
-    chart dimension rather than to the number of entries.
+    closure, with every direction on the leading axis of the derivative
+    slots, makes ``d`` a single closure call whatever the number of entries
+    or the chart dimension.
     """
 
     __slots__ = ("n", "p", "m", "eval")
@@ -424,16 +464,16 @@ class MatrixForm:
         n, p, m = self.n, self.p, self.m
         table = d_table(n, p)
         def eval_fn(x):
+            levels = _levels(x)
+            A = self.eval(lift_point(x, range(n)))
             out = [[zero_coeffs(n, p + 1) for _ in range(m)] for _ in range(m)]
-            for j in range(n):
-                A = self.eval(lift_point(x, j))
-                tj = table[j]
-                for r in range(m):
-                    for c in range(m):
-                        row = A[r][c]
-                        dst = out[r][c]
-                        for iI, iK, sign in tj:
-                            dst[iK] = dst[iK] + sign * deriv(row[iI])
+            for r in range(m):
+                for c in range(m):
+                    row = [deriv(v) for v in A[r][c]]
+                    dst = out[r][c]
+                    for j in range(n):
+                        for iI, iK, sign in table[j]:
+                            dst[iK] = dst[iK] + sign * direction(row[iI], j, levels)
             return out
         return MatrixForm(n, p + 1, m, eval_fn)
 
@@ -459,19 +499,19 @@ class MatrixForm:
 def mat_mul_wedge(n: int, p: int, q: int, A, B):
     """Raw matrix product with entrywise wedge on coefficient lists."""
     m = len(A)
+    return [[wedge_entry(n, p, q, A, B, i, k) for k in range(m)] for i in range(m)]
+
+
+def wedge_entry(n: int, p: int, q: int, A, B, i: int, k: int) -> list:
+    """Entry (i, k) of :func:`mat_mul_wedge`: sum over j of A_ij ^ B_jk."""
     table = wedge_table(n, p, q)
-    size = len(combos(n, p + q))
-    out = [[[0.0] * size for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        Ai = A[i]
-        for k in range(m):
-            acc = out[i][k]
-            for j in range(m):
-                a = Ai[j]
-                b = B[j][k]
-                for iI, iJ, iK, sign in table:
-                    acc[iK] = acc[iK] + sign * a[iI] * b[iJ]
-    return out
+    acc = zero_coeffs(n, p + q)
+    for j in range(len(A)):
+        a = A[i][j]
+        b = B[j][k]
+        for iI, iJ, iK, sign in table:
+            acc[iK] = acc[iK] + sign * a[iI] * b[iJ]
+    return acc
 
 
 def _smul_mat(S, M):

@@ -342,11 +342,11 @@ def _parallel_defect(conn: Connection, section, x) -> float:
     """Largest component of the covariant derivative of a section at x (or a block)."""
     vals = section(list(x))
     A = conn.A.eval(list(x))
+    tangents = [dual.deriv(v) for v in section(lift_point(x, range(conn.n)))]
     defects = []
     for j in range(conn.n):
-        lifted = section(lift_point(x, j))
         for a in range(conn.rank):
-            tot = dual.deriv(lifted[a])
+            tot = dual.direction(tangents[a], j)
             for b in range(conn.rank):
                 tot = tot + A[a][b][j] * vals[b]
             defects.append(tot)

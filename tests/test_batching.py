@@ -18,7 +18,10 @@ base arrives as a block), and at a dual base point (``.d()``).
 Sampled checks stack their sample points into one block as well; each
 batched checker is compared with a per-point loop over float points, and
 the values of the sampled scenarios are pinned by a golden file recorded
-when every sampled check still looped point by point.
+when every sampled check still looped point by point.  A second golden
+file pins the scenarios that reach ``SmoothMap.jacobian`` through
+``integrate`` and ``fiber_integrate``, recorded while every derivative
+still took one dual pass per direction.
 """
 
 import itertools
@@ -456,11 +459,12 @@ class TestRequireClosed:
                                   f"nan at {middle}")
 
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "sampled_seed3.json")
+GOLDEN = ["sampled_seed3", "integral_seed3"]
 
 
-def test_sampled_scenarios_match_golden_values():
-    with open(GOLDEN) as fh:
+@pytest.mark.parametrize("golden_file", GOLDEN)
+def test_sampled_scenarios_match_golden_values(golden_file):
+    with open(os.path.join(os.path.dirname(__file__), "data", golden_file + ".json")) as fh:
         golden = json.load(fh)
     cfg = Config(**golden["config"])
     for name, values in golden["computed"].items():

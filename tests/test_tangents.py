@@ -1,0 +1,283 @@
+"""Vector tangents: every chart direction in one dual pass.
+
+``forms.lift_point`` seeds all directions at once on a leading axis of the
+derivative slots, so ``Form.d``, ``MatrixForm.d`` and ``SmoothMap.jacobian``
+call their closure once per evaluation, nested levels included.  The oracle
+below is the per-direction scheme they replace: one pass per direction j
+with scalar seeds ``Dual(x_k, 1.0 if k == j else 0.0)``.  Both run the same
+arithmetic entry by entry, so the values must agree exactly, and direction
+extraction must hand back the oracle's types and shapes: floats at float
+points, (B,) arrays on a block of B points, and no leftover singleton axis
+in any slot of a nested ``d``.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from cgbv import dual
+from cgbv.bundles import Subbundle, projected_connection
+from cgbv.chern_weil import Connection
+from cgbv.dual import Dual, deriv
+from cgbv.forms import (Form, MatrixForm, SmoothMap, as_block, combos, d_table,
+                        lift_point, pullback_coeffs, zero_coeffs)
+
+
+class Counted:
+    """Closure wrapper counting its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def generic_form(n: int, p: int, seed: int) -> Form:
+    """Form whose every coefficient depends on every coordinate."""
+    rng = random.Random(seed)
+    params = [([rng.uniform(-1, 1) for _ in range(n)],
+               [rng.uniform(-0.5, 0.5) for _ in range(n)])
+              for _ in combos(n, p)]
+
+    def comps(x):
+        out = []
+        for a, b in params:
+            s = sum(ak * xk for ak, xk in zip(a, x))
+            t = sum(bk * xk for bk, xk in zip(b, x))
+            out.append(dual.sin(s) * dual.exp(t) + s * t * t)
+        return out
+
+    return Form(n, p, comps)
+
+
+def generic_map(src: int, dst: int, seed: int) -> SmoothMap:
+    rng = random.Random(seed)
+    rows = [[rng.uniform(-1, 1) for _ in range(src)] for _ in range(dst)]
+
+    def fn(u):
+        return [dual.cos(sum(r * uk for r, uk in zip(row, u))) + u[i % src] * u[0]
+                for i, row in enumerate(rows)]
+
+    return SmoothMap(src, dst, fn)
+
+
+def scalar_lift(x, j):
+    return [Dual(xk, 1.0 if k == j else 0.0) for k, xk in enumerate(x)]
+
+
+def oracle_d(form: Form) -> Form:
+    n, p = form.n, form.p
+    table = d_table(n, p)
+
+    def comps(x):
+        out = zero_coeffs(n, p + 1)
+        for j in range(n):
+            vals = form.comps(scalar_lift(x, j))
+            for iI, iK, sign in table[j]:
+                out[iK] = out[iK] + sign * deriv(vals[iI])
+        return out
+
+    return Form(n, p + 1, comps)
+
+
+def oracle_matrix_d(mf: MatrixForm) -> MatrixForm:
+    n, p, m = mf.n, mf.p, mf.m
+    table = d_table(n, p)
+
+    def eval_fn(x):
+        out = [[zero_coeffs(n, p + 1) for _ in range(m)] for _ in range(m)]
+        for j in range(n):
+            A = mf.eval(scalar_lift(x, j))
+            for r in range(m):
+                for c in range(m):
+                    for iI, iK, sign in table[j]:
+                        out[r][c][iK] = out[r][c][iK] + sign * deriv(A[r][c][iI])
+        return out
+
+    return MatrixForm(n, p + 1, m, eval_fn)
+
+
+def oracle_jacobian(phi: SmoothMap, x):
+    cols = [[deriv(c) for c in phi.fn(scalar_lift(x, j))] for j in range(phi.src_dim)]
+    return [[cols[j][i] for j in range(phi.src_dim)] for i in range(phi.dst_dim)]
+
+
+def oracle_pullback(form: Form, phi: SmoothMap) -> Form:
+    def comps(u):
+        return pullback_coeffs(form.p, oracle_jacobian(phi, u), form.comps(phi(u)),
+                               form.n, phi.src_dim)
+    return Form(phi.src_dim, form.p, comps)
+
+
+def assert_identical(got, want):
+    """Equal values of equal types; arrays also of equal shapes."""
+    if isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_identical(g, w)
+    elif isinstance(want, Dual):
+        assert isinstance(got, Dual)
+        assert_identical(got.a, want.a)
+        assert_identical(got.b, want.b)
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.array_equal(got, want)
+    else:
+        assert type(got) is type(want) and got == want
+
+
+def slots(v):
+    if isinstance(v, Dual):
+        yield from slots(v.a)
+        yield from slots(v.b)
+    else:
+        yield v
+
+
+N = 4
+POINT = [0.3, -0.7, 0.45, 0.2]
+BLOCK = as_block([[0.3, -0.7, 0.45, 0.2], [0.1, 0.5, -0.2, 0.8],
+                  [-0.6, 0.25, 0.9, -0.35], [0.05, -0.15, 0.4, 0.6],
+                  [0.7, 0.1, -0.5, -0.9]])
+
+
+class TestOneClosureCall:
+    @pytest.mark.parametrize("x", [POINT, BLOCK], ids=["point", "block"])
+    def test_form_d(self, x):
+        comps = Counted(generic_form(N, 1, 1).comps)
+        Form(N, 1, comps).d()(x)
+        assert comps.calls == 1
+
+    @pytest.mark.parametrize("x", [POINT, BLOCK], ids=["point", "block"])
+    def test_matrix_form_d(self, x):
+        forms = [[generic_form(N, 1, 10 * i + j) for j in range(3)] for i in range(3)]
+        ev = Counted(MatrixForm.from_forms(forms).eval)
+        MatrixForm(N, 1, 3, ev).d().eval(x)
+        assert ev.calls == 1
+
+    @pytest.mark.parametrize("x", [POINT, BLOCK], ids=["point", "block"])
+    def test_jacobian(self, x):
+        fn = Counted(generic_map(N, 3, 2).fn)
+        SmoothMap(N, 3, fn).jacobian(x)
+        assert fn.calls == 1
+
+    def test_nested_d(self):
+        comps = Counted(generic_form(N, 0, 3).comps)
+        Form(N, 0, comps).d().d()(BLOCK)
+        assert comps.calls == 1
+
+    def test_pullback_under_d(self):
+        phi = generic_map(3, N, 4)
+        fn = Counted(phi.fn)
+        generic_form(N, 1, 5).pullback(SmoothMap(3, N, fn)).d()(BLOCK[:3])
+        # one plain pass for the point, one dual pass for the Jacobian
+        assert fn.calls == 2
+
+    def test_split_connection_d_evaluates_the_projector_once_per_use(self):
+        # P (1-form potential 2 P dP - dP + P A P + (1-P) A (1-P)) reads the
+        # projector once for P and once under the d of dP; differentiating
+        # the potential once more adds no pass
+        def projector(x):
+            s = [dual.cos(x[0]) + x[1], dual.sin(x[2]) - x[3], 1.0 + x[0] * x[3]]
+            norm2 = sum(v * v for v in s)
+            return [[s[i] * s[j] / norm2 for j in range(3)] for i in range(3)]
+
+        proj = Counted(projector)
+        split = projected_connection(Connection.flat(3, N), Subbundle(3, proj))
+        split.A.eval(BLOCK)
+        assert proj.calls == 2
+        proj.calls = 0
+        split.A.d().eval(BLOCK)
+        assert proj.calls == 2
+
+
+class TestAgainstScalarSeeds:
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_d_at_a_float_point(self, p):
+        form = generic_form(N, p, 20 + p)
+        got = form.d()(POINT)
+        assert all(type(v) is float for v in got)
+        assert_identical(got, oracle_d(form)(POINT))
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_d_on_a_block(self, p):
+        form = generic_form(N, p, 30 + p)
+        got = form.d()(BLOCK)
+        assert all(v.shape == (5,) for v in got)
+        assert_identical(got, oracle_d(form)(BLOCK))
+
+    @pytest.mark.parametrize("x", [POINT, BLOCK], ids=["point", "block"])
+    def test_jacobian(self, x):
+        phi = generic_map(N, 3, 40)
+        got = phi.jacobian(x)
+        want = oracle_jacobian(phi, x)
+        assert_identical(got, want)
+        if x is POINT:
+            assert all(type(v) is float for row in got for v in row)
+        else:
+            assert all(v.shape == (5,) for row in got for v in row)
+
+    def test_constant_directions_stay_floats(self):
+        # a linear map has a constant Jacobian, a float per entry on a block
+        phi = SmoothMap(2, 2, lambda u: [u[0] + 2.0 * u[1], -u[0]])
+        got = phi.jacobian(as_block([[0.1, 0.2], [0.3, 0.4]]))
+        assert_identical(got, [[1.0, 2.0], [-1.0, 0.0]])
+
+    @pytest.mark.parametrize("x", [POINT, BLOCK], ids=["point", "block"])
+    def test_matrix_form_d(self, x):
+        forms = [[generic_form(N, 1, 50 + 3 * i + j) for j in range(3)] for i in range(3)]
+        mf = MatrixForm.from_forms(forms)
+        assert_identical(mf.d().eval(x), oracle_matrix_d(mf).eval(x))
+
+    @pytest.mark.parametrize("x", [POINT, BLOCK], ids=["point", "block"])
+    def test_nested_d(self, x):
+        f, g = generic_form(N, 1, 60), generic_form(N, 1, 61)
+        got = f.d().wedge(g).d()(x)
+        assert_identical(got, oracle_d(oracle_d(f).wedge(g))(x))
+
+    @pytest.mark.parametrize("x", [POINT, BLOCK], ids=["point", "block"])
+    def test_d_of_a_pullback(self, x):
+        f, phi = generic_form(3, 1, 70), generic_map(N, 3, 71)
+        got = f.d().pullback(phi).d()(x)
+        want = oracle_d(oracle_pullback(oracle_d(f), phi))(x)
+        assert_identical(got, want)
+
+    @pytest.mark.parametrize("x", [POINT, BLOCK], ids=["point", "block"])
+    def test_nested_d_leaves_no_singleton_axis(self, x):
+        # the inner d as an outer d sees it: at a point lifted one level up
+        form = generic_form(N, 1, 80)
+        lifted = lift_point(x, range(N))
+        got = form.d()(lifted)
+        want = oracle_d(form)(scalar_lift(x, 2))
+        shapes = [(), (N,)] if x is POINT else [(5,), (N, 5)]
+        for v, w in zip(got, want):
+            assert isinstance(v, Dual)
+            assert [np.shape(s) for s in slots(v)] == shapes
+            assert_identical(v.a, w.a)
+            assert_identical(dual.direction(v.b, 2), w.b)
+
+    def test_matrix_d_at_a_lifted_point_matches_per_direction(self):
+        forms = [[generic_form(N, 0, 90 + 2 * i + j) for j in range(2)] for i in range(2)]
+        mf = MatrixForm.from_forms(forms)
+        got = mf.d().eval(lift_point(BLOCK, range(N)))
+        for j in range(N):
+            want = oracle_matrix_d(mf).eval(scalar_lift(BLOCK, j))
+            for r in range(2):
+                for c in range(2):
+                    for v, w in zip(got[r][c], want[r][c]):
+                        assert_identical(v.a, w.a)
+                        assert_identical(dual.direction(v.b, j), w.b)
+
+
+def test_lift_point_seeds_are_built_once():
+    a, b = lift_point(BLOCK, range(N)), lift_point(BLOCK, range(N))
+    assert all(u.b is v.b for u, v in zip(a, b))
+    assert a[1].b.shape == (N, 1)
+    assert list(a[1].b[:, 0]) == [0.0, 1.0, 0.0, 0.0]
+    assert not a[1].b.flags.writeable
+    # a nested lift puts the new axis in front of the inner one and the nodes
+    assert lift_point(a, range(N))[0].b.shape == (N, 1, 1)
