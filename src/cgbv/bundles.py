@@ -25,7 +25,7 @@ from .chern_weil import Connection, transgression
 from .errors import (ChartError, ProjectorError, RankError, ShapeError,
                      VanishingSectionError)
 from .forms import (Form, MatrixForm, SmoothMap, _mul_smat, _smul_mat,
-                    as_block, sup_abs)
+                    add_coeffs, as_block, sup_abs)
 from .geometry import ChartDomain, FiberBundleDomain
 
 
@@ -53,17 +53,14 @@ class Subbundle:
         self.label = label
 
     def check(self, points, tol: float = 1e-10) -> float:
-        """Worst idempotency/symmetry defect; raises beyond tol."""
+        """Worst idempotency/symmetry defect on one block of points; raises beyond tol."""
         m = self.rank
+        P = [[dual.real(v) for v in row] for row in self.projector(as_block(points))]
         defects = []
-        for x in points:
-            P = self.projector(x)
-            for i in range(m):
-                for j in range(m):
-                    pij = dual.real(P[i][j])
-                    defects.append(pij - dual.real(P[j][i]))
-                    defects.append(sum(dual.real(P[i][a]) * dual.real(P[a][j])
-                                       for a in range(m)) - pij)
+        for i in range(m):
+            for j in range(m):
+                defects.append(P[i][j] - P[j][i])
+                defects.append(sum(P[i][a] * P[a][j] for a in range(m)) - P[i][j])
         worst = sup_abs(defects)
         if not worst <= tol:
             raise ProjectorError(
@@ -71,44 +68,43 @@ class Subbundle:
         return worst
 
 
+def _with_complement(span, P, dP, A0):
+    """Add the complement block Q dQ + Q A Q (Q = 1 - P, dQ = -dP) to a span block."""
+    m = len(P)
+    Q = [[(1.0 if i == j else 0.0) - P[i][j] for j in range(m)] for i in range(m)]
+    QdP = _smul_mat(Q, dP)
+    mid = _mul_smat(_smul_mat(Q, A0), Q)
+    for i in range(m):
+        for j in range(m):
+            d, s1, s2 = span[i][j], QdP[i][j], mid[i][j]
+            for c in range(len(d)):
+                d[c] = d[c] - s1[c] + s2[c]
+    return span
+
+
 def projected_connection(conn: Connection, sub: Subbundle,
                          check_points=(), tol: float = 1e-10) -> Connection:
     """Compression of a connection to a subbundle and its complement.
 
     The potential of P nabla P (+) (1-P) nabla (1-P) in the ambient
-    trivialization is 2 P dP - dP + P A P + (1-P) A (1-P).
+    trivialization is P dP + P A P + Q dQ + Q A Q with Q = 1 - P.  P and
+    dP come from one lifted pass of the projector.
     """
     if conn.rank != sub.rank:
         raise ShapeError("projector size does not match connection rank")
     if check_points:
         sub.check(check_points, tol)
     m, n = conn.rank, conn.n
-
-    def proj_entries(x):
-        P = sub.projector(x)
-        return [[[P[i][j]] for j in range(m)] for i in range(m)]
-
-    dPmf = MatrixForm(n, 0, m, proj_entries).d()
+    proj = SmoothMap(n, m * m, lambda x: [v for row in sub.projector(x) for v in row])
 
     def eval_fn(x):
-        P = sub.projector(x)
-        dP = dPmf.eval(x)
+        flat, dflat = proj.jacobian(x)
+        P = [flat[i * m:(i + 1) * m] for i in range(m)]
+        dP = [dflat[i * m:(i + 1) * m] for i in range(m)]
         A0 = conn.A.eval(x)
-        Q = [[(1.0 if i == j else 0.0) - P[i][j] for j in range(m)] for i in range(m)]
-        out = _smul_mat(P, dP)
-        for i in range(m):
-            for j in range(m):
-                d, s = out[i][j], dP[i][j]
-                for c in range(n):
-                    d[c] = 2.0 * d[c] - s[c]
-        for S in (P, Q):
-            mid = _mul_smat(_smul_mat(S, A0), S)
-            for i in range(m):
-                for j in range(m):
-                    d, s = out[i][j], mid[i][j]
-                    for c in range(n):
-                        d[c] = d[c] + s[c]
-        return out
+        span = [[add_coeffs(a, b) for a, b in zip(r1, r2)]
+                for r1, r2 in zip(_smul_mat(P, dP), _mul_smat(_smul_mat(P, A0), P))]
+        return _with_complement(span, P, dP, A0)
 
     return Connection(m, MatrixForm(n, 1, m, eval_fn),
                       f"split({conn.label},{sub.label})")
@@ -121,7 +117,9 @@ def section_splitting_connection(conn: Connection, section,
 
     The section is normalized internally, so the output is invariant under
     scaling the section.  The line factor carries the compressed connection,
-    which makes the normalized section parallel.
+    which makes the normalized section parallel.  The section is checked
+    nonvanishing wherever the projector is evaluated, the check points
+    included.
     """
     m = conn.rank
 
@@ -138,11 +136,6 @@ def section_splitting_connection(conn: Connection, section,
                 f"section length {shortest:.3e} below {threshold:.1e}")
         return [[s[i] * s[j] / norm2 for j in range(m)] for i in range(m)]
 
-    for x in check_points:
-        length = math.sqrt(max(dual.real(sum(v * v for v in section(x))), 0.0))
-        if not length >= threshold:
-            raise VanishingSectionError(
-                f"section length {length:.3e} at {x} below {threshold:.1e}")
     return projected_connection(conn, Subbundle(m, proj, "line"),
                                 check_points=check_points)
 
@@ -153,7 +146,8 @@ def frame_split_connection(conn: Connection, frames,
 
     The frame vectors are declared parallel (trivial connection on their
     span); the complement carries the compressed connection.  Orthonormality
-    is spot-checked at ``check_points``.
+    is spot-checked at ``check_points``.  The frames and their derivatives
+    come from one lifted pass.
     """
     m, n = conn.rank, conn.n
     r = len(frames)
@@ -167,60 +161,30 @@ def frame_split_connection(conn: Connection, frames,
     defect = gram_defect(as_block(check_points)) if check_points else 0.0
     if not defect <= tol:
         raise ProjectorError(f"frame Gram defect {defect:.3e} > {tol:.1e}")
-
-    def G_entries(x):
-        F = [f(x) for f in frames]
-        return [[[F[a][i]] for a in range(r)] for i in range(m)]
-
-    # m x r frame matrix as degree-0 rectangular data handled entrywise
-    Gmf = MatrixForm(n, 0, max(m, r), lambda x: _pad_square(G_entries(x), max(m, r)))
-    dGmf = Gmf.d()
+    frame_map = SmoothMap(n, r * m, lambda x: [v for f in frames for v in f(x)])
 
     def eval_fn(x):
-        F = [f(x) for f in frames]
-        dG = dGmf.eval(x)
+        flat, dflat = frame_map.jacobian(x)
+        F = [flat[a * m:(a + 1) * m] for a in range(r)]
+        dF = [dflat[a * m:(a + 1) * m] for a in range(r)]
         A0 = conn.A.eval(x)
         P = [[sum(F[a][i] * F[a][j] for a in range(r)) for j in range(m)]
              for i in range(m)]
-        Q = [[(1.0 if i == j else 0.0) - P[i][j] for j in range(m)] for i in range(m)]
-        # sum_a f_a df_a^T from the padded rectangle: dG[i][a] = d(f_a)_i
-        out = [[[0.0] * n for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                d = out[i][j]
-                for a in range(r):
-                    fi = F[a][i]
-                    src = dG[j][a]
-                    for c in range(n):
-                        d[c] = d[c] + fi * src[c]
-        # complement block: Q dQ with dQ = -dP = -(dG G^T + G dG^T)
+        # span block sum_a f_a df_a^T, and dP = sum_a (df_a f_a^T + f_a df_a^T)
+        span = [[[0.0] * n for _ in range(m)] for _ in range(m)]
         dP = [[[0.0] * n for _ in range(m)] for _ in range(m)]
         for i in range(m):
             for j in range(m):
-                d = dP[i][j]
+                d, e = span[i][j], dP[i][j]
                 for a in range(r):
                     gi, gj = F[a][i], F[a][j]
-                    si, sj = dG[i][a], dG[j][a]
+                    si, sj = dF[a][i], dF[a][j]
                     for c in range(n):
-                        d[c] = d[c] + si[c] * gj + gi * sj[c]
-        QdQ = _smul_mat(Q, dP)
-        mid = _mul_smat(_smul_mat(Q, A0), Q)
-        for i in range(m):
-            for j in range(m):
-                d, s1, s2 = out[i][j], QdQ[i][j], mid[i][j]
-                for c in range(n):
-                    d[c] = d[c] - s1[c] + s2[c]
-        return out
+                        d[c] = d[c] + gi * sj[c]
+                        e[c] = e[c] + si[c] * gj + gi * sj[c]
+        return _with_complement(span, P, dP, A0)
 
     return Connection(m, MatrixForm(n, 1, m, eval_fn), f"frame-split({conn.label})")
-
-
-def _pad_square(rect, size):
-    out = [[[0.0] for _ in range(size)] for _ in range(size)]
-    for i, row in enumerate(rect):
-        for j, entry in enumerate(row):
-            out[i][j] = entry
-    return out
 
 
 def section_transgression(conn: Connection, section, check_points=(),

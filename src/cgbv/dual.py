@@ -61,10 +61,10 @@ class Dual:
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            inv = 1.0 / other.a if not isinstance(other.a, Dual) else None
-            if inv is not None:
-                return Dual(self.a * inv, (self.b * other.a - self.a * other.b) * inv * inv)
             va = self.a / other.a
+            if not isinstance(other.a, Dual):
+                inv = 1.0 / other.a
+                return Dual(va, (self.b * other.a - self.a * other.b) * inv * inv)
             return Dual(va, (self.b - va * other.b) / other.a)
         return Dual(self.a / other, self.b / other)
 
@@ -122,6 +122,11 @@ def real(x):
     return x
 
 
+def value(x):
+    """Value slot of ``x``, one level down; ``x`` itself when it is an ordinary number."""
+    return x.a if isinstance(x, Dual) else x
+
+
 def deriv(x):
     """Derivative slot of ``x``; zero when ``x`` is an ordinary number."""
     return x.b if isinstance(x, Dual) else 0.0
@@ -172,7 +177,7 @@ def where(cond, a, b):
     if not isinstance(cond, np.ndarray):
         return a if cond else b
     if isinstance(a, Dual) or isinstance(b, Dual):
-        return Dual(where(cond, _value(a), _value(b)), where(cond, deriv(a), deriv(b)))
+        return Dual(where(cond, value(a), value(b)), where(cond, deriv(a), deriv(b)))
     return np.where(cond, a, b)
 
 
@@ -189,10 +194,6 @@ def node_sum(w, x):
         return Dual(node_sum(w, x.a), node_sum(w, x.b))
     s = np.sum(w * x, axis=-1)
     return float(s) if s.ndim == 0 else s
-
-
-def _value(x):
-    return x.a if isinstance(x, Dual) else x
 
 
 def sin(x):

@@ -9,7 +9,9 @@ differentiation.  Exterior derivatives and Jacobians are exact (forward-mode
 duals), never finite differences: :func:`lift_point` seeds every chart
 direction at once on a leading axis of the derivative slots, so ``d``, a
 matrix ``d`` and a Jacobian run their closure once per evaluation and read
-each direction back with :func:`cgbv.dual.direction`.  Sums are
+each direction back with :func:`cgbv.dual.direction`.
+:meth:`SmoothMap.jacobian` returns values and first derivatives from that
+one lifted pass, the values read from its value slots.  Sums are
 ``a = a + b``: an in-place ``+=`` cannot widen (B, 1) base points against F
 fiber nodes.
 """
@@ -22,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dual import Dual, depth, deriv, direction
+from .dual import Dual, depth, deriv, direction, value
 from .errors import DegreeError, ShapeError
 
 
@@ -160,6 +162,17 @@ def _ndim(v) -> int:
     return v.ndim if isinstance(v, np.ndarray) else 0
 
 
+def _d_coeffs(n: int, p: int, lifted: list, levels: int) -> list:
+    """Coefficients of d from the coefficients of a p-form at a lifted point."""
+    table = d_table(n, p)
+    tangents = [deriv(v) for v in lifted]
+    out = zero_coeffs(n, p + 1)
+    for j in range(n):
+        for iI, iK, sign in table[j]:
+            out[iK] = out[iK] + sign * direction(tangents[iI], j, levels)
+    return out
+
+
 def _levels(x) -> int:
     """Dual levels in a point, the ``levels`` of :func:`cgbv.dual.direction`."""
     return max((depth(xk) for xk in x), default=0)
@@ -228,14 +241,18 @@ class SmoothMap:
         return y
 
     def jacobian(self, x):
-        """dst_dim x src_dim matrix of partials at x from one dual pass.
+        """Values at x and the dst_dim x src_dim matrix of partials, from one dual pass.
 
         Every column rides on the leading direction axis of the derivative
-        slots, so the map runs once whatever the source dimension.
+        slots, so the map runs once whatever the source dimension, and the
+        value slots of that pass are the values: ``jacobian(x)[0]`` equals
+        ``self(x)``.  This is the one place a callable is lifted for its
+        first derivatives.
         """
         levels = _levels(x)
-        y = self.fn(lift_point(x, range(self.src_dim)))
-        return [[direction(deriv(c), j, levels) for j in range(self.src_dim)] for c in y]
+        y = self(lift_point(x, range(self.src_dim)))
+        return ([value(c) for c in y],
+                [[direction(deriv(c), j, levels) for j in range(self.src_dim)] for c in y])
 
     def compose(self, inner: "SmoothMap") -> "SmoothMap":
         if inner.dst_dim != self.src_dim:
@@ -333,16 +350,9 @@ class Form:
         if self.p >= self.n:
             return ZeroForm(self.n, self.p + 1)
         n, p = self.n, self.p
-        table = d_table(n, p)
 
         def comps(x):
-            levels = _levels(x)
-            tangents = [deriv(v) for v in self.comps(lift_point(x, range(n)))]
-            out = zero_coeffs(n, p + 1)
-            for j in range(n):
-                for iI, iK, sign in table[j]:
-                    out[iK] = out[iK] + sign * direction(tangents[iI], j, levels)
-            return out
+            return _d_coeffs(n, p, self.comps(lift_point(x, range(n))), _levels(x))
 
         return Form(n, p + 1, comps)
 
@@ -359,12 +369,10 @@ class Form:
             return ZeroForm(n_src, p)
 
         def comps(u):
-            y = phi(u)
-            vals = self.comps(y)
             if p == 0:
-                return vals
-            J = phi.jacobian(u)
-            return pullback_coeffs(p, J, vals, n_dst, n_src)
+                return self.comps(phi(u))
+            y, J = phi.jacobian(u)
+            return pullback_coeffs(p, J, self.comps(y), n_dst, n_src)
 
         return Form(n_src, p, comps)
 
@@ -462,19 +470,10 @@ class MatrixForm:
         if self.p >= self.n:
             return MatrixForm.zero(self.n, self.p + 1, self.m)
         n, p, m = self.n, self.p, self.m
-        table = d_table(n, p)
         def eval_fn(x):
             levels = _levels(x)
             A = self.eval(lift_point(x, range(n)))
-            out = [[zero_coeffs(n, p + 1) for _ in range(m)] for _ in range(m)]
-            for r in range(m):
-                for c in range(m):
-                    row = [deriv(v) for v in A[r][c]]
-                    dst = out[r][c]
-                    for j in range(n):
-                        for iI, iK, sign in table[j]:
-                            dst[iK] = dst[iK] + sign * direction(row[iI], j, levels)
-            return out
+            return [[_d_coeffs(n, p, A[r][c], levels) for c in range(m)] for r in range(m)]
         return MatrixForm(n, p + 1, m, eval_fn)
 
     def pullback(self, phi: SmoothMap) -> "MatrixForm":
@@ -482,11 +481,10 @@ class MatrixForm:
             raise ShapeError("pullback target dimension mismatch")
         n_src, n_dst, p, m = phi.src_dim, self.n, self.p, self.m
         def eval_fn(u):
-            y = phi(u)
-            A = self.eval(y)
             if p == 0:
-                return A
-            J = phi.jacobian(u)
+                return self.eval(phi(u))
+            y, J = phi.jacobian(u)
+            A = self.eval(y)
             return [[pullback_coeffs(p, J, A[i][j], n_dst, n_src)
                      for j in range(m)] for i in range(m)]
         return MatrixForm(n_src, p, m, eval_fn)

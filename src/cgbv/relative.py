@@ -317,7 +317,7 @@ def _newton(smap: SmoothMap, x0, tol: float = 1e-12, max_iter: int = 60):
         nrm = float(np.linalg.norm(fx))
         if nrm < tol:
             return [float(v) for v in x]
-        J = np.asarray(smap.jacobian(list(x)), dtype=float)
+        J = np.asarray(smap.jacobian(list(x))[1], dtype=float)
         try:
             step = np.linalg.solve(J, -fx)
         except np.linalg.LinAlgError:
@@ -377,7 +377,7 @@ def signed_zero_count(section, B: ChartDomain, zeros=None, grid: int = 7,
                 f"zero at {z} sits on the boundary (margin {margin:.3e})")
         if not inside(z):
             continue
-        J = np.asarray(smap.jacobian(z), dtype=float)
+        J = np.asarray(smap.jacobian(z)[1], dtype=float)
         smin = float(np.linalg.svd(J, compute_uv=False)[-1])
         if smin < transversality_tol:
             raise TransversalityError(
@@ -398,8 +398,7 @@ def boundary_winding(section, B: ChartDomain) -> float:
     smap = SmoothMap(2, 2, section)
 
     def comps(x):
-        s1, s2 = smap(x)
-        J = smap.jacobian(x)
+        (s1, s2), J = smap.jacobian(x)
         den = (s1 * s1 + s2 * s2) * (2.0 * math.pi)
         return [(s1 * J[1][c] - s2 * J[0][c]) / den for c in range(2)]
 

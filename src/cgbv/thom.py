@@ -21,7 +21,7 @@ from .bundles import (AssociatedBundles, OddRankTriple, TrivializedBundle,
 from .chern_weil import Connection, pf_form, secondary_transgression, transgression
 from .errors import (BumpError, ClosednessError, ConfigError, RankError,
                      SignConventionError)
-from .forms import Form, SmoothMap, ZeroForm, as_block, lift_point, sup_abs
+from .forms import Form, SmoothMap, ZeroForm, as_block, sup_abs
 from .geometry import ChartDomain, FiberBundleDomain
 from .relative import FormPair, RelativeDomain
 
@@ -340,13 +340,12 @@ def parallel_pair_residuals(scenario: ThomScenario, t_order: int = 16,
 
 def _parallel_defect(conn: Connection, section, x) -> float:
     """Largest component of the covariant derivative of a section at x (or a block)."""
-    vals = section(list(x))
+    vals, J = SmoothMap(conn.n, conn.rank, section).jacobian(x)
     A = conn.A.eval(list(x))
-    tangents = [dual.deriv(v) for v in section(lift_point(x, range(conn.n)))]
     defects = []
     for j in range(conn.n):
         for a in range(conn.rank):
-            tot = dual.direction(tangents[a], j)
+            tot = J[a][j]
             for b in range(conn.rank):
                 tot = tot + A[a][b][j] * vals[b]
             defects.append(tot)

@@ -83,7 +83,7 @@ def per_node_fiber_integral(bundle: FiberBundleDomain, form: Form) -> Form:
     def comps(y):
         out = [0.0] * len(bases)
         for u, w in per_node_rule(fiber):
-            J = np.array(emb.jacobian(u), dtype=float).reshape(fa, fd)
+            J = np.array(emb.jacobian(u)[1], dtype=float).reshape(fa, fd)
             vals = form.comps(emb(u) + list(y))
             for iI, I in enumerate(bases):
                 for K in combos(fa, fd):

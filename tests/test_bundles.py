@@ -85,7 +85,7 @@ class TestProjectedConnection:
 
     def test_nan_after_finite_point_raises(self):
         def proj(x):
-            v = 1.0 if x[0] == 0.0 else math.nan
+            v = dual.where(x[0] == 0.0, 1.0, math.nan)
             return [[v, 0.0], [0.0, 0.0]]
 
         with pytest.raises(ProjectorError):
@@ -126,7 +126,7 @@ class TestSectionSplitting:
 
     @staticmethod
     def _nan_at_one(x):
-        return [1.0, math.nan if dual.real(x[0]) > 0.5 else 0.0]
+        return [1.0, dual.where(dual.real(x[0]) > 0.5, math.nan, 0.0)]
 
     def test_nan_after_finite_check_point_raises(self):
         # min(1.0, nan) == 1.0 would let the NaN length pass the check

@@ -30,6 +30,14 @@ class TestFirstDerivatives:
         f = lambda x: 5.0 / x
         assert df(f, 2.0) == pytest.approx(-1.25, abs=1e-14)
 
+    def test_quotient_value_is_plain_division(self):
+        # 3.0 * (1 / 10.0) is 0.30000000000000004; 3.0 / 10.0 is 0.3
+        q = Dual(3.0, 1.0) / Dual(10.0, 0.0)
+        assert type(q.a) is float and q.a == 3.0 / 10.0
+        num, den = np.array([3.0, 1.0, 7.0]), np.array([10.0, 3.0, 10.0])
+        q = Dual(num, 1.0) / Dual(den, 0.0)
+        assert np.array_equal(q.a, num / den)
+
     @pytest.mark.parametrize("fn,dfn", [
         (sin, math.cos),
         (cos, lambda t: -math.sin(t)),

@@ -2,7 +2,11 @@
 
 ``forms.lift_point`` seeds all directions at once on a leading axis of the
 derivative slots, so ``Form.d``, ``MatrixForm.d`` and ``SmoothMap.jacobian``
-call their closure once per evaluation, nested levels included.  The oracle
+call their closure once per evaluation, nested levels included.  Values and
+first derivatives come from that one lifted pass: ``SmoothMap.jacobian``
+returns the values from its value slots, bit for bit those of a plain call,
+so a pullback, a split connection and a parallel-transport check run their
+map, projector, frames or section once per evaluation.  The oracle
 below is the per-direction scheme they replace: one pass per direction j
 with scalar seeds ``Dual(x_k, 1.0 if k == j else 0.0)``.  Both run the same
 arithmetic entry by entry, so the values must agree exactly, and direction
@@ -17,11 +21,13 @@ import numpy as np
 import pytest
 
 from cgbv import dual
-from cgbv.bundles import Subbundle, projected_connection
+from cgbv.bundles import (Subbundle, frame_split_connection, projected_connection,
+                          stereographic)
 from cgbv.chern_weil import Connection
 from cgbv.dual import Dual, deriv
 from cgbv.forms import (Form, MatrixForm, SmoothMap, as_block, combos, d_table,
                         lift_point, pullback_coeffs, zero_coeffs)
+from cgbv.thom import _parallel_defect
 
 
 class Counted:
@@ -174,13 +180,13 @@ class TestOneClosureCall:
         phi = generic_map(3, N, 4)
         fn = Counted(phi.fn)
         generic_form(N, 1, 5).pullback(SmoothMap(3, N, fn)).d()(BLOCK[:3])
-        # one plain pass for the point, one dual pass for the Jacobian
-        assert fn.calls == 2
+        # the point and the Jacobian come from the same dual pass
+        assert fn.calls == 1
 
     def test_split_connection_d_evaluates_the_projector_once_per_use(self):
-        # P (1-form potential 2 P dP - dP + P A P + (1-P) A (1-P)) reads the
-        # projector once for P and once under the d of dP; differentiating
-        # the potential once more adds no pass
+        # P and dP of the potential P dP + P A P + Q dQ + Q A Q come from one
+        # lifted pass of the projector; differentiating the potential once
+        # more adds no pass
         def projector(x):
             s = [dual.cos(x[0]) + x[1], dual.sin(x[2]) - x[3], 1.0 + x[0] * x[3]]
             norm2 = sum(v * v for v in s)
@@ -189,10 +195,29 @@ class TestOneClosureCall:
         proj = Counted(projector)
         split = projected_connection(Connection.flat(3, N), Subbundle(3, proj))
         split.A.eval(BLOCK)
-        assert proj.calls == 2
+        assert proj.calls == 1
         proj.calls = 0
         split.A.d().eval(BLOCK)
-        assert proj.calls == 2
+        assert proj.calls == 1
+
+    def test_frame_split_connection_evaluates_each_frame_once_per_use(self):
+        def unit(x):
+            return [0.0, dual.cos(x[0]), dual.sin(x[0]) * dual.cos(x[1]),
+                    dual.sin(x[0]) * dual.sin(x[1])]
+
+        frames = [Counted(lambda x: [1.0, 0.0, 0.0, 0.0]), Counted(unit)]
+        split = frame_split_connection(Connection.flat(4, N), frames)
+        split.A.eval(BLOCK)
+        assert [f.calls for f in frames] == [1, 1]
+        for f in frames:
+            f.calls = 0
+        split.A.d().eval(BLOCK)
+        assert [f.calls for f in frames] == [1, 1]
+
+    def test_parallel_defect_evaluates_the_section_once(self):
+        section = Counted(lambda x: [dual.cos(x[0]), dual.sin(x[0]), 0.0])
+        _parallel_defect(Connection.flat(3, N), section, BLOCK)
+        assert section.calls == 1
 
 
 class TestAgainstScalarSeeds:
@@ -213,7 +238,7 @@ class TestAgainstScalarSeeds:
     @pytest.mark.parametrize("x", [POINT, BLOCK], ids=["point", "block"])
     def test_jacobian(self, x):
         phi = generic_map(N, 3, 40)
-        got = phi.jacobian(x)
+        got = phi.jacobian(x)[1]
         want = oracle_jacobian(phi, x)
         assert_identical(got, want)
         if x is POINT:
@@ -221,10 +246,16 @@ class TestAgainstScalarSeeds:
         else:
             assert all(v.shape == (5,) for row in got for v in row)
 
+    @pytest.mark.parametrize("x", [POINT[:2], BLOCK[:2], lift_point(BLOCK[:2], range(2))],
+                             ids=["point", "block", "lifted"])
+    def test_jacobian_values_are_the_plain_values(self, x):
+        phi = stereographic(2)
+        assert_identical(phi.jacobian(x)[0], phi(x))
+
     def test_constant_directions_stay_floats(self):
         # a linear map has a constant Jacobian, a float per entry on a block
         phi = SmoothMap(2, 2, lambda u: [u[0] + 2.0 * u[1], -u[0]])
-        got = phi.jacobian(as_block([[0.1, 0.2], [0.3, 0.4]]))
+        got = phi.jacobian(as_block([[0.1, 0.2], [0.3, 0.4]]))[1]
         assert_identical(got, [[1.0, 2.0], [-1.0, 0.0]])
 
     @pytest.mark.parametrize("x", [POINT, BLOCK], ids=["point", "block"])
