@@ -1,8 +1,10 @@
 """Exact-arithmetic mapping-cone cohomology on small simplicial meshes.
 
-Everything runs over rationals: ranks, kernels, and induced maps are
-computed by fraction-pivot elimination, so Betti-level duality statements
-are integer equalities rather than tolerance checks.
+Everything runs over rationals: ranks, kernels, and induced maps come from
+row reduction whose entries stay Python ints until a pivot other than +-1
+forces a ``Fraction``, so Betti-level duality statements are integer
+equalities rather than tolerance checks.  Each basis and each solve is one
+elimination: bases are read off its pivot columns.
 """
 
 from __future__ import annotations
@@ -12,19 +14,24 @@ from fractions import Fraction
 from .errors import (ChainMapError, ComplexError, ConsistencyError,
                      SurjectivityError)
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def _exact(v):
+    """``v`` read exactly: an int when integral, else a ``Fraction``."""
+    if type(v) is int:
+        return v
+    q = Fraction(v)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _to_fraction_matrix(rows):
-    return [[Fraction(v) for v in row] for row in rows]
+    return [[_exact(v) for v in row] for row in rows]
 
 
 def _mat_mul(A, B):
     if not A or not B:
         return []
     n, k, m = len(A), len(B), len(B[0]) if B else 0
-    out = [[ZERO] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         for j in range(k):
             a = A[i][j]
@@ -34,8 +41,16 @@ def _mat_mul(A, B):
     return out
 
 
+def _apply(mat, v):
+    return [sum(a * b for a, b in zip(row, v) if a) for row in mat]
+
+
 def _rref(rows):
-    """Row echelon over Fraction, zero entries skipped; returns (rows, pivot columns)."""
+    """Reduced row echelon form, zero entries skipped; returns (rows, pivot columns).
+
+    A pivot row is negated at a -1 pivot and divided by ``Fraction`` only at
+    a pivot other than +-1, so integer input stays integer as far as it can.
+    """
     mat = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -45,8 +60,12 @@ def _rref(rows):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [v * inv if v else v for v in mat[r]]
+        p = mat[r][c]
+        if p == -1:
+            mat[r] = [-v for v in mat[r]]
+        elif p != 1:
+            inv = Fraction(1) / p
+            mat[r] = [v * inv if v else v for v in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
@@ -69,36 +88,35 @@ def _kernel_basis(mat, ncols):
     if ncols == 0:
         return []
     if not mat:
-        return [[ONE if i == j else ZERO for i in range(ncols)]
-                for j in range(ncols)]
+        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     red, pivots = _rref(mat)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        vec = [ZERO] * ncols
-        vec[f] = ONE
+        vec = [0] * ncols
+        vec[f] = 1
         for r, pc in enumerate(pivots):
             vec[pc] = -red[r][f]
         basis.append(vec)
     return basis
 
 
-def _solve_coords(columns, target):
-    """Coordinates of ``target`` in the span of ``columns`` (exists by caller)."""
-    if not columns:
-        if any(target):
-            raise ComplexError("vector outside the expected span")
-        return []
-    n = len(target)
-    aug = [[columns[j][i] for j in range(len(columns))] + [target[i]]
-           for i in range(n)]
-    red, pivots = _rref(aug)
-    coords = [ZERO] * len(columns)
+def _solve(columns, targets):
+    """Coordinates of every target in the span of ``columns``, by one elimination.
+
+    Returns a len(columns) x len(targets) matrix X with columns . X = targets.
+    A target outside the span raises ComplexError: the first one is a pivot.
+    """
+    m = len(columns)
+    n = len(targets[0]) if targets else 0
+    red, pivots = _rref([[col[i] for col in columns] + [t[i] for t in targets]
+                         for i in range(n)])
+    if pivots and pivots[-1] >= m:
+        raise ComplexError("vector outside the expected span")
+    coords = [[0] * len(targets) for _ in range(m)]
     for r, pc in enumerate(pivots):
-        if pc == len(columns):
-            raise ComplexError("vector outside the expected span")
-        coords[pc] = red[r][len(columns)]
+        coords[pc] = red[r][m:]
     return coords
 
 
@@ -148,12 +166,9 @@ class CochainComplex:
 def betti(c: CochainComplex):
     """Rational Betti numbers by exact rank-nullity."""
     c.check()
-    out = []
-    for k, n in enumerate(c.dims):
-        r_out = _rank(c.diff(k)) if n else 0
-        r_in = _rank(c.diff(k - 1)) if k > 0 else 0
-        out.append(n - r_out - r_in)
-    return out
+    # ranks[k] is the rank of the differential into degree k
+    ranks = [0] + [_rank(d) for d in c.diffs] + [0]
+    return [n - ranks[k] - ranks[k + 1] for k, n in enumerate(c.dims)]
 
 
 def _check_chain_map(cm: CochainComplex, cb: CochainComplex, r):
@@ -192,7 +207,7 @@ def mapping_cone(cm: CochainComplex, cb: CochainComplex, r) -> CochainComplex:
     for k in range(top):
         rows = mdim(k + 1) + bdim(k)
         cols = mdim(k) + bdim(k - 1)
-        block = [[ZERO] * cols for _ in range(rows)]
+        block = [[0] * cols for _ in range(rows)]
         dm = cm.diff(k)
         for i in range(len(dm)):
             for j in range(mdim(k)):
@@ -212,47 +227,28 @@ def mapping_cone(cm: CochainComplex, cb: CochainComplex, r) -> CochainComplex:
 
 
 def _cohomology_data(c: CochainComplex, k: int):
-    """(boundary basis, representative basis) for H^k."""
+    """(boundary basis, representative basis) for H^k.
+
+    One reduction of [columns of d_in | cycles]: its pivot columns are the
+    vectors a greedy pass keeps, boundaries first, then representatives.
+    """
     cycles = _kernel_basis(c.diff(k), c.dims[k])
     d_in = c.diff(k - 1) if k > 0 else []
-    boundaries = []
-    if d_in:
-        seen = []
-        for j in range(len(d_in[0])):
-            col = [d_in[i][j] for i in range(len(d_in))]
-            trial = seen + [col]
-            if _rank([[v[i] for v in trial] for i in range(len(col))]) \
-                    == len(trial):
-                seen.append(col)
-        boundaries = seen
-    reps = []
-    span = list(boundaries)
-    for v in cycles:
-        trial = span + [v]
-        if _rank([[u[i] for u in trial] for i in range(len(v))]) == len(trial):
-            span.append(v)
-            reps.append(v)
-    return boundaries, reps
+    nb = len(d_in[0]) if d_in else 0
+    _, pivots = _rref([(d_in[i] if d_in else []) + [v[i] for v in cycles]
+                       for i in range(c.dims[k])])
+    boundaries = [[row[j] for row in d_in] for j in pivots if j < nb]
+    return boundaries, [cycles[j - nb] for j in pivots if j >= nb]
 
 
-def _induced_map(src_data, dst_data, matrix, src_dim, dst_dim):
+def _induced_map(src_data, dst_data, matrix):
     """Matrix of a chain map on cohomology, in representative coordinates."""
     _, src_reps = src_data
     dst_bound, dst_reps = dst_data
     if not src_reps or not dst_reps:
-        return [[ZERO] * len(src_reps) for _ in range(len(dst_reps))]
-    columns = dst_bound + dst_reps
-    out = [[ZERO] * len(src_reps) for _ in range(len(dst_reps))]
-    for j, v in enumerate(src_reps):
-        if matrix:
-            img = [sum(matrix[i][t] * v[t] for t in range(src_dim))
-                   for i in range(dst_dim)]
-        else:
-            img = [ZERO] * dst_dim
-        coords = _solve_coords(columns, img)
-        for i in range(len(dst_reps)):
-            out[i][j] = coords[len(dst_bound) + i]
-    return out
+        return [[0] * len(src_reps) for _ in dst_reps]
+    images = [_apply(matrix, v) for v in src_reps]
+    return _solve(dst_bound + dst_reps, images)[len(dst_bound):]
 
 
 class ExactnessSpot:
@@ -301,36 +297,35 @@ def les_check(cm: CochainComplex, cb: CochainComplex, r) -> ExactnessReport:
 
     def proj_matrix(k):
         # cone^k -> M^k, drop the boundary summand
-        return [[ONE if i == j else ZERO for j in range(cdim(k))]
+        return [[int(i == j) for j in range(cdim(k))]
                 for i in range(mdim(k))]
 
     def incl_matrix(k):
         # bdry^k -> cone^(k+1), land in the boundary summand
         rows = cdim(k + 1)
-        out = [[ZERO] * bdim(k) for _ in range(rows)]
+        out = [[0] * bdim(k) for _ in range(rows)]
         for i in range(bdim(k)):
-            out[mdim(k + 1) + i][i] = ONE
+            out[mdim(k + 1) + i][i] = 1
         return out
 
     maps = {}
     for k in range(len(cone.dims)):
         if k < len(cm.dims):
             maps[("b", k)] = _induced_map(c_data[k], m_data[k],
-                                          proj_matrix(k), cdim(k), mdim(k))
+                                          proj_matrix(k))
         if k < len(cm.dims) and k < len(cb.dims):
-            maps[("r", k)] = _induced_map(m_data[k], b_data[k], r[k],
-                                          mdim(k), bdim(k))
+            maps[("r", k)] = _induced_map(m_data[k], b_data[k], r[k])
         if k < len(cb.dims) and k + 1 < len(cone.dims):
             maps[("a", k)] = _induced_map(b_data[k], c_data[k + 1],
-                                          incl_matrix(k), bdim(k),
-                                          cdim(k + 1))
+                                          incl_matrix(k))
 
     def h(cdata):
         return len(cdata[1])
 
+    ranks = {key: _rank(mat) for key, mat in maps.items()}
+
     def rank_of(key):
-        mat = maps.get(key)
-        return _rank(mat) if mat else 0
+        return ranks.get(key, 0)
 
     def composite_zero(first_key, second_key):
         A, B = maps.get(second_key), maps.get(first_key)
@@ -367,24 +362,15 @@ def dirichlet_betti(cm: CochainComplex, cb: CochainComplex, r):
     returned, since their equality is the point of the construction.
     """
     r = _check_chain_map(cm, cb, r)
+    kernels = [_kernel_basis(r[k], n) for k, n in enumerate(cm.dims)]
     for k in range(len(cb.dims)):
-        if _rank(r[k]) != cb.dims[k]:
+        # the rank of r[k] is dims[k] minus its nullity
+        if cm.dims[k] - len(kernels[k]) != cb.dims[k]:
             raise SurjectivityError(
                 f"restriction is not onto in degree {k}")
-    kernels = [_kernel_basis(r[k], cm.dims[k]) if k < len(r)
-               else [] for k in range(len(cm.dims))]
     dims = [len(kb) for kb in kernels]
-    diffs = []
-    for k in range(len(cm.dims) - 1):
-        dm = cm.diff(k)
-        cols = []
-        for v in kernels[k]:
-            img = [sum(dm[i][t] * v[t] for t in range(cm.dims[k]))
-                   for i in range(cm.dims[k + 1])] if dm else []
-            cols.append(_solve_coords(kernels[k + 1], img))
-        block = [[cols[j][i] if cols else ZERO
-                  for j in range(dims[k])] for i in range(dims[k + 1])]
-        diffs.append(block)
+    diffs = [_solve(kernels[k + 1], [_apply(cm.diff(k), v) for v in kernels[k]])
+             for k in range(len(cm.dims) - 1)]
     sub = CochainComplex(dims, diffs, f"ker({cm.label})")
     out = betti(sub)
     cone_b = betti(mapping_cone(cm, cb, r))
@@ -474,15 +460,15 @@ class Mesh:
 
     def complex(self) -> CochainComplex:
         # head +1, tail -1
-        d0 = [[ZERO] * self.n_vertices for _ in self.edges]
+        d0 = [[0] * self.n_vertices for _ in self.edges]
         for i, (u, v) in enumerate(self.edges):
-            d0[i][v] += ONE
-            d0[i][u] -= ONE
+            d0[i][v] += 1
+            d0[i][u] -= 1
         if not self.triangles:
             dims = [self.n_vertices, len(self.edges)]
             return CochainComplex(dims, [d0] if self.edges else [],
                                   self.name)
-        d1 = [[ZERO] * len(self.edges) for _ in self.triangles]
+        d1 = [[0] * len(self.edges) for _ in self.triangles]
         for t, tri in enumerate(self.triangles):
             for e, sign in self._tri_incidence(tri):
                 d1[t][e] += sign
@@ -495,10 +481,10 @@ class Mesh:
         for e in self.boundary_edges:
             u, v = self.edges[e]
             edges.append((vmap[u], vmap[v]))
-        d0 = [[ZERO] * len(self.boundary_vertices) for _ in edges]
+        d0 = [[0] * len(self.boundary_vertices) for _ in edges]
         for i, (u, v) in enumerate(edges):
-            d0[i][v] += ONE
-            d0[i][u] -= ONE
+            d0[i][v] += 1
+            d0[i][u] -= 1
         dims = [len(self.boundary_vertices), len(edges)]
         if not edges:
             dims = [len(self.boundary_vertices)]
@@ -508,15 +494,15 @@ class Mesh:
     def restriction(self):
         """Chain map matrices picking out boundary simplices."""
         nb = len(self.boundary_vertices)
-        r0 = [[ZERO] * self.n_vertices for _ in range(nb)]
+        r0 = [[0] * self.n_vertices for _ in range(nb)]
         for i, v in enumerate(self.boundary_vertices):
-            r0[i][v] = ONE
+            r0[i][v] = 1
         out = [r0]
         if self.edges:
-            r1 = [[ZERO] * len(self.edges)
+            r1 = [[0] * len(self.edges)
                   for _ in range(len(self.boundary_edges))]
             for i, e in enumerate(self.boundary_edges):
-                r1[i][e] = ONE
+                r1[i][e] = 1
             out.append(r1)
         if self.triangles:
             out.append([])

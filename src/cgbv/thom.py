@@ -338,8 +338,11 @@ def parallel_pair_residuals(scenario: ThomScenario, t_order: int = 16,
     return out
 
 
-def _parallel_defect(conn: Connection, section, x) -> float:
-    """Largest component of the covariant derivative of a section at x (or a block)."""
+def _parallel_defect(conn: Connection, section, x):
+    """Largest component of the covariant derivative of a section at x (or a block).
+
+    Returned with the section's values there, read from the same lifted pass.
+    """
     vals, J = SmoothMap(conn.n, conn.rank, section).jacobian(x)
     A = conn.A.eval(list(x))
     defects = []
@@ -349,7 +352,7 @@ def _parallel_defect(conn: Connection, section, x) -> float:
             for b in range(conn.rank):
                 tot = tot + A[a][b][j] * vals[b]
             defects.append(tot)
-    return sup_abs(defects)
+    return sup_abs(defects), vals
 
 
 def persistent_section_residual(scenario: ThomScenario,
@@ -376,11 +379,12 @@ def persistent_section_residual(scenario: ThomScenario,
 
     x = as_block([[0.0] + list(p) for p in
                   _se_sample_points(scenario, random.Random(41), check_points)])
-    values = [_parallel_defect(tri.split, taut, x),
-              _parallel_defect(tri.plane_split, fiber_part, x),
-              _parallel_defect(tri.plane_split, e0, x),
-              _parallel_defect(tri.ambient, e0, x)]
-    values += [a - b for a, b in zip(taut(x), fiber_part(x))]
+    taut_defect, taut_vals = _parallel_defect(tri.split, taut, x)
+    fiber_defect, fiber_vals = _parallel_defect(tri.plane_split, fiber_part, x)
+    values = [taut_defect, fiber_defect,
+              _parallel_defect(tri.plane_split, e0, x)[0],
+              _parallel_defect(tri.ambient, e0, x)[0]]
+    values += [a - b for a, b in zip(taut_vals, fiber_vals)]
     return sup_abs(values)
 
 

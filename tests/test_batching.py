@@ -416,16 +416,16 @@ class TestSampledChecks:
             return [c / norm for c in v]
 
         want = per_point_sup(lambda x: [
-            _parallel_defect(tri.split, taut, x),
-            _parallel_defect(tri.plane_split, fiber_part, x),
-            _parallel_defect(tri.plane_split, e0, x),
-            _parallel_defect(tri.ambient, e0, x),
+            _parallel_defect(tri.split, taut, x)[0],
+            _parallel_defect(tri.plane_split, fiber_part, x)[0],
+            _parallel_defect(tri.plane_split, e0, x)[0],
+            _parallel_defect(tri.ambient, e0, x)[0],
             *(a - b for a, b in zip(taut(x), fiber_part(x)))], pts)
         assert persistent_section_residual(sc) == pytest.approx(want, abs=1e-12)
         # e0 is not parallel for the tautological splitting
-        want = per_point_sup(lambda x: [_parallel_defect(tri.split, e0, x)], pts)
+        want = per_point_sup(lambda x: [_parallel_defect(tri.split, e0, x)[0]], pts)
         assert want > 0.1
-        got = _parallel_defect(tri.split, e0, as_block(pts))
+        got, _ = _parallel_defect(tri.split, e0, as_block(pts))
         assert got == pytest.approx(want, abs=1e-12)
 
 

@@ -1,10 +1,13 @@
 """Exact mapping-cone cohomology on the mesh registry."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from cgbv.discrete import (CochainComplex, Mesh, MESH_REGISTRY, betti,
+from cgbv import discrete
+from cgbv.discrete import (CochainComplex, Mesh, MESH_REGISTRY, _cohomology_data,
+                           _induced_map, _kernel_basis, _rank, _rref, _solve, betti,
                            dirichlet_betti, les_check, make_mesh,
                            mapping_cone, moebius_mesh)
 from cgbv.errors import (ChainMapError, ComplexError, ConsistencyError,
@@ -196,3 +199,240 @@ class TestDuality:
         cm, cb, r = make_mesh(name).complexes()
         cone = mapping_cone(cm, cb, r)
         assert cone.euler() == cm.euler() - cb.euler()
+
+
+# ---------------------------------------------------------------------------
+# oracles for the one-elimination bases and solves
+
+def greedy_cohomology_data(c, k):
+    """Boundary and representative bases, one rank test per candidate vector."""
+    cycles = _kernel_basis(c.diff(k), c.dims[k])
+    d_in = c.diff(k - 1) if k > 0 else []
+    boundaries = []
+    if d_in:
+        for j in range(len(d_in[0])):
+            col = [d_in[i][j] for i in range(len(d_in))]
+            trial = boundaries + [col]
+            if _rank([[v[i] for v in trial] for i in range(len(col))]) == len(trial):
+                boundaries.append(col)
+    reps = []
+    span = list(boundaries)
+    for v in cycles:
+        trial = span + [v]
+        if _rank([[u[i] for u in trial] for i in range(len(v))]) == len(trial):
+            span.append(v)
+            reps.append(v)
+    return boundaries, reps
+
+
+def solve_one(columns, target):
+    """Coordinates of one target in the span of ``columns``, by its own elimination."""
+    if not columns:
+        if any(target):
+            raise ComplexError("vector outside the expected span")
+        return []
+    aug = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
+    red, pivots = _rref(aug)
+    coords = [0] * len(columns)
+    for r, pc in enumerate(pivots):
+        if pc == len(columns):
+            raise ComplexError("vector outside the expected span")
+        coords[pc] = red[r][len(columns)]
+    return coords
+
+
+def oracle_induced_map(src_data, dst_data, matrix):
+    dst_bound, dst_reps = dst_data
+    out = [[0] * len(src_data[1]) for _ in dst_reps]
+    if not dst_reps:
+        return out
+    for j, v in enumerate(src_data[1]):
+        img = [sum(a * b for a, b in zip(row, v)) for row in matrix]
+        coords = solve_one(dst_bound + dst_reps, img)
+        for i in range(len(dst_reps)):
+            out[i][j] = coords[len(dst_bound) + i]
+    return out
+
+
+def mm(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def unimodular(n, rng):
+    """Random integer matrix of determinant +-1 and its exact inverse."""
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    Pinv = [row[:] for row in P]
+    for _ in range(n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            P[i] = [-v for v in P[i]]
+            for row in Pinv:
+                row[i] = -row[i]
+        else:
+            c = rng.choice([-3, -2, 2, 3])
+            P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+            for row in Pinv:
+                row[j] -= c * row[i]
+    assert mm(P, Pinv) == [[int(i == j) for j in range(n)] for i in range(n)]
+    return P, Pinv
+
+
+def scrambled(name, seed):
+    """A registry mesh in random integer bases: d'_k = P_(k+1) d_k P_k^-1.
+
+    The boundary complex and the restriction change basis alike, so every
+    Betti number, cone and exact sequence is the registry mesh's.
+    """
+    rng = random.Random(seed)
+    cm, cb, r = make_mesh(name).complexes()
+    P = [unimodular(n, rng) for n in cm.dims]
+    Q = [unimodular(n, rng) for n in cb.dims]
+    dm = [mm(mm(P[k + 1][0], d), P[k][1]) for k, d in enumerate(cm.diffs)]
+    db = [mm(mm(Q[k + 1][0], d), Q[k][1]) for k, d in enumerate(cb.diffs)]
+    rr = [mm(mm(Q[k][0], m), P[k][1]) if k < len(Q) else m
+          for k, m in enumerate(r)]
+    return (CochainComplex(cm.dims, dm, cm.label),
+            CochainComplex(cb.dims, db, cb.label), rr)
+
+
+def triples():
+    for name in sorted(MESH_REGISTRY):
+        yield name, make_mesh(name).complexes()
+        for seed in range(3):
+            yield f"{name}-scrambled{seed}", scrambled(name, seed)
+
+
+TRIPLES = list(triples())
+IDS = [name for name, _ in TRIPLES]
+
+
+def induced_maps(cm, cb, r):
+    """Every (source data, target data, matrix) that les_check reads."""
+    cone = mapping_cone(cm, cb, r)
+    data = {tag: [_cohomology_data(c, k) for k in range(len(c.dims))]
+            for tag, c in (("m", cm), ("b", cb), ("c", cone))}
+    out = []
+    for k in range(len(cm.dims)):
+        proj = [[int(i == j) for j in range(cone.dims[k])]
+                for i in range(cm.dims[k])]
+        out.append((data["c"][k], data["m"][k], proj))
+        if k < len(cb.dims):
+            out.append((data["m"][k], data["b"][k], r[k]))
+    for k in range(len(cb.dims)):
+        if k + 1 < len(cone.dims):
+            shift = cm.dims[k + 1] if k + 1 < len(cm.dims) else 0
+            incl = [[int(i == shift + j) for j in range(cb.dims[k])]
+                    for i in range(cone.dims[k + 1])]
+            out.append((data["b"][k], data["c"][k + 1], incl))
+    return out
+
+
+def entries(obj):
+    if isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from entries(x)
+    else:
+        yield obj
+
+
+class TestOneElimination:
+    @pytest.mark.parametrize("name,triple", TRIPLES, ids=IDS)
+    def test_bases_match_the_greedy_oracle(self, name, triple):
+        cm, cb, r = triple
+        for c in (cm, cb, mapping_cone(cm, cb, r)):
+            for k in range(len(c.dims)):
+                assert _cohomology_data(c, k) == greedy_cohomology_data(c, k)
+
+    @pytest.mark.parametrize("name,triple", TRIPLES, ids=IDS)
+    def test_induced_maps_match_per_target_solves(self, name, triple):
+        for src, dst, matrix in induced_maps(*triple):
+            assert _induced_map(src, dst, matrix) == \
+                oracle_induced_map(src, dst, matrix)
+
+    @pytest.mark.parametrize("name,triple", TRIPLES, ids=IDS)
+    def test_every_answer_survives_a_change_of_basis(self, name, triple):
+        cm, cb, r = triple
+        mesh = name.split("-")[0]
+        assert betti(cm) == M_BETTI[mesh]
+        assert betti(mapping_cone(cm, cb, r)) == CONE_BETTI[mesh]
+        assert dirichlet_betti(cm, cb, r) == CONE_BETTI[mesh]
+        assert les_check(cm, cb, r).all_exact
+
+    def test_scrambled_pivots_need_fractions(self):
+        reduced = [_rref(d)[0] for _, (cm, _, _) in TRIPLES for d in cm.diffs]
+        assert any(isinstance(v, Fraction) for v in entries(reduced))
+
+    def test_one_cohomology_query_is_at_most_three_eliminations(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(1)
+            return _rref(rows)
+
+        cm, cb, r = make_mesh("annulus").complexes()
+        cone = mapping_cone(cm, cb, r)
+        monkeypatch.setattr(discrete, "_rref", counted)
+        for c in (cm, cb, cone):
+            for k in range(len(c.dims)):
+                calls.clear()
+                _cohomology_data(c, k)
+                # the kernel, then boundaries and representatives together
+                assert len(calls) <= 2
+
+    def test_solve_reads_every_target_from_one_elimination(self):
+        columns = [[1, 0, 2], [0, 3, 0]]
+        assert _solve(columns, [[2, 3, 4], [0, -1, 0]]) == \
+            [[2, 0], [1, Fraction(-1, 3)]]
+        with pytest.raises(ComplexError, match="outside the expected span"):
+            _solve(columns, [[1, 0, 2], [0, 0, 1]])
+        with pytest.raises(ComplexError, match="outside the expected span"):
+            _solve([], [[0, 0], [0, 1]])
+
+
+def exact(obj):
+    return all(type(v) in (int, Fraction) for v in entries(obj))
+
+
+class TestExactEntries:
+    def test_non_unit_pivot(self):
+        assert betti(CochainComplex([1, 1], [[[2]]])) == [0, 0]
+
+    @pytest.mark.parametrize("half", [Fraction(1, 2), 0.5], ids=["fraction", "float"])
+    @pytest.mark.parametrize("name", sorted(MESH_REGISTRY))
+    def test_halved_entries_read_exactly(self, name, half):
+        cm, cb, r = make_mesh(name).complexes()
+
+        def halved(c):
+            return CochainComplex(c.dims, [[[half * v for v in row] for row in d]
+                                           for d in c.diffs], c.label)
+
+        hm, hb = halved(cm), halved(cb)
+        for c, h in ((cm, hm), (cb, hb),
+                     (mapping_cone(cm, cb, r), mapping_cone(hm, hb, r))):
+            assert betti(h) == betti(c)
+        assert dirichlet_betti(hm, hb, r) == dirichlet_betti(cm, cb, r)
+        assert les_check(hm, hb, r).all_exact
+
+        def restriction_maps(m, b):
+            return [_induced_map(_cohomology_data(m, k), _cohomology_data(b, k), r[k])
+                    for k in range(len(b.dims))]
+
+        # halving d moves no pivot column and no kernel vector, so the
+        # representatives, and the restriction in their coordinates, are
+        # those of the integer complexes
+        got = restriction_maps(hm, hb)
+        assert got == restriction_maps(cm, cb)
+        assert exact(got) and exact([hm.diffs, hb.diffs])
+
+    @pytest.mark.parametrize("name,triple", TRIPLES, ids=IDS)
+    def test_no_float_reaches_a_basis_map_or_solve(self, name, triple):
+        cm, cb, r = triple
+        for c in (cm, cb, mapping_cone(cm, cb, r)):
+            for k in range(len(c.dims)):
+                assert exact(_kernel_basis(c.diff(k), c.dims[k]))
+                boundaries, reps = _cohomology_data(c, k)
+                assert exact([boundaries, reps])
+                # every column of d lies in the span of the boundary basis
+                d_in = c.diff(k - 1) if k > 0 else []
+                assert exact(_solve(boundaries, [list(col) for col in zip(*d_in)]))
+        assert exact([_induced_map(*m) for m in induced_maps(cm, cb, r)])

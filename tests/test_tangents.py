@@ -16,18 +16,19 @@ in any slot of a nested ``d``.
 """
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cgbv import dual
-from cgbv.bundles import (Subbundle, frame_split_connection, projected_connection,
-                          stereographic)
+from cgbv import dual, thom
+from cgbv.bundles import (Subbundle, frame_split_connection, make_bundle,
+                          projected_connection, stereographic)
 from cgbv.chern_weil import Connection
 from cgbv.dual import Dual, deriv
 from cgbv.forms import (Form, MatrixForm, SmoothMap, as_block, combos, d_table,
                         lift_point, pullback_coeffs, zero_coeffs)
-from cgbv.thom import _parallel_defect
+from cgbv.thom import ThomScenario, _parallel_defect, persistent_section_residual
 
 
 class Counted:
@@ -216,8 +217,25 @@ class TestOneClosureCall:
 
     def test_parallel_defect_evaluates_the_section_once(self):
         section = Counted(lambda x: [dual.cos(x[0]), dual.sin(x[0]), 0.0])
-        _parallel_defect(Connection.flat(3, N), section, BLOCK)
+        _, vals = _parallel_defect(Connection.flat(3, N), section, BLOCK)
         assert section.calls == 1
+        # the values it hands back are those of a plain call, bit for bit
+        assert_identical(vals, section.fn(BLOCK))
+
+    def test_persistent_section_residual_evaluates_each_section_once(self, monkeypatch):
+        # the slice comparison of the tautological section and the fiber
+        # part reads the values of their parallelism checks; e0 is checked
+        # against two connections, so it runs once for each
+        sc = ThomScenario(make_bundle("odd-rank3-point"))
+        want = persistent_section_residual(sc)
+        frame = tuple(Counted(f) for f in sc.triple.plane_frame)
+        monkeypatch.setattr(sc.triple, "plane_frame", frame)
+        # the tautological section is a local closure; its one sqrt counts it
+        sqrt = Counted(dual.sqrt)
+        monkeypatch.setattr(thom, "dual", SimpleNamespace(**{**vars(dual), "sqrt": sqrt}))
+        assert persistent_section_residual(sc) == want
+        assert [f.calls for f in frame] == [2, 1]
+        assert sqrt.calls == 1
 
 
 class TestAgainstScalarSeeds:

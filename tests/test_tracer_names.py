@@ -1,10 +1,10 @@
 """The benchmark tracer still finds the functions it wraps by name.
 
-``perfbench/spans.py`` rebinds ``SmoothMap.jacobian``, ``projected_connection``
-and ``frame_split_connection`` (among others) by attribute name, so renaming
-one of them would silently empty its layer in a traced benchmark run.  This
-runs one scenario under the tracer and checks that those layers recorded
-spans.
+``perfbench/spans.py`` rebinds ``SmoothMap.jacobian``, ``projected_connection``,
+``frame_split_connection`` and the public functions of ``discrete`` (among
+others) by attribute name, so renaming one of them would silently empty its
+layer in a traced benchmark run.  These run scenarios under the tracer and
+check that those layers recorded spans.
 """
 
 import importlib.util
@@ -22,13 +22,21 @@ def load_spans():
     return module
 
 
-def test_cgb_disk_records_jacobian_and_split_connection_spans():
+def recorded_layers(scenario: str) -> set:
     tracer = load_spans().Tracer()
     tracer.install()
     try:
-        report = run_scenario(get_scenario("cgb-disk"), Config())
+        report = run_scenario(get_scenario(scenario), Config())
     finally:
         tracer.remove()
     assert report.passed
-    recorded = {tracer.names[i] for i in tracer.name_ids}
-    assert {"forms.jacobian", "bundles.split_connection"} <= recorded
+    return {tracer.names[i] for i in tracer.name_ids}
+
+
+def test_cgb_disk_records_jacobian_and_split_connection_spans():
+    assert {"forms.jacobian", "bundles.split_connection"} <= \
+        recorded_layers("cgb-disk")
+
+
+def test_mesh_les_records_discrete_spans():
+    assert "discrete" in recorded_layers("mesh-les")
