@@ -22,10 +22,6 @@ class ChartError(VerificationError):
     """Point, chart, or domain data is inconsistent (dimension, bounds, kind)."""
 
 
-class NumericsError(VerificationError):
-    """A numerical certificate failed: residual above tolerance, NaN, overflow."""
-
-
 class RankError(VerificationError):
     """Bundle or matrix rank does not match what the operation requires."""
 

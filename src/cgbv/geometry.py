@@ -296,14 +296,14 @@ class ChartDomain:
     # ------------------------------------------------------------------
     # sampling for pointwise checks
 
-    def sample_ref_points(self, rng: random.Random, count: int, margin: float = 0.05):
-        """Reference points away from coordinate edges, for pointwise tests."""
-        return [[lo + (hi - lo) * rng.uniform(margin, 1.0 - margin)
+    def sample_ref_points(self, rng: random.Random, count: int):
+        """Reference points at least 5% of each side from the coordinate edges."""
+        return [[lo + (hi - lo) * rng.uniform(0.05, 0.95)
                  for lo, hi in self.bounds] for _ in range(count)]
 
-    def sample_ambient_points(self, rng: random.Random, count: int, margin: float = 0.05):
+    def sample_ambient_points(self, rng: random.Random, count: int):
         emb = self.embedding()
-        return [emb(p) for p in self.sample_ref_points(rng, count, margin)]
+        return [emb(p) for p in self.sample_ref_points(rng, count)]
 
 
 def _insert_map(dim: int, slot: int, value: float) -> SmoothMap:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (BoundaryZeroError, ChartError, DegreeError,
                      HomotopyError, TransversalityError)
-from .forms import Form, SmoothMap
+from .forms import Form, SmoothMap, as_block
 from .geometry import ChartDomain
 
 
@@ -146,20 +146,27 @@ def _drop_first(n: int) -> SmoothMap:
 
 
 def _check_boundary_compat(phi: SmoothMap, t: float, source: RelativeDomain,
-                           target: RelativeDomain, samples: int = 4,
-                           tol: float = 1e-8):
-    """Sample [0,t] x boundary(source) and require images on boundary(target)."""
+                           target: RelativeDomain):
+    """Sample [0,t] x boundary(source) and require images on boundary(target).
+
+    Four points per face, each at three times, evaluated as one block per
+    face; the error names the worst sample, a NaN defect counting as worst.
+    """
     if target.boundary_defect is None:
         raise ChartError(
             f"target domain {target.manifold.name} has no boundary defect function")
     rng = random.Random(7)
     for face in source.faces:
-        for x in face.sample_ambient_points(rng, samples):
-            for s in (0.37 * t, 0.81 * t, t):
-                defect = target.boundary_defect(phi([s] + list(x)))
-                if not abs(defect) <= tol:
-                    raise HomotopyError(
-                        f"flow leaves the boundary at s={s:.3f}: defect {defect:.3e}")
+        pts = [[s] + list(x) for x in face.sample_ambient_points(rng, 4)
+               for s in (0.37 * t, 0.81 * t, t)]
+        defect = np.broadcast_to(target.boundary_defect(phi(as_block(pts))),
+                                 len(pts))
+        # np.argmax picks the first NaN when there is one
+        worst = int(np.argmax(np.abs(defect)))
+        if not abs(defect[worst]) <= 1e-8:
+            raise HomotopyError(
+                f"flow leaves the boundary at s={pts[worst][0]:.3f}: "
+                f"defect {defect[worst]:.3e}")
 
 
 def _cylinder_pairing(phi: SmoothMap, t: float, p: FormPair, eta: Form,
@@ -310,12 +317,13 @@ def _membership(B: ChartDomain):
     raise ChartError(f"no membership test for domain kind {B.kind!r}")
 
 
-def _newton(smap: SmoothMap, x0, tol: float = 1e-12, max_iter: int = 60):
+def _newton(smap: SmoothMap, x0):
+    """Damped Newton to |f| < 1e-12 in at most 60 steps; None if it stalls."""
     x = np.asarray(x0, dtype=float)
     fx = np.asarray(smap(list(x)), dtype=float)
-    for _ in range(max_iter):
+    for _ in range(60):
         nrm = float(np.linalg.norm(fx))
-        if nrm < tol:
+        if nrm < 1e-12:
             return [float(v) for v in x]
         J = np.asarray(smap.jacobian(list(x))[1], dtype=float)
         try:
@@ -335,15 +343,15 @@ def _newton(smap: SmoothMap, x0, tol: float = 1e-12, max_iter: int = 60):
     return None
 
 
-def signed_zero_count(section, B: ChartDomain, zeros=None, grid: int = 7,
-                      transversality_tol: float = 1e-6,
-                      boundary_tol: float = 1e-6):
+def signed_zero_count(section, B: ChartDomain, zeros=None):
     """Zeros of a section over a chart, each signed by its vertical derivative.
 
     Zeros are polished by damped Newton, starting from the explicit list
-    when given and from a coarse reference grid otherwise.  The sign of a
-    zero is the sign of det(ds) in the ambient trivialization, so the
-    identity section counts +1.  Returns (total, [(point, sign), ...]).
+    when given and from a 7-per-axis reference grid otherwise.  A zero
+    closer than 1e-6 to the boundary, or with smallest singular value of
+    ds below 1e-6, raises.  The sign of a zero is the sign of det(ds) in
+    the ambient trivialization, so the identity section counts +1.
+    Returns (total, [(point, sign), ...]).
     """
     m = B.ambient_dim
     smap = SmoothMap(m, m, section)
@@ -352,7 +360,7 @@ def signed_zero_count(section, B: ChartDomain, zeros=None, grid: int = 7,
         starts = [list(z) for z in zeros]
     else:
         emb = B.embedding()
-        axes = [[lo + (hi - lo) * (i + 0.5) / grid for i in range(grid)]
+        axes = [[lo + (hi - lo) * (i + 0.5) / 7 for i in range(7)]
                 for lo, hi in B.bounds]
         starts = []
 
@@ -372,14 +380,14 @@ def signed_zero_count(section, B: ChartDomain, zeros=None, grid: int = 7,
         if any(sum((a - b) ** 2 for a, b in zip(z, w)) < 1e-12 for w, _ in found):
             continue
         margin = bdist(z)
-        if abs(margin) < boundary_tol:
+        if abs(margin) < 1e-6:
             raise BoundaryZeroError(
                 f"zero at {z} sits on the boundary (margin {margin:.3e})")
         if not inside(z):
             continue
         J = np.asarray(smap.jacobian(z)[1], dtype=float)
         smin = float(np.linalg.svd(J, compute_uv=False)[-1])
-        if smin < transversality_tol:
+        if smin < 1e-6:
             raise TransversalityError(
                 f"zero at {z} is degenerate (min singular value {smin:.3e})")
         sign = 1 if float(np.linalg.det(J)) > 0.0 else -1

@@ -30,6 +30,10 @@ from .relative import FormPair, RelativeDomain
 # transfer chart covers half the extended sphere, hence the factor two.
 ODD_ORDERING = "split-first"
 ODD_SCALE = 2.0
+# Largest |d eta| at a sampled base point for a test form fed to a dual pair.
+CLOSED_TOL = 1e-8
+# Sample points per unit-sphere piece for the slice checks of the odd pair.
+SLICE_POINTS = 6
 
 
 class BumpProfile:
@@ -229,8 +233,8 @@ def _require_closed(eta: Form, base: ChartDomain, tol: float):
                 f"test form is not closed: |d eta| = {w:.3e} at {x}")
 
 
-def nu_inverse_even(scenario: ThomScenario, eta: Form, t_order: int = 16,
-                    closed_tol: float = 1e-8) -> FormPair:
+def nu_inverse_even(scenario: ThomScenario, eta: Form, t_order: int = 16
+                    ) -> FormPair:
     """Dual pair (Pf ^ eta, -TPf ^ eta) of the tautological-section split.
 
     The disk slot integrates to zero along fibers (the pulled-back
@@ -239,7 +243,7 @@ def nu_inverse_even(scenario: ThomScenario, eta: Form, t_order: int = 16,
     """
     if scenario.parity != "even":
         raise RankError("even-rank dual pair requested on an odd-rank bundle")
-    _require_closed(eta, scenario.base, closed_tol)
+    _require_closed(eta, scenario.base, CLOSED_TOL)
     m = scenario.rank
     eta_t = eta.pullback(scenario.de.projection())
     pf_t = pf_form(scenario.pi_connection)
@@ -286,8 +290,8 @@ def _equator_samples(scenario: ThomScenario, piece: ChartDomain,
 
 
 def odd_pair_residual(scenario: ThomScenario, ordering: str = ODD_ORDERING,
-                      t_order: int = 16, check_points: int = 4) -> float:
-    """Closedness defect of the bare dual pair.
+                      t_order: int = 16) -> float:
+    """Closedness defect of the bare dual pair, at four points per piece.
 
     Two ingredients.  The edge transgression is closed on the whole
     extended chart because both endpoint connections are reducible and
@@ -301,17 +305,15 @@ def odd_pair_residual(scenario: ThomScenario, ordering: str = ODD_ORDERING,
     tri = scenario.triple
     rng = random.Random(23)
     pts = [[0.0] + list(p)
-           for p in _se_sample_points(scenario, rng, check_points)]
+           for p in _se_sample_points(scenario, rng, 4)]
     values = list(t12.d()(as_block(pts)))
     for piece, inc in tri.equators:
         defect = (t12 + q.d()).pullback(inc)
-        values += defect(as_block(_equator_samples(scenario, piece, rng,
-                                                   check_points)))
+        values += defect(as_block(_equator_samples(scenario, piece, rng, 4)))
     return sup_abs(values)
 
 
-def parallel_pair_residuals(scenario: ThomScenario, t_order: int = 16,
-                       check_points: int = 6) -> dict:
+def parallel_pair_residuals(scenario: ThomScenario, t_order: int = 16) -> dict:
     """Pointwise size of the two plane-comparison transgressions on the slice.
 
     The plane splitting is only geometric on the unit-sphere slice, so both
@@ -333,7 +335,7 @@ def parallel_pair_residuals(scenario: ThomScenario, t_order: int = 16,
             t = transgression(first.pullback(inc),
                               tri.plane_split.pullback(inc), t_order=t_order)
             values += t(as_block(_equator_samples(scenario, piece, rng,
-                                                  check_points)))
+                                                  SLICE_POINTS)))
         out[key] = sup_abs(values)
     return out
 
@@ -355,8 +357,7 @@ def _parallel_defect(conn: Connection, section, x):
     return sup_abs(defects), vals
 
 
-def persistent_section_residual(scenario: ThomScenario,
-                              check_points: int = 6) -> float:
+def persistent_section_residual(scenario: ThomScenario) -> float:
     """Worst parallelism defect of the persistent sections at slice points.
 
     Audits the mechanism behind the slice vanishing in ambient coordinates,
@@ -378,7 +379,7 @@ def persistent_section_residual(scenario: ThomScenario,
         return [c / norm for c in v]
 
     x = as_block([[0.0] + list(p) for p in
-                  _se_sample_points(scenario, random.Random(41), check_points)])
+                  _se_sample_points(scenario, random.Random(41), SLICE_POINTS)])
     taut_defect, taut_vals = _parallel_defect(tri.split, taut, x)
     fiber_defect, fiber_vals = _parallel_defect(tri.plane_split, fiber_part, x)
     values = [taut_defect, fiber_defect,
@@ -389,16 +390,14 @@ def persistent_section_residual(scenario: ThomScenario,
 
 
 def nu_inverse_odd(scenario: ThomScenario, eta: Form, t_order: int = 16,
-                   closed_tol: float = 1e-8, pair_tol: float = 1e-5,
-                   check_points: int = 4) -> FormPair:
+                   pair_tol: float = 1e-5) -> FormPair:
     """Odd-rank dual pair, scaled so the unit pairing comes back as +1."""
     if scenario.parity != "odd":
         raise RankError("odd-rank dual pair requested on an even-rank bundle")
-    _require_closed(eta, scenario.base, closed_tol)
-    residual = odd_pair_residual(scenario, ODD_ORDERING, t_order, check_points)
+    _require_closed(eta, scenario.base, CLOSED_TOL)
+    residual = odd_pair_residual(scenario, ODD_ORDERING, t_order)
     if not residual <= pair_tol:
-        other = odd_pair_residual(scenario, "ambient-first", t_order,
-                                  check_points)
+        other = odd_pair_residual(scenario, "ambient-first", t_order)
         raise SignConventionError(
             f"dual pair is not closed along the equator: residual "
             f"{residual:.3e} ({ODD_ORDERING}), {other:.3e} (ambient-first)")

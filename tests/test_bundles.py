@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cgbv import dual
@@ -13,7 +14,7 @@ from cgbv.bundles import (AssociatedBundles, ODD_REGISTRY, OddRankTriple,
 from cgbv.chern_weil import Connection, transgression
 from cgbv.errors import (ChartError, ProjectorError, RankError, ShapeError,
                          VanishingSectionError)
-from cgbv.forms import MatrixForm, SmoothMap
+from cgbv.forms import MatrixForm, SmoothMap, as_block
 from cgbv.geometry import ChartDomain
 
 TWO_PI = 2.0 * math.pi
@@ -81,7 +82,7 @@ class TestProjectedConnection:
         conn = Connection.flat(2, 1)
         bad = Subbundle(2, lambda x: [[0.9, 0.0], [0.0, 0.0]], "bad")
         with pytest.raises(ProjectorError):
-            projected_connection(conn, bad, check_points=[[0.0]])
+            bad.check([[0.0]])
 
     def test_nan_after_finite_point_raises(self):
         def proj(x):
@@ -120,9 +121,9 @@ class TestSectionSplitting:
 
     def test_vanishing_at_check_points(self):
         conn = Connection.flat(2, 1)
+        out = section_splitting_connection(conn, lambda x: [x[0], 0.0])
         with pytest.raises(VanishingSectionError):
-            section_splitting_connection(conn, lambda x: [x[0], 0.0],
-                                         check_points=[[1.0], [1e-12]])
+            out.A.eval(as_block([[1.0], [1e-12]]))
 
     @staticmethod
     def _nan_at_one(x):
@@ -131,9 +132,9 @@ class TestSectionSplitting:
     def test_nan_after_finite_check_point_raises(self):
         # min(1.0, nan) == 1.0 would let the NaN length pass the check
         conn = Connection.flat(2, 1)
+        out = section_splitting_connection(conn, self._nan_at_one)
         with pytest.raises(VanishingSectionError):
-            section_splitting_connection(conn, self._nan_at_one,
-                                         check_points=[[0.0], [1.0]])
+            out.A.eval(as_block([[0.0], [1.0]]))
 
     def test_nan_at_evaluation_raises(self):
         conn = Connection.flat(2, 1)
@@ -158,17 +159,18 @@ class TestFrameSplit:
         out = frame_split_connection(conn, frames)
         assert max_entry(out.A.eval([0.4, -0.2])) == 0.0
 
-    def test_gram_defect_raises(self):
-        conn = Connection.flat(2, 1)
-        with pytest.raises(ProjectorError):
-            frame_split_connection(conn, [lambda x: [1.0, 1.0]],
-                                   check_points=[[0.0]])
-
-    def test_nan_frame_raises(self):
-        conn = Connection.flat(2, 1)
-        with pytest.raises(ProjectorError):
-            frame_split_connection(conn, [lambda x: [math.nan, 0.0]],
-                                   check_points=[[0.0]])
+    def test_plane_frame_is_orthonormal(self):
+        # the only frame the package splits along; frame_split_connection
+        # takes it as orthonormal without checking
+        tri = OddRankTriple(make_bundle("odd-rank3-point"), fiber_order=6)
+        rng = random.Random(33)
+        pts = as_block([[rng.uniform(-1.0, 1.0) for _ in range(4)]
+                        for _ in range(16)])
+        F = [f(pts) for f in tri.plane_frame]
+        for a in range(2):
+            for b in range(2):
+                gram = sum(F[a][i] * F[b][i] for i in range(4))
+                assert np.all(np.abs(gram - (a == b)) <= 1e-14)
 
     def test_single_frame_matches_section_split_on_flat(self):
         # over a flat bundle both constructions reduce to the projector terms

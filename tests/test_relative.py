@@ -353,8 +353,10 @@ class TestHomotopyOperators:
                                             (1.0 - 0.3 * z[0]) * z[2]])
         p = random_pair(dom, 1, rng)
         eta = random_polynomial_form(2, 1, rng)
-        with pytest.raises(HomotopyError):
+        with pytest.raises(HomotopyError) as err:
             homotopy_TI(shrink, 0.5, p, eta.d(), dom)
+        # the shrink leaves the circle further the later the time
+        assert str(err.value).startswith("flow leaves the boundary at s=0.500: ")
 
     def test_boundary_violation_on_point_face_raises(self):
         # the flow keeps x = 1 fixed but drags x = 0 into the interior
@@ -369,6 +371,28 @@ class TestHomotopyOperators:
         eta = random_polynomial_form(1, 0, rng)
         with pytest.raises(HomotopyError):
             homotopy_TI(drift, 0.5, p, eta.d(), pts_dom)
+
+    def test_nan_flow_at_one_sample_raises(self):
+        # the twist keeps the circle on the circle; NaN at the middle time of
+        # one boundary sample only, inside the one block the check evaluates
+        rng = random.Random(144)
+        dom = disk_domain(order=8)
+        t = 0.5
+        bad = dom.faces[0].sample_ambient_points(random.Random(7), 4)[2]
+        twist = twist_flow()
+
+        def fn(z):
+            hit = ((abs(dual.real(z[0]) - 0.81 * t) < 1e-12)
+                   & (abs(dual.real(z[1]) - bad[0]) < 1e-12)
+                   & (abs(dual.real(z[2]) - bad[1]) < 1e-12))
+            return [dual.where(hit, math.nan, 1.0) * v for v in twist.fn(z)]
+
+        p = random_pair(dom, 1, rng)
+        eta = random_polynomial_form(2, 1, rng)
+        homotopy_TI(twist, t, p, eta.d(), dom)
+        with pytest.raises(HomotopyError) as err:
+            homotopy_TI(SmoothMap(3, 2, fn), t, p, eta.d(), dom)
+        assert str(err.value) == "flow leaves the boundary at s=0.405: defect nan"
 
     def test_missing_defect_raises(self):
         rng = random.Random(141)
