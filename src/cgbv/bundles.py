@@ -108,7 +108,8 @@ def projected_connection(conn: Connection, sub: Subbundle) -> Connection:
                 for r1, r2 in zip(_smul_mat(P, dP), _mul_smat(_smul_mat(P, A0), P))]
         return _with_complement(span, P, dP, A0)
 
-    return Connection(m, MatrixForm(n, 1, m, eval_fn),
+    # the projector's m * m entries ride one lifted pass over n directions
+    return Connection(m, MatrixForm(n, 1, m, eval_fn, max(m * m * n, conn.A.width)),
                       f"split({conn.label},{sub.label})")
 
 
@@ -172,7 +173,8 @@ def frame_split_connection(conn: Connection, frames) -> Connection:
                         e[c] = e[c] + si[c] * gj + gi * sj[c]
         return _with_complement(span, P, dP, A0)
 
-    return Connection(m, MatrixForm(n, 1, m, eval_fn), f"frame-split({conn.label})")
+    return Connection(m, MatrixForm(n, 1, m, eval_fn, max(m * m * n, conn.A.width)),
+                      f"frame-split({conn.label})")
 
 
 def section_transgression(conn: Connection, section, t_order: int = 16) -> Form:
@@ -217,7 +219,8 @@ def total_connection(conn: Connection, fiber_ambient: int) -> Connection:
         A = conn.A.eval(list(x[fiber_ambient:]))
         return [[[0.0] * fiber_ambient + A[i][j] for j in range(m)] for i in range(m)]
 
-    return Connection(m, MatrixForm(fiber_ambient + n, 1, m, eval_fn), conn.label)
+    return Connection(m, MatrixForm(fiber_ambient + n, 1, m, eval_fn, conn.A.width),
+                      conn.label)
 
 
 def rank_extension(conn: Connection) -> Connection:
@@ -232,7 +235,9 @@ def rank_extension(conn: Connection) -> Connection:
                 out[i + 1][j + 1] = A[i][j]
         return out
 
-    return Connection(m + 1, MatrixForm(n, 1, m + 1, eval_fn), f"r+{conn.label}")
+    return Connection(m + 1, MatrixForm(n, 1, m + 1, eval_fn,
+                                        max((m + 1) ** 2, conn.A.width)),
+                      f"r+{conn.label}")
 
 
 class AssociatedBundles:

@@ -91,7 +91,7 @@ def pfaffian(Mf: MatrixForm) -> Form:
         # degree above the chart dimension: identically zero
         return ZeroForm(Mf.n, k * Mf.p)
     n, p = Mf.n, Mf.p
-    return Form(n, k * p, lambda x: pfaffian_coeffs(n, p, Mf.eval(x)))
+    return Form(n, k * p, lambda x: pfaffian_coeffs(n, p, Mf.eval(x)), Mf.width)
 
 
 class Connection:
@@ -184,6 +184,7 @@ def _simplex_transgression(conns, nodes) -> Form:
     f_pairs = {pr for _, _, rest in placements for pr in rest}
     # with k = q every pair holds a theta and F is never needed
     dA_mfs = [c.A.d() for c in conns] if f_pairs else []
+    width = max(mf.width for mf in dA_mfs or [c.A for c in conns])
     pairs = combos(m, 2)
     upper = [(a, b) for a in range(q + 1) for b in range(a, q + 1)]
     scale = (-1) ** (q * (q - 1) // 2) * TWO_PI ** -k
@@ -227,7 +228,7 @@ def _simplex_transgression(conns, nodes) -> Form:
                 out[idx] = out[idx] + w * block[idx]
         return scale_coeffs(scale, out)
 
-    return Form(n, out_deg, comps)
+    return Form(n, out_deg, comps, width)
 
 
 def _weighted_sum(coefs, vecs):
@@ -260,7 +261,7 @@ def connection_path(c1: Connection, c2: Connection) -> Connection:
             out.append(row)
         return out
 
-    return Connection(m, MatrixForm(n + 1, 1, m, eval_fn),
+    return Connection(m, MatrixForm(n + 1, 1, m, eval_fn, max(c1.A.width, c2.A.width)),
                       f"path({c1.label},{c2.label})")
 
 
@@ -285,7 +286,8 @@ def simplex_family(c1: Connection, c2: Connection, c3: Connection) -> Connection
             out.append(row)
         return out
 
-    return Connection(m, MatrixForm(n + 2, 1, m, eval_fn),
+    return Connection(m, MatrixForm(n + 2, 1, m, eval_fn,
+                                    max(c1.A.width, c2.A.width, c3.A.width)),
                       f"simplex({c1.label},{c2.label},{c3.label})")
 
 
@@ -367,7 +369,8 @@ def gauge_pullback_potential(conn: Connection, phi: SmoothMap, psi) -> MatrixFor
     pulled = conn.A.pullback(phi)
     psiT = [[psi[j][i] for j in range(m)] for i in range(m)]
     return MatrixForm(conn.n, 1, m,
-                      lambda x: _mul_smat(_smul_mat(psiT, pulled.eval(x)), psi))
+                      lambda x: _mul_smat(_smul_mat(psiT, pulled.eval(x)), psi),
+                      pulled.width)
 
 
 def gauge_residual(conn: Connection, phi: SmoothMap, psi,

@@ -354,12 +354,14 @@ def les_check(cm: CochainComplex, cb: CochainComplex, r) -> ExactnessReport:
     return ExactnessReport(spots)
 
 
-def dirichlet_betti(cm: CochainComplex, cb: CochainComplex, r):
+def dirichlet_betti(cm: CochainComplex, cb: CochainComplex, r, cone_betti):
     """Betti numbers of the kernel subcomplex of the restriction.
 
     Demands degreewise surjectivity (the partition-of-unity analog); the
-    result is checked against the mapping-cone Betti numbers before it is
-    returned, since their equality is the point of the construction.
+    result is checked against ``cone_betti``, the list
+    ``betti(mapping_cone(cm, cb, r))``, before it is returned, since their
+    equality is the point of the construction.  The caller ranks the cone,
+    which it needs for its own comparisons too.
     """
     r = _check_chain_map(cm, cb, r)
     kernels = [_kernel_basis(r[k], n) for k, n in enumerate(cm.dims)]
@@ -373,11 +375,10 @@ def dirichlet_betti(cm: CochainComplex, cb: CochainComplex, r):
              for k in range(len(cm.dims) - 1)]
     sub = CochainComplex(dims, diffs, f"ker({cm.label})")
     out = betti(sub)
-    cone_b = betti(mapping_cone(cm, cb, r))
-    padded = out + [0] * (len(cone_b) - len(out))
-    if padded != cone_b:
+    padded = out + [0] * (len(cone_betti) - len(out))
+    if padded != cone_betti:
         raise ConsistencyError(
-            f"kernel subcomplex Betti {out} disagrees with cone {cone_b}")
+            f"kernel subcomplex Betti {out} disagrees with cone {cone_betti}")
     return padded
 
 

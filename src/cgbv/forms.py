@@ -14,6 +14,14 @@ each direction back with :func:`cgbv.dual.direction`.
 one lifted pass, the values read from its value slots.  Sums are
 ``a = a + b``: an in-place ``+=`` cannot widen (B, 1) base points against F
 fiber nodes.
+
+Every form and matrix form carries a structural ``width``, the array
+entries one evaluation holds per node or sample point, up to a constant: 1
+for a plain closure, m * m for an m x m matrix, multiplied by the number of
+directions at each ``d``, pullback or Jacobian level, and the larger of the
+two for a sum or wedge.  :func:`block_size` turns it into the number of
+nodes or points one evaluation gets, so blocks depend only on how a form is
+built and sum in the same order on every run and machine.
 """
 
 from __future__ import annotations
@@ -26,6 +34,21 @@ import numpy as np
 
 from .dual import Dual, depth, deriv, direction, value
 from .errors import DegreeError, ShapeError
+
+
+# Array entries per closure evaluation: a form of width w gets blocks of
+# ENTRY_BUDGET // w nodes or points, at least 128 (Python overhead per numpy
+# call dominates below that) and at most 2048 (larger arrays drop out of the
+# cache and run slower per entry).  First-order integrands (width up to 64)
+# get 2048 nodes; the second-order 4 x 4 transgressions that symmetry-
+# reflection integrates over a cylinder (width 3072, about 8 KB a node) keep
+# 128; the rank-4 transgression derivative (width 256) takes 512 points.
+ENTRY_BUDGET = 2 ** 17
+
+
+def block_size(width: int) -> int:
+    """Nodes or sample points per evaluation of a form of this width."""
+    return min(max(ENTRY_BUDGET // width, 128), 2048)
 
 
 @lru_cache(maxsize=None)
@@ -121,6 +144,17 @@ def sup_abs(values) -> float:
             return a
         worst = max(worst, a)
     return worst
+
+
+def blockwise_sup(values_at, points, width: int) -> float:
+    """:func:`sup_abs` of ``values_at(x)`` over the points in blocks of ``block_size(width)``.
+
+    A sup does not depend on the order it is taken in, so this is the value
+    one block of every point gives, without holding all their arrays at once.
+    """
+    step = block_size(width)
+    return sup_abs(sup_abs(values_at(as_block(points[s:s + step])))
+                   for s in range(0, len(points), step))
 
 
 def wedge_coeffs(n: int, p: int, q: int, a: list, b: list) -> list:
@@ -277,16 +311,20 @@ class Form:
         degree bookkeeping uniform (d always raises degree by one).
     comps : callable
         Point -> list of coefficients aligned with ``combos(n, p)``.
+    width : int
+        Array entries one evaluation holds per node, up to a constant
+        (see the module docstring); 1 for a plain closure.
     """
 
-    __slots__ = ("n", "p", "comps")
+    __slots__ = ("n", "p", "comps", "width")
 
-    def __init__(self, n: int, p: int, comps):
+    def __init__(self, n: int, p: int, comps, width: int = 1):
         if p < 0:
             raise DegreeError(f"negative degree {p}")
         self.n = n
         self.p = p
         self.comps = comps
+        self.width = width
 
     def evaluate(self, x) -> list:
         vals = self.comps(list(x))
@@ -315,18 +353,20 @@ class Form:
 
     def __add__(self, other: "Form") -> "Form":
         self._compat(other)
-        return Form(self.n, self.p, lambda x: add_coeffs(self.comps(x), other.comps(x)))
+        return Form(self.n, self.p, lambda x: add_coeffs(self.comps(x), other.comps(x)),
+                    max(self.width, other.width))
 
     def __sub__(self, other: "Form") -> "Form":
         self._compat(other)
-        return Form(self.n, self.p, lambda x: sub_coeffs(self.comps(x), other.comps(x)))
+        return Form(self.n, self.p, lambda x: sub_coeffs(self.comps(x), other.comps(x)),
+                    max(self.width, other.width))
 
     def __neg__(self) -> "Form":
-        return Form(self.n, self.p, lambda x: [-v for v in self.comps(x)])
+        return Form(self.n, self.p, lambda x: [-v for v in self.comps(x)], self.width)
 
     def smul(self, c) -> "Form":
         """Multiply by a constant scalar."""
-        return Form(self.n, self.p, lambda x: scale_coeffs(c, self.comps(x)))
+        return Form(self.n, self.p, lambda x: scale_coeffs(c, self.comps(x)), self.width)
 
     def __mul__(self, c):
         return self.smul(c)
@@ -339,7 +379,8 @@ class Form:
         if self.p + other.p > self.n:
             return ZeroForm(self.n, self.p + other.p)
         n, p, q = self.n, self.p, other.p
-        return Form(n, p + q, lambda x: wedge_coeffs(n, p, q, self.comps(x), other.comps(x)))
+        return Form(n, p + q, lambda x: wedge_coeffs(n, p, q, self.comps(x), other.comps(x)),
+                    max(self.width, other.width))
 
     def d(self) -> "Form":
         """Exterior derivative from one dual pass carrying every direction.
@@ -354,7 +395,7 @@ class Form:
         def comps(x):
             return _d_coeffs(n, p, self.comps(lift_point(x, range(n))), _levels(x))
 
-        return Form(n, p + 1, comps)
+        return Form(n, p + 1, comps, self.width * n)
 
     def pullback(self, phi: SmoothMap) -> "Form":
         """Pull back along phi, landing on the source chart of phi.
@@ -374,7 +415,7 @@ class Form:
             y, J = phi.jacobian(u)
             return pullback_coeffs(p, J, self.comps(y), n_dst, n_src)
 
-        return Form(n_src, p, comps)
+        return Form(n_src, p, comps, self.width * (n_src if p else 1))
 
     def _compat(self, other: "Form"):
         if (self.n, self.p) != (other.n, other.p):
@@ -404,18 +445,19 @@ class MatrixForm:
     lists aligned with ``combos(n, p)``.  Batching the whole matrix into one
     closure, with every direction on the leading axis of the derivative
     slots, makes ``d`` a single closure call whatever the number of entries
-    or the chart dimension.
+    or the chart dimension.  The width of a plain matrix closure is m * m.
     """
 
-    __slots__ = ("n", "p", "m", "eval")
+    __slots__ = ("n", "p", "m", "eval", "width")
 
-    def __init__(self, n: int, p: int, m: int, eval_fn):
+    def __init__(self, n: int, p: int, m: int, eval_fn, width: int | None = None):
         if p < 0:
             raise DegreeError(f"negative degree {p}")
         self.n = n
         self.p = p
         self.m = m
         self.eval = eval_fn
+        self.width = m * m if width is None else width
 
     @staticmethod
     def zero(n: int, p: int, m: int) -> "MatrixForm":
@@ -438,14 +480,14 @@ class MatrixForm:
         def eval_fn(x):
             A, B = self.eval(x), other.eval(x)
             return [[add_coeffs(A[i][j], B[i][j]) for j in range(self.m)] for i in range(self.m)]
-        return MatrixForm(self.n, self.p, self.m, eval_fn)
+        return MatrixForm(self.n, self.p, self.m, eval_fn, max(self.width, other.width))
 
     def __sub__(self, other: "MatrixForm") -> "MatrixForm":
         self._compat(other)
         def eval_fn(x):
             A, B = self.eval(x), other.eval(x)
             return [[sub_coeffs(A[i][j], B[i][j]) for j in range(self.m)] for i in range(self.m)]
-        return MatrixForm(self.n, self.p, self.m, eval_fn)
+        return MatrixForm(self.n, self.p, self.m, eval_fn, max(self.width, other.width))
 
     def __neg__(self) -> "MatrixForm":
         return self.smul(-1.0)
@@ -454,7 +496,7 @@ class MatrixForm:
         def eval_fn(x):
             A = self.eval(x)
             return [[scale_coeffs(c, A[i][j]) for j in range(self.m)] for i in range(self.m)]
-        return MatrixForm(self.n, self.p, self.m, eval_fn)
+        return MatrixForm(self.n, self.p, self.m, eval_fn, self.width)
 
     def wedge(self, other: "MatrixForm") -> "MatrixForm":
         """Matrix product with entrywise wedge."""
@@ -464,7 +506,7 @@ class MatrixForm:
         def eval_fn(x):
             A, B = self.eval(x), other.eval(x)
             return mat_mul_wedge(n, p, q, A, B)
-        return MatrixForm(n, p + q, m, eval_fn)
+        return MatrixForm(n, p + q, m, eval_fn, max(self.width, other.width))
 
     def d(self) -> "MatrixForm":
         if self.p >= self.n:
@@ -474,7 +516,7 @@ class MatrixForm:
             levels = _levels(x)
             A = self.eval(lift_point(x, range(n)))
             return [[_d_coeffs(n, p, A[r][c], levels) for c in range(m)] for r in range(m)]
-        return MatrixForm(n, p + 1, m, eval_fn)
+        return MatrixForm(n, p + 1, m, eval_fn, self.width * n)
 
     def pullback(self, phi: SmoothMap) -> "MatrixForm":
         if phi.dst_dim != self.n:
@@ -487,7 +529,7 @@ class MatrixForm:
             A = self.eval(y)
             return [[pullback_coeffs(p, J, A[i][j], n_dst, n_src)
                      for j in range(m)] for i in range(m)]
-        return MatrixForm(n_src, p, m, eval_fn)
+        return MatrixForm(n_src, p, m, eval_fn, self.width * (n_src if p else 1))
 
     def _compat(self, other: "MatrixForm"):
         if (self.n, self.p, self.m) != (other.n, other.p, other.m):

@@ -11,16 +11,22 @@ in the package reduces to polynomial-exact rules on boxes.
 Evaluation model: a form closure, an embedding and a section receive a
 point as a list of coordinates, each either a float or a numpy array whose
 last axis holds one entry per node of a block (all of equal shape).
-``integrate`` passes blocks of up to ``BLOCK`` nodes and reduces the node
-axis with :func:`cgbv.dual.node_sum`; a sampled check passes its sample
-points as one block (:func:`cgbv.forms.as_block`), while sampling and
-Newton steps pass floats.  Closures therefore compute elementwise and must
-not branch on values: a piecewise formula selects through
-:func:`cgbv.dual.where` on clamped arguments.
+``integrate`` passes blocks of :func:`cgbv.forms.block_size` nodes for the
+width of the pulled-back form, so an integrand that holds few arrays per
+node gets long blocks and a nested-dual matrix integrand short ones, and
+reduces the node axis with :func:`cgbv.dual.node_sum`.  A sampled check
+passes its sample points as one block (:func:`cgbv.forms.as_block`), or
+in blocks sized the same way where ``--count`` sets their number
+(:func:`cgbv.forms.blockwise_sup`); sampling and Newton steps pass floats.
+Closures therefore compute elementwise and must not branch on values: a
+piecewise formula selects through :func:`cgbv.dual.where` on clamped
+arguments.
 
 A fiber integral is a chart integral over the fiber, its base point given a
 trailing axis (:func:`cgbv.dual.trailing`): a block of B base points meets F
-fiber nodes as (B, F) arrays, and a dual base point passes through.
+fiber nodes as (B, F) arrays, and a dual base point passes through.  The
+fiber blocks count the entries each base point brings, so base times fiber
+entries stay within the same budget.
 
 Orientation conventions, pinned once and tested:
 
@@ -45,18 +51,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dual import cos, node_sum, sin, trailing
+from .dual import cos, entries, node_sum, sin, trailing
 from .errors import ChartError, DegreeError
-from .forms import Form, SmoothMap, ZeroForm, combos, combo_index
-
-
-# Nodes per closure evaluation in ChartDomain.integrate, chosen by peak RSS:
-# the odd-rank cylinder transgressions (second-order duals) take about 8 KB
-# per node, so 2048-node blocks lift symmetry-reflection from 33 to 41 MB,
-# for about 40% less time on homotopy-operators and chain-sign-laws.  A fiber
-# integral on a base block holds at most BLOCK**2 entries per array (base
-# block x fiber block); in the registry fiber-projection reaches 64 x 16.
-BLOCK = 128
+from .forms import Form, SmoothMap, ZeroForm, block_size, combos, combo_index
 
 
 @lru_cache(maxsize=None)
@@ -261,10 +258,11 @@ class ChartDomain:
                 f"degree {form.p} form cannot be integrated over {self.dim}-dimensional {self.name}")
         pulled = form.pullback(self.embed) if self.embed is not None else form
         coords, weights = self.nodes()
+        step = block_size(pulled.width)
         total = 0.0
-        for s in range(0, len(weights), BLOCK):
-            block = [c[s:s + BLOCK] for c in coords]
-            total += node_sum(weights[s:s + BLOCK], pulled.comps(block)[0])
+        for s in range(0, len(weights), step):
+            block = [c[s:s + step] for c in coords]
+            total += node_sum(weights[s:s + step], pulled.comps(block)[0])
         return self.orientation * total
 
     def boundary_faces(self):
@@ -334,7 +332,10 @@ class FiberBundleDomain:
         integral of the dt_1..dt_f ^ dx_I coefficient, dt the fiber block,
         each one :meth:`ChartDomain.integrate` over the fiber.  Degrees below
         the fiber dimension integrate to zero and come back as a flagged
-        :class:`ZeroForm`.
+        :class:`ZeroForm`.  One evaluation at a base point holds every fiber
+        node, so the result's width is the form's times the fiber's node
+        count; at a block of base points, each fiber block is sized by the
+        form's width times the entries the base point brings.
         """
         fa, fd = self.fiber.ambient_dim, self.fiber.dim
         nb = self.base.ambient_dim
@@ -351,17 +352,18 @@ class FiberBundleDomain:
         rows = [[idx_tot[K + tuple(i + fa for i in I)] for K in combos(fa, fd)]
                 for I in combos(nb, p_out)]
 
-        def front_block(row, tail):
+        def front_block(row, tail, width):
             def comps(v):
                 vals = form.comps(list(v) + tail)
                 return [vals[i] for i in row]
-            return Form(fa, fd, comps)
+            return Form(fa, fd, comps, width)
 
         def comps(y):
             tail = [trailing(c) for c in y]
-            return [self.fiber.integrate(front_block(row, tail)) for row in rows]
+            width = form.width * max((entries(c) for c in y), default=1)
+            return [self.fiber.integrate(front_block(row, tail, width)) for row in rows]
 
-        return Form(nb, p_out, comps)
+        return Form(nb, p_out, comps, form.width * math.prod(self.fiber.orders))
 
 
 def _slice_chart(base: ChartDomain, value: float, total_ambient: int) -> ChartDomain:

@@ -31,13 +31,16 @@ class RelativeDomain:
 
     ``boundary_defect`` measures how far an ambient point is from the
     boundary; the homotopy operators require it to spot-check that a flow
-    keeps boundary points on the boundary.
+    keeps boundary points on the boundary.  The (flow, time, source) triples
+    that passed that check against this domain are kept, since the check is
+    a fixed function of them and one identity applies several operators.
     """
 
     def __init__(self, manifold: ChartDomain, faces=None, boundary_defect=None):
         self.manifold = manifold
         self.faces = list(faces) if faces is not None else manifold.boundary_faces()
         self.boundary_defect = boundary_defect
+        self.flows_checked = set()
 
     @property
     def dim(self) -> int:
@@ -151,10 +154,14 @@ def _check_boundary_compat(phi: SmoothMap, t: float, source: RelativeDomain,
 
     Four points per face, each at three times, evaluated as one block per
     face; the error names the worst sample, a NaN defect counting as worst.
+    Runs once per (phi, t, source) against a target: a pass is recorded in
+    ``target.flows_checked``.
     """
     if target.boundary_defect is None:
         raise ChartError(
             f"target domain {target.manifold.name} has no boundary defect function")
+    if (phi, t, source) in target.flows_checked:
+        return
     rng = random.Random(7)
     for face in source.faces:
         pts = [[s] + list(x) for x in face.sample_ambient_points(rng, 4)
@@ -167,6 +174,7 @@ def _check_boundary_compat(phi: SmoothMap, t: float, source: RelativeDomain,
             raise HomotopyError(
                 f"flow leaves the boundary at s={pts[worst][0]:.3f}: "
                 f"defect {defect[worst]:.3e}")
+    target.flows_checked.add((phi, t, source))
 
 
 def _cylinder_pairing(phi: SmoothMap, t: float, p: FormPair, eta: Form,
@@ -410,5 +418,5 @@ def boundary_winding(section, B: ChartDomain) -> float:
         den = (s1 * s1 + s2 * s2) * (2.0 * math.pi)
         return [(s1 * J[1][c] - s2 * J[0][c]) / den for c in range(2)]
 
-    w = Form(2, 1, comps)
+    w = Form(2, 1, comps, smap.src_dim)
     return sum(face.integrate(w) for face in B.boundary_faces())

@@ -27,7 +27,7 @@ from .chern_weil import (Connection, MatrixForm, gauge_residual,
 from .discrete import (MESH_REGISTRY, betti, dirichlet_betti, les_check,
                        make_mesh, mapping_cone)
 from .errors import ConfigError
-from .forms import Form, SmoothMap, as_block, combos, sup_abs
+from .forms import Form, SmoothMap, as_block, blockwise_sup, combos, sup_abs
 from .geometry import ChartDomain, FiberBundleDomain, stokes_residual
 from .relative import (FormPair, RelativeDomain, boundary_winding,
                        homotopy_defect_I, homotopy_defect_II, lefschetz_I,
@@ -371,10 +371,10 @@ def _run_transgression_derivative(cfg: Config) -> dict:
         c2 = _random_skew_connection(n, m, rng)
         dT = transgression(c1, c2).d()
         pf1, pf2 = pf_form(c1), pf_form(c2)
-        x = as_block([[rng.uniform(-1.0, 1.0) for _ in range(n)]
-                      for _ in range(cfg.count)])
-        out[f"transgression-derivative-{key}"] = sup_abs(
-            t - b + a for t, a, b in zip(dT(x), pf1(x), pf2(x)))
+        pts = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(cfg.count)]
+        out[f"transgression-derivative-{key}"] = blockwise_sup(
+            lambda x: [t - b + a for t, a, b in zip(dT(x), pf1(x), pf2(x))],
+            pts, max(dT.width, pf1.width, pf2.width))
     return out
 
 
@@ -403,9 +403,11 @@ def _run_secondary_transgression(cfg: Config) -> dict:
     dQ = secondary_transgression(*cs).d()
     edges = [transgression(cs[0], cs[1]), transgression(cs[1], cs[2]),
              transgression(cs[2], cs[0])]
-    x = as_block([[rng.uniform(0.0, TWO_PI)] for _ in range(cfg.count)])
-    total = sup_abs(q + a + b + c for q, a, b, c
-                    in zip(dQ(x), edges[0](x), edges[1](x), edges[2](x)))
+    pts = [[rng.uniform(0.0, TWO_PI)] for _ in range(cfg.count)]
+    total = blockwise_sup(
+        lambda x: [q + a + b + c for q, a, b, c
+                   in zip(dQ(x), edges[0](x), edges[1](x), edges[2](x))],
+        pts, max(f.width for f in [dQ] + edges))
     const = secondary_transgression(cs[0], cs[0], cs[0])
     flat = sup_abs(const(as_block([[rng.uniform(0.0, TWO_PI)]
                                    for _ in range(8)])))
@@ -433,9 +435,10 @@ def _run_loop_transgression(cfg: Config) -> dict:
     loop = Connection(2, MatrixForm(2, 1, 2, loop_eval), "loop")
     ext = Connection(2, MatrixForm(3, 1, 2, ext_eval), "extension")
     T, P = loop_transgression(loop, ext, base)
-    x = as_block([[rng.uniform(-0.95, 0.95)] for _ in range(cfg.count)])
-    return {"loop-primitive-sup": sup_abs(
-        p + t for p, t in zip(P.d()(x), T(x)))}
+    dP = P.d()
+    pts = [[rng.uniform(-0.95, 0.95)] for _ in range(cfg.count)]
+    return {"loop-primitive-sup": blockwise_sup(
+        lambda x: [p + t for p, t in zip(dP(x), T(x))], pts, max(dP.width, T.width))}
 
 
 def _run_symmetry_rotation(cfg: Config) -> dict:
@@ -717,7 +720,7 @@ def _run_discrete_duality(cfg: Config) -> dict:
         cm, cb, r = mesh.complexes()
         cone = mapping_cone(cm, cb, r)
         bc, bm = betti(cone), betti(cm)
-        bd = dirichlet_betti(cm, cb, r)
+        bd = dirichlet_betti(cm, cb, r, bc)
         for k in range(len(bc)):
             dirichlet = bd[k] if k < len(bd) else 0
             cone_gap.append(bc[k] - dirichlet)

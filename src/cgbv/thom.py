@@ -131,7 +131,7 @@ def mu(omega: Form, gamma: Form | None, rho: BumpProfile, fiber_dim: int) -> For
     The slope factor vanishes near r = 0, which keeps the product smooth
     even though gamma may blow up at the zero section.
     """
-    first = Form(omega.n, omega.p, _scaled_comps(omega, rho, fiber_dim))
+    first = Form(omega.n, omega.p, _scaled_comps(omega, rho, fiber_dim), omega.width)
     if gamma is None:
         return first
     return first - _slope_dr(rho, fiber_dim, omega.n).wedge(gamma)

@@ -30,6 +30,10 @@ CONE_BETTI = {
 }
 
 
+def cone_betti(cm, cb, r):
+    return betti(mapping_cone(cm, cb, r))
+
+
 class TestCochainComplex:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ComplexError):
@@ -172,17 +176,39 @@ class TestDirichlet:
     @pytest.mark.parametrize("name", sorted(CONE_BETTI))
     def test_matches_cone(self, name):
         cm, cb, r = make_mesh(name).complexes()
-        assert dirichlet_betti(cm, cb, r) == CONE_BETTI[name]
+        assert dirichlet_betti(cm, cb, r, cone_betti(cm, cb, r)) == CONE_BETTI[name]
 
     def test_empty_boundary_equals_mesh_betti(self):
         cm, cb, r = make_mesh("circle").complexes()
-        assert dirichlet_betti(cm, cb, r) == betti(cm)
+        assert dirichlet_betti(cm, cb, r, cone_betti(cm, cb, r)) == betti(cm)
 
     def test_non_surjective_restriction_rejected(self):
         cm, cb, _ = make_mesh("interval").complexes()
         bad = [[[1, 0, 0], [1, 0, 0]], []]
         with pytest.raises(SurjectivityError):
-            dirichlet_betti(cm, cb, bad)
+            dirichlet_betti(cm, cb, bad, CONE_BETTI["interval"])
+
+    @pytest.mark.parametrize("name", sorted(CONE_BETTI))
+    def test_other_cone_betti_raise(self, name):
+        cm, cb, r = make_mesh(name).complexes()
+        wrong = list(CONE_BETTI[name])
+        wrong[-1] += 1
+        with pytest.raises(ConsistencyError):
+            dirichlet_betti(cm, cb, r, wrong)
+
+    def test_duality_scenario_builds_one_cone_per_mesh(self, monkeypatch):
+        from cgbv import scenarios
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return mapping_cone(*args)
+
+        monkeypatch.setattr(discrete, "mapping_cone", counted)
+        monkeypatch.setattr(scenarios, "mapping_cone", counted)
+        report = scenarios.run_scenario(scenarios.get_scenario("discrete-duality"))
+        assert report.passed
+        assert len(built) == len(MESH_REGISTRY)
 
 
 class TestDuality:
@@ -355,7 +381,7 @@ class TestOneElimination:
         mesh = name.split("-")[0]
         assert betti(cm) == M_BETTI[mesh]
         assert betti(mapping_cone(cm, cb, r)) == CONE_BETTI[mesh]
-        assert dirichlet_betti(cm, cb, r) == CONE_BETTI[mesh]
+        assert dirichlet_betti(cm, cb, r, cone_betti(cm, cb, r)) == CONE_BETTI[mesh]
         assert les_check(cm, cb, r).all_exact
 
     def test_scrambled_pivots_need_fractions(self):
@@ -410,7 +436,8 @@ class TestExactEntries:
         for c, h in ((cm, hm), (cb, hb),
                      (mapping_cone(cm, cb, r), mapping_cone(hm, hb, r))):
             assert betti(h) == betti(c)
-        assert dirichlet_betti(hm, hb, r) == dirichlet_betti(cm, cb, r)
+        assert (dirichlet_betti(hm, hb, r, cone_betti(hm, hb, r))
+                == dirichlet_betti(cm, cb, r, cone_betti(cm, cb, r)))
         assert les_check(hm, hb, r).all_exact
 
         def restriction_maps(m, b):

@@ -358,6 +358,41 @@ class TestHomotopyOperators:
         # the shrink leaves the circle further the later the time
         assert str(err.value).startswith("flow leaves the boundary at s=0.500: ")
 
+    def test_boundary_check_runs_once_per_flow_and_time(self):
+        # one identity of each kind applies four cylinder operators to one
+        # (flow, time); the boundary samples are evaluated once, one block per face
+        rng = random.Random(145)
+        blocks = []
+
+        def defect(x):
+            blocks.append(len(x[0]))
+            return x[0] ** 2 + x[1] ** 2 - 1.0
+
+        dom = RelativeDomain(ChartDomain.ball(2, order=8), boundary_defect=defect)
+        phi = twist_flow()
+        p = random_pair(dom, 1, rng)
+        eta = random_polynomial_form(2, 1, rng)
+        homotopy_defect_I(phi, 0.5, p, eta, dom)
+        homotopy_defect_II(phi, 0.5, eta, p, dom)
+        assert blocks == [12]
+        homotopy_TI(phi, 0.6, p, eta.d(), dom)
+        assert blocks == [12, 12]
+
+    def test_boundary_violation_after_a_pass_raises(self):
+        # the shrink stays on the circle at time 0 only; neither that pass nor
+        # a pass of another flow at the same time covers it at time 0.5
+        rng = random.Random(146)
+        dom = disk_domain(order=8)
+        shrink = SmoothMap(3, 2, lambda z: [(1.0 - 0.3 * z[0]) * z[1],
+                                            (1.0 - 0.3 * z[0]) * z[2]])
+        p = random_pair(dom, 1, rng)
+        eta = random_polynomial_form(2, 1, rng)
+        homotopy_TI(shrink, 0.0, p, eta.d(), dom)
+        homotopy_TI(twist_flow(), 0.5, p, eta.d(), dom)
+        for _ in range(2):
+            with pytest.raises(HomotopyError):
+                homotopy_TI(shrink, 0.5, p, eta.d(), dom)
+
     def test_boundary_violation_on_point_face_raises(self):
         # the flow keeps x = 1 fixed but drags x = 0 into the interior
         rng = random.Random(143)
