@@ -177,14 +177,13 @@ def frame_split_connection(conn: Connection, frames) -> Connection:
                       f"frame-split({conn.label})")
 
 
-def section_transgression(conn: Connection, section, t_order: int = 16) -> Form:
+def section_transgression(conn: Connection, section) -> Form:
     """Transgression from the section-split connection to the connection.
 
     Its differential recovers the Pfaffian form of the connection, since
     the split endpoint has vanishing Pfaffian.
     """
-    return transgression(section_splitting_connection(conn, section), conn,
-                         t_order=t_order)
+    return transgression(section_splitting_connection(conn, section), conn)
 
 
 def stereographic(m: int) -> SmoothMap:
@@ -308,14 +307,6 @@ class OddRankTriple:
             "plane-split")
         self.equators = tuple((se.fiber, _equator(se.fiber, nb))
                               for se in self.assoc.se)
-
-    def ordered_pair(self, ordering: str):
-        """Transgression endpoints for the two documented label orders."""
-        if ordering == "split-first":
-            return self.split, self.ambient
-        if ordering == "ambient-first":
-            return self.ambient, self.split
-        raise ChartError(f"unknown ordering {ordering!r}")
 
 
 def _equator(piece: ChartDomain, nb: int) -> SmoothMap:

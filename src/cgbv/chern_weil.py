@@ -11,8 +11,13 @@ the base coordinates, and both share one kernel.  The affine family
 A_l = sum_a l_a A_a over the q-simplex has curvature
 sum_a dl_a ^ (A_a - A_0) + F(A_l), so the parameter integral needs no
 derivatives in the parameters: q = 1 is the transgression along a path,
-q = 2 the secondary transgression over a triangle.  The generic family
-construction is kept alongside for cross tests.
+q = 2 the secondary transgression over a triangle.  For rank 2k the
+integrand is a polynomial of degree 2(k - q) in the parameters: F_l is
+quadratic in l, theta_a = A_a - A_0 is constant, and each term carries
+k - q curvature factors.  Gauss-Legendre with k - q + 1 nodes per simplex
+axis integrates it exactly, on the Duffy square too, so the kernel picks
+that rule itself.  The generic family construction is kept alongside for
+cross tests.
 """
 
 from __future__ import annotations
@@ -142,22 +147,38 @@ def _even_pair(c1: Connection, c2: Connection):
     return c1.rank // 2
 
 
-def transgression(c1: Connection, c2: Connection, t_order: int = 16) -> Form:
+def transgression(c1: Connection, c2: Connection,
+                  t_order: int | None = None) -> Form:
     """Degree 2k-1 form with d(result) = pf_form(c2) - pf_form(c1).
 
-    The q = 1 case of :func:`_simplex_transgression`: Gauss nodes on the
-    path parameter t, family (1-t)A1 + tA2.
+    The q = 1 case of :func:`_simplex_transgression`, family
+    (1-t)A1 + tA2: the integrand has degree 2(k - 1) in t, so k Gauss
+    nodes are exact.  An explicit ``t_order`` replaces that count.
     """
-    nodes = [((1.0 - t, t), w) for t, w in zip(*gauss_nodes(t_order, 0.0, 1.0))]
-    return _simplex_transgression((c1, c2), nodes)
+    return _simplex_transgression((c1, c2), t_order)
 
 
-def _simplex_transgression(conns, nodes) -> Form:
+def _simplex_nodes(q: int, order: int):
+    """(barycentric weights, weight) pairs of a Gauss rule on the q-simplex.
+
+    q = 1 is the unit interval, l = (1-t, t).  q = 2 is the triangle
+    {s,t >= 0, s+t <= 1} through the square substitution
+    (u,v) -> (u(1-v), uv) with Jacobian u, orientation ds^dt.
+    """
+    xs, ws = gauss_nodes(order, 0.0, 1.0)
+    if q == 1:
+        return [((1.0 - t, t), w) for t, w in zip(xs, ws)]
+    duffy = [(u * (1.0 - v), u * v, wu * wv * u)
+             for u, wu in zip(xs, ws) for v, wv in zip(xs, ws)]
+    return [((1.0 - s - t, s, t), w) for s, t, w in duffy]
+
+
+def _simplex_transgression(conns, order: int | None) -> Form:
     """Front dl_1 ^ ... ^ dl_q coefficient of Pf(Omega/2pi), node-integrated.
 
     ``conns`` are the vertices A_0..A_q of the affine family
-    A_l = sum_a l_a A_a over the q-simplex and ``nodes`` its quadrature
-    rule as (barycentric weights (l_0..l_q), weight) pairs.  The family
+    A_l = sum_a l_a A_a over the q-simplex, integrated with ``order``
+    Gauss nodes per simplex axis, or the exact k - q + 1 if None.  The family
     curvature is sum_a dl_a ^ theta_a + F_l with theta_a = A_a - A_0 and
     F_l = sum_a l_a dA_a + sum_ab l_a l_b A_a ^ A_b, so each matching
     contributes, for every injective placement of theta_1..theta_q on its
@@ -174,6 +195,7 @@ def _simplex_transgression(conns, nodes) -> Form:
     if q > k or out_deg > n:
         # fewer pairs than parameter directions, or degree above the chart
         return ZeroForm(n, out_deg)
+    nodes = _simplex_nodes(q, k - q + 1 if order is None else order)
     placements = []
     for sign, matching in perfect_matchings(m):
         for slots in itertools.permutations(range(k), q):
@@ -292,19 +314,15 @@ def simplex_family(c1: Connection, c2: Connection, c3: Connection) -> Connection
 
 
 def secondary_transgression(c1: Connection, c2: Connection, c3: Connection,
-                            order: int = 16) -> Form:
+                            order: int | None = None) -> Form:
     """Degree 2k-2 form whose -d equals the sum of the three edge
     transgressions (edges of the parameter triangle, each run forward).
 
-    The q = 2 case of :func:`_simplex_transgression`.  Integration over the
-    triangle {s,t >= 0, s+t <= 1} uses the square substitution
-    (u,v) -> (u(1-v), uv) with Jacobian u, orientation ds^dt.
+    The q = 2 case of :func:`_simplex_transgression`: the integrand has
+    degree 2(k - 2) on the triangle, so k - 1 Gauss nodes per axis of
+    the Duffy square are exact.  An explicit ``order`` replaces that count.
     """
-    xs, ws = gauss_nodes(order, 0.0, 1.0)
-    duffy = [(u * (1.0 - v), u * v, wu * wv * u)
-             for u, wu in zip(xs, ws) for v, wv in zip(xs, ws)]
-    nodes = [((1.0 - s - t, s, t), w) for s, t, w in duffy]
-    return _simplex_transgression((c1, c2, c3), nodes)
+    return _simplex_transgression((c1, c2, c3), order)
 
 
 def transgression_forms_of_family(family: Connection, base: ChartDomain,

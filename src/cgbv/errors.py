@@ -71,7 +71,7 @@ class ClosednessError(VerificationError):
 
 
 class SignConventionError(VerificationError):
-    """No ordering of the supplied data satisfies the pinned normalization."""
+    """The odd-rank dual pair is not closed, so its pinned unit normalization fails."""
 
 
 class ConfigError(VerificationError):

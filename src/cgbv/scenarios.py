@@ -491,7 +491,7 @@ def _run_parallel_vanishing(cfg: Config) -> dict:
     out = {}
     for name, key in (("odd-rank1-point", "rank1"), ("odd-rank3-point", "rank3")):
         sc = ThomScenario(make_bundle(name), fiber_order=cfg.order(12))
-        res = parallel_pair_residuals(sc, t_order=12)
+        res = parallel_pair_residuals(sc)
         out[f"slice-vanishing-taut-{key}"] = res["tautological"]
         out[f"slice-vanishing-ambient-{key}"] = res["ambient"]
         out[f"persistent-sections-{key}"] = persistent_section_residual(sc)
@@ -500,7 +500,7 @@ def _run_parallel_vanishing(cfg: Config) -> dict:
 
 def _run_thom_fiber(cfg: Config) -> dict:
     bundle = make_bundle("random-rank2-disk")
-    tau = thom_form(bundle.connection, t_order=10)
+    tau = thom_form(bundle.connection)
     fi = fiber_integral(tau, bundle.base, 2, cfg.order(24))
     rng = _rng(cfg, "thom-fiber-integral")
     pts = bundle.base.sample_ambient_points(rng, 20)
@@ -531,13 +531,11 @@ def _run_nu_roundtrip(cfg: Config) -> dict:
 def _run_odd_rank_point(cfg: Config) -> dict:
     if cfg.rank not in (1, 3):
         raise ConfigError("odd point pairings are registered for ranks 1 and 3")
-    fast = cfg.rank == 1
-    order = cfg.order(16 if fast else 12)
-    t_order = 16 if fast else 12
+    order = cfg.order(16 if cfg.rank == 1 else 12)
     sc = ThomScenario(make_bundle(f"odd-rank{cfg.rank}-point"), fiber_order=order)
     one = Form(0, 0, lambda x: [1.0])
-    val = nu(sc, nu_inverse_odd(sc, one, t_order=t_order))([])[0]
-    resid = odd_pair_residual(sc, t_order=t_order)
+    val = nu(sc, nu_inverse_odd(sc, one))([])[0]
+    resid = odd_pair_residual(sc)
     return {f"unit-pairing-rank{cfg.rank}": val,
             f"dual-pair-closedness-rank{cfg.rank}": resid}
 
@@ -566,11 +564,10 @@ def _run_symmetry_reflection(cfg: Config) -> dict:
     phi = SmoothMap(4, 4, lambda x: [-x[0], x[1], x[2], x[3]])
     psi = [[-1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
            [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
-    t12 = transgression(tri.split, tri.ambient, t_order=12)
-    t23 = transgression(tri.ambient, tri.plane_split, t_order=12)
-    t31 = transgression(tri.plane_split, tri.split, t_order=12)
-    sec = secondary_transgression(tri.split, tri.ambient, tri.plane_split,
-                                  order=12)
+    t12 = transgression(tri.split, tri.ambient)
+    t23 = transgression(tri.ambient, tri.plane_split)
+    t31 = transgression(tri.plane_split, tri.split)
+    sec = secondary_transgression(tri.split, tri.ambient, tri.plane_split)
     rng = _rng(cfg, "symmetry-reflection")
     pts = ChartDomain.sphere(4, order=4).sample_ambient_points(rng, 8)
     x = as_block(pts)

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import dual
 from .bundles import (AssociatedBundles, OddRankTriple, TrivializedBundle,
-                      section_transgression, total_connection)
+                      section_splitting_connection, section_transgression,
+                      total_connection)
 from .chern_weil import Connection, pf_form, secondary_transgression, transgression
 from .errors import (BumpError, ClosednessError, ConfigError, RankError,
                      SignConventionError)
@@ -28,10 +29,12 @@ from .relative import FormPair, RelativeDomain
 # Calibrated once against the unit pairing over a point: with the split
 # connection first the bare transgression pair integrates to +1/2, and the
 # transfer chart covers half the extended sphere, hence the factor two.
-ODD_ORDERING = "split-first"
+# Swapping the endpoints negates both slots and the pairing with them.
 ODD_SCALE = 2.0
 # Largest |d eta| at a sampled base point for a test form fed to a dual pair.
 CLOSED_TOL = 1e-8
+# Largest closedness defect of the bare odd-rank pair that nu_inverse_odd accepts.
+PAIR_TOL = 1e-5
 # Sample points per unit-sphere piece for the slice checks of the odd pair.
 SLICE_POINTS = 6
 
@@ -138,11 +141,12 @@ def mu(omega: Form, gamma: Form | None, rho: BumpProfile, fiber_dim: int) -> For
 
 
 def thom_form(conn: Connection, rho: BumpProfile | None = None,
-              t_order: int = 16) -> Form:
+              t_order: int | None = None) -> Form:
     """Closed compactly supported form with unit fiber integrals.
 
     Interpolates the pulled-back Pfaffian against the transgression of
     its tautological-section split: rho(r)·Pf + rho'(r) dr ^ TPf.
+    ``t_order`` is passed to :func:`transgression`; by default its exact rule.
     """
     if conn.rank % 2:
         raise RankError("unit fiber classes need even rank")
@@ -150,7 +154,8 @@ def thom_form(conn: Connection, rho: BumpProfile | None = None,
         rho = BumpProfile.exponential()
     m = conn.rank
     tot = total_connection(conn, m)
-    tpf = section_transgression(tot, lambda x: list(x[:m]), t_order=t_order)
+    split = section_splitting_connection(tot, lambda x: list(x[:m]))
+    tpf = transgression(split, tot, t_order=t_order)
     return mu(pf_form(tot), tpf.smul(-1.0), rho, m)
 
 
@@ -233,8 +238,7 @@ def _require_closed(eta: Form, base: ChartDomain, tol: float):
                 f"test form is not closed: |d eta| = {w:.3e} at {x}")
 
 
-def nu_inverse_even(scenario: ThomScenario, eta: Form, t_order: int = 16
-                    ) -> FormPair:
+def nu_inverse_even(scenario: ThomScenario, eta: Form) -> FormPair:
     """Dual pair (Pf ^ eta, -TPf ^ eta) of the tautological-section split.
 
     The disk slot integrates to zero along fibers (the pulled-back
@@ -248,22 +252,19 @@ def nu_inverse_even(scenario: ThomScenario, eta: Form, t_order: int = 16
     eta_t = eta.pullback(scenario.de.projection())
     pf_t = pf_form(scenario.pi_connection)
     tpf = section_transgression(scenario.pi_connection,
-                                scenario.assoc.tautological_section(),
-                                t_order=t_order)
+                                scenario.assoc.tautological_section())
     return scenario.pair(pf_t.wedge(eta_t), tpf.wedge(eta_t).smul(-1.0))
 
 
-def _odd_core(scenario: ThomScenario, ordering: str, t_order: int):
+def _odd_core(scenario: ThomScenario):
     """Edge and triangle transgressions on the extended sphere chart."""
     tri = scenario.triple
-    c1, c2 = tri.ordered_pair(ordering)
-    t12 = transgression(c1, c2, t_order=t_order)
-    q = secondary_transgression(c1, c2, tri.plane_split, order=t_order)
+    t12 = transgression(tri.split, tri.ambient)
+    q = secondary_transgression(tri.split, tri.ambient, tri.plane_split)
     return t12, q
 
 
-def odd_dual_pair(scenario: ThomScenario, ordering: str = ODD_ORDERING,
-                  t_order: int = 16):
+def odd_dual_pair(scenario: ThomScenario):
     """Bare transgression pair on (DE, SE), before scaling and wedging.
 
     The disk slot is the rank-extension transgression pulled back through
@@ -271,7 +272,7 @@ def odd_dual_pair(scenario: ThomScenario, ordering: str = ODD_ORDERING,
     transgression carried in through the equator inclusion.
     """
     m, nb = scenario.rank, scenario.base.ambient_dim
-    t12, q = _odd_core(scenario, ordering, t_order)
+    t12, q = _odd_core(scenario)
     inc = SmoothMap(m + nb, 1 + m + nb, lambda x: [0.0] + list(x))
     return (t12.pullback(scenario.assoc.stereo).smul(-1.0),
             q.pullback(inc).smul(-1.0))
@@ -289,8 +290,7 @@ def _equator_samples(scenario: ThomScenario, piece: ChartDomain,
             for b in scenario.base.sample_ambient_points(rng, count)]
 
 
-def odd_pair_residual(scenario: ThomScenario, ordering: str = ODD_ORDERING,
-                      t_order: int = 16) -> float:
+def odd_pair_residual(scenario: ThomScenario) -> float:
     """Closedness defect of the bare dual pair, at four points per piece.
 
     Two ingredients.  The edge transgression is closed on the whole
@@ -301,7 +301,7 @@ def odd_pair_residual(scenario: ThomScenario, ordering: str = ODD_ORDERING,
     equator chart first (at rank 1 over a point the two equator points
     carry no degree-1 components and contribute nothing).
     """
-    t12, q = _odd_core(scenario, ordering, t_order)
+    t12, q = _odd_core(scenario)
     tri = scenario.triple
     rng = random.Random(23)
     pts = [[0.0] + list(p)
@@ -313,7 +313,7 @@ def odd_pair_residual(scenario: ThomScenario, ordering: str = ODD_ORDERING,
     return sup_abs(values)
 
 
-def parallel_pair_residuals(scenario: ThomScenario, t_order: int = 16) -> dict:
+def parallel_pair_residuals(scenario: ThomScenario) -> dict:
     """Pointwise size of the two plane-comparison transgressions on the slice.
 
     The plane splitting is only geometric on the unit-sphere slice, so both
@@ -332,8 +332,7 @@ def parallel_pair_residuals(scenario: ThomScenario, t_order: int = 16) -> dict:
     for key, first in (("tautological", tri.split), ("ambient", tri.ambient)):
         values = []
         for piece, inc in tri.equators:
-            t = transgression(first.pullback(inc),
-                              tri.plane_split.pullback(inc), t_order=t_order)
+            t = transgression(first.pullback(inc), tri.plane_split.pullback(inc))
             values += t(as_block(_equator_samples(scenario, piece, rng,
                                                   SLICE_POINTS)))
         out[key] = sup_abs(values)
@@ -389,50 +388,24 @@ def persistent_section_residual(scenario: ThomScenario) -> float:
     return sup_abs(values)
 
 
-def nu_inverse_odd(scenario: ThomScenario, eta: Form, t_order: int = 16,
-                   pair_tol: float = 1e-5) -> FormPair:
+def nu_inverse_odd(scenario: ThomScenario, eta: Form) -> FormPair:
     """Odd-rank dual pair, scaled so the unit pairing comes back as +1."""
     if scenario.parity != "odd":
         raise RankError("odd-rank dual pair requested on an even-rank bundle")
     _require_closed(eta, scenario.base, CLOSED_TOL)
-    residual = odd_pair_residual(scenario, ODD_ORDERING, t_order)
-    if not residual <= pair_tol:
-        other = odd_pair_residual(scenario, "ambient-first", t_order)
+    residual = odd_pair_residual(scenario)
+    if not residual <= PAIR_TOL:
         raise SignConventionError(
-            f"dual pair is not closed along the equator: residual "
-            f"{residual:.3e} ({ODD_ORDERING}), {other:.3e} (ambient-first)")
-    w, g = odd_dual_pair(scenario, ODD_ORDERING, t_order)
+            f"dual pair is not closed along the equator: residual {residual:.3e}")
+    w, g = odd_dual_pair(scenario)
     eta_t = eta.pullback(scenario.de.projection())
     return scenario.pair(w.wedge(eta_t).smul(ODD_SCALE),
                          g.wedge(eta_t).smul(ODD_SCALE))
 
 
-def resolve_odd_ordering(scenario: ThomScenario, t_order: int = 16,
-                         tol: float = 1e-3):
-    """Calibrate which connection ordering produces the unit pairing.
-
-    Evaluates the scaled bare pair against the constant test form for
-    both documented orderings; exactly one must come back as +1.
-    Returns (ordering, {ordering: value}).
-    """
-    rng = random.Random(29)
-    b0 = scenario.base.sample_ambient_points(rng, 1)[0]
-    values = {}
-    for ordering in ("split-first", "ambient-first"):
-        w, g = odd_dual_pair(scenario, ordering, t_order)
-        total = scenario.de.fiber_integrate(w)(b0)[0]
-        total += sum(se.fiber_integrate(g)(b0)[0] for se in scenario.se)
-        values[ordering] = ODD_SCALE * total
-    hits = [o for o, v in values.items() if abs(v - 1.0) <= tol]
-    if len(hits) != 1:
-        raise SignConventionError(
-            f"orderings do not single out a unit pairing: {values}")
-    return hits[0], values
-
-
 def cgb_defect(manifold: ChartDomain, faces, conn: Connection,
-               chi_expected, boundary_connection: Connection | None = None,
-               t_order: int = 16) -> float:
+               chi_expected, boundary_connection: Connection | None = None
+               ) -> float:
     """Curvature integral minus boundary transgression minus the Euler number.
 
     The expected Euler number is scenario data; the certificate is the
@@ -447,6 +420,6 @@ def cgb_defect(manifold: ChartDomain, faces, conn: Connection,
     if faces:
         if boundary_connection is None:
             raise ConfigError("boundary faces need a comparison connection")
-        tpf = transgression(boundary_connection, conn, t_order=t_order)
+        tpf = transgression(boundary_connection, conn)
         total -= sum(face.integrate(tpf) for face in faces)
     return total - float(chi_expected)

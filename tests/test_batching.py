@@ -52,7 +52,7 @@ from cgbv.forms import (ENTRY_BUDGET, Form, SmoothMap, as_block, block_size,
                         combo_index, combos)
 from cgbv.geometry import ChartDomain, FiberBundleDomain, stokes_residual
 from cgbv.scenarios import Config, get_scenario, run_scenario
-from cgbv.thom import (ODD_ORDERING, ThomScenario, _equator_samples, _odd_core,
+from cgbv.thom import (ThomScenario, _equator_samples, _odd_core,
                        _parallel_defect, _require_closed, _se_sample_points,
                        odd_pair_residual, persistent_section_residual, thom_form)
 
@@ -226,7 +226,7 @@ class TestBlockSizes:
         # symmetry-reflection's cylinder integrand: the 4 x 4 transgression of
         # the split and ambient connections, pulled back through the polar map
         tri = ThomScenario(make_bundle("odd-rank3-point"), fiber_order=12).triple
-        t12 = transgression(tri.split, tri.ambient, t_order=12)
+        t12 = transgression(tri.split, tri.ambient)
         polar = SmoothMap(4, 4, lambda x: [dual.cos(x[0]), dual.sin(x[0]) * x[1],
                                            dual.sin(x[0]) * x[2], dual.sin(x[0]) * x[3]])
         cyl = ChartDomain.product(ChartDomain.interval("theta", 0.0, math.pi, 10),
@@ -493,18 +493,16 @@ class TestSampledChecks:
         form = Form(2, 2, lambda x: [dual.cos(x[0]) * nan_at_point(x, middle)])
         assert math.isnan(symmetry_check(form, good, self.rot, self.eye, self.pts))
 
-    @pytest.mark.parametrize("ordering", [ODD_ORDERING, "ambient-first"])
-    def test_odd_pair_residual(self, ordering):
-        # the wrong ordering leaves a sizeable defect along the equator
+    def test_odd_pair_residual(self):
         sc = ThomScenario(make_bundle("odd-rank1-point"))
-        t12, q = _odd_core(sc, ordering, 16)
+        t12, q = _odd_core(sc)
         rng = random.Random(23)
         pts = [[0.0] + list(p) for p in _se_sample_points(sc, rng, 4)]
         want = per_point_sup(t12.d(), pts)
         for piece, inc in sc.triple.equators:
             defect = (t12 + q.d()).pullback(inc)
             want = max(want, per_point_sup(defect, _equator_samples(sc, piece, rng, 4)))
-        assert odd_pair_residual(sc, ordering, 16) == pytest.approx(want, abs=1e-12)
+        assert odd_pair_residual(sc) == pytest.approx(want, abs=1e-12)
 
     def test_persistent_section_residual(self):
         sc = ThomScenario(make_bundle("odd-rank3-point"))

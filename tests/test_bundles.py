@@ -297,7 +297,7 @@ class TestOddRankTriple:
         # the constant frame vector stays parallel for both endpoints, so
         # the transgression vanishes as an ambient form along |u| = 1, x0 = 0
         tri = OddRankTriple(make_bundle("odd-rank3-point"))
-        T = transgression(tri.ambient, tri.plane_split, t_order=8)
+        T = transgression(tri.ambient, tri.plane_split)
         for u in sphere_points(3, 6, 37):
             vals = T([0.0] + u)
             assert max(abs(v) for v in vals) < 1e-8
@@ -307,30 +307,21 @@ class TestOddRankTriple:
         # dimension; the restrictions are empty zero forms
         tri = OddRankTriple(make_bundle("odd-rank3-point"))
         for other in (tri.split, tri.ambient):
-            T = transgression(other, tri.plane_split, t_order=8)
+            T = transgression(other, tri.plane_split)
             restricted = T.pullback(tri.equators[0][1])
             assert restricted([0.5, 1.0]) == []
 
     def test_rank1_transgression_vanishes_at_equator_points(self):
         tri = OddRankTriple(make_bundle("odd-rank1-point"))
-        T = transgression(tri.ambient, tri.plane_split, t_order=8)
+        T = transgression(tri.ambient, tri.plane_split)
         for u in (1.0, -1.0):
             assert max(abs(v) for v in T([0.0, u])) < 1e-12
 
     def test_rank1_sre_integral(self):
         tri = OddRankTriple(make_bundle("odd-rank1-point"))
-        T = transgression(*tri.ordered_pair("split-first"))
+        T = transgression(tri.split, tri.ambient)
         val = tri.assoc.sre.fiber_integrate(T)([])
         assert val[0] == pytest.approx(-1.0, abs=1e-10)
-
-    def test_ordering_labels(self):
-        tri = OddRankTriple(make_bundle("odd-rank1-point"))
-        a, b = tri.ordered_pair("split-first")
-        assert (a.label, b.label) == ("split", "ambient")
-        a, b = tri.ordered_pair("ambient-first")
-        assert (a.label, b.label) == ("ambient", "split")
-        with pytest.raises(ChartError):
-            tri.ordered_pair("sideways")
 
     def test_pole_sections_agree_over_base(self):
         # along the poles u = (+-1, 0, ..., 0) the tautological projector is

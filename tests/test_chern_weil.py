@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cgbv import dual
+from cgbv import chern_weil, dual
 from cgbv.chern_weil import (Connection, connection_path, loop_transgression,
                              pf_form, pfaffian, secondary_transgression,
                              simplex_family, symmetry_check, transgression,
@@ -11,7 +11,7 @@ from cgbv.chern_weil import (Connection, connection_path, loop_transgression,
 from cgbv.errors import (ConsistencyError, DegreeError, ShapeError,
                          SymmetryPreconditionError)
 from cgbv.forms import Form, MatrixForm, SmoothMap, det
-from cgbv.geometry import ChartDomain, FiberBundleDomain
+from cgbv.geometry import ChartDomain, FiberBundleDomain, gauss_nodes
 
 TWO_PI = 2.0 * math.pi
 
@@ -248,7 +248,7 @@ class TestSecondaryTransgression:
     def test_sum_rule_rank4(self):
         rng = random.Random(13)
         cs = [random_skew_connection(3, 4, rng) for _ in range(3)]
-        dQ = secondary_transgression(*cs, order=12).d()
+        dQ = secondary_transgression(*cs).d()
         ts = [transgression(cs[0], cs[1]), transgression(cs[1], cs[2]),
               transgression(cs[2], cs[0])]
         x = [0.3, -0.4, 0.2]
@@ -288,6 +288,65 @@ class TestSecondaryTransgression:
         for _ in range(5):
             x = [rng.uniform(-1, 1) for _ in range(n)]
             assert max(abs(a - b) for a, b in zip(fast(x), generic(x))) < 1e-10
+
+
+class TestExactSimplexRule:
+    """The kernel integrates its degree 2(k - q) integrand with k - q + 1
+    Gauss nodes per simplex axis unless an order is given."""
+
+    @staticmethod
+    def build(kind, n, m, rng, order=None):
+        if kind == "path":
+            c1, c2 = (random_skew_connection(n, m, rng) for _ in range(2))
+            return transgression(c1, c2, t_order=order)
+        cs = [random_skew_connection(n, m, rng) for _ in range(3)]
+        return secondary_transgression(*cs, order=order)
+
+    @staticmethod
+    def recorded_orders(monkeypatch, build):
+        orders = []
+
+        def recording(order, lo, hi):
+            orders.append(order)
+            return gauss_nodes(order, lo, hi)
+
+        monkeypatch.setattr(chern_weil, "gauss_nodes", recording)
+        build()
+        return orders
+
+    @pytest.mark.parametrize("kind,n,m,order", [
+        ("path", 2, 2, 1), ("path", 3, 4, 2), ("triangle", 3, 4, 1),
+        ("path", 5, 6, 3), ("triangle", 5, 6, 2)])
+    def test_node_count_follows_rank(self, monkeypatch, kind, n, m, order):
+        rng = random.Random(15)
+        got = self.recorded_orders(monkeypatch, lambda: self.build(kind, n, m, rng))
+        assert got == [order]
+
+    @pytest.mark.parametrize("kind", ["path", "triangle"])
+    def test_explicit_order_is_honoured(self, monkeypatch, kind):
+        rng = random.Random(16)
+        got = self.recorded_orders(monkeypatch,
+                                   lambda: self.build(kind, 3, 4, rng, order=12))
+        assert got == [12]
+
+    @pytest.mark.parametrize("kind,dense", [("path", 16), ("triangle", 12)])
+    def test_rank6_exact_rule_matches_a_dense_rule(self, kind, dense):
+        exact = self.build(kind, 5, 6, random.Random(17))
+        ref = self.build(kind, 5, 6, random.Random(17), order=dense)
+        rng = random.Random(18)
+        for _ in range(3):
+            x = [rng.uniform(-1, 1) for _ in range(5)]
+            assert max(abs(a - b) for a, b in zip(exact(x), ref(x))) <= 1e-14
+
+    def test_rank6_one_node_fewer_is_not_exact(self):
+        short = self.build("path", 5, 6, random.Random(17), order=2)
+        exact = self.build("path", 5, 6, random.Random(17))
+        rng = random.Random(18)
+        gaps = []
+        for _ in range(3):
+            x = [rng.uniform(-1, 1) for _ in range(5)]
+            gaps += [abs(a - b) for a, b in zip(short(x), exact(x))]
+        assert max(gaps) > 1e-3
 
 
 def _loop_pair(rng: random.Random, reparam=None):

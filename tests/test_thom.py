@@ -6,6 +6,7 @@ import random
 import pytest
 
 import cgbv.dual as dual
+from cgbv import thom
 from cgbv.bundles import (TrivializedBundle, make_bundle,
                           section_splitting_connection)
 from cgbv.chern_weil import Connection, MatrixForm, pf_form, transgression
@@ -14,11 +15,10 @@ from cgbv.errors import (BumpError, ClosednessError, ConfigError, RankError,
 from cgbv.forms import Form, ZeroForm, combos
 from cgbv.geometry import ChartDomain, FiberBundleDomain
 from cgbv.relative import pair_d
-from cgbv.thom import (BumpProfile, ThomScenario, cgb_defect, fiber_integral,
-                       mu, nu, nu_inverse_even, nu_inverse_odd,
+from cgbv.thom import (ODD_SCALE, BumpProfile, ThomScenario, cgb_defect,
+                       fiber_integral, mu, nu, nu_inverse_even, nu_inverse_odd,
                        odd_dual_pair, odd_pair_residual, parallel_pair_residuals,
-                       persistent_section_residual, resolve_odd_ordering,
-                       support_pieces, thom_form)
+                       persistent_section_residual, support_pieces, thom_form)
 
 from test_forms import random_polynomial_form
 
@@ -351,27 +351,28 @@ class TestNuInverseOdd:
         with pytest.raises(RankError):
             nu_inverse_odd(sc, Form(0, 0, lambda x: [1.0]))
 
-    def test_residual_report_lists_both_orderings(self):
-        # genuine residuals sit at roundoff for both orderings, so the
-        # audit branch is driven by an impossible tolerance
+    def test_open_pair_is_rejected_with_its_residual(self, monkeypatch):
+        # the genuine residual sits at roundoff, so the error branch is
+        # driven by an impossible tolerance
+        monkeypatch.setattr(thom, "PAIR_TOL", -1.0)
         sc = ThomScenario(make_bundle("odd-rank1-point"))
         one = Form(0, 0, lambda x: [1.0])
-        with pytest.raises(SignConventionError) as err:
-            nu_inverse_odd(sc, one, pair_tol=-1.0)
-        assert "split-first" in str(err.value)
-        assert "ambient-first" in str(err.value)
+        with pytest.raises(SignConventionError, match="residual"):
+            nu_inverse_odd(sc, one)
 
-    def test_resolve_ordering_singles_out_split_first(self):
+    def test_split_first_is_the_unit_orientation(self):
+        # calibration of ODD_SCALE: the shipped pair pairs to +1 and the
+        # swapped endpoints to -1; at rank 1 the triangle slot vanishes,
+        # so the swapped pairing is the disk slot alone
         sc = ThomScenario(make_bundle("odd-rank1-point"))
-        ordering, values = resolve_odd_ordering(sc)
-        assert ordering == "split-first"
-        assert abs(values["split-first"] - 1.0) <= 1e-10
-        assert abs(values["ambient-first"] + 1.0) <= 1e-10
-
-    def test_resolve_ordering_requires_unique_hit(self):
-        sc = ThomScenario(make_bundle("odd-rank1-point"))
-        with pytest.raises(SignConventionError):
-            resolve_odd_ordering(sc, tol=3.0)
+        tri = sc.triple
+        w, g = odd_dual_pair(sc)
+        shipped = sc.de.fiber_integrate(w)([])[0]
+        shipped += sum(se.fiber_integrate(g)([])[0] for se in sc.se)
+        swapped = transgression(tri.ambient, tri.split)
+        swapped = swapped.pullback(sc.assoc.stereo).smul(-1.0)
+        assert abs(ODD_SCALE * shipped - 1.0) <= 1e-10
+        assert abs(ODD_SCALE * sc.de.fiber_integrate(swapped)([])[0] + 1.0) <= 1e-10
 
     def test_bare_pair_scales_to_half(self):
         """The transfer chart covers half the extended sphere."""
@@ -382,13 +383,13 @@ class TestNuInverseOdd:
 
     def test_rank_three_residual(self):
         sc = ThomScenario(make_bundle("odd-rank3-point"), fiber_order=12)
-        assert odd_pair_residual(sc, t_order=12) <= 1e-6
+        assert odd_pair_residual(sc) <= 1e-6
 
     def test_rank_three_unit_pairing(self):
         """D3/S2 fiber quadrature at order 12; the slow spot of the suite."""
         sc = ThomScenario(make_bundle("odd-rank3-point"), fiber_order=12)
         one = Form(0, 0, lambda x: [1.0])
-        val = nu(sc, nu_inverse_odd(sc, one, t_order=12))([])[0]
+        val = nu(sc, nu_inverse_odd(sc, one))([])[0]
         assert abs(val - 1.0) <= 1e-4
 
 
