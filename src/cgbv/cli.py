@@ -74,9 +74,6 @@ def report_payload(reports: Sequence[ScenarioReport], config: Config) -> dict:
             "name": "cgb-verify",
             "seed": config.seed,
             "count": config.count,
-            "rank": config.rank,
-            "quad_order": config.quad_order,
-            "tol": config.tol,
         },
         "scenarios": scenarios,
         "summary": {
@@ -151,16 +148,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scenario names (default: every scenario)")
     p_run.add_argument("--filter", metavar="MODULE", default=None,
                        help="only scenarios exercising this module")
-    p_run.add_argument("--quad-order", dest="quad_order", type=int,
-                       default=None, help="override quadrature order")
-    p_run.add_argument("--tol", type=float, default=None,
-                       help="override every line-item tolerance")
     p_run.add_argument("--seed", type=int, default=0,
                        help="seed for random test forms (default 0)")
     p_run.add_argument("--count", type=int, default=50,
                        help="random forms per identity (default 50)")
-    p_run.add_argument("--rank", type=int, default=1,
-                       help="bundle rank for rank-parametrized scenarios")
     p_run.add_argument("--json", dest="json_path", metavar="PATH",
                        default=None, help="also write the report as JSON")
     p_run.add_argument("--check", action="store_true",
@@ -179,8 +170,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        config = Config(quad_order=args.quad_order, tol=args.tol,
-                        seed=args.seed, count=args.count, rank=args.rank)
+        config = Config(seed=args.seed, count=args.count)
         if args.names:
             scens = [get_scenario(n) for n in args.names]
         else:

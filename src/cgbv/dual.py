@@ -7,7 +7,7 @@ numbers: no finite differences anywhere.
 
 A slot may also hold a numpy array whose last axis runs over quadrature
 nodes, so the same code evaluates one point or a block; value selection goes
-through :func:`where` instead of ``if``.
+through :func:`where` instead of ``if``, and a dual defines no ordering.
 
 A derivative slot may hold every chart direction at once, on a leading axis
 of each of its arrays (:func:`cgbv.forms.lift_point` seeds them), so one
@@ -87,32 +87,6 @@ class Dual:
         if n < 0:
             return 1.0 / (self ** (-n))
         return Dual(self.a ** n, n * self.a ** (n - 1) * self.b)
-
-    def __abs__(self):
-        return where(real(self) >= 0.0, self, -self)
-
-    # Branching compares real parts only: derivative info never changes
-    # control flow, matching the piecewise-smooth functions we evaluate.
-    def __lt__(self, other):
-        return real(self) < real(other)
-
-    def __le__(self, other):
-        return real(self) <= real(other)
-
-    def __gt__(self, other):
-        return real(self) > real(other)
-
-    def __ge__(self, other):
-        return real(self) >= real(other)
-
-    def __eq__(self, other):
-        return real(self) == real(other)
-
-    def __ne__(self, other):
-        return real(self) != real(other)
-
-    def __hash__(self):
-        return hash(real(self))
 
 
 def real(x):

@@ -179,14 +179,15 @@ def _check_boundary_compat(phi: SmoothMap, t: float, source: RelativeDomain,
 
 def _cylinder_pairing(phi: SmoothMap, t: float, p: FormPair, eta: Form,
                       source: RelativeDomain, target: RelativeDomain,
-                      pair_map: SmoothMap, eta_map: SmoothMap,
-                      t_order: int) -> tuple:
+                      pair_map: SmoothMap, eta_map: SmoothMap) -> tuple:
     """Both cylinder integrals of a pair and a test form over [0,t] x source.
 
     The pair is pulled back along ``pair_map`` and the test form along
     ``eta_map``, one of them the flow and the other the projection that
     drops the parameter.  Returns (-int_{[0,t] x B} omega_c ^ eta_c,
-    sum over the faces of int_{[0,t] x face} gamma_c ^ eta_c).
+    sum over the faces of int_{[0,t] x face} gamma_c ^ eta_c).  The flow
+    parameter takes 10 Gauss nodes: the flow is not polynomial in it, so
+    no exact rule exists.
     """
     if (phi.src_dim != source.ambient_dim + 1
             or phi.dst_dim != target.ambient_dim):
@@ -196,7 +197,7 @@ def _cylinder_pairing(phi: SmoothMap, t: float, p: FormPair, eta: Form,
             f"cylinder pairing needs degree {source.dim + 1 - p.omega.p} "
             f"test forms, got {eta.p}")
     _check_boundary_compat(phi, t, source, target)
-    seg = ChartDomain.interval("s", 0.0, t, t_order)
+    seg = ChartDomain.interval("s", 0.0, t, 10)
     eta_c = eta.pullback(eta_map)
     first = -ChartDomain.product(seg, source.manifold).integrate(
         p.omega.pullback(pair_map).wedge(eta_c))
@@ -209,19 +210,19 @@ def _cylinder_pairing(phi: SmoothMap, t: float, p: FormPair, eta: Form,
 
 
 def homotopy_TI(phi: SmoothMap, t: float, p: FormPair, eta: Form,
-                source: RelativeDomain, t_order: int = 8) -> float:
+                source: RelativeDomain) -> float:
     """First cylinder operator against a test form on the source.
 
     The value is -int_{[0,t] x B} phi^*omega ^ pr^*eta plus the boundary
     cylinder integral of phi^*gamma ^ pr^*eta, pr the projection to B.
     """
     first, second = _cylinder_pairing(phi, t, p, eta, source, p.domain, phi,
-                                      _drop_first(source.ambient_dim), t_order)
+                                      _drop_first(source.ambient_dim))
     return first + second
 
 
 def homotopy_TII(phi: SmoothMap, t: float, eta: Form, p: FormPair,
-                 target: RelativeDomain, t_order: int = 8) -> tuple:
+                 target: RelativeDomain) -> tuple:
     """Second cylinder operator: the pair lives on the source of the flow.
 
     Returns (-int_{[0,t] x B} pr^*omega ^ phi^*eta,
@@ -229,11 +230,11 @@ def homotopy_TII(phi: SmoothMap, t: float, eta: Form, p: FormPair,
     """
     source = p.domain
     return _cylinder_pairing(phi, t, p, eta, source, target,
-                             _drop_first(source.ambient_dim), phi, t_order)
+                             _drop_first(source.ambient_dim), phi)
 
 
 def homotopy_defect_I(phi: SmoothMap, t: float, p: FormPair, eta: Form,
-                      source: RelativeDomain, t_order: int = 8) -> float:
+                      source: RelativeDomain) -> float:
     """Residual of the first homotopy identity against one test form.
 
     The operator applied to the differentiated pair, plus (-1)^(k-1) times
@@ -242,15 +243,15 @@ def homotopy_defect_I(phi: SmoothMap, t: float, p: FormPair, eta: Form,
     """
     k = p.degree
     sign = 1.0 if (k - 1) % 2 == 0 else -1.0
-    lhs = homotopy_TI(phi, t, pair_d(p), eta, source, t_order)
-    lhs += sign * homotopy_TI(phi, t, p, eta.d(), source, t_order)
+    lhs = homotopy_TI(phi, t, pair_d(p), eta, source)
+    lhs += sign * homotopy_TI(phi, t, p, eta.d(), source)
     end = lefschetz_I(pair_pullback(p, slice_map(phi, t), source), eta)
     start = lefschetz_I(pair_pullback(p, slice_map(phi, 0.0), source), eta)
     return abs(lhs - (end - start))
 
 
 def homotopy_defect_II(phi: SmoothMap, t: float, eta: Form, p: FormPair,
-                       target: RelativeDomain, t_order: int = 8) -> float:
+                       target: RelativeDomain) -> float:
     """Residual of the second homotopy identity against one pair.
 
     With a the pair degree, the identity is
@@ -264,8 +265,8 @@ def homotopy_defect_II(phi: SmoothMap, t: float, eta: Form, p: FormPair,
         raise DegreeError(
             f"identity needs a degree {p.domain.dim - a} test form, got {eta.p}")
     sign = 1.0 if (a + 1) % 2 == 0 else -1.0
-    lhs1 = homotopy_TII(phi, t, eta.d(), p, target, t_order)
-    lhs2 = homotopy_TII(phi, t, eta, pair_d(p), target, t_order)
+    lhs1 = homotopy_TII(phi, t, eta.d(), p, target)
+    lhs2 = homotopy_TII(phi, t, eta, pair_d(p), target)
     lhs = sign * (lhs1[0] + lhs1[1]) + lhs2[0] + lhs2[1]
 
     def endpoint(s: float) -> float:

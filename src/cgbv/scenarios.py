@@ -4,9 +4,11 @@ A scenario pairs a runner with the values it must reproduce.  Every
 expected value carries a provenance tag: ``paper`` for quantities asserted
 by the theorem under test, ``derived`` for oracles computed independently
 of the code (closed-form volumes, hand counts, calibrated signs), and
-``trivial`` for identities that hold by definition.  Runners are pure
-functions of a :class:`Config`; a fixed configuration reproduces every
-digit, so reports can be diffed.
+``trivial`` for identities that hold by definition.  Each entry fixes its
+quadrature orders, tolerances and bundle rank; a scenario that checks a
+second rank is a second entry.  Runners are pure functions of a
+:class:`Config`, which carries only the seed and the sample count, so a
+fixed seed and count reproduce every digit and reports can be diffed.
 """
 
 from __future__ import annotations
@@ -59,31 +61,19 @@ class Expected:
 
 @dataclass(frozen=True)
 class Config:
-    """Run-time overrides shared by every scenario.
+    """The two run-time settings shared by every scenario.
 
-    ``quad_order`` replaces each scenario's default quadrature orders,
-    ``tol`` replaces every line-item tolerance, ``seed`` feeds the
-    per-scenario generators, ``count`` sizes the random-input families,
-    and ``rank`` selects the bundle in the odd-rank pairing scenario.
+    ``seed`` feeds the per-scenario generators and ``count`` sizes the
+    random-input families.  Quadrature orders, tolerances and bundle ranks
+    are fixed in the registry.
     """
 
-    quad_order: int | None = None
-    tol: float | None = None
     seed: int = 0
     count: int = 50
-    rank: int = 1
 
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError(f"count must be at least 1, got {self.count}")
-        if self.quad_order is not None and self.quad_order < 1:
-            raise ConfigError(
-                f"quadrature order must be at least 1, got {self.quad_order}")
-        if self.tol is not None and not self.tol >= 0:
-            raise ConfigError(f"tolerance must be at least 0, got {self.tol}")
-
-    def order(self, default: int) -> int:
-        return default if self.quad_order is None else self.quad_order
 
 
 @dataclass(frozen=True)
@@ -110,22 +100,13 @@ class ScenarioReport:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Registry entry: what runs, what it must produce, where values came from.
-
-    ``expected`` is either a tuple of :class:`Expected` or a callable
-    producing one from the config, for scenarios whose tolerance depends
-    on a config switch.
-    """
+    """Registry entry: what runs, what it must produce, where values came from."""
 
     name: str
     description: str
     modules: tuple
     runner: object
-    expected: object
-
-    def expected_for(self, config: Config) -> tuple:
-        exp = self.expected(config) if callable(self.expected) else self.expected
-        return tuple(exp)
+    expected: tuple
 
 
 def run_scenario(scenario: Scenario, config: Config | None = None) -> ScenarioReport:
@@ -135,16 +116,15 @@ def run_scenario(scenario: Scenario, config: Config | None = None) -> ScenarioRe
     computed = scenario.runner(config)
     wall_ms = (time.perf_counter() - start) * 1000.0
     items = []
-    for exp in scenario.expected_for(config):
+    for exp in scenario.expected:
         if exp.identity not in computed:
             raise ConfigError(
                 f"runner for {scenario.name!r} produced no value "
                 f"for {exp.identity!r}")
         value = float(computed[exp.identity])
-        tol = exp.tol if config.tol is None else config.tol
         error = abs(value - exp.value)
-        items.append(Item(exp.identity, value, exp.value, error, tol,
-                          exp.provenance, error <= tol))
+        items.append(Item(exp.identity, value, exp.value, error, exp.tol,
+                          exp.provenance, error <= exp.tol))
     return ScenarioReport(scenario.name, tuple(items), wall_ms)
 
 
@@ -239,7 +219,7 @@ def _twist_flow() -> SmoothMap:
 # geometry scenarios
 
 def _run_quadrature_volumes(cfg: Config) -> dict:
-    o = cfg.order(16)
+    o = 16
     area = Form(2, 2, lambda x: [1.0])
     flux = Form(3, 2, lambda x: [x[2], -x[1], x[0]])
     vol4 = Form(4, 4, lambda x: [1.0])
@@ -247,14 +227,14 @@ def _run_quadrature_volumes(cfg: Config) -> dict:
         "ball2-area": ChartDomain.ball(2, order=o).integrate(area),
         "sphere2-flux": ChartDomain.sphere(3, order=o).integrate(flux),
         "annulus-area": ChartDomain.annulus(1.0, 2.0, order=o).integrate(area),
-        "ball4-volume": ChartDomain.ball(4, order=cfg.order(10)).integrate(vol4),
+        "ball4-volume": ChartDomain.ball(4, order=10).integrate(vol4),
     }
 
 
 def _run_boundary_orientation(cfg: Config) -> dict:
     reps = min(cfg.count, 12)
-    curved = cfg.order(16)
-    flat = cfg.order(8)
+    curved = 16
+    flat = 8
     domains = (
         ("stokes-ball2", ChartDomain.ball(2, order=curved)),
         ("stokes-annulus2", ChartDomain.annulus(0.5, 1.5, order=curved)),
@@ -273,7 +253,7 @@ def _run_boundary_orientation(cfg: Config) -> dict:
 
 
 def _run_stokes_convention(cfg: Config) -> dict:
-    o = cfg.order(6)
+    o = 6
     seg = ChartDomain.interval("t", 0.0, 1.0, o)
     sq = ChartDomain.box("B", [(0.0, 1.0), (0.0, 1.0)], [o, o])
     cyl = ChartDomain.product(seg, sq)
@@ -284,8 +264,8 @@ def _run_stokes_convention(cfg: Config) -> dict:
 
 
 def _run_fiber_projection(cfg: Config) -> dict:
-    fiber = ChartDomain.sphere(2, order=cfg.order(16))
-    base = ChartDomain.box("Q", [(0.0, 1.0), (-0.5, 0.5)], [cfg.order(8)] * 2)
+    fiber = ChartDomain.sphere(2, order=16)
+    base = ChartDomain.box("Q", [(0.0, 1.0), (-0.5, 0.5)], [8] * 2)
     fb = FiberBundleDomain(fiber, base)
     rng = _rng(cfg, "fiber-projection")
     gaps = []
@@ -417,7 +397,7 @@ def _run_secondary_transgression(cfg: Config) -> dict:
 
 def _run_loop_transgression(cfg: Config) -> dict:
     rng = _rng(cfg, "loop-transgression")
-    base = ChartDomain.interval("x", -1.0, 1.0, cfg.order(8))
+    base = ChartDomain.interval("x", -1.0, 1.0, 8)
     a0, b0, c0 = (rng.uniform(-1.0, 1.0) for _ in range(3))
 
     def loop_eval(tx):
@@ -457,12 +437,12 @@ def _run_symmetry_rotation(cfg: Config) -> dict:
 
 def _run_cgb_sphere(cfg: Config) -> dict:
     bundle = make_bundle("tangent-s2")
-    chart = bundle.base.with_orders(cfg.order(24))
+    chart = bundle.base.with_orders(24)
     return {"euler-number-s2": chart.integrate(pf_form(bundle.connection))}
 
 
 def _run_cgb_disk(cfg: Config) -> dict:
-    disk = ChartDomain.ball(2, order=cfg.order(20), name="D2")
+    disk = ChartDomain.ball(2, order=20, name="D2")
     flat = Connection.flat(2, 2, "flat")
     nsplit = section_splitting_connection(flat, lambda x: [x[0], x[1]])
     defect = cgb_defect(disk, disk.boundary_faces(), flat, 1,
@@ -477,7 +457,7 @@ def _run_cgb_caps(cfg: Config) -> dict:
     for theta0, key in ((math.pi / 6, "cap30"), (math.pi / 2, "cap90"),
                         (2.0 * math.pi / 3, "cap120")):
         cap = ChartDomain.box(f"cap{key}", [(0.0, theta0), (0.0, TWO_PI)],
-                              [cfg.order(16), cfg.order(24)])
+                              [16, 24])
         rim = cap.boundary_faces()[0]
         defect = cgb_defect(cap, [rim], conn, 1, boundary_connection=bconn)
         out[f"euler-number-{key}"] = 1.0 + defect
@@ -490,7 +470,7 @@ def _run_cgb_caps(cfg: Config) -> dict:
 def _run_parallel_vanishing(cfg: Config) -> dict:
     out = {}
     for name, key in (("odd-rank1-point", "rank1"), ("odd-rank3-point", "rank3")):
-        sc = ThomScenario(make_bundle(name), fiber_order=cfg.order(12))
+        sc = ThomScenario(make_bundle(name), fiber_order=12)
         res = parallel_pair_residuals(sc)
         out[f"slice-vanishing-taut-{key}"] = res["tautological"]
         out[f"slice-vanishing-ambient-{key}"] = res["ambient"]
@@ -501,7 +481,7 @@ def _run_parallel_vanishing(cfg: Config) -> dict:
 def _run_thom_fiber(cfg: Config) -> dict:
     bundle = make_bundle("random-rank2-disk")
     tau = thom_form(bundle.connection)
-    fi = fiber_integral(tau, bundle.base, 2, cfg.order(24))
+    fi = fiber_integral(tau, bundle.base, 2, 24)
     rng = _rng(cfg, "thom-fiber-integral")
     pts = bundle.base.sample_ambient_points(rng, 20)
     worst = sup_abs([fi(as_block(pts))[0] - 1.0])
@@ -516,7 +496,7 @@ def _run_thom_fiber(cfg: Config) -> dict:
 
 
 def _run_nu_roundtrip(cfg: Config) -> dict:
-    sc = ThomScenario(make_bundle("tangent-s2"), fiber_order=cfg.order(16))
+    sc = ThomScenario(make_bundle("tangent-s2"), fiber_order=16)
     rng = _rng(cfg, "nu-roundtrip-even")
     x = as_block(sc.base.sample_ambient_points(rng, 4))
     out = {}
@@ -528,22 +508,18 @@ def _run_nu_roundtrip(cfg: Config) -> dict:
     return out
 
 
-def _run_odd_rank_point(cfg: Config) -> dict:
-    if cfg.rank not in (1, 3):
-        raise ConfigError("odd point pairings are registered for ranks 1 and 3")
-    order = cfg.order(16 if cfg.rank == 1 else 12)
-    sc = ThomScenario(make_bundle(f"odd-rank{cfg.rank}-point"), fiber_order=order)
-    one = Form(0, 0, lambda x: [1.0])
-    val = nu(sc, nu_inverse_odd(sc, one))([])[0]
-    resid = odd_pair_residual(sc)
-    return {f"unit-pairing-rank{cfg.rank}": val,
-            f"dual-pair-closedness-rank{cfg.rank}": resid}
+def _odd_rank_point(rank: int, order: int):
+    """Runner for the unit pairing of the rank-``rank`` odd pair over a point."""
 
+    def run(cfg: Config) -> dict:
+        sc = ThomScenario(make_bundle(f"odd-rank{rank}-point"), fiber_order=order)
+        one = Form(0, 0, lambda x: [1.0])
+        val = nu(sc, nu_inverse_odd(sc, one))([])[0]
+        resid = odd_pair_residual(sc)
+        return {f"unit-pairing-rank{rank}": val,
+                f"dual-pair-closedness-rank{rank}": resid}
 
-def _odd_rank_expected(cfg: Config) -> tuple:
-    tol = 1e-8 if cfg.rank == 1 else 1e-4
-    return (Expected(f"unit-pairing-rank{cfg.rank}", 1.0, tol, "derived"),
-            Expected(f"dual-pair-closedness-rank{cfg.rank}", 0.0, 1e-6, "paper"))
+    return run
 
 
 def _run_symmetry_reflection(cfg: Config) -> dict:
@@ -559,7 +535,7 @@ def _run_symmetry_reflection(cfg: Config) -> dict:
     forward to opposite unit values.
     """
     tri = ThomScenario(make_bundle("odd-rank3-point"),
-                       fiber_order=cfg.order(12)).triple
+                       fiber_order=12).triple
     conns = (tri.split, tri.ambient, tri.plane_split)
     phi = SmoothMap(4, 4, lambda x: [-x[0], x[1], x[2], x[3]])
     psi = [[-1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
@@ -585,7 +561,7 @@ def _run_symmetry_reflection(cfg: Config) -> dict:
 
     # analytic polar parametrization of the doubled sphere chart keeps
     # every integrand smooth up to the ends of the parameter interval
-    o = cfg.order(10)
+    o = 10
     cyl = ChartDomain.product(
         ChartDomain.interval("theta", 0.0, math.pi, order=o),
         ChartDomain.sphere(3, order=o))
@@ -606,7 +582,7 @@ def _run_symmetry_reflection(cfg: Config) -> dict:
 # relative scenarios
 
 def _run_zero_set(cfg: Config) -> dict:
-    dom = _disk_domain(cfg.order(40))
+    dom = _disk_domain(40)
     conn = Connection.flat(2, 2)
     pf = pf_form(conn)
     one = Form.constant(2, 0, [1.0])
@@ -631,7 +607,7 @@ def _run_zero_set(cfg: Config) -> dict:
 
 
 def _run_homotopy_operators(cfg: Config) -> dict:
-    dom = _disk_domain(cfg.order(22))
+    dom = _disk_domain(22)
     phi = _twist_flow()
     rng = _rng(cfg, "homotopy-operators")
     first, second = [], []
@@ -641,14 +617,14 @@ def _run_homotopy_operators(cfg: Config) -> dict:
         gamma = _random_polynomial_form(2, k - 1, rng)
         p = FormPair(dom, omega, gamma)
         eta = _random_polynomial_form(2, 2 - k, rng)
-        first.append(homotopy_defect_I(phi, 0.6, p, eta, dom, t_order=10))
-        second.append(homotopy_defect_II(phi, 0.6, eta, p, dom, t_order=10))
+        first.append(homotopy_defect_I(phi, 0.6, p, eta, dom))
+        second.append(homotopy_defect_II(phi, 0.6, eta, p, dom))
     return {"homotopy-defect-absolute": sup_abs(first),
             "homotopy-defect-relative": sup_abs(second)}
 
 
 def _run_chain_sign_laws(cfg: Config) -> dict:
-    dom = _disk_domain(cfg.order(28))
+    dom = _disk_domain(28)
     rng = _rng(cfg, "chain-sign-laws")
     # six points are drawn to keep the rng stream; three are checked
     head = as_block(dom.manifold.sample_ambient_points(rng, 6)[:3])
@@ -877,10 +853,19 @@ _SCENARIOS = (
     ),
     Scenario(
         "odd-rank-point",
-        "odd-rank unit pairing over a point, rank picked by --rank",
+        "odd-rank unit pairing over a point, rank 1",
         ("thom", "bundles"),
-        _run_odd_rank_point,
-        _odd_rank_expected,
+        _odd_rank_point(1, 16),
+        (Expected("unit-pairing-rank1", 1.0, 1e-8, "derived"),
+         _zero("dual-pair-closedness-rank1", 1e-6, "paper")),
+    ),
+    Scenario(
+        "odd-rank3-point",
+        "odd-rank unit pairing over a point, rank 3",
+        ("thom", "bundles"),
+        _odd_rank_point(3, 12),
+        (Expected("unit-pairing-rank3", 1.0, 1e-4, "derived"),
+         _zero("dual-pair-closedness-rank3", 1e-6, "paper")),
     ),
     Scenario(
         "zero-set-duality",

@@ -96,8 +96,8 @@ def test_criterion_06_even_rank_duality(capsys):
 
 
 def test_criterion_07_odd_rank_pairings(capsys):
-    rank1 = run_scenario(get_scenario("odd-rank-point"), Config(rank=1))
-    rank3 = run_scenario(get_scenario("odd-rank-point"), Config(rank=3))
+    rank1 = run_scenario(get_scenario("odd-rank-point"), Config())
+    rank3 = run_scenario(get_scenario("odd-rank3-point"), Config())
     pair1 = _item(rank1, "unit-pairing-rank1")
     pair3 = _item(rank3, "unit-pairing-rank3")
     closed = max(_item(rank1, "dual-pair-closedness-rank1").error,

@@ -29,6 +29,13 @@ def cli(*args):
                           capture_output=True, text=True, env=env)
 
 
+def failing_sphere():
+    """cgb-sphere expecting an Euler number of 3, so its one item fails."""
+    scen = get_scenario("cgb-sphere")
+    return dataclasses.replace(scen, expected=(
+        dataclasses.replace(scen.expected[0], value=3.0),))
+
+
 def strip_walls(payload: dict) -> dict:
     out = json.loads(json.dumps(payload))
     for scen in out["scenarios"]:
@@ -82,11 +89,12 @@ def test_run_passing_scenario_exits_zero():
     assert "1/1 scenarios passed" in proc.stdout
 
 
-def test_run_numerical_failure_exits_three_and_names_identity():
-    proc = cli("run", "cgb-sphere", "--quad-order", "2")
-    assert proc.returncode == EXIT_NUMERICAL
-    assert "numerical failure: cgb-sphere:euler-number-s2" in proc.stderr
-    assert "exceeds tol" in proc.stderr
+def test_run_numerical_failure_exits_three_and_names_identity(monkeypatch, capsys):
+    monkeypatch.setitem(scenarios._BY_NAME, "cgb-sphere", failing_sphere())
+    assert main(["run", "cgb-sphere"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: cgb-sphere:euler-number-s2" in err
+    assert "exceeds tol" in err
 
 
 @pytest.mark.parametrize("flags", [[], ["--check"]])
@@ -107,10 +115,13 @@ def test_run_unknown_scenario_exits_two():
     assert "error:" in proc.stderr
 
 
-def test_run_bad_rank_exits_two():
-    proc = cli("run", "odd-rank-point", "--rank", "2")
-    assert proc.returncode == EXIT_BAD_CONFIG
-    assert "error:" in proc.stderr
+def test_run_bad_rank_exits_two(capsys):
+    # orders, tolerances and ranks live in the registry, not on the command line
+    for flag in (["--quad-order", "2"], ["--tol", "1"], ["--rank", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "odd-rank-point", *flag])
+        assert exc.value.code == EXIT_BAD_CONFIG
+        assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
 
 
 def test_run_zero_count_exits_two():
@@ -119,24 +130,10 @@ def test_run_zero_count_exits_two():
     assert "error: count" in proc.stderr
 
 
-def test_run_zero_quad_order_exits_two():
-    proc = cli("run", "cgb-sphere", "--quad-order", "0")
-    assert proc.returncode == EXIT_BAD_CONFIG
-    assert "error: quadrature order" in proc.stderr
-
-
-@pytest.mark.parametrize("tol", ["-1", "nan"])
-def test_run_bad_tolerance_exits_two(tol):
-    proc = cli("run", "quadrature-volumes", "--tol", tol)
-    assert proc.returncode == EXIT_BAD_CONFIG
-    assert "error: tolerance" in proc.stderr
-
-
-def test_check_converts_failure_to_exit_one():
-    bad = cli("run", "cgb-sphere", "--quad-order", "2", "--check")
-    good = cli("run", "cgb-sphere", "--check")
-    assert bad.returncode == EXIT_CHECK_FAILED
-    assert good.returncode == EXIT_OK
+def test_check_converts_failure_to_exit_one(monkeypatch):
+    assert main(["run", "cgb-sphere", "--check"]) == EXIT_OK
+    monkeypatch.setitem(scenarios._BY_NAME, "cgb-sphere", failing_sphere())
+    assert main(["run", "cgb-sphere", "--check"]) == EXIT_CHECK_FAILED
 
 
 def test_unwritable_report_path_exits_four(tmp_path):
@@ -168,9 +165,7 @@ def test_json_report_schema(tmp_path):
     assert proc.returncode == EXIT_OK
     payload = json.loads(target.read_text())
     assert set(payload) == {"suite", "scenarios", "summary"}
-    assert payload["suite"]["name"] == "cgb-verify"
-    assert payload["suite"]["seed"] == 5
-    assert payload["suite"]["count"] == 50
+    assert payload["suite"] == {"name": "cgb-verify", "seed": 5, "count": 50}
     assert [s["name"] for s in payload["scenarios"]] == FAST
     for scen in payload["scenarios"]:
         assert isinstance(scen["wall_ms"], float)
@@ -200,9 +195,8 @@ def test_json_report_reruns_identically(tmp_path):
 
 
 def test_mixed_results_summary_counts():
-    scen = get_scenario("cgb-sphere")
-    reports = [run_scenario(scen, Config()),
-               run_scenario(scen, Config(quad_order=2))]
+    reports = [run_scenario(get_scenario("cgb-sphere"), Config()),
+               run_scenario(failing_sphere(), Config())]
     payload = report_payload(reports, Config())
     assert payload["summary"]["total"] == 2
     assert payload["summary"]["passed"] == 1
@@ -230,11 +224,6 @@ def test_main_returns_int(capsys):
     assert main(["list"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "cgb-sphere" in out
-
-
-def test_tol_override_applies_to_every_item():
-    report = run_scenario(get_scenario("cgb-sphere"), Config(tol=1e-2))
-    assert all(item.tol == 1e-2 for item in report.items)
 
 
 def test_nan_residual_after_finite_one_fails_the_item(monkeypatch):

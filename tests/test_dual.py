@@ -83,22 +83,10 @@ class TestNesting:
 
 
 class TestBranching:
-    def test_comparisons_use_real_part(self):
-        assert Dual(1.0, 99.0) < Dual(2.0, -99.0)
-        assert Dual(2.0, 0.0) >= 2.0
-        assert abs(Dual(-3.0, 1.0)).a == 3.0
-        assert deriv(abs(Dual(-3.0, 1.0))) == -1.0
-
-    def test_piecewise_guard(self):
-        def bump(x):
-            if x > 0.0:
-                return exp(-1.0 / x)
-            return x * 0.0
-
-        assert real(bump(Dual(-1.0, 1.0))) == 0.0
-        v = bump(Dual(0.5, 1.0))
-        assert real(v) == pytest.approx(math.exp(-2.0), rel=1e-14)
-        assert deriv(v) == pytest.approx(math.exp(-2.0) / 0.25, rel=1e-12)
+    def test_ordering_raises(self):
+        # value branches go through where, which serves node blocks too
+        with pytest.raises(TypeError):
+            Dual(1.0, 1.0) < 2.0
 
 
 class TestArraySlots:
@@ -126,7 +114,3 @@ class TestArraySlots:
         assert where(True, x, 0.0) is x
         assert where(False, x, 0.0) == 0.0
 
-    def test_abs_of_array_dual(self):
-        v = abs(Dual(np.array([-3.0, 2.0, math.nan]), 1.0))
-        assert list(v.a[:2]) == [3.0, 2.0] and math.isnan(v.a[2])
-        assert list(v.b[:2]) == [-1.0, 1.0]

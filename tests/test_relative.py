@@ -290,7 +290,7 @@ class TestHomotopyOperators:
         for _ in range(3):
             p = affine_pair(dom, k, rng)
             eta = affine_form(2, dom.dim - k, rng)
-            assert homotopy_defect_I(phi, 0.6, p, eta, dom, t_order=10) <= 1e-6
+            assert homotopy_defect_I(phi, 0.6, p, eta, dom) <= 1e-6
 
     @pytest.mark.parametrize("a", [1, 2])
     def test_second_identity_twist_flow(self, a):
@@ -300,7 +300,7 @@ class TestHomotopyOperators:
         for _ in range(3):
             p = affine_pair(dom, a, rng)
             eta = affine_form(2, dom.dim - a, rng)
-            assert homotopy_defect_II(phi, 0.6, eta, p, dom, t_order=10) <= 1e-6
+            assert homotopy_defect_II(phi, 0.6, eta, p, dom) <= 1e-6
 
     def test_second_identity_sign_has_teeth(self):
         # flipping the transposition sign must break the identity
@@ -310,8 +310,8 @@ class TestHomotopyOperators:
         p = affine_pair(dom, 1, rng)
         eta = affine_form(2, 1, rng)
         t = 0.6
-        lhs1 = sum(homotopy_TII(phi, t, eta.d(), p, dom, t_order=10))
-        lhs2 = sum(homotopy_TII(phi, t, eta, pair_d(p), dom, t_order=10))
+        lhs1 = sum(homotopy_TII(phi, t, eta.d(), p, dom))
+        lhs2 = sum(homotopy_TII(phi, t, eta, pair_d(p), dom))
 
         def endpoint(s):
             return sum(lefschetz_II(eta.pullback(slice_map(phi, s)), p))
@@ -328,7 +328,7 @@ class TestHomotopyOperators:
         for _ in range(5):
             p = random_pair(dom, 1, rng)
             eta = random_polynomial_form(1, 0, rng)
-            assert homotopy_defect_I(phi, 0.9, p, eta, dom, t_order=10) <= 1e-6
+            assert homotopy_defect_I(phi, 0.9, p, eta, dom) <= 1e-6
 
     def test_point_faces_match_box_faces(self):
         # faces handed over explicitly, each a signed 0-dim box, give the same
