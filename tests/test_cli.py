@@ -124,6 +124,10 @@ def test_run_bad_rank_exits_two(capsys):
         assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
 
 
+def test_config_keeps_only_seed_and_count():
+    assert [f.name for f in dataclasses.fields(Config)] == ["seed", "count"]
+
+
 def test_run_zero_count_exits_two():
     proc = cli("run", "stokes-convention", "--count", "0")
     assert proc.returncode == EXIT_BAD_CONFIG
@@ -203,6 +207,26 @@ def test_mixed_results_summary_counts():
     assert payload["summary"]["failed"] == 1
     assert payload["summary"]["items_passed"] == 1
     assert payload["summary"]["items_failed"] == 1
+
+
+@pytest.mark.parametrize("name", FAST + ["odd-rank-point", "odd-rank3-point"])
+def test_items_are_graded_with_registry_tolerance(name):
+    scen = get_scenario(name)
+    report = run_scenario(scen, Config())
+    assert report.passed
+    assert [(i.identity, i.expected, i.tol, i.provenance) for i in report.items] == \
+        [(e.identity, e.value, e.tol, e.provenance) for e in scen.expected]
+
+
+def test_odd_rank_pairing_has_one_registry_entry_per_rank():
+    tols = {name: {e.identity: e.tol for e in get_scenario(name).expected}
+            for name in ("odd-rank-point", "odd-rank3-point")}
+    assert tols == {
+        "odd-rank-point": {"unit-pairing-rank1": 1e-8,
+                           "dual-pair-closedness-rank1": 1e-6},
+        "odd-rank3-point": {"unit-pairing-rank3": 1e-4,
+                            "dual-pair-closedness-rank3": 1e-6},
+    }
 
 
 def test_empty_report_is_valid():

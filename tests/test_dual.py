@@ -1,6 +1,7 @@
 """Dual number arithmetic against hand-differentiated values."""
 
 import math
+import operator
 import random
 
 import numpy as np
@@ -87,6 +88,11 @@ class TestBranching:
         # value branches go through where, which serves node blocks too
         with pytest.raises(TypeError):
             Dual(1.0, 1.0) < 2.0
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_ordering_a_node_block_raises(self, op):
+        with pytest.raises(TypeError):
+            op(Dual(np.array([1.0, 3.0]), np.ones(2)), 2.0)
 
 
 class TestArraySlots:
