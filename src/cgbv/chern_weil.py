@@ -30,9 +30,9 @@ from functools import lru_cache
 from .errors import (ConsistencyError, DegreeError, RankError, ShapeError,
                      SymmetryPreconditionError)
 from .forms import (Form, MatrixForm, SmoothMap, ZeroForm, _mul_smat,
-                    _smul_mat, add_coeffs, as_block, combos, scale_coeffs,
-                    sub_coeffs, sup_abs, wedge_coeffs, wedge_entry,
-                    zero_coeffs)
+                    _smul_mat, add_coeffs, as_block, combos, form_sup,
+                    scale_coeffs, sub_coeffs, sup_abs, wedge_coeffs,
+                    wedge_entry, zero_coeffs)
 from .geometry import ChartDomain, FiberBundleDomain, gauss_nodes
 
 TWO_PI = 2.0 * math.pi
@@ -422,5 +422,4 @@ def symmetry_check(form: Form, conn: Connection, phi: SmoothMap, psi,
         raise SymmetryPreconditionError(
             f"map does not preserve connection {conn.label or '?'}: "
             f"residual {worst_pre:.3e}")
-    x = as_block(sample_points)
-    return sup_abs(a - b for a, b in zip(form.pullback(phi)(x), form(x)))
+    return form_sup(form.pullback(phi) - form, sample_points)

@@ -418,46 +418,26 @@ class Mesh:
         return out
 
     def _check_orientable(self):
-        if not self.triangles:
-            return
-        edge_users = {}
-        for t, tri in enumerate(self.triangles):
+        """At most two triangles per edge, crossing a shared edge oppositely.
+
+        The triangles keep the orientation the registry lists, so this is
+        the whole coherence condition: a shared edge crossed the same way
+        twice means a flipped triangle or a mesh that admits no orientation.
+        """
+        signs = {}
+        for tri in self.triangles:
             for e, sign in self._tri_incidence(tri):
-                edge_users.setdefault(e, []).append((t, sign))
-        for e, users in edge_users.items():
-            if len(users) > 2:
+                signs.setdefault(e, []).append(sign)
+        for e, used in signs.items():
+            if len(used) > 2:
                 raise ComplexError(
                     f"{self.name}: edge {self.edges[e]} borders "
-                    f"{len(users)} triangles")
-        # 2-color the triangle adjacency graph: same color when the shared
-        # edge is traversed oppositely, else opposite color
-        color = {}
-        for start in range(len(self.triangles)):
-            if start in color:
-                continue
-            color[start] = 0
-            queue = [start]
-            while queue:
-                t = queue.pop()
-                for e, users in edge_users.items():
-                    mine = [s for u, s in users if u == t]
-                    if not mine:
-                        continue
-                    for u, s in users:
-                        if u == t:
-                            continue
-                        want = color[t] if s != mine[0] else 1 - color[t]
-                        if u not in color:
-                            color[u] = want
-                            queue.append(u)
-                        elif color[u] != want:
-                            raise ConsistencyError(
-                                f"{self.name}: mesh is not orientable")
-        flipped = [c for c in color.values() if c == 1]
-        if flipped:
-            raise ConsistencyError(
-                f"{self.name}: {len(flipped)} triangles are oriented "
-                f"against the rest; flip them in the registry data")
+                    f"{len(used)} triangles")
+        for e, used in signs.items():
+            if len(used) == 2 and used[0] == used[1]:
+                raise ConsistencyError(
+                    f"{self.name}: both triangles at edge {self.edges[e]} "
+                    f"cross it the same way; flip one in the registry data")
 
     def complex(self) -> CochainComplex:
         # head +1, tail -1

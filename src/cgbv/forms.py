@@ -22,6 +22,11 @@ directions at each ``d``, pullback or Jacobian level, and the larger of the
 two for a sum or wedge.  :func:`block_size` turns it into the number of
 nodes or points one evaluation gets, so blocks depend only on how a form is
 built and sum in the same order on every run and machine.
+
+A sampled identity lhs = rhs is one form, ``lhs - rhs``, built with the
+arithmetic below, and :func:`form_sup` reduces it over the sample points in
+blocks of that size; the check itself sizes no block and pairs no
+coefficient lists.
 """
 
 from __future__ import annotations
@@ -146,14 +151,18 @@ def sup_abs(values) -> float:
     return worst
 
 
-def blockwise_sup(values_at, points, width: int) -> float:
-    """:func:`sup_abs` of ``values_at(x)`` over the points in blocks of ``block_size(width)``.
+def form_sup(form: Form, points) -> float:
+    """:func:`sup_abs` of every coefficient of a form over the points.
 
-    A sup does not depend on the order it is taken in, so this is the value
-    one block of every point gives, without holding all their arrays at once.
+    The points are evaluated in blocks of ``block_size(form.width)``.  A sup
+    does not depend on the order it is taken in, so this is the value one
+    block of every point gives, without holding all their arrays at once.
+    A sampled identity lhs = rhs is checked as ``form_sup(lhs - rhs,
+    points)``: a degree mismatch raises :class:`ShapeError` when the
+    difference is built, before anything is evaluated.
     """
-    step = block_size(width)
-    return sup_abs(sup_abs(values_at(as_block(points[s:s + step])))
+    step = block_size(form.width)
+    return sup_abs(sup_abs(form(as_block(points[s:s + step])))
                    for s in range(0, len(points), step))
 
 
@@ -351,14 +360,16 @@ class Form:
         """0-form from a plain scalar function of the coordinates."""
         return Form(n, 0, lambda x: [fn(x)])
 
+    # Sums evaluate each operand through its count check, so a closure that
+    # returns too many coefficients raises rather than being cut short.
     def __add__(self, other: "Form") -> "Form":
         self._compat(other)
-        return Form(self.n, self.p, lambda x: add_coeffs(self.comps(x), other.comps(x)),
+        return Form(self.n, self.p, lambda x: add_coeffs(self(x), other(x)),
                     max(self.width, other.width))
 
     def __sub__(self, other: "Form") -> "Form":
         self._compat(other)
-        return Form(self.n, self.p, lambda x: sub_coeffs(self.comps(x), other.comps(x)),
+        return Form(self.n, self.p, lambda x: sub_coeffs(self(x), other(x)),
                     max(self.width, other.width))
 
     def __neg__(self) -> "Form":

@@ -15,9 +15,9 @@ last axis holds one entry per node of a block (all of equal shape).
 width of the pulled-back form, so an integrand that holds few arrays per
 node gets long blocks and a nested-dual matrix integrand short ones, and
 reduces the node axis with :func:`cgbv.dual.node_sum`.  A sampled check
-passes its sample points as one block (:func:`cgbv.forms.as_block`), or
-in blocks sized the same way where ``--count`` sets their number
-(:func:`cgbv.forms.blockwise_sup`); sampling and Newton steps pass floats.
+of an identity reduces the form ``lhs - rhs`` with
+:func:`cgbv.forms.form_sup`, which passes its sample points in blocks sized
+the same way; sampling and Newton steps pass floats.
 Closures therefore compute elementwise and must not branch on values: a
 piecewise formula selects through :func:`cgbv.dual.where` on clamped
 arguments.
@@ -221,11 +221,6 @@ class ChartDomain:
 
     def reorient(self, sign: int) -> "ChartDomain":
         return self._copy(orientation=self.orientation * sign)
-
-    def with_orders(self, order) -> "ChartDomain":
-        if isinstance(order, int):
-            return self._copy(orders=[order] * self.dim)
-        return self._copy(orders=list(order))
 
     def embedding(self) -> SmoothMap:
         """Reference to ambient coordinates; the identity without an embedding."""

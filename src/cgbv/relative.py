@@ -96,11 +96,6 @@ def from_boundary(domain: RelativeDomain, gamma: Form) -> FormPair:
     return FormPair(domain, Form.zero(domain.ambient_dim, gamma.p + 1), gamma)
 
 
-def absolute_part(p: FormPair) -> Form:
-    """Projection onto the first slot; anticommutes with the differentials."""
-    return p.omega
-
-
 def pair_pullback(p: FormPair, phi: SmoothMap, source: RelativeDomain) -> FormPair:
     """Pull a pair back along a map that respects the boundaries."""
     gamma = None if p.gamma is None else p.gamma.pullback(phi)
@@ -273,26 +268,6 @@ def homotopy_defect_II(phi: SmoothMap, t: float, eta: Form, p: FormPair,
         return sum(lefschetz_II(eta.pullback(slice_map(phi, s)), p))
 
     return abs(lhs - (endpoint(t) - endpoint(0.0)))
-
-
-# ---------------------------------------------------------------------------
-# sign constants
-
-class SignConstants:
-    """Transposition exponents for moving d across the boundary pairings."""
-
-    @staticmethod
-    def tau(n: int, k: int) -> int:
-        return k * (n - k - 1)
-
-    @staticmethod
-    def upsilon(n: int, k: int) -> int:
-        return k * (n - k)
-
-    @staticmethod
-    def table(max_n: int = 6) -> dict:
-        return {(n, k): (SignConstants.tau(n, k), SignConstants.upsilon(n, k))
-                for n in range(max_n + 1) for k in range(n + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .bundles import (AssociatedBundles, OddRankTriple, TrivializedBundle,
 from .chern_weil import Connection, pf_form, secondary_transgression, transgression
 from .errors import (BumpError, ClosednessError, ConfigError, RankError,
                      SignConventionError)
-from .forms import Form, SmoothMap, ZeroForm, as_block, sup_abs
+from .forms import Form, SmoothMap, ZeroForm, as_block, form_sup, sup_abs
 from .geometry import ChartDomain, FiberBundleDomain
 from .relative import FormPair, RelativeDomain
 
@@ -306,11 +306,11 @@ def odd_pair_residual(scenario: ThomScenario) -> float:
     rng = random.Random(23)
     pts = [[0.0] + list(p)
            for p in _se_sample_points(scenario, rng, 4)]
-    values = list(t12.d()(as_block(pts)))
+    sups = [form_sup(t12.d(), pts)]
     for piece, inc in tri.equators:
-        defect = (t12 + q.d()).pullback(inc)
-        values += defect(as_block(_equator_samples(scenario, piece, rng, 4)))
-    return sup_abs(values)
+        sups.append(form_sup((t12 + q.d()).pullback(inc),
+                             _equator_samples(scenario, piece, rng, 4)))
+    return sup_abs(sups)
 
 
 def parallel_pair_residuals(scenario: ThomScenario) -> dict:
@@ -330,12 +330,12 @@ def parallel_pair_residuals(scenario: ThomScenario) -> dict:
     rng = random.Random(37)
     out = {}
     for key, first in (("tautological", tri.split), ("ambient", tri.ambient)):
-        values = []
+        sups = []
         for piece, inc in tri.equators:
             t = transgression(first.pullback(inc), tri.plane_split.pullback(inc))
-            values += t(as_block(_equator_samples(scenario, piece, rng,
-                                                  SLICE_POINTS)))
-        out[key] = sup_abs(values)
+            sups.append(form_sup(t, _equator_samples(scenario, piece, rng,
+                                                     SLICE_POINTS)))
+        out[key] = sup_abs(sups)
     return out
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from cgbv.errors import DegreeError, ShapeError
 from cgbv.forms import (Form, MatrixForm, SmoothMap, as_block, combos, det,
-                        merge_sign, sup_abs, wedge_coeffs, zero_coeffs)
+                        form_sup, merge_sign, sup_abs, wedge_coeffs, zero_coeffs)
 
 
 def random_polynomial_form(n: int, p: int, rng: random.Random) -> Form:
@@ -242,6 +242,50 @@ def test_sup_abs_reduces_arrays_entry_by_entry():
     # NaN after finite entries of the same array, and after a finite float
     assert math.isnan(sup_abs([4.0, np.array([1.0, 2.0, math.nan]), 0.5]))
     assert sup_abs([np.array([1.0, -math.inf]), 2.0]) == math.inf
+
+
+class TestFormSup:
+    """``form_sup`` reduces every coefficient over the points, block by block."""
+
+    pts = [[0.01 * i, 1.0] for i in range(600)]
+
+    def spied(self, lengths, width):
+        def comps(x):
+            lengths.append(len(x[0]))
+            return [x[0], -2.0 * x[0]]
+        return Form(2, 1, comps, width)
+
+    def test_blocks_follow_the_width(self):
+        lengths = []
+        assert form_sup(self.spied(lengths, 256), self.pts) == 2.0 * 5.99
+        assert lengths == [512, 88]
+        lengths.clear()
+        form_sup(self.spied(lengths, 1), self.pts)
+        assert lengths == [600]
+
+    def test_nan_in_a_later_block_gives_nan(self):
+        def comps(x):
+            return [np.where(x[0] == self.pts[20][0], math.nan, x[0])]
+        # the first block of 512 points is finite and holds the larger values
+        assert math.isnan(form_sup(Form(2, 0, comps, 256), self.pts[::-1]))
+
+    def test_no_points_give_zero_without_evaluating(self):
+        def comps(x):
+            raise AssertionError("evaluated")
+        assert form_sup(Form(2, 0, comps), []) == 0.0
+
+    def test_degree_mismatch_raises_before_evaluating(self):
+        lengths = []
+        zero = Form(2, 0, lambda x: [0.0])
+        with pytest.raises(ShapeError):
+            form_sup(self.spied(lengths, 1) - zero, self.pts)
+        assert lengths == []
+
+    def test_operand_with_extra_coefficients_raises(self):
+        # a pairing of coefficient lists would drop the third one silently
+        extra = Form(2, 1, lambda x: [x[0], x[0], x[0]])
+        with pytest.raises(ShapeError):
+            form_sup(extra - self.spied([], 1), self.pts)
 
 
 def test_as_block_gives_one_full_length_array_per_coordinate():

@@ -10,8 +10,7 @@ from cgbv.errors import (BoundaryZeroError, ChartError, DegreeError,
                          HomotopyError, TransversalityError)
 from cgbv.forms import Form, SmoothMap, combos
 from cgbv.geometry import ChartDomain
-from cgbv.relative import (FormPair, RelativeDomain,
-                           SignConstants, absolute_part, boundary_winding,
+from cgbv.relative import (FormPair, RelativeDomain, boundary_winding,
                            from_boundary, homotopy_TI, homotopy_TII,
                            homotopy_defect_I, homotopy_defect_II, lefschetz_I,
                            lefschetz_II, pair_d, pair_pullback,
@@ -127,8 +126,8 @@ class TestPairCalculus:
         rng = random.Random(104)
         dom = disk_domain()
         p = random_pair(dom, 1, rng)
-        left = absolute_part(pair_d(p))
-        right = absolute_part(p).d().smul(-1.0)
+        left = pair_d(p).omega
+        right = p.omega.d().smul(-1.0)
         for x in dom.manifold.sample_ambient_points(rng, 10):
             diff = [a - b for a, b in zip(left(x), right(x))]
             assert max_abs(diff) <= 1e-12
@@ -442,24 +441,6 @@ class TestHomotopyOperators:
         p = random_pair(dom, 1, rng)
         with pytest.raises(DegreeError):
             homotopy_TI(twist_flow(), 0.5, p, random_polynomial_form(2, 0, rng), dom)
-
-
-class TestSignConstants:
-    TAU = [[0], [0, -1], [0, 0, -2], [0, 1, 0, -3], [0, 2, 2, 0, -4],
-           [0, 3, 4, 3, 0, -5], [0, 4, 6, 6, 4, 0, -6]]
-    UPSILON = [[0], [0, 0], [0, 1, 0], [0, 2, 2, 0], [0, 3, 4, 3, 0],
-               [0, 4, 6, 6, 4, 0], [0, 5, 8, 9, 8, 5, 0]]
-
-    def test_frozen_tables(self):
-        for n in range(7):
-            for k in range(n + 1):
-                assert SignConstants.tau(n, k) == self.TAU[n][k]
-                assert SignConstants.upsilon(n, k) == self.UPSILON[n][k]
-
-    def test_table_dict(self):
-        table = SignConstants.table(4)
-        assert table[(4, 2)] == (2, 4)
-        assert set(table) == {(n, k) for n in range(5) for k in range(n + 1)}
 
 
 def doubling_section(x):
