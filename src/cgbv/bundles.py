@@ -24,8 +24,9 @@ from . import dual
 from .chern_weil import Connection, transgression
 from .errors import (ChartError, ProjectorError, RankError, ShapeError,
                      VanishingSectionError)
-from .forms import (Form, MatrixForm, SmoothMap, _mul_smat, _smul_mat,
-                    add_coeffs, as_block, sup_abs)
+from .forms import (Form, MatrixForm, SmoothMap, _live, _mul_smat, _smul_mat,
+                    add_coeffs, as_block, is_zero, minus, plus, sub_coeffs,
+                    sup_abs, times)
 from .geometry import ChartDomain, FiberBundleDomain
 
 
@@ -72,27 +73,33 @@ class Subbundle:
         return worst
 
 
-def _with_complement(span, P, dP, A0):
-    """Add the complement block Q dQ + Q A Q (Q = 1 - P, dQ = -dP) to a span block."""
+def _complement(P):
+    """Q = 1 - P."""
     m = len(P)
-    Q = [[(1.0 if i == j else 0.0) - P[i][j] for j in range(m)] for i in range(m)]
-    QdP = _smul_mat(Q, dP)
-    mid = _mul_smat(_smul_mat(Q, A0), Q)
-    for i in range(m):
-        for j in range(m):
-            d, s1, s2 = span[i][j], QdP[i][j], mid[i][j]
-            for c in range(len(d)):
-                d[c] = d[c] - s1[c] + s2[c]
-    return span
+    return [[minus(1.0 if i == j else 0.0, P[i][j]) for j in range(m)] for i in range(m)]
+
+
+def _sandwich(S, A0):
+    """S A0 S for a scalar matrix S and a matrix of coefficient lists."""
+    return _mul_smat(_smul_mat(S, A0), S)
+
+
+def _mat_add(X, Y):
+    return [[add_coeffs(x, y) for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)]
+
+
+def _mat_sub(X, Y):
+    return [[sub_coeffs(x, y) for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)]
 
 
 def projected_connection(conn: Connection, sub: Subbundle) -> Connection:
     """Compression of a connection to a subbundle and its complement.
 
     The potential of P nabla P (+) (1-P) nabla (1-P) in the ambient
-    trivialization is P dP + P A P + Q dQ + Q A Q with Q = 1 - P.  P and
-    dP come from one lifted pass of the projector, which is taken as given:
-    :meth:`Subbundle.check` tests it on a block of points.
+    trivialization is P dP + P A P + Q dQ + Q A Q with Q = 1 - P, and
+    since dQ = -dP the two derivative blocks are one product, (P - Q) dP.
+    P and dP come from one lifted pass of the projector, which is taken as
+    given: :meth:`Subbundle.check` tests it on a block of points.
     """
     if conn.rank != sub.rank:
         raise ShapeError("projector size does not match connection rank")
@@ -103,10 +110,10 @@ def projected_connection(conn: Connection, sub: Subbundle) -> Connection:
         flat, dflat = proj.jacobian(x)
         P = [flat[i * m:(i + 1) * m] for i in range(m)]
         dP = [dflat[i * m:(i + 1) * m] for i in range(m)]
+        Q = _complement(P)
         A0 = conn.A.eval(x)
-        span = [[add_coeffs(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(_smul_mat(P, dP), _mul_smat(_smul_mat(P, A0), P))]
-        return _with_complement(span, P, dP, A0)
+        PmQ = [[minus(p, q) for p, q in zip(rp, rq)] for rp, rq in zip(P, Q)]
+        return _mat_add(_mat_add(_smul_mat(PmQ, dP), _sandwich(P, A0)), _sandwich(Q, A0))
 
     # the projector's m * m entries ride one lifted pass over n directions
     return Connection(m, MatrixForm(n, 1, m, eval_fn, max(m * m * n, conn.A.width)),
@@ -146,7 +153,11 @@ def frame_split_connection(conn: Connection, frames) -> Connection:
     The frame vectors are declared parallel (trivial connection on their
     span); the complement carries the compressed connection.  The frame is
     taken as orthonormal, not checked.  The frames and their derivatives
-    come from one lifted pass.
+    come from one lifted pass.  Every frame vector must be finite wherever
+    it is evaluated, at every point of a block, or ``VanishingSectionError``
+    is raised: a normalized vector such as u/|u| is not finite where u
+    vanishes, and products skip structural zeros, so a NaN that meets only
+    them would otherwise drop out of a form built to vanish.
     """
     m, n = conn.rank, conn.n
     r = len(frames)
@@ -154,24 +165,27 @@ def frame_split_connection(conn: Connection, frames) -> Connection:
 
     def eval_fn(x):
         flat, dflat = frame_map.jacobian(x)
-        F = [flat[a * m:(a + 1) * m] for a in range(r)]
-        dF = [dflat[a * m:(a + 1) * m] for a in range(r)]
+        if not all(np.all(np.isfinite(dual.real(v))) for v in flat):
+            raise VanishingSectionError("frame vector is not finite")
         A0 = conn.A.eval(x)
-        P = [[sum(F[a][i] * F[a][j] for a in range(r)) for j in range(m)]
-             for i in range(m)]
-        # span block sum_a f_a df_a^T, and dP = sum_a (df_a f_a^T + f_a df_a^T)
-        span = [[[0.0] * n for _ in range(m)] for _ in range(m)]
-        dP = [[[0.0] * n for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                d, e = span[i][j], dP[i][j]
-                for a in range(r):
-                    gi, gj = F[a][i], F[a][j]
-                    si, sj = dF[a][i], dF[a][j]
-                    for c in range(n):
-                        d[c] = d[c] + gi * sj[c]
-                        e[c] = e[c] + si[c] * gj + gi * sj[c]
-        return _with_complement(span, P, dP, A0)
+        # P = sum_a f_a f_a^T and the span block S = sum_a f_a df_a^T;
+        # dP = sum_a (df_a f_a^T + f_a df_a^T) = S + S^T
+        P = [[0.0] * m for _ in range(m)]
+        S = [[[0.0] * n for _ in range(m)] for _ in range(m)]
+        for a in range(r):
+            f, df = flat[a * m:(a + 1) * m], dflat[a * m:(a + 1) * m]
+            live = [_live(v) for v in df]
+            for i in range(m):
+                if is_zero(f[i]):
+                    continue
+                for j in range(m):
+                    P[i][j] = plus(P[i][j], times(f[i], f[j]))
+                    d = S[i][j]
+                    for c in live[j]:
+                        d[c] = plus(d[c], f[i] * df[j][c])
+        dP = [[add_coeffs(S[i][j], S[j][i]) for j in range(m)] for i in range(m)]
+        Q = _complement(P)
+        return _mat_add(_mat_sub(S, _smul_mat(Q, dP)), _sandwich(Q, A0))
 
     return Connection(m, MatrixForm(n, 1, m, eval_fn, max(m * m * n, conn.A.width)),
                       f"frame-split({conn.label})")

@@ -31,8 +31,8 @@ from .errors import (ConsistencyError, DegreeError, RankError, ShapeError,
                      SymmetryPreconditionError)
 from .forms import (Form, MatrixForm, SmoothMap, ZeroForm, _mul_smat,
                     _smul_mat, add_coeffs, as_block, combos, form_sup,
-                    scale_coeffs, sub_coeffs, sup_abs, wedge_coeffs,
-                    wedge_entry, zero_coeffs)
+                    is_zero, mat_mul_wedge, minus, plus, scale_coeffs, sub_coeffs,
+                    sup_abs, times, wedge_coeffs, wedge_entry, zero_coeffs)
 from .geometry import ChartDomain, FiberBundleDomain, gauss_nodes
 
 TWO_PI = 2.0 * math.pi
@@ -78,7 +78,7 @@ def pfaffian_coeffs(n: int, p: int, A) -> list:
             prod = wedge_coeffs(n, deg, p, prod, A[i][j])
             deg += p
         for idx, v in enumerate(prod):
-            out[idx] = out[idx] + sign * v
+            out[idx] = plus(out[idx], v) if sign > 0 else minus(out[idx], v)
     return out
 
 
@@ -117,8 +117,20 @@ class Connection:
         return Connection(rank, MatrixForm.zero(n, 1, rank), label)
 
     def curvature(self) -> MatrixForm:
-        """F = dA + A ^ A in the trivialization."""
-        return self.A.d() + self.A.wedge(self.A)
+        """F = dA + A ^ A in the trivialization.
+
+        Each evaluation takes A and dA from one lifted pass of the potential
+        (:meth:`MatrixForm.eval_with_d`), so A runs once per point rather
+        than once for dA and twice more for A ^ A.
+        """
+        A, n, m = self.A, self.n, self.rank
+
+        def eval_fn(x):
+            val, dA = A.eval_with_d(x)
+            W = mat_mul_wedge(n, 1, 1, val, val)
+            return [[add_coeffs(dA[i][j], W[i][j]) for j in range(m)] for i in range(m)]
+
+        return MatrixForm(n, 2, m, eval_fn, A.width * max(n, 1))
 
     def pullback(self, phi: SmoothMap, label: str = "") -> "Connection":
         return Connection(self.rank, self.A.pullback(phi), label or self.label)
@@ -184,7 +196,10 @@ def _simplex_transgression(conns, order: int | None) -> Form:
     contributes, for every injective placement of theta_1..theta_q on its
     pairs, theta_1 ^ ... ^ theta_q ^ (F_l on the other pairs); moving the
     dl_a to the front costs the sign (-1)^(q(q-1)/2).  Only the scalar
-    weights move with the node, so everything else is built once per point.
+    weights move with the node, so everything else is built once per point:
+    each vertex's A_a and dA_a come from one lifted pass of its potential
+    (:meth:`MatrixForm.eval_with_d`), and when F is never needed (k = q)
+    from one plain evaluation.
     """
     c0 = conns[0]
     for c in conns[1:]:
@@ -205,14 +220,17 @@ def _simplex_transgression(conns, order: int | None) -> Form:
     fronts_used = {front for _, front, _ in placements}
     f_pairs = {pr for _, _, rest in placements for pr in rest}
     # with k = q every pair holds a theta and F is never needed
-    dA_mfs = [c.A.d() for c in conns] if f_pairs else []
-    width = max(mf.width for mf in dA_mfs or [c.A for c in conns])
+    width = max(c.A.width for c in conns) * (n if f_pairs else 1)
     pairs = combos(m, 2)
+    f_size = len(combos(n, 2))
     upper = [(a, b) for a in range(q + 1) for b in range(a, q + 1)]
     scale = (-1) ** (q * (q - 1) // 2) * TWO_PI ** -k
 
     def comps(x):
-        A = [c.A.eval(x) for c in conns]
+        if f_pairs:
+            A, dA = zip(*(c.A.eval_with_d(x) for c in conns))
+        else:
+            A = [c.A.eval(x) for c in conns]
         thetas = [{(i, j): sub_coeffs(Aa[i][j], A[0][i][j]) for i, j in pairs}
                   for Aa in A[1:]]
         # theta_1 ^ ... ^ theta_q for each placement, node independent
@@ -225,18 +243,17 @@ def _simplex_transgression(conns, order: int | None) -> Form:
         # curvature terms per pair, in the order their weights are summed
         terms = {}
         if f_pairs:
-            dA = [mf.eval(x) for mf in dA_mfs]
             def W(a, b, i, j):
                 return wedge_entry(n, 1, 1, A[a], A[b], i, j)
-            terms = {(i, j): [d[i][j] for d in dA]
-                     + [W(a, b, i, j) if a == b
-                        else add_coeffs(W(a, b, i, j), W(b, a, i, j))
-                        for a, b in upper]
+            terms = {(i, j): _live_terms([d[i][j] for d in dA]
+                                         + [W(a, b, i, j) if a == b
+                                            else add_coeffs(W(a, b, i, j), W(b, a, i, j))
+                                            for a, b in upper])
                      for i, j in f_pairs}
         out = zero_coeffs(n, out_deg)
         for lam, w in nodes:
             coefs = list(lam) + [lam[a] * lam[b] for a, b in upper]
-            F = {pr: _weighted_sum(coefs, vecs) for pr, vecs in terms.items()}
+            F = {pr: _weighted_sum(coefs, live, f_size) for pr, live in terms.items()}
             block = zero_coeffs(n, out_deg)
             for sign, front, rest in placements:
                 prod = fronts[front]
@@ -245,19 +262,29 @@ def _simplex_transgression(conns, order: int | None) -> Form:
                     prod = wedge_coeffs(n, deg, 2, prod, F[pr])
                     deg += 2
                 for idx, v in enumerate(prod):
-                    block[idx] = block[idx] + sign * v
+                    block[idx] = plus(block[idx], v) if sign > 0 else minus(block[idx], v)
             for idx in range(len(out)):
-                out[idx] = out[idx] + w * block[idx]
+                out[idx] = plus(out[idx], times(w, block[idx]))
         return scale_coeffs(scale, out)
 
     return Form(n, out_deg, comps, width)
 
 
-def _weighted_sum(coefs, vecs):
-    """sum_r coefs[r] * vecs[r] componentwise, added left to right."""
-    out = [coefs[0] * v for v in vecs[0]]
-    for c, vec in zip(coefs[1:], vecs[1:]):
-        out = [o + c * v for o, v in zip(out, vec)]
+def _live_terms(vecs) -> list:
+    """(r, c, vecs[r][c]) for every entry that is not a structural zero, r-major."""
+    return [(r, c, v) for r, vec in enumerate(vecs) for c, v in enumerate(vec)
+            if not is_zero(v)]
+
+
+def _weighted_sum(coefs, terms, size: int) -> list:
+    """sum_r coefs[r] * vecs[r] componentwise, added left to right.
+
+    ``terms`` is :func:`_live_terms` of the vectors, tested once per point
+    while the weights change with every node.
+    """
+    out = [0.0] * size
+    for r, c, v in terms:
+        out[c] = plus(out[c], times(coefs[r], v))
     return out
 
 
@@ -386,7 +413,7 @@ def gauge_pullback_potential(conn: Connection, phi: SmoothMap, psi) -> MatrixFor
     m = conn.rank
     pulled = conn.A.pullback(phi)
     psiT = [[psi[j][i] for j in range(m)] for i in range(m)]
-    return MatrixForm(conn.n, 1, m,
+    return MatrixForm(pulled.n, 1, m,
                       lambda x: _mul_smat(_smul_mat(psiT, pulled.eval(x)), psi),
                       pulled.width)
 
@@ -396,14 +423,13 @@ def gauge_residual(conn: Connection, phi: SmoothMap, psi,
     """Sup over the points of |psi^T (phi^* A) psi - A|, entry by entry.
 
     Zero exactly when the gauge pair (psi, phi) preserves the connection
-    at every sample point; NaN if any entry is NaN there.
+    at every sample point; NaN if any entry is NaN there.  The difference is
+    one matrix form, so a map whose source chart is not the connection's
+    raises :class:`ShapeError`.
     """
-    transformed = gauge_pullback_potential(conn, phi, psi)
-    x = as_block(sample_points)
-    return sup_abs(a - b for got_row, want_row in zip(transformed.eval(x),
-                                                      conn.A.eval(x))
-                   for got, want in zip(got_row, want_row)
-                   for a, b in zip(got, want))
+    diff = gauge_pullback_potential(conn, phi, psi) - conn.A
+    return sup_abs(v for row in diff.eval(as_block(sample_points))
+                   for entry in row for v in entry)
 
 
 def symmetry_check(form: Form, conn: Connection, phi: SmoothMap, psi,

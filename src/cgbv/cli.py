@@ -46,7 +46,11 @@ def list_scenarios(module: Optional[str] = None) -> list:
 
 
 def report_payload(reports: Sequence[ScenarioReport], config: Config) -> dict:
-    """JSON-ready report: suite config, per-scenario items, summary counts."""
+    """JSON-ready report: suite config, per-scenario items, summary counts.
+
+    Each item carries its ``margin``, error / tol, null where that is
+    undefined (see :attr:`cgbv.scenarios.Item.margin`).
+    """
     scenarios = []
     items_total = items_passed = 0
     for rep in reports:
@@ -58,6 +62,7 @@ def report_payload(reports: Sequence[ScenarioReport], config: Config) -> dict:
                 "expected": it.expected,
                 "error": it.error,
                 "tol": it.tol,
+                "margin": it.margin,
                 "provenance": it.provenance,
                 "pass": it.passed,
             })
@@ -89,13 +94,14 @@ def report_payload(reports: Sequence[ScenarioReport], config: Config) -> dict:
 
 def _text_table(reports: Sequence[ScenarioReport]) -> str:
     head = ("scenario", "identity", "computed", "expected", "error",
-            "tol", "provenance", "status")
+            "tol", "margin", "provenance", "status")
     rows = []
     for rep in reports:
         for it in rep.items:
+            margin = "-" if it.margin is None else f"{it.margin:.2e}"
             rows.append((rep.name, it.identity, f"{it.computed:.10g}",
                          f"{it.expected:.10g}", f"{it.error:.3e}",
-                         f"{it.tol:g}", it.provenance,
+                         f"{it.tol:g}", margin, it.provenance,
                          "pass" if it.passed else "FAIL"))
     widths = [max(len(head[c]), *(len(r[c]) for r in rows)) if rows
               else len(head[c]) for c in range(len(head))]

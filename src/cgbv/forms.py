@@ -27,6 +27,18 @@ A sampled identity lhs = rhs is one form, ``lhs - rhs``, built with the
 arithmetic below, and :func:`form_sup` reduces it over the sample points in
 blocks of that size; the check itself sizes no block and pairs no
 coefficient lists.
+
+A closure returns the literal float ``0.0`` for a coefficient that vanishes
+identically, such as the dt slot of a path potential or every entry of a
+flat connection: that is a structural zero (:func:`is_zero`).  Products skip
+it in either factor, and a sum with it returns the other operand
+(:func:`plus`, :func:`minus`, :func:`times`), so a matrix product with a
+flat potential costs no dual arithmetic.  Only the literal float counts,
+never an array or a dual, whatever it holds, so which products run depends
+on how a form is built and not on the data.  A NaN reaches every term it
+takes part in; a term whose other factor is a structural zero is zero
+without reading it.  The matrix and wedge kernels test each coefficient
+once, before their table loops.
 """
 
 from __future__ import annotations
@@ -108,20 +120,57 @@ def d_table(n: int, p: int) -> tuple:
     return tuple(per_dir)
 
 
+def is_zero(v) -> bool:
+    """Whether v is a structural zero: the literal float 0.0, never an array or a dual."""
+    return type(v) is float and v == 0.0
+
+
+# plus, minus and times run once per term of every product; they repeat
+# the test of is_zero inline, which halves their cost on plain floats.
+def plus(a, b):
+    """a + b, the other operand itself when one is a structural zero."""
+    if type(a) is float and a == 0.0:
+        return b
+    if type(b) is float and b == 0.0:
+        return a
+    return a + b
+
+
+def minus(a, b):
+    """a - b, ``a`` itself or ``-b`` when the other is a structural zero."""
+    if type(b) is float and b == 0.0:
+        return a
+    if type(a) is float and a == 0.0:
+        return -b
+    return a - b
+
+
+def times(a, b):
+    """a * b, a structural zero when either factor is one."""
+    if (type(a) is float and a == 0.0) or (type(b) is float and b == 0.0):
+        return 0.0
+    return a * b
+
+
+def _live(coeffs) -> list:
+    """Positions of the coefficients that are not structural zeros."""
+    return [c for c, v in enumerate(coeffs) if not is_zero(v)]
+
+
 def zero_coeffs(n: int, p: int) -> list:
     return [0.0] * len(combos(n, p))
 
 
 def add_coeffs(a: list, b: list) -> list:
-    return [x + y for x, y in zip(a, b)]
+    return [plus(x, y) for x, y in zip(a, b)]
 
 
 def sub_coeffs(a: list, b: list) -> list:
-    return [x - y for x, y in zip(a, b)]
+    return [minus(x, y) for x, y in zip(a, b)]
 
 
 def scale_coeffs(c, a: list) -> list:
-    return [c * x for x in a]
+    return [times(c, x) for x in a]
 
 
 def as_block(points) -> list:
@@ -167,9 +216,21 @@ def form_sup(form: Form, points) -> float:
 
 
 def wedge_coeffs(n: int, p: int, q: int, a: list, b: list) -> list:
-    out = zero_coeffs(n, p + q)
-    for iI, iJ, iK, sign in wedge_table(n, p, q):
-        out[iK] = out[iK] + sign * a[iI] * b[iJ]
+    return _wedge_into(zero_coeffs(n, p + q), wedge_table(n, p, q), a, b)
+
+
+def _wedge_into(out: list, table, a: list, b: list) -> list:
+    """Add a ^ b to ``out`` term by term, skipping structural zeros.
+
+    The sign of a table entry picks ``plus`` or ``minus``: multiplying a
+    dual by +-1 would cost as much as a product and change nothing.
+    """
+    live_a = [not is_zero(v) for v in a]
+    live_b = [not is_zero(v) for v in b]
+    for iI, iJ, iK, sign in table:
+        if live_a[iI] and live_b[iJ]:
+            t = a[iI] * b[iJ]
+            out[iK] = plus(out[iK], t) if sign > 0 else minus(out[iK], t)
     return out
 
 
@@ -209,10 +270,13 @@ def _d_coeffs(n: int, p: int, lifted: list, levels: int) -> list:
     """Coefficients of d from the coefficients of a p-form at a lifted point."""
     table = d_table(n, p)
     tangents = [deriv(v) for v in lifted]
+    live = [not is_zero(t) for t in tangents]
     out = zero_coeffs(n, p + 1)
     for j in range(n):
         for iI, iK, sign in table[j]:
-            out[iK] = out[iK] + sign * direction(tangents[iI], j, levels)
+            if live[iI]:
+                t = direction(tangents[iI], j, levels)
+                out[iK] = plus(out[iK], t) if sign > 0 else minus(out[iK], t)
     return out
 
 
@@ -229,19 +293,15 @@ def det(M) -> float:
     if s == 1:
         return M[0][0]
     if s == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    if s == 3:
-        return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-                - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-                + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
+        return minus(times(M[0][0], M[1][1]), times(M[0][1], M[1][0]))
     # Laplace along the first row; matrices here never exceed size 6
     total = 0.0
     for c in range(s):
-        if isinstance(M[0][c], float) and M[0][c] == 0.0:
+        if is_zero(M[0][c]):
             continue
         minor = [[M[r][cc] for cc in range(s) if cc != c] for r in range(1, s)]
-        term = M[0][c] * det(minor)
-        total = total + term if c % 2 == 0 else total - term
+        term = times(M[0][c], det(minor))
+        total = plus(total, term) if c % 2 == 0 else minus(total, term)
     return total
 
 
@@ -258,9 +318,8 @@ def pullback_coeffs(p: int, J, coeffs: list, n_dst: int, n_src: int) -> list:
         acc = 0.0
         for iI, I in enumerate(combos(n_dst, p)):
             aI = coeffs[iI]
-            if isinstance(aI, float) and aI == 0.0:
-                continue
-            acc = acc + aI * det(submatrix(J, I, K))
+            if not is_zero(aI):
+                acc = plus(acc, times(aI, det(submatrix(J, I, K))))
         out.append(acc)
     return out
 
@@ -519,15 +578,27 @@ class MatrixForm:
             return mat_mul_wedge(n, p, q, A, B)
         return MatrixForm(n, p + q, m, eval_fn, max(self.width, other.width))
 
+    def eval_with_d(self, x):
+        """Values at x and the matrix of their ``d``, from one lifted pass.
+
+        As in :meth:`SmoothMap.jacobian`, every direction rides the leading
+        axis of the derivative slots, and the values are read from the value
+        slots of that pass: ``eval_with_d(x)[0]`` equals ``self.eval(x)``.
+        The pass goes through the instance's ``eval``, like any evaluation.
+        """
+        n, p, m = self.n, self.p, self.m
+        if p >= n:
+            return self.eval(x), [[zero_coeffs(n, p + 1) for _ in range(m)] for _ in range(m)]
+        levels = _levels(x)
+        L = self.eval(lift_point(x, range(n)))
+        return ([[[value(v) for v in L[r][c]] for c in range(m)] for r in range(m)],
+                [[_d_coeffs(n, p, L[r][c], levels) for c in range(m)] for r in range(m)])
+
     def d(self) -> "MatrixForm":
         if self.p >= self.n:
             return MatrixForm.zero(self.n, self.p + 1, self.m)
-        n, p, m = self.n, self.p, self.m
-        def eval_fn(x):
-            levels = _levels(x)
-            A = self.eval(lift_point(x, range(n)))
-            return [[_d_coeffs(n, p, A[r][c], levels) for c in range(m)] for r in range(m)]
-        return MatrixForm(n, p + 1, m, eval_fn, self.width * n)
+        return MatrixForm(self.n, self.p + 1, self.m, lambda x: self.eval_with_d(x)[1],
+                          self.width * self.n)
 
     def pullback(self, phi: SmoothMap) -> "MatrixForm":
         if phi.dst_dim != self.n:
@@ -558,45 +629,42 @@ def wedge_entry(n: int, p: int, q: int, A, B, i: int, k: int) -> list:
     table = wedge_table(n, p, q)
     acc = zero_coeffs(n, p + q)
     for j in range(len(A)):
-        a = A[i][j]
-        b = B[j][k]
-        for iI, iJ, iK, sign in table:
-            acc[iK] = acc[iK] + sign * a[iI] * b[iJ]
+        _wedge_into(acc, table, A[i][j], B[j][k])
     return acc
 
 
 def _smul_mat(S, M):
-    """Scalar matrix times matrix of coefficient lists."""
+    """Scalar matrix times matrix of coefficient lists, structural zeros skipped."""
     m = len(S)
     ncomp = len(M[0][0])
+    live = [[_live(entry) for entry in row] for row in M]
     out = [[[0.0] * ncomp for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for a in range(m):
             s = S[i][a]
-            if isinstance(s, float) and s == 0.0:
+            if is_zero(s):
                 continue
-            row = M[a]
-            dst = out[i]
             for j in range(m):
-                src = row[j]
-                d = dst[j]
-                for c in range(ncomp):
-                    d[c] = d[c] + s * src[c]
+                src, d = M[a][j], out[i][j]
+                for c in live[a][j]:
+                    d[c] = plus(d[c], s * src[c])
     return out
 
 
 def _mul_smat(M, S):
+    """Matrix of coefficient lists times scalar matrix, structural zeros skipped."""
     m = len(S)
     ncomp = len(M[0][0])
+    live = [[_live(entry) for entry in row] for row in M]
     out = [[[0.0] * ncomp for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(m):
             d = out[i][j]
             for a in range(m):
                 s = S[a][j]
-                if isinstance(s, float) and s == 0.0:
+                if is_zero(s):
                     continue
                 src = M[i][a]
-                for c in range(ncomp):
-                    d[c] = d[c] + src[c] * s
+                for c in live[i][a]:
+                    d[c] = plus(d[c], src[c] * s)
     return out

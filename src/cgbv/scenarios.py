@@ -86,6 +86,19 @@ class Item:
     provenance: str
     passed: bool
 
+    @property
+    def margin(self) -> float | None:
+        """error / tol, the share of the tolerance used; None when undefined.
+
+        A zero tolerance gives 0.0 for an exact result and None otherwise,
+        as does an error that is not finite.
+        """
+        if not math.isfinite(self.error):
+            return None
+        if self.tol == 0.0:
+            return 0.0 if self.error == 0.0 else None
+        return self.error / self.tol
+
 
 @dataclass(frozen=True)
 class ScenarioReport:

@@ -7,6 +7,7 @@ import pytest
 from cgbv import dual
 from cgbv.bundles import (AssociatedBundles, ODD_REGISTRY, OddRankTriple,
                           REGISTRY, Subbundle, TrivializedBundle,
+                          _random_skew_polynomial,
                           frame_split_connection, make_bundle, point_base,
                           projected_connection, rank_extension,
                           section_splitting_connection, section_transgression,
@@ -14,7 +15,7 @@ from cgbv.bundles import (AssociatedBundles, ODD_REGISTRY, OddRankTriple,
 from cgbv.chern_weil import Connection, transgression
 from cgbv.errors import (ChartError, ProjectorError, RankError, ShapeError,
                          VanishingSectionError)
-from cgbv.forms import MatrixForm, SmoothMap, as_block
+from cgbv.forms import MatrixForm, SmoothMap, as_block, form_sup
 from cgbv.geometry import ChartDomain
 
 TWO_PI = 2.0 * math.pi
@@ -182,6 +183,183 @@ class TestFrameSplit:
             A, B = a.A.eval([psi]), b.A.eval([psi])
             # both make u parallel: compare the compressed so(2) block
             assert A[0][1][0] == pytest.approx(B[0][1][0], abs=1e-10)
+
+
+def projected_oracle(conn: Connection, projector) -> MatrixForm:
+    """P dP + P A P + Q dQ + Q A Q with Q = 1 - P, by plain nested loops.
+
+    P and its partials come from SmoothMap.jacobian; every product and sum
+    is written out, structural zeros included.
+    """
+    n, m = conn.n, conn.rank
+    flat = SmoothMap(n, m * m, lambda y: [v for row in projector(y) for v in row])
+
+    def ev(x):
+        vals, J = flat.jacobian(x)
+        P = [[vals[i * m + j] for j in range(m)] for i in range(m)]
+        dP = [[J[i * m + j] for j in range(m)] for i in range(m)]
+        Q = [[(1.0 if i == j else 0.0) - P[i][j] for j in range(m)] for i in range(m)]
+        dQ = [[[-v for v in dP[i][j]] for j in range(m)] for i in range(m)]
+        A = conn.A.eval(x)
+        out = [[[0.0] * n for _ in range(m)] for _ in range(m)]
+        for i in range(m):
+            for j in range(m):
+                for k in range(n):
+                    acc = 0.0
+                    for a in range(m):
+                        acc = acc + P[i][a] * dP[a][j][k] + Q[i][a] * dQ[a][j][k]
+                        for b in range(m):
+                            acc = (acc + P[i][a] * A[a][b][k] * P[b][j]
+                                   + Q[i][a] * A[a][b][k] * Q[b][j])
+                    out[i][j][k] = acc
+        return out
+
+    return MatrixForm(n, 1, m, ev)
+
+
+def frame_oracle(conn: Connection, frames) -> MatrixForm:
+    """sum_a f_a df_a^T + Q dQ + Q A Q with Q = 1 - sum_a f_a f_a^T, by plain loops.
+
+    The frame's span is parallel, so its block is sum_a f_a df_a^T in place
+    of P dP + P A P.
+    """
+    n, m, r = conn.n, conn.rank, len(frames)
+    fmap = SmoothMap(n, r * m, lambda y: [v for f in frames for v in f(y)])
+
+    def ev(x):
+        vals, J = fmap.jacobian(x)
+        f = [vals[a * m:(a + 1) * m] for a in range(r)]
+        df = [J[a * m:(a + 1) * m] for a in range(r)]
+        Q = [[(1.0 if i == j else 0.0) - sum(f[a][i] * f[a][j] for a in range(r))
+              for j in range(m)] for i in range(m)]
+        dQ = [[[-sum(df[a][i][k] * f[a][j] + f[a][i] * df[a][j][k] for a in range(r))
+                for k in range(n)] for j in range(m)] for i in range(m)]
+        A = conn.A.eval(x)
+        out = [[[0.0] * n for _ in range(m)] for _ in range(m)]
+        for i in range(m):
+            for j in range(m):
+                for k in range(n):
+                    acc = 0.0
+                    for a in range(r):
+                        acc = acc + f[a][i] * df[a][j][k]
+                    for a in range(m):
+                        acc = acc + Q[i][a] * dQ[a][j][k]
+                        for b in range(m):
+                            acc = acc + Q[i][a] * A[a][b][k] * Q[b][j]
+                    out[i][j][k] = acc
+        return out
+
+    return MatrixForm(n, 1, m, ev)
+
+
+def oracle_conns(n: int, m: int) -> list:
+    """A nonzero polynomial potential and the flat one, whose entries are literal zeros."""
+    return [Connection(m, MatrixForm(n, 1, m, _random_skew_polynomial(n, m, 41))),
+            Connection.flat(m, n)]
+
+
+def oracle_block(n: int, seed: int) -> list:
+    rng = random.Random(seed)
+    return as_block([[rng.uniform(-0.9, 0.9) for _ in range(n)] for _ in range(6)])
+
+
+def block_gap(A, B) -> float:
+    return max(float(np.max(np.abs(a - b))) for r1, r2 in zip(A, B)
+               for e1, e2 in zip(r1, r2) for a, b in zip(e1, e2))
+
+
+class TestSplitOracles:
+    """Split connections and their d against the defining formulas, written out."""
+
+    @staticmethod
+    def section(x):
+        return [1.0 + x[0] * x[0], x[1] - 0.3, 0.5 * x[0] * x[1] + 0.2]
+
+    @staticmethod
+    def frames():
+        # orthonormal, varying, with literal zeros in the second vector
+        return [lambda x: [dual.cos(x[0]) * dual.cos(x[1]),
+                           dual.sin(x[0]) * dual.cos(x[1]), dual.sin(x[1])],
+                lambda x: [-dual.sin(x[0]), dual.cos(x[0]), 0.0]]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["polynomial", "flat"])
+    def test_section_split_matches_formula(self, which):
+        conn = oracle_conns(3, 3)[which]
+        split = section_splitting_connection(conn, self.section)
+
+        def projector(x):
+            s = self.section(x)
+            norm2 = sum(v * v for v in s)
+            return [[s[i] * s[j] / norm2 for j in range(3)] for i in range(3)]
+
+        oracle = projected_oracle(conn, projector)
+        x = oracle_block(3, 42)
+        assert block_gap(split.A.eval(x), oracle.eval(x)) <= 1e-13
+        assert block_gap(split.A.d().eval(x), oracle.d().eval(x)) <= 1e-13
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["polynomial", "flat"])
+    def test_frame_split_matches_formula(self, which):
+        conn = oracle_conns(2, 3)[which]
+        split = frame_split_connection(conn, self.frames())
+        oracle = frame_oracle(conn, self.frames())
+        x = oracle_block(2, 43)
+        assert block_gap(split.A.eval(x), oracle.eval(x)) <= 1e-13
+        assert block_gap(split.A.d().eval(x), oracle.d().eval(x)) <= 1e-13
+
+    def test_nan_in_potential_reaches_transgression_sup(self):
+        conn = oracle_conns(3, 4)[0]
+        pts = [[0.1 * k - 0.3, 0.2, 0.05 * k + 0.1] for k in range(6)]
+
+        def poisoned_ev(x):
+            A = conn.A.eval(x)
+            hit = np.asarray(dual.real(x[0])) == pts[4][0]
+            A[0][1][2] = dual.where(hit, math.nan, A[0][1][2])
+            return A
+
+        poisoned = Connection(4, MatrixForm(3, 1, 4, poisoned_ev))
+        split = section_splitting_connection(
+            poisoned, lambda x: [1.0 + x[0] * x[0], x[1], 0.0, x[2]])
+        assert form_sup(transgression(split, poisoned), pts[:4]) < math.inf
+        assert math.isnan(form_sup(transgression(split, poisoned), pts))
+
+    def test_nan_in_frame_raises(self):
+        # every matching of the ambient/plane-split transgression meets the
+        # literal zeros of the parallel e0 row, so a NaN in the frame would
+        # drop out of it; the frame refuses it instead
+        tri = OddRankTriple(make_bundle("odd-rank3-point"), fiber_order=6)
+        pts = sphere_points(4, 6, 44)
+        f_const, f_fiber = tri.plane_frame
+
+        def poisoned(x):
+            f = f_fiber(x)
+            hit = np.asarray(dual.real(x[1])) == pts[2][1]
+            return [f[0], dual.where(hit, math.nan, f[1])] + f[2:]
+
+        plane = frame_split_connection(tri.ambient, (f_const, poisoned))
+        T = transgression(tri.ambient, plane)
+        assert form_sup(T, pts[:2] + pts[3:]) == 0.0
+        with pytest.raises(VanishingSectionError):
+            form_sup(T, pts)
+
+    def test_split_d_dual_products_stay_low(self, monkeypatch):
+        # one evaluation of d of the section-split connection of the rank-4
+        # triple on a fixed block: 1632 dual products before structural zeros
+        # were skipped and (P - Q) dP formed once, 352 after
+        dA = OddRankTriple(make_bundle("odd-rank3-point"), fiber_order=6).split.A.d()
+        rng = random.Random(7)
+        x = as_block([[rng.uniform(0.2, 1.0) * rng.choice((-1, 1)) for _ in range(4)]
+                      for _ in range(8)])
+        calls = [0]
+        mul = dual.Dual.__mul__
+
+        def counting(a, b):
+            calls[0] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(dual.Dual, "__mul__", counting)
+        monkeypatch.setattr(dual.Dual, "__rmul__", counting)
+        dA.eval(x)
+        assert calls[0] <= 352
 
 
 class TestStereographic:

@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cgbv import chern_weil, dual
-from cgbv.chern_weil import (Connection, connection_path, loop_transgression,
+from cgbv.chern_weil import (Connection, connection_path, gauge_pullback_potential,
+                             gauge_residual, loop_transgression,
                              pf_form, pfaffian, secondary_transgression,
                              simplex_family, symmetry_check, transgression,
                              transgression_forms_of_family)
@@ -105,6 +107,16 @@ class TestCurvature:
             worst = max(abs(p - q) for r1, r2 in zip(a, b)
                         for e1, e2 in zip(r1, r2) for p, q in zip(e1, e2))
             assert worst < 1e-12
+
+    def test_equals_d_plus_wedge_bit_for_bit(self):
+        # A and dA from one lifted pass, whose value slots are the plain values
+        conn = random_skew_connection(3, 4, random.Random(3))
+        for x in ([0.2, -0.4, 0.7],
+                  [np.array([0.2, 0.5]), np.array([-0.4, 0.1]), np.array([0.7, -0.3])]):
+            got = conn.curvature().eval(x)
+            want = (conn.A.d() + conn.A.wedge(conn.A)).eval(x)
+            assert all(np.array_equal(a, b) for r1, r2 in zip(got, want)
+                       for e1, e2 in zip(r1, r2) for a, b in zip(e1, e2))
 
     def test_round_sphere_curvature(self):
         F = round_sphere_connection().curvature()
@@ -533,6 +545,16 @@ class TestSymmetry:
         eye = [[1.0, 0.0], [0.0, 1.0]]
         pts = [[0.5, 1.0], [1.2, 2.0]]
         assert not math.isfinite(symmetry_check(form, conn, rot, eye, pts))
+
+    def test_gauge_map_from_a_smaller_chart_is_refused(self):
+        # the pullback along R^3 -> R^4 has no dx_3 coefficient; pairing its
+        # coefficient lists with the potential's would drop that slot
+        conn = Connection.flat(2, 4)
+        phi = SmoothMap(3, 4, lambda x: [x[0], x[1], x[2], 0.0])
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        assert gauge_pullback_potential(conn, phi, eye).n == 3
+        with pytest.raises(ShapeError):
+            gauge_residual(conn, phi, eye, [[0.1, 0.2, 0.3]])
 
     def test_nan_connection_fails_precondition(self):
         good = round_sphere_connection()

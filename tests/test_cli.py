@@ -175,11 +175,12 @@ def test_json_report_schema(tmp_path):
         assert isinstance(scen["wall_ms"], float)
         for item in scen["items"]:
             assert set(item) == {"identity", "computed", "expected", "error",
-                                 "tol", "provenance", "pass"}
+                                 "tol", "margin", "provenance", "pass"}
             assert item["provenance"] in ("paper", "trivial", "derived")
             assert item["error"] == pytest.approx(
                 abs(item["computed"] - item["expected"]))
             assert item["pass"] == (item["error"] <= item["tol"])
+            assert item["margin"] == item["error"] / item["tol"]
     summary = payload["summary"]
     assert summary["total"] == len(payload["scenarios"])
     assert summary["passed"] + summary["failed"] == summary["total"]
@@ -227,6 +228,33 @@ def test_odd_rank_pairing_has_one_registry_entry_per_rank():
         "odd-rank3-point": {"unit-pairing-rank3": 1e-4,
                             "dual-pair-closedness-rank3": 1e-6},
     }
+
+
+@pytest.mark.parametrize("error, tol, margin", [
+    (2e-9, 1e-8, 0.2),
+    (0.0, 1e-6, 0.0),
+    (0.0, 0.0, 0.0),
+    (1.0, 0.0, None),
+    (math.nan, 1e-6, None),
+    (math.inf, 1e-6, None),
+])
+def test_item_margin(error, tol, margin):
+    item = scenarios.Item("x", error, 0.0, error, tol, "paper", error <= tol)
+    assert item.margin == (None if margin is None else pytest.approx(margin))
+
+
+def test_margin_column_and_null_in_json():
+    report = scenarios.ScenarioReport("gaps", (
+        scenarios.Item("exact", 0.0, 0.0, 0.0, 0.0, "paper", True),
+        scenarios.Item("off", 1.0, 0.0, 1.0, 0.0, "paper", False),
+        scenarios.Item("half", 5e-9, 0.0, 5e-9, 1e-8, "paper", True)), 1.0)
+    payload = json.loads(emit_report([report], "json", None, Config()))
+    assert [it["margin"] for it in payload["scenarios"][0]["items"]] == \
+        [0.0, None, 0.5]
+    lines = emit_report([report], "text").splitlines()
+    col = lines[0].split().index("margin")
+    assert [line.split()[col] for line in lines[1:4]] == \
+        ["0.00e+00", "-", "5.00e-01"]
 
 
 def test_empty_report_is_valid():

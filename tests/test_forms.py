@@ -6,9 +6,11 @@ import random
 import numpy as np
 import pytest
 
+from cgbv.dual import Dual
 from cgbv.errors import DegreeError, ShapeError
-from cgbv.forms import (Form, MatrixForm, SmoothMap, as_block, combos, det,
-                        form_sup, merge_sign, sup_abs, wedge_coeffs, zero_coeffs)
+from cgbv.forms import (Form, MatrixForm, SmoothMap, _mul_smat, _smul_mat,
+                        as_block, combos, det, form_sup, is_zero, merge_sign,
+                        minus, plus, sup_abs, times, wedge_coeffs, zero_coeffs)
 
 
 def random_polynomial_form(n: int, p: int, rng: random.Random) -> Form:
@@ -242,6 +244,69 @@ def test_sup_abs_reduces_arrays_entry_by_entry():
     # NaN after finite entries of the same array, and after a finite float
     assert math.isnan(sup_abs([4.0, np.array([1.0, 2.0, math.nan]), 0.5]))
     assert sup_abs([np.array([1.0, -math.inf]), 2.0]) == math.inf
+
+
+class Untouchable:
+    """A coefficient that fails the test if it is ever multiplied."""
+
+    def __mul__(self, other):
+        raise AssertionError("a structural zero was multiplied")
+
+    __rmul__ = __mul__
+
+
+class TestStructuralZeros:
+    def test_only_the_literal_float_counts(self):
+        assert is_zero(0.0) and is_zero(-0.0)
+        assert not is_zero(np.zeros(3))
+        assert not is_zero(Dual(0.0, 0.0))
+        assert not is_zero(1e-300)
+        assert not is_zero(math.nan)
+
+    def test_sum_with_zero_returns_the_other_operand(self):
+        a = Dual(np.ones(3), np.ones(3))
+        assert plus(0.0, a) is a and plus(a, 0.0) is a and minus(a, 0.0) is a
+        assert np.array_equal(minus(0.0, a).a, -np.ones(3))
+        assert times(0.0, Untouchable()) == 0.0 and times(Untouchable(), 0.0) == 0.0
+
+    def test_products_skip_zero_in_either_factor(self):
+        U = Untouchable()
+        assert wedge_coeffs(2, 1, 1, [0.0, 0.0], [U, U]) == [0.0]
+        assert wedge_coeffs(2, 1, 1, [U, U], [0.0, 0.0]) == [0.0]
+        assert wedge_coeffs(2, 1, 1, [2.0, 0.0], [U, 3.0]) == [6.0]
+        assert _smul_mat([[0.0]], [[[U, U]]]) == [[[0.0, 0.0]]]
+        assert _smul_mat([[U]], [[[0.0, 0.0]]]) == [[[0.0, 0.0]]]
+        assert _mul_smat([[[U]]], [[0.0]]) == [[[0.0]]]
+        assert _mul_smat([[[0.0]]], [[U]]) == [[[0.0]]]
+
+    def test_nan_in_a_live_factor_survives(self):
+        v = np.array([1.0, math.nan])
+        (w,) = wedge_coeffs(2, 1, 1, [v, 0.0], [0.0, v])
+        assert w[0] == 1.0 and math.isnan(w[1])
+
+
+class TestEvalWithD:
+    def test_values_bit_for_bit_and_d_from_one_pass(self):
+        rng = random.Random(19)
+        forms = [[random_polynomial_form(3, 1, rng) for _ in range(2)] for _ in range(2)]
+        A = MatrixForm.from_forms(forms)
+        calls = []
+        counted = MatrixForm(3, 1, 2, lambda x: calls.append(1) or A.eval(x))
+        x = as_block([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(5)])
+        vals, dA = counted.eval_with_d(x)
+        assert len(calls) == 1
+        plain = A.eval(x)
+        assert all(np.array_equal(u, v) for r1, r2 in zip(vals, plain)
+                   for e1, e2 in zip(r1, r2) for u, v in zip(e1, e2))
+        ref = A.d().eval(x)
+        assert all(np.array_equal(u, v) for r1, r2 in zip(dA, ref)
+                   for e1, e2 in zip(r1, r2) for u, v in zip(e1, e2))
+
+    def test_top_degree_has_zero_d(self):
+        A = MatrixForm(2, 2, 2, lambda x: [[[x[0]], [1.0]], [[2.0], [x[1]]]])
+        vals, dA = A.eval_with_d([0.5, 0.25])
+        assert vals == [[[0.5], [1.0]], [[2.0], [0.25]]]
+        assert dA == [[[], []], [[], []]]
 
 
 class TestFormSup:

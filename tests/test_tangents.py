@@ -4,9 +4,10 @@
 derivative slots, so ``Form.d``, ``MatrixForm.d`` and ``SmoothMap.jacobian``
 call their closure once per evaluation, nested levels included.  Values and
 first derivatives come from that one lifted pass: ``SmoothMap.jacobian``
-returns the values from its value slots, bit for bit those of a plain call,
-so a pullback, a split connection and a parallel-transport check run their
-map, projector, frames or section once per evaluation.  The oracle
+and ``MatrixForm.eval_with_d`` return the values from its value slots, bit
+for bit those of a plain call, so a pullback, a split connection and a
+parallel-transport check run their map, projector, frames or section once
+per evaluation, and a curvature or a transgression each potential.  The oracle
 below is the per-direction scheme they replace: one pass per direction j
 with scalar seeds ``Dual(x_k, 1.0 if k == j else 0.0)``.  Both run the same
 arithmetic entry by entry, so the values must agree exactly, and direction
@@ -24,7 +25,7 @@ import pytest
 from cgbv import dual, thom
 from cgbv.bundles import (Subbundle, frame_split_connection, make_bundle,
                           projected_connection, stereographic)
-from cgbv.chern_weil import Connection
+from cgbv.chern_weil import Connection, secondary_transgression, transgression
 from cgbv.dual import Dual, deriv
 from cgbv.forms import (Form, MatrixForm, SmoothMap, as_block, combos, d_table,
                         lift_point, pullback_coeffs, zero_coeffs)
@@ -214,6 +215,21 @@ class TestOneClosureCall:
             f.calls = 0
         split.A.d().eval(BLOCK)
         assert [f.calls for f in frames] == [1, 1]
+
+    @pytest.mark.parametrize("x", [POINT, BLOCK], ids=["point", "block"])
+    def test_curvature_and_transgressions_run_each_potential_once(self, x):
+        # A and dA come from one lifted pass (MatrixForm.eval_with_d)
+        evs = [Counted(MatrixForm.from_forms(
+            [[generic_form(N, 1, 100 * k + 4 * i + j) for j in range(4)]
+             for i in range(4)]).eval) for k in range(3)]
+        conns = [Connection(4, MatrixForm(N, 1, 4, ev)) for ev in evs]
+        for form, calls in ((conns[0].curvature().eval, [1, 0, 0]),
+                            (transgression(*conns[:2]), [1, 1, 0]),
+                            (secondary_transgression(*conns), [1, 1, 1])):
+            for ev in evs:
+                ev.calls = 0
+            form(x)
+            assert [ev.calls for ev in evs] == calls
 
     def test_parallel_defect_evaluates_the_section_once(self):
         section = Counted(lambda x: [dual.cos(x[0]), dual.sin(x[0]), 0.0])
