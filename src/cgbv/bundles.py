@@ -22,8 +22,8 @@ import numpy as np
 
 from . import dual
 from .chern_weil import Connection, transgression
-from .errors import (ChartError, ProjectorError, RankError, ShapeError,
-                     VanishingSectionError)
+from .errors import (ChartError, NonFiniteError, ProjectorError, RankError,
+                     ShapeError, VanishingSectionError)
 from .forms import (Form, MatrixForm, SmoothMap, _live, _mul_smat, _smul_mat,
                     add_coeffs, as_block, is_zero, minus, plus, sub_coeffs,
                     sup_abs, times)
@@ -80,16 +80,19 @@ def _complement(P):
 
 
 def _sandwich(S, A0):
-    """S A0 S for a scalar matrix S and a matrix of coefficient lists."""
-    return _mul_smat(_smul_mat(S, A0), S)
+    """Strict upper triangle of S A0 S, S a scalar matrix, A0 coefficient lists."""
+    return _mul_smat(_smul_mat(S, A0), S, upper=True)
 
 
-def _mat_add(X, Y):
-    return [[add_coeffs(x, y) for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)]
-
-
-def _mat_sub(X, Y):
-    return [[sub_coeffs(x, y) for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)]
+def _skew(m: int, n: int, entry):
+    """Skew m x m matrix of 1-forms from ``entry(i, j)``, i < j: the lower
+    triangle its exact negative, the diagonal structural zeros."""
+    out = [[[0.0] * n for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            out[i][j] = entry(i, j)
+            out[j][i] = [minus(0.0, v) for v in out[i][j]]
+    return out
 
 
 def projected_connection(conn: Connection, sub: Subbundle) -> Connection:
@@ -98,8 +101,10 @@ def projected_connection(conn: Connection, sub: Subbundle) -> Connection:
     The potential of P nabla P (+) (1-P) nabla (1-P) in the ambient
     trivialization is P dP + P A P + Q dQ + Q A Q with Q = 1 - P, and
     since dQ = -dP the two derivative blocks are one product, (P - Q) dP.
-    P and dP come from one lifted pass of the projector, which is taken as
-    given: :meth:`Subbundle.check` tests it on a block of points.
+    For a projector it is skew, as are the sandwiches of a skew A, so only
+    the strict upper triangle is computed (:func:`_skew`).  P and dP come
+    from one lifted pass of the projector, which is taken as given:
+    :meth:`Subbundle.check` tests it on a block of points.
     """
     if conn.rank != sub.rank:
         raise ShapeError("projector size does not match connection rank")
@@ -113,7 +118,8 @@ def projected_connection(conn: Connection, sub: Subbundle) -> Connection:
         Q = _complement(P)
         A0 = conn.A.eval(x)
         PmQ = [[minus(p, q) for p, q in zip(rp, rq)] for rp, rq in zip(P, Q)]
-        return _mat_add(_mat_add(_smul_mat(PmQ, dP), _sandwich(P, A0)), _sandwich(Q, A0))
+        D, SP, SQ = _smul_mat(PmQ, dP, upper=True), _sandwich(P, A0), _sandwich(Q, A0)
+        return _skew(m, n, lambda i, j: add_coeffs(add_coeffs(D[i][j], SP[i][j]), SQ[i][j]))
 
     # the projector's m * m entries ride one lifted pass over n directions
     return Connection(m, MatrixForm(n, 1, m, eval_fn, max(m * m * n, conn.A.width)),
@@ -142,7 +148,13 @@ def section_splitting_connection(conn: Connection, section) -> Connection:
             shortest = np.min(np.sqrt(np.maximum(length2, 0.0)))
             raise VanishingSectionError(
                 f"section length {shortest:.3e} below 1.0e-08")
-        return [[s[i] * s[j] / norm2 for j in range(m)] for i in range(m)]
+        r = 1.0 / norm2  # one reciprocal, and the symmetric half of s s^T r
+        t = [times(v, r) for v in s]
+        P = [[0.0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                P[i][j] = P[j][i] = times(t[i], s[j])
+        return P
 
     return projected_connection(conn, Subbundle(m, proj, "line"))
 
@@ -152,12 +164,14 @@ def frame_split_connection(conn: Connection, frames) -> Connection:
 
     The frame vectors are declared parallel (trivial connection on their
     span); the complement carries the compressed connection.  The frame is
-    taken as orthonormal, not checked.  The frames and their derivatives
-    come from one lifted pass.  Every frame vector must be finite wherever
-    it is evaluated, at every point of a block, or ``VanishingSectionError``
-    is raised: a normalized vector such as u/|u| is not finite where u
-    vanishes, and products skip structural zeros, so a NaN that meets only
-    them would otherwise drop out of a form built to vanish.
+    taken as orthonormal, not checked; then S - Q dP + Q A Q, S the span
+    block below, is skew and is built from its strict upper triangle.  The
+    frames and their derivatives come from one lifted pass.  Every frame
+    vector must be finite wherever it is evaluated, at every point of a
+    block, or ``VanishingSectionError`` is raised: a normalized vector such
+    as u/|u| is not finite where u vanishes, and products skip structural
+    zeros, so a NaN that meets only them would otherwise drop out of a form
+    built to vanish.
     """
     m, n = conn.rank, conn.n
     r = len(frames)
@@ -185,7 +199,8 @@ def frame_split_connection(conn: Connection, frames) -> Connection:
                         d[c] = plus(d[c], f[i] * df[j][c])
         dP = [[add_coeffs(S[i][j], S[j][i]) for j in range(m)] for i in range(m)]
         Q = _complement(P)
-        return _mat_add(_mat_sub(S, _smul_mat(Q, dP)), _sandwich(Q, A0))
+        QdP, SQ = _smul_mat(Q, dP, upper=True), _sandwich(Q, A0)
+        return _skew(m, n, lambda i, j: add_coeffs(sub_coeffs(S[i][j], QdP[i][j]), SQ[i][j]))
 
     return Connection(m, MatrixForm(n, 1, m, eval_fn, max(m * m * n, conn.A.width)),
                       f"frame-split({conn.label})")
@@ -237,16 +252,20 @@ def total_connection(conn: Connection, fiber_ambient: int) -> Connection:
 
 
 def rank_extension(conn: Connection) -> Connection:
-    """Extend by a parallel trivial line: block potential 0 (+) A."""
+    """Extend by a parallel trivial line: block potential 0 (+) A.
+
+    A's live coefficients must be finite wherever evaluated, or
+    :class:`NonFiniteError` is raised: a product that meets a NaN only
+    through structural zeros would drop it.
+    """
     m, n = conn.rank, conn.n
 
     def eval_fn(x):
         A = conn.A.eval(x)
-        out = [[[0.0] * n for _ in range(m + 1)] for _ in range(m + 1)]
-        for i in range(m):
-            for j in range(m):
-                out[i + 1][j + 1] = A[i][j]
-        return out
+        if not all(np.all(np.isfinite(dual.real(v))) for row in A for entry in row
+                   for v in entry if not is_zero(v)):
+            raise NonFiniteError(f"potential {conn.label or '?'} is not finite")
+        return [[[0.0] * n for _ in range(m + 1)]] + [[[0.0] * n] + row for row in A]
 
     return Connection(m + 1, MatrixForm(n, 1, m + 1, eval_fn,
                                         max((m + 1) ** 2, conn.A.width)),

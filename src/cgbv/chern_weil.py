@@ -16,8 +16,10 @@ integrand is a polynomial of degree 2(k - q) in the parameters: F_l is
 quadratic in l, theta_a = A_a - A_0 is constant, and each term carries
 k - q curvature factors.  Gauss-Legendre with k - q + 1 nodes per simplex
 axis integrates it exactly, on the Duffy square too, so the kernel picks
-that rule itself.  The generic family construction is kept alongside for
-cross tests.
+that rule itself.  With k - q <= 1 (rank 2 and 4) the integrand is affine
+in the scalar weights (l_a, l_a l_b), so any rule collapses to one
+pseudo-node.  The generic family construction is kept alongside for cross
+tests.
 """
 
 from __future__ import annotations
@@ -196,10 +198,12 @@ def _simplex_transgression(conns, order: int | None) -> Form:
     contributes, for every injective placement of theta_1..theta_q on its
     pairs, theta_1 ^ ... ^ theta_q ^ (F_l on the other pairs); moving the
     dl_a to the front costs the sign (-1)^(q(q-1)/2).  Only the scalar
-    weights move with the node, so everything else is built once per point:
-    each vertex's A_a and dA_a come from one lifted pass of its potential
-    (:meth:`MatrixForm.eval_with_d`), and when F is never needed (k = q)
-    from one plain evaluation.
+    weights (l_a, l_a l_b) move with the node, so everything else is built
+    once per point: each vertex's A_a and dA_a come from one lifted pass of
+    its potential (:meth:`MatrixForm.eval_with_d`), and when F is never
+    needed (k = q) from one plain evaluation.  With k - q <= 1 a node's
+    block is affine in those weights, so the rule is replaced by one
+    pseudo-node at its mean weights with its total weight.
     """
     c0 = conns[0]
     for c in conns[1:]:
@@ -210,7 +214,14 @@ def _simplex_transgression(conns, order: int | None) -> Form:
     if q > k or out_deg > n:
         # fewer pairs than parameter directions, or degree above the chart
         return ZeroForm(n, out_deg)
-    nodes = _simplex_nodes(q, k - q + 1 if order is None else order)
+    upper = [(a, b) for a in range(q + 1) for b in range(a, q + 1)]
+    rule = [(list(lam) + [lam[a] * lam[b] for a, b in upper], w)
+            for lam, w in _simplex_nodes(q, k - q + 1 if order is None else order)]
+    if k - q <= 1:
+        # a block is affine in the weights: one pseudo-node replaces the rule
+        total = sum(w for _, w in rule)
+        weighted = zip(*([v * w for v in c] for c, w in rule))
+        rule = [([sum(col) / total for col in weighted], total)]
     placements = []
     for sign, matching in perfect_matchings(m):
         for slots in itertools.permutations(range(k), q):
@@ -223,7 +234,6 @@ def _simplex_transgression(conns, order: int | None) -> Form:
     width = max(c.A.width for c in conns) * (n if f_pairs else 1)
     pairs = combos(m, 2)
     f_size = len(combos(n, 2))
-    upper = [(a, b) for a in range(q + 1) for b in range(a, q + 1)]
     scale = (-1) ** (q * (q - 1) // 2) * TWO_PI ** -k
 
     def comps(x):
@@ -251,8 +261,7 @@ def _simplex_transgression(conns, order: int | None) -> Form:
                                             for a, b in upper])
                      for i, j in f_pairs}
         out = zero_coeffs(n, out_deg)
-        for lam, w in nodes:
-            coefs = list(lam) + [lam[a] * lam[b] for a, b in upper]
+        for coefs, w in rule:
             F = {pr: _weighted_sum(coefs, live, f_size) for pr, live in terms.items()}
             block = zero_coeffs(n, out_deg)
             for sign, front, rest in placements:

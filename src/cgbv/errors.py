@@ -34,6 +34,10 @@ class VanishingSectionError(VerificationError):
     """Section passed where a nowhere-zero section is required vanishes."""
 
 
+class NonFiniteError(VerificationError):
+    """Input data is NaN or infinite where a construction evaluates it."""
+
+
 class ConsistencyError(VerificationError):
     """Two routes to the same quantity disagree beyond tolerance."""
 

@@ -32,13 +32,14 @@ A closure returns the literal float ``0.0`` for a coefficient that vanishes
 identically, such as the dt slot of a path potential or every entry of a
 flat connection: that is a structural zero (:func:`is_zero`).  Products skip
 it in either factor, and a sum with it returns the other operand
-(:func:`plus`, :func:`minus`, :func:`times`), so a matrix product with a
-flat potential costs no dual arithmetic.  Only the literal float counts,
-never an array or a dual, whatever it holds, so which products run depends
-on how a form is built and not on the data.  A NaN reaches every term it
-takes part in; a term whose other factor is a structural zero is zero
-without reading it.  The matrix and wedge kernels test each coefficient
-once, before their table loops.
+(:func:`plus`, :func:`minus`, :func:`times`).  A matrix product whose
+coefficient matrix has no live entry, such as a flat potential, returns
+structural zeros at once, without entering its loops.  Only the literal
+float counts, never an array or a dual, whatever it holds, so which
+products run depends on how a form is built and not on the data.  A NaN
+reaches every term it takes part in; a term whose other factor is a
+structural zero is zero without reading it.  The matrix and wedge kernels
+test each coefficient once, before their table loops.
 """
 
 from __future__ import annotations
@@ -419,8 +420,9 @@ class Form:
         """0-form from a plain scalar function of the coordinates."""
         return Form(n, 0, lambda x: [fn(x)])
 
-    # Sums evaluate each operand through its count check, so a closure that
-    # returns too many coefficients raises rather than being cut short.
+    # Sums, wedges, d and pullbacks evaluate each operand through its count
+    # check, so a closure that returns too many coefficients raises rather
+    # than being cut short.
     def __add__(self, other: "Form") -> "Form":
         self._compat(other)
         return Form(self.n, self.p, lambda x: add_coeffs(self(x), other(x)),
@@ -449,7 +451,7 @@ class Form:
         if self.p + other.p > self.n:
             return ZeroForm(self.n, self.p + other.p)
         n, p, q = self.n, self.p, other.p
-        return Form(n, p + q, lambda x: wedge_coeffs(n, p, q, self.comps(x), other.comps(x)),
+        return Form(n, p + q, lambda x: wedge_coeffs(n, p, q, self(x), other(x)),
                     max(self.width, other.width))
 
     def d(self) -> "Form":
@@ -463,7 +465,7 @@ class Form:
         n, p = self.n, self.p
 
         def comps(x):
-            return _d_coeffs(n, p, self.comps(lift_point(x, range(n))), _levels(x))
+            return _d_coeffs(n, p, self(lift_point(x, range(n))), _levels(x))
 
         return Form(n, p + 1, comps, self.width * n)
 
@@ -481,9 +483,9 @@ class Form:
 
         def comps(u):
             if p == 0:
-                return self.comps(phi(u))
+                return self(phi(u))
             y, J = phi.jacobian(u)
-            return pullback_coeffs(p, J, self.comps(y), n_dst, n_src)
+            return pullback_coeffs(p, J, self(y), n_dst, n_src)
 
         return Form(n_src, p, comps, self.width * (n_src if p else 1))
 
@@ -633,32 +635,37 @@ def wedge_entry(n: int, p: int, q: int, A, B, i: int, k: int) -> list:
     return acc
 
 
-def _smul_mat(S, M):
-    """Scalar matrix times matrix of coefficient lists, structural zeros skipped."""
+def _smul_mat(S, M, upper=False):
+    """Scalar matrix times matrix of coefficient lists, structural zeros
+    skipped; ``upper`` forms only the strict upper triangle."""
     m = len(S)
     ncomp = len(M[0][0])
     live = [[_live(entry) for entry in row] for row in M]
     out = [[[0.0] * ncomp for _ in range(m)] for _ in range(m)]
+    if not any(c for row in live for c in row):
+        return out
     for i in range(m):
         for a in range(m):
             s = S[i][a]
             if is_zero(s):
                 continue
-            for j in range(m):
+            for j in range(i + 1 if upper else 0, m):
                 src, d = M[a][j], out[i][j]
                 for c in live[a][j]:
                     d[c] = plus(d[c], s * src[c])
     return out
 
 
-def _mul_smat(M, S):
-    """Matrix of coefficient lists times scalar matrix, structural zeros skipped."""
+def _mul_smat(M, S, upper=False):
+    """Matrix of coefficient lists times scalar matrix, as :func:`_smul_mat`."""
     m = len(S)
     ncomp = len(M[0][0])
     live = [[_live(entry) for entry in row] for row in M]
     out = [[[0.0] * ncomp for _ in range(m)] for _ in range(m)]
+    if not any(c for row in live for c in row):
+        return out
     for i in range(m):
-        for j in range(m):
+        for j in range(i + 1 if upper else 0, m):
             d = out[i][j]
             for a in range(m):
                 s = S[a][j]

@@ -341,6 +341,26 @@ class TestExactSimplexRule:
                                    lambda: self.build(kind, 3, 4, rng, order=12))
         assert got == [12]
 
+    @pytest.mark.parametrize("kind,n,m", [
+        ("path", 2, 2), ("path", 3, 4), ("triangle", 3, 4)])
+    def test_affine_integrand_takes_one_pseudo_node(self, monkeypatch, kind, n, m):
+        # with k - q <= 1 a node's block is affine in its weights, so the
+        # order-12 rule costs what the exact rule costs and gives its values
+        calls = []
+        for name in ("wedge_coeffs", "_weighted_sum", "times"):
+            fn = getattr(chern_weil, name)
+            monkeypatch.setattr(chern_weil, name,
+                                lambda *a, fn=fn: calls.append(1) or fn(*a))
+        x = [0.3, -0.4, 0.7][:n]
+        counts, values = [], []
+        for order in (None, 12):
+            form = self.build(kind, n, m, random.Random(19), order=order)
+            calls.clear()
+            values.append(form(x))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert max(abs(a - b) for a, b in zip(*values)) <= 1e-15
+
     @pytest.mark.parametrize("kind,dense", [("path", 16), ("triangle", 12)])
     def test_rank6_exact_rule_matches_a_dense_rule(self, kind, dense):
         exact = self.build(kind, 5, 6, random.Random(17))

@@ -255,6 +255,13 @@ class Untouchable:
     __rmul__ = __mul__
 
 
+class Unread(list):
+    """A matrix that fails the test if a row is ever read."""
+
+    def __getitem__(self, i):
+        raise AssertionError("a row of the matrix was read")
+
+
 class TestStructuralZeros:
     def test_only_the_literal_float_counts(self):
         assert is_zero(0.0) and is_zero(-0.0)
@@ -278,6 +285,30 @@ class TestStructuralZeros:
         assert _smul_mat([[U]], [[[0.0, 0.0]]]) == [[[0.0, 0.0]]]
         assert _mul_smat([[[U]]], [[0.0]]) == [[[0.0]]]
         assert _mul_smat([[[0.0]]], [[U]]) == [[[0.0]]]
+
+    def test_zero_matrix_product_returns_at_once(self, monkeypatch):
+        calls = [0]
+        mul = Dual.__mul__
+
+        def counting(a, b):
+            calls[0] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(Dual, "__mul__", counting)
+        monkeypatch.setattr(Dual, "__rmul__", counting)
+        S = [[Dual(np.ones(2), np.ones(2)) for _ in range(3)] for _ in range(3)]
+        M = [[[0.0, 0.0] for _ in range(3)] for _ in range(3)]
+        for out in (_smul_mat(S, M), _mul_smat(M, S), _smul_mat(S, M, upper=True)):
+            assert out == M
+        assert calls[0] == 0
+        # no entry of the scalar matrix is read, not even to test it for zero
+        assert _smul_mat(Unread(S), M) == M and _mul_smat(M, Unread(S)) == M
+
+    def test_upper_product_leaves_the_rest_zero(self):
+        S = [[1.0, 2.0], [3.0, 4.0]]
+        M = [[[1.0], [0.5]], [[2.0], [-1.0]]]
+        assert _smul_mat(S, M, upper=True) == [[[0.0], [-1.5]], [[0.0], [0.0]]]
+        assert _mul_smat(M, S, upper=True) == [[[0.0], [4.0]], [[0.0], [0.0]]]
 
     def test_nan_in_a_live_factor_survives(self):
         v = np.array([1.0, math.nan])
@@ -351,6 +382,29 @@ class TestFormSup:
         extra = Form(2, 1, lambda x: [x[0], x[0], x[0]])
         with pytest.raises(ShapeError):
             form_sup(extra - self.spied([], 1), self.pts)
+
+
+class TestOperandCounts:
+    """Wedge, d and pullback read an operand through its count check, so a
+    closure that returns too many coefficients raises instead of being cut."""
+
+    extra = Form(3, 1, lambda x: [1.0, 2.0, 3.0, 99.0])
+    x = [0.1, 0.2, 0.3]
+
+    def test_wedge_raises(self):
+        b = Form(3, 1, lambda x: [1.0, 0.0, 0.0])
+        with pytest.raises(ShapeError):
+            self.extra.wedge(b)(self.x)
+        with pytest.raises(ShapeError):
+            b.wedge(self.extra)(self.x)
+
+    def test_d_raises(self):
+        with pytest.raises(ShapeError):
+            self.extra.d()(self.x)
+
+    def test_pullback_raises(self):
+        with pytest.raises(ShapeError):
+            self.extra.pullback(SmoothMap.identity(3))(self.x)
 
 
 def test_as_block_gives_one_full_length_array_per_coordinate():
