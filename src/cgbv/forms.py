@@ -518,6 +518,8 @@ class MatrixForm:
     closure, with every direction on the leading axis of the derivative
     slots, makes ``d`` a single closure call whatever the number of entries
     or the chart dimension.  The width of a plain matrix closure is m * m.
+    The stored ``eval`` raises :class:`ShapeError` unless the closure returns
+    m rows of m lists of ``len(combos(n, p))`` coefficients.
     """
 
     __slots__ = ("n", "p", "m", "eval", "width")
@@ -528,8 +530,17 @@ class MatrixForm:
         self.n = n
         self.p = p
         self.m = m
-        self.eval = eval_fn
         self.width = m * m if width is None else width
+        count = len(combos(n, p))
+
+        def checked(x):
+            A = eval_fn(x)
+            if (len(A) != m or {len(r) for r in A} - {m}
+                    or {len(e) for r in A for e in r} - {count}):
+                raise ShapeError(f"matrix form needs {m} x {m} entries of {count} coefficients")
+            return A
+
+        self.eval = checked
 
     @staticmethod
     def zero(n: int, p: int, m: int) -> "MatrixForm":

@@ -28,7 +28,7 @@ from .chern_weil import (Connection, MatrixForm, gauge_residual,
                          symmetry_check, transgression, loop_transgression)
 from .discrete import (MESH_REGISTRY, betti, dirichlet_betti, les_check,
                        make_mesh, mapping_cone)
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .forms import Form, SmoothMap, combos, form_sup, sup_abs
 from .geometry import ChartDomain, FiberBundleDomain, stokes_residual
 from .relative import (FormPair, RelativeDomain, boundary_winding,
@@ -148,8 +148,8 @@ def _rng(config: Config, label: str) -> random.Random:
     return random.Random(f"{config.seed}:{label}")
 
 
-def _random_polynomial_form(n: int, p: int, rng: random.Random) -> Form:
-    """Form whose coefficients are degree <= 3 polynomials, coeffs in [-1, 1]."""
+def _draw_polynomial(n: int, p: int, rng: random.Random) -> list:
+    """Per coefficient of a p-form on R^n: four (c, exponents) terms of degree <= 3."""
     monos = []
     for _ in range(len(combos(n, p))):
         terms = []
@@ -157,10 +157,38 @@ def _random_polynomial_form(n: int, p: int, rng: random.Random) -> Form:
             expo = [rng.randint(0, 3) for _ in range(n)]
             while sum(expo) > 3:
                 expo = [rng.randint(0, 3) for _ in range(n)]
-            terms.append((rng.uniform(-1.0, 1.0), expo))
+            terms.append((rng.uniform(-1.0, 1.0), tuple(expo)))
         monos.append(terms)
+    return monos
+
+
+def _random_polynomial_form(n: int, p: int, rng: random.Random) -> Form:
+    """One draw as a form: degree <= 3 polynomial coefficients, coeffs in [-1, 1]."""
+    return Form(n, p, _polynomials([_draw_polynomial(n, p, rng)]))
+
+
+def _polynomials(draws: list, per: int = 1):
+    """Closure x -> values of drawn polynomials, grouped by exponents.
+
+    A draw lists (c, exponents) terms per polynomial (:func:`_draw_polynomial`).
+    One draw has float coefficients and takes any point or block.  R draws
+    are a family: a coefficient is an array over a block of R * per points,
+    draw r on points r*per ... (r+1)*per - 1, and any other point raises
+    :class:`ShapeError`.
+    """
+    size = len(draws) * per if len(draws) > 1 else 0
+    monos = []
+    for c in range(len(draws[0])):
+        groups = {}
+        for r, draw in enumerate(draws):
+            for coef, expo in draw[c]:
+                groups.setdefault(expo, [0.0] * len(draws))[r] += coef
+        monos.append([(cs[0] if len(cs) == 1 else np.repeat(cs, per), expo)
+                      for expo, cs in groups.items()])
 
     def comps(x):
+        if size and any(np.shape(dual.real(xk))[-1:] != (size,) for xk in x):
+            raise ShapeError(f"a family of draws is evaluated on a block of {size} points")
         out = []
         for terms in monos:
             acc = 0.0
@@ -173,7 +201,7 @@ def _random_polynomial_form(n: int, p: int, rng: random.Random) -> Form:
             out.append(acc)
         return out
 
-    return Form(n, p, comps)
+    return comps
 
 
 def _random_skew_connection(n: int, m: int, rng: random.Random) -> Connection:
@@ -193,21 +221,6 @@ def _random_skew_connection(n: int, m: int, rng: random.Random) -> Connection:
         return out
 
     return Connection(m, MatrixForm(n, 1, m, ev))
-
-
-def _random_polynomial_map(src: int, dst: int, rng: random.Random) -> SmoothMap:
-    coefs = [[rng.uniform(-0.4, 0.4) for _ in range(src + 2)] for _ in range(dst)]
-
-    def fn(u):
-        out = []
-        for row in coefs:
-            acc = row[0] + row[-1] * u[0] * u[-1]
-            for c, ui in zip(row[1:-1], u):
-                acc = acc + c * ui
-            out.append(acc)
-        return out
-
-    return SmoothMap(src, dst, fn)
 
 
 def _disk_domain(order: int) -> RelativeDomain:
@@ -294,61 +307,70 @@ def _run_fiber_projection(cfg: Config) -> dict:
 # ---------------------------------------------------------------------------
 # forms scenarios
 
+def _calculus_families(rng: random.Random, reps: int, per: int = 4):
+    """Families a, b of 1-forms and phi of maps u -> c0 + c4 u0 u2 + c1 u0 +
+    c2 u1 + c3 u2 on R^3, and their reps * per points; each repetition
+    draws a, b, c0 ... c4 per component of phi, then its points."""
+    expos = ((0, 0, 0), (1, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    a, b, phi, pts = [], [], [], []
+    for _ in range(reps):
+        a.append(_draw_polynomial(3, 1, rng))
+        b.append(_draw_polynomial(3, 1, rng))
+        rows = [[rng.uniform(-0.4, 0.4) for _ in range(5)] for _ in range(3)]
+        phi.append([list(zip([c[0], c[4], c[1], c[2], c[3]], expos)) for c in rows])
+        pts += [[rng.uniform(-1.0, 1.0) for _ in range(3)] for _ in range(per)]
+    return (Form(3, 1, _polynomials(a, per)), Form(3, 1, _polynomials(b, per)),
+            SmoothMap(3, 3, _polynomials(phi, per)), pts)
+
+
 def _run_forms_calculus(cfg: Config) -> dict:
-    rng = _rng(cfg, "forms-calculus")
-    d2, nat, leib = [], [], []
-    for _ in range(min(cfg.count, 25)):
-        a = _random_polynomial_form(3, 1, rng)
-        b = _random_polynomial_form(3, 1, rng)
-        phi = _random_polynomial_map(3, 3, rng)
-        dd = a.d().d()
-        natural = a.d().pullback(phi) - a.pullback(phi).d()
-        product = a.wedge(b).d() - a.d().wedge(b) + a.wedge(b.d())
-        pts = [[rng.uniform(-1.0, 1.0) for _ in range(3)] for _ in range(4)]
-        d2.append(form_sup(dd, pts))
-        nat.append(form_sup(natural, pts))
-        leib.append(form_sup(product, pts))
-    return {"d-squared-sup": sup_abs(d2),
-            "pullback-naturality-sup": sup_abs(nat),
-            "leibniz-sup": sup_abs(leib)}
+    a, b, phi, pts = _calculus_families(_rng(cfg, "forms-calculus"), min(cfg.count, 25))
+    dd = a.d().d()
+    natural = a.d().pullback(phi) - a.pullback(phi).d()
+    product = a.wedge(b).d() - a.d().wedge(b) + a.wedge(b.d())
+    return {"d-squared-sup": form_sup(dd, pts),
+            "pullback-naturality-sup": form_sup(natural, pts),
+            "leibniz-sup": form_sup(product, pts)}
 
 
 # ---------------------------------------------------------------------------
 # chern_weil scenarios
 
-def _scalar_pfaffian(M) -> float:
-    """Pfaffian of a plain skew matrix via the 0-form matrix route."""
-    m = len(M)
-    entries = [[[float(M[i][j])] for j in range(m)] for i in range(m)]
+def _scalar_pfaffian(M):
+    """Pfaffians of a stack (R, m, m) of plain skew matrices via the 0-form
+    matrix route: an entry is its array over the stack, a diagonal the
+    literal 0.0, and one evaluation gives the R Pfaffians."""
+    m = M.shape[-1]
+    entries = [[[0.0] if i == j else [M[:, i, j]] for j in range(m)] for i in range(m)]
     return pfaffian(MatrixForm(1, 0, m, lambda x: entries))([0.0])[0]
 
 
 def _run_pfaffian_identities(cfg: Config) -> dict:
     rng = _rng(cfg, "pfaffian-identities")
-    norm, sq, rot, refl = [], [], [], []
-    reps = min(cfg.count, 25)
-    for _ in range(reps):
+    norms, Ms, Gs = [], {2: [], 4: [], 6: []}, {2: [], 4: [], 6: []}
+    for _ in range(min(cfg.count, 25)):
         a = rng.uniform(-2.0, 2.0)
-        norm.append(_scalar_pfaffian([[0.0, a], [-a, 0.0]]) - a)
-        for m in (2, 4, 6):
+        norms.append([[0.0, a], [-a, 0.0]])
+        for m in Ms:
             M = np.zeros((m, m))
             for i in range(m):
                 for j in range(i + 1, m):
                     M[i, j] = rng.uniform(-1.0, 1.0)
                     M[j, i] = -M[i, j]
-            pf = _scalar_pfaffian(M.tolist())
-            sq.append(pf * pf - float(np.linalg.det(M)))
-            G = np.array([[rng.gauss(0.0, 1.0) for _ in range(m)]
-                          for _ in range(m)])
-            R, _ = np.linalg.qr(G)
-            if np.linalg.det(R) < 0.0:
-                R[:, 0] = -R[:, 0]
-            conj = R.T @ M @ R
-            rot.append(_scalar_pfaffian(conj.tolist()) - pf)
-            S = R.copy()
-            S[:, 0] = -S[:, 0]
-            conj = S.T @ M @ S
-            refl.append(_scalar_pfaffian(conj.tolist()) + pf)
+            Ms[m].append(M)
+            Gs[m].append([[rng.gauss(0.0, 1.0) for _ in range(m)] for _ in range(m)])
+    N = np.array(norms)
+    norm, sq, rot, refl = [_scalar_pfaffian(N) - N[:, 0, 1]], [], [], []
+    for m in Ms:
+        M = np.array(Ms[m])
+        pf = _scalar_pfaffian(M)
+        sq.append(pf * pf - np.linalg.det(M))
+        R, _ = np.linalg.qr(np.array(Gs[m]))
+        R[np.linalg.det(R) < 0.0, :, 0] *= -1.0
+        rot.append(_scalar_pfaffian(R.transpose(0, 2, 1) @ M @ R) - pf)
+        S = R.copy()
+        S[:, :, 0] = -S[:, :, 0]
+        refl.append(_scalar_pfaffian(S.transpose(0, 2, 1) @ M @ S) + pf)
     return {"pfaffian-normalization": sup_abs(norm),
             "pfaffian-square-det": sup_abs(sq),
             "pfaffian-rotation-invariance": sup_abs(rot),

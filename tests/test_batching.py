@@ -46,8 +46,9 @@ import pytest
 from cgbv import dual, forms, scenarios
 from cgbv.bundles import make_bundle, section_transgression
 from cgbv.chern_weil import (Connection, MatrixForm, gauge_pullback_potential,
-                             gauge_residual, pf_form, symmetry_check, transgression)
-from cgbv.errors import ClosednessError, VanishingSectionError
+                             gauge_residual, pf_form, pfaffian, symmetry_check,
+                             transgression)
+from cgbv.errors import ClosednessError, ShapeError, VanishingSectionError
 from cgbv.forms import (ENTRY_BUDGET, Form, SmoothMap, as_block, block_size,
                         combo_index, combos)
 from cgbv.geometry import ChartDomain, FiberBundleDomain, stokes_residual
@@ -599,3 +600,105 @@ def test_sampled_scenarios_match_golden_values(golden_file):
         assert got.keys() == values.keys()
         for identity, want in values.items():
             assert abs(got[identity] - want) <= 1e-12, (name, identity)
+
+
+class TestRandomFamilies:
+    """A family of R random draws is one form over a block of R * per points.
+
+    ``forms-calculus`` draws its forms, maps and points per repetition and
+    then checks every repetition in one evaluation; ``pfaffian-identities``
+    stacks its matrices.  The oracles draw from a second generator of the
+    same seed, build one form per draw and evaluate it at that draw's
+    points alone, or loop over the matrices one at a time.  A family sums
+    each coefficient's terms grouped by exponents across all its draws, in
+    another order than one draw does, so forms agree to 1e-15 of each
+    coefficient's sup; the stacked Pfaffians run the same operations per
+    matrix and agree exactly.
+    """
+
+    reps, per = 25, 4
+
+    @staticmethod
+    def oracle_map(rng):
+        coefs = [[rng.uniform(-0.4, 0.4) for _ in range(5)] for _ in range(3)]
+
+        def fn(u):
+            out = []
+            for row in coefs:
+                acc = row[0] + row[-1] * u[0] * u[-1]
+                for c, ui in zip(row[1:-1], u):
+                    acc = acc + c * ui
+                out.append(acc)
+            return out
+
+        return SmoothMap(3, 3, fn)
+
+    def oracle_draws(self, rng):
+        out = []
+        for _ in range(self.reps):
+            a = random_polynomial_form(3, 1, rng)
+            b = random_polynomial_form(3, 1, rng)
+            phi = self.oracle_map(rng)
+            pts = [[rng.uniform(-1.0, 1.0) for _ in range(3)] for _ in range(self.per)]
+            out.append((a, b, phi, pts))
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_family_matches_each_draw_and_keeps_the_stream(self, seed):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        a, b, phi, pts = scenarios._calculus_families(rng, self.reps, self.per)
+        draws = self.oracle_draws(oracle_rng)
+        assert rng.random() == oracle_rng.random()
+        assert pts == [x for *_, p in draws for x in p]
+        block = as_block(pts)
+        built = (lambda a, b, phi: a, lambda a, b, phi: a.d(),
+                 lambda a, b, phi: a.pullback(phi), lambda a, b, phi: a.wedge(b))
+        for build in built:
+            # each draw's form at its own points, coefficient by coefficient
+            singles = [build(ar, br, phir)(as_block(pr)) for ar, br, phir, pr in draws]
+            for got, want in zip(build(a, b, phi)(block), zip(*singles)):
+                want = np.concatenate(want)
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_family_refuses_points_off_its_block(self):
+        a, b, phi, pts = scenarios._calculus_families(random.Random(0), 3, 2)
+        for form in (a, a.d(), a.pullback(phi)):
+            with pytest.raises(ShapeError):
+                form([0.1, 0.2, 0.3])
+            with pytest.raises(ShapeError):
+                form(as_block(pts[:5]))
+            assert len(form(as_block(pts))) == len(combos(3, form.p))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_pfaffian_identities_equal_the_matrix_loop(self, seed):
+        def pfaff(M):
+            m = len(M)
+            entries = [[[float(M[i][j])] for j in range(m)] for i in range(m)]
+            return pfaffian(MatrixForm(1, 0, m, lambda x: entries))([0.0])[0]
+
+        rng = random.Random(f"{seed}:pfaffian-identities")
+        norm, sq, rot, refl = [], [], [], []
+        for _ in range(25):
+            a = rng.uniform(-2.0, 2.0)
+            norm.append(pfaff([[0.0, a], [-a, 0.0]]) - a)
+            for m in (2, 4, 6):
+                M = np.zeros((m, m))
+                for i in range(m):
+                    for j in range(i + 1, m):
+                        M[i, j] = rng.uniform(-1.0, 1.0)
+                        M[j, i] = -M[i, j]
+                pf = pfaff(M.tolist())
+                sq.append(pf * pf - float(np.linalg.det(M)))
+                G = np.array([[rng.gauss(0.0, 1.0) for _ in range(m)] for _ in range(m)])
+                R, _ = np.linalg.qr(G)
+                if np.linalg.det(R) < 0.0:
+                    R[:, 0] = -R[:, 0]
+                rot.append(pfaff((R.T @ M @ R).tolist()) - pf)
+                S = R.copy()
+                S[:, 0] = -S[:, 0]
+                refl.append(pfaff((S.T @ M @ S).tolist()) + pf)
+        want = {"pfaffian-normalization": forms.sup_abs(norm),
+                "pfaffian-square-det": forms.sup_abs(sq),
+                "pfaffian-rotation-invariance": forms.sup_abs(rot),
+                "pfaffian-reflection-sign": forms.sup_abs(refl)}
+        assert scenarios._run_pfaffian_identities(Config(seed=seed)) == want

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from cgbv.chern_weil import Connection, pf_form
 from cgbv.dual import Dual
 from cgbv.errors import DegreeError, ShapeError
 from cgbv.forms import (Form, MatrixForm, SmoothMap, _mul_smat, _smul_mat,
@@ -405,6 +406,54 @@ class TestOperandCounts:
     def test_pullback_raises(self):
         with pytest.raises(ShapeError):
             self.extra.pullback(SmoothMap.identity(3))(self.x)
+
+
+def potential_on_r3(entry01) -> MatrixForm:
+    """2 x 2 matrix of 1-forms on R^3 whose entry (0, 1) returns ``entry01``."""
+    return MatrixForm(3, 1, 2, lambda x: [[[0.0, 0.0, 0.0], list(entry01)],
+                                          [[-1.0, -2.0, -3.0], [0.0, 0.0, 0.0]]])
+
+
+class TestMatrixOperandCounts:
+    """A matrix form's stored ``eval`` checks its rows, entries and
+    coefficients, so no operation reads past or drops part of an entry."""
+
+    x = [0.1, 0.2, 0.3]
+    extra = potential_on_r3([1.0, 2.0, 3.0, 99.0])
+
+    def test_sum_raises(self):
+        with pytest.raises(ShapeError):
+            (self.extra + MatrixForm.zero(3, 1, 2)).eval(self.x)
+
+    def test_d_raises(self):
+        with pytest.raises(ShapeError):
+            self.extra.d().eval(self.x)
+
+    def test_eval_with_d_raises(self):
+        with pytest.raises(ShapeError):
+            self.extra.eval_with_d(self.x)
+
+    def test_curvature_raises(self):
+        with pytest.raises(ShapeError):
+            Connection(2, self.extra).curvature().eval(self.x)
+
+    def test_pf_form_raises(self):
+        with pytest.raises(ShapeError):
+            pf_form(Connection(2, self.extra))(self.x)
+
+    def test_missing_rows_entries_and_coefficients_raise(self):
+        for A in ([[[0.0] * 3, [0.0] * 3]],
+                  [[[0.0] * 3], [[0.0] * 3, [0.0] * 3]],
+                  [[[0.0] * 3, [0.0] * 2], [[0.0] * 3, [0.0] * 3]]):
+            with pytest.raises(ShapeError):
+                MatrixForm(3, 1, 2, lambda x, A=A: A).eval(self.x)
+
+    def test_right_counts_pass_and_eval_stays_rebindable(self):
+        a = potential_on_r3([1.0, 2.0, 3.0])
+        assert a.eval(self.x)[0][1] == [1.0, 2.0, 3.0]
+        inner = a.eval
+        a.eval = lambda x: inner(x)
+        assert (a + MatrixForm.zero(3, 1, 2)).eval(self.x)[1][0] == [-1.0, -2.0, -3.0]
 
 
 def test_as_block_gives_one_full_length_array_per_coordinate():
