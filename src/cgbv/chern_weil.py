@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .errors import (ConsistencyError, DegreeError, RankError, ShapeError,
                      SymmetryPreconditionError)
-from .forms import (Form, MatrixForm, SmoothMap, ZeroForm, _mul_smat,
+from .forms import (Form, MatrixForm, SmoothMap, _mul_smat,
                     _smul_mat, add_coeffs, as_block, combos, form_sup,
                     is_zero, mat_mul_wedge, minus, plus, scale_coeffs, sub_coeffs,
                     sup_abs, times, wedge_coeffs, wedge_entry, zero_coeffs)
@@ -96,7 +96,7 @@ def pfaffian(Mf: MatrixForm) -> Form:
     k = Mf.m // 2
     if k * Mf.p > Mf.n:
         # degree above the chart dimension: identically zero
-        return ZeroForm(Mf.n, k * Mf.p)
+        return Form.zero(Mf.n, k * Mf.p)
     n, p = Mf.n, Mf.p
     return Form(n, k * p, lambda x: pfaffian_coeffs(n, p, Mf.eval(x)), Mf.width)
 
@@ -213,7 +213,7 @@ def _simplex_transgression(conns, order: int | None) -> Form:
     out_deg = 2 * k - q
     if q > k or out_deg > n:
         # fewer pairs than parameter directions, or degree above the chart
-        return ZeroForm(n, out_deg)
+        return Form.zero(n, out_deg)
     upper = [(a, b) for a in range(q + 1) for b in range(a, q + 1)]
     rule = [(list(lam) + [lam[a] * lam[b] for a, b in upper], w)
             for lam, w in _simplex_nodes(q, k - q + 1 if order is None else order)]

@@ -1,5 +1,11 @@
 """Exact-arithmetic mapping-cone cohomology on small simplicial meshes.
 
+A mesh of any dimension n is given by its oriented top simplices; its
+lower simplices, its boundary (the closure of the faces that lie in one top
+simplex only) and the restriction to that boundary are derived, and one
+builder turns the cell levels of M and of its boundary into cochain
+complexes spanning degrees 0..n and 0..n-1.
+
 Everything runs over rationals: ranks, kernels, and induced maps come from
 row reduction whose entries stay Python ints until a pivot other than +-1
 forces a ``Fraction``, so Betti-level duality statements are integer
@@ -9,6 +15,7 @@ elimination: bases are read off its pivot columns.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .errors import (ChainMapError, ComplexError, ConsistencyError,
@@ -382,111 +389,97 @@ def dirichlet_betti(cm: CochainComplex, cb: CochainComplex, r, cone_betti):
     return padded
 
 
-class Mesh:
-    """Oriented simplicial mesh of dimension <= 2 with a marked boundary.
+def _faces(simplex):
+    """Codimension-one faces of an ordered simplex, each sorted, with its sign.
 
-    Edges are ordered vertex pairs; triangles are vertex triples whose
-    cyclic edges must already be present.  Construction rejects meshes
-    whose triangles cannot be coherently oriented.
+    Dropping vertex i carries (-1)^i, times the sign of the permutation that
+    sorts what is left, so a sorted simplex has the alternating signs.
+    """
+    for i in range(len(simplex)):
+        face = simplex[:i] + simplex[i + 1:]
+        swaps = sum(a > b for a, b in itertools.combinations(face, 2))
+        yield tuple(sorted(face)), (-1) ** (i + swaps)
+
+
+def _closure(simplices, size):
+    """Sorted vertex tuples of 1..size vertices under ``simplices``, one list per size."""
+    return [sorted({c for s in simplices for c in itertools.combinations(sorted(s), k)})
+            for k in range(1, size + 1)]
+
+
+def _cochain_complex(levels, label):
+    """Complex with one basis cell per entry of ``levels[k]`` in degree k.
+
+    Row s of the differential into degree k + 1 holds the signed faces of
+    the cell s, so d is the transpose of the simplicial boundary.
+    """
+    diffs = []
+    for lower, upper in zip(levels, levels[1:]):
+        index = {c: i for i, c in enumerate(lower)}
+        d = [[0] * len(lower) for _ in upper]
+        for row, s in zip(d, upper):
+            for face, sign in _faces(s):
+                row[index[face]] += sign
+        diffs.append(d)
+    return CochainComplex([len(c) for c in levels], diffs, label)
+
+
+class Mesh:
+    """Oriented simplicial n-manifold with boundary, given by its top simplices.
+
+    Each top simplex is a tuple of n + 1 distinct vertices, n >= 1, whose
+    order is its orientation; every lower simplex is a sorted vertex tuple.
+    The boundary is the closure of the faces that lie in exactly one top
+    simplex.  Construction rejects a repeated vertex, top simplices of
+    different sizes or on one vertex set, and top simplices that cannot be
+    coherently oriented.
     """
 
-    def __init__(self, name: str, n_vertices: int, edges, triangles=(),
-                 boundary_vertices=(), boundary_edges=()):
+    def __init__(self, name: str, tops):
         self.name = name
-        self.n_vertices = n_vertices
-        self.edges = [tuple(e) for e in edges]
-        self.triangles = [tuple(t) for t in triangles]
-        self.boundary_vertices = list(boundary_vertices)
-        self.boundary_edges = list(boundary_edges)
-        self._edge_index = {e: i for i, e in enumerate(self.edges)}
-        if len(self._edge_index) != len(self.edges):
-            raise ComplexError(f"{name}: duplicate edges")
-        self._check_orientable()
-
-    def _tri_incidence(self, tri):
-        """Signed edge incidences of one triangle."""
-        a, b, c = tri
-        out = []
-        for u, v in ((a, b), (b, c), (c, a)):
-            if (u, v) in self._edge_index:
-                out.append((self._edge_index[(u, v)], 1))
-            elif (v, u) in self._edge_index:
-                out.append((self._edge_index[(v, u)], -1))
-            else:
-                raise ComplexError(
-                    f"{self.name}: triangle {tri} uses missing edge {(u, v)}")
-        return out
-
-    def _check_orientable(self):
-        """At most two triangles per edge, crossing a shared edge oppositely.
-
-        The triangles keep the orientation the registry lists, so this is
-        the whole coherence condition: a shared edge crossed the same way
-        twice means a flipped triangle or a mesh that admits no orientation.
-        """
+        self.tops = [tuple(t) for t in tops]
+        sizes = {len(t) for t in self.tops}
+        if len(sizes) != 1 or min(sizes) < 2:
+            raise ComplexError(
+                f"{name}: top simplices need one size of at least two "
+                f"vertices, got sizes {sorted(sizes)}")
+        for t in self.tops:
+            if len(set(t)) != len(t):
+                raise ComplexError(f"{name}: top simplex {t} repeats a vertex")
+        if len({frozenset(t) for t in self.tops}) != len(self.tops):
+            raise ComplexError(f"{name}: two top simplices share a vertex set")
+        self.dim = len(self.tops[0]) - 1
         signs = {}
-        for tri in self.triangles:
-            for e, sign in self._tri_incidence(tri):
-                signs.setdefault(e, []).append(sign)
-        for e, used in signs.items():
+        for t in self.tops:
+            for face, sign in _faces(t):
+                signs.setdefault(face, []).append(sign)
+        # the top simplices keep their listed orientation, so coherence is:
+        # at most two per face, inducing opposite signs on it
+        for face, used in signs.items():
             if len(used) > 2:
                 raise ComplexError(
-                    f"{self.name}: edge {self.edges[e]} borders "
-                    f"{len(used)} triangles")
-        for e, used in signs.items():
+                    f"{name}: face {face} borders {len(used)} top simplices")
             if len(used) == 2 and used[0] == used[1]:
                 raise ConsistencyError(
-                    f"{self.name}: both triangles at edge {self.edges[e]} "
-                    f"cross it the same way; flip one in the registry data")
+                    f"{name}: both top simplices at face {face} induce the "
+                    f"same sign on it; flip one of them")
+        self.cells = _closure(self.tops, self.dim) + [self.tops]
+        self.boundary_cells = _closure(
+            [f for f, used in signs.items() if len(used) == 1], self.dim)
 
     def complex(self) -> CochainComplex:
-        # head +1, tail -1
-        d0 = [[0] * self.n_vertices for _ in self.edges]
-        for i, (u, v) in enumerate(self.edges):
-            d0[i][v] += 1
-            d0[i][u] -= 1
-        if not self.triangles:
-            dims = [self.n_vertices, len(self.edges)]
-            return CochainComplex(dims, [d0] if self.edges else [],
-                                  self.name)
-        d1 = [[0] * len(self.edges) for _ in self.triangles]
-        for t, tri in enumerate(self.triangles):
-            for e, sign in self._tri_incidence(tri):
-                d1[t][e] += sign
-        dims = [self.n_vertices, len(self.edges), len(self.triangles)]
-        return CochainComplex(dims, [d0, d1], self.name)
+        return _cochain_complex(self.cells, self.name)
 
     def boundary_complex(self) -> CochainComplex:
-        vmap = {v: i for i, v in enumerate(self.boundary_vertices)}
-        edges = []
-        for e in self.boundary_edges:
-            u, v = self.edges[e]
-            edges.append((vmap[u], vmap[v]))
-        d0 = [[0] * len(self.boundary_vertices) for _ in edges]
-        for i, (u, v) in enumerate(edges):
-            d0[i][v] += 1
-            d0[i][u] -= 1
-        dims = [len(self.boundary_vertices), len(edges)]
-        if not edges:
-            dims = [len(self.boundary_vertices)]
-            return CochainComplex(dims, [], f"bdry({self.name})")
-        return CochainComplex(dims, [d0], f"bdry({self.name})")
+        return _cochain_complex(self.boundary_cells, f"bdry({self.name})")
 
     def restriction(self):
-        """Chain map matrices picking out boundary simplices."""
-        nb = len(self.boundary_vertices)
-        r0 = [[0] * self.n_vertices for _ in range(nb)]
-        for i, v in enumerate(self.boundary_vertices):
-            r0[i][v] = 1
-        out = [r0]
-        if self.edges:
-            r1 = [[0] * len(self.edges)
-                  for _ in range(len(self.boundary_edges))]
-            for i, e in enumerate(self.boundary_edges):
-                r1[i][e] = 1
-            out.append(r1)
-        if self.triangles:
-            out.append([])
+        """Chain map matrices picking out boundary simplices, one per degree of M."""
+        out = []
+        for cells, bcells in zip(self.cells, self.boundary_cells + [[]]):
+            index = {c: i for i, c in enumerate(cells)}
+            out.append([[int(j == index[b]) for j in range(len(cells))]
+                        for b in bcells])
         return out
 
     def complexes(self):
@@ -494,51 +487,31 @@ class Mesh:
 
 
 def _interval() -> Mesh:
-    return Mesh("interval", 3, [(0, 1), (1, 2)],
-                boundary_vertices=[0, 2])
+    return Mesh("interval", [(0, 1), (1, 2)])
 
 
 def _circle() -> Mesh:
-    return Mesh("circle", 4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    return Mesh("circle", [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
 def _disk() -> Mesh:
-    rim = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    spokes = [(0, 4), (1, 4), (2, 4), (3, 4)]
-    tris = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)]
-    return Mesh("disk", 5, rim + spokes, tris,
-                boundary_vertices=[0, 1, 2, 3], boundary_edges=[0, 1, 2, 3])
+    return Mesh("disk", [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)])
 
 
 def _annulus() -> Mesh:
-    outer = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    inner = [(4, 5), (5, 6), (6, 7), (7, 4)]
-    radial = [(0, 4), (1, 5), (2, 6), (3, 7)]
-    diag = [(0, 5), (1, 6), (2, 7), (3, 4)]
-    tris = [(0, 1, 5), (0, 5, 4), (1, 2, 6), (1, 6, 5),
-            (2, 3, 7), (2, 7, 6), (3, 0, 4), (3, 4, 7)]
-    return Mesh("annulus", 8, outer + inner + radial + diag, tris,
-                boundary_vertices=[0, 1, 2, 3, 4, 5, 6, 7],
-                boundary_edges=[0, 1, 2, 3, 4, 5, 6, 7])
+    return Mesh("annulus", [(0, 1, 5), (0, 5, 4), (1, 2, 6), (1, 6, 5),
+                            (2, 3, 7), (2, 7, 6), (3, 0, 4), (3, 4, 7)])
 
 
 def _cylinder() -> Mesh:
-    bottom = [(0, 1), (1, 2), (2, 0)]
-    top = [(3, 4), (4, 5), (5, 3)]
-    vertical = [(0, 3), (1, 4), (2, 5)]
-    diag = [(0, 4), (1, 5), (2, 3)]
-    tris = [(0, 1, 4), (0, 4, 3), (1, 2, 5), (1, 5, 4), (2, 0, 3), (2, 3, 5)]
-    return Mesh("cylinder", 6, bottom + top + vertical + diag, tris,
-                boundary_vertices=[0, 1, 2, 3, 4, 5],
-                boundary_edges=[0, 1, 2, 3, 4, 5])
+    return Mesh("cylinder", [(0, 1, 4), (0, 4, 3), (1, 2, 5), (1, 5, 4),
+                             (2, 0, 3), (2, 3, 5)])
 
 
 def moebius_mesh() -> Mesh:
     """Minimal five-vertex band with a half twist; construction must fail."""
-    tris = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)]
-    edges = [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (3, 4), (2, 4),
-             (0, 4), (0, 3), (1, 4)]
-    return Mesh("moebius", 5, edges, tris)
+    return Mesh("moebius", [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0),
+                            (4, 0, 1)])
 
 
 MESH_REGISTRY = {

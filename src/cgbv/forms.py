@@ -71,8 +71,8 @@ def block_size(width: int) -> int:
 
 @lru_cache(maxsize=None)
 def combos(n: int, p: int) -> tuple:
-    """Sorted index tuples of length p drawn from range(n), lexicographic."""
-    return tuple(itertools.combinations(range(n), p))
+    """Sorted index tuples of length p drawn from range(n), lexicographic; none for p < 0."""
+    return tuple(itertools.combinations(range(n), p)) if p >= 0 else ()
 
 
 @lru_cache(maxsize=None)
@@ -375,9 +375,10 @@ class Form:
     n : int
         Chart dimension.
     p : int
-        Form degree.  Degrees above n are legal and carry an empty
-        coefficient list: that space is zero, and representing it keeps
-        degree bookkeeping uniform (d always raises degree by one).
+        Form degree.  Degrees below 0 or above n are legal and carry an
+        empty coefficient list: that space is zero, and representing it
+        keeps degree bookkeeping uniform (d always raises degree by one, a
+        fiber integral always lowers it by the fiber dimension).
     comps : callable
         Point -> list of coefficients aligned with ``combos(n, p)``.
     width : int
@@ -388,8 +389,6 @@ class Form:
     __slots__ = ("n", "p", "comps", "width")
 
     def __init__(self, n: int, p: int, comps, width: int = 1):
-        if p < 0:
-            raise DegreeError(f"negative degree {p}")
         self.n = n
         self.p = p
         self.comps = comps
@@ -449,7 +448,7 @@ class Form:
         if other.n != self.n:
             raise ShapeError("wedge of forms on charts of different dimension")
         if self.p + other.p > self.n:
-            return ZeroForm(self.n, self.p + other.p)
+            return Form.zero(self.n, self.p + other.p)
         n, p, q = self.n, self.p, other.p
         return Form(n, p + q, lambda x: wedge_coeffs(n, p, q, self(x), other(x)),
                     max(self.width, other.width))
@@ -457,11 +456,11 @@ class Form:
     def d(self) -> "Form":
         """Exterior derivative from one dual pass carrying every direction.
 
-        The derivative of a form at or above top degree vanishes; it is
-        returned as the empty zero form one degree up.
+        The derivative of a form outside degrees 0..n-1 vanishes; it is
+        returned as the zero form one degree up.
         """
-        if self.p >= self.n:
-            return ZeroForm(self.n, self.p + 1)
+        if not 0 <= self.p < self.n:
+            return Form.zero(self.n, self.p + 1)
         n, p = self.n, self.p
 
         def comps(x):
@@ -472,14 +471,14 @@ class Form:
     def pullback(self, phi: SmoothMap) -> "Form":
         """Pull back along phi, landing on the source chart of phi.
 
-        When the degree exceeds the source dimension the pullback vanishes
+        Outside degrees 0..source dimension the pullback vanishes
         identically and is returned as the empty zero form.
         """
         if phi.dst_dim != self.n:
             raise ShapeError("pullback target dimension mismatch")
         n_src, n_dst, p = phi.src_dim, self.n, self.p
-        if p > n_src:
-            return ZeroForm(n_src, p)
+        if not 0 <= p <= n_src:
+            return Form.zero(n_src, p)
 
         def comps(u):
             if p == 0:
@@ -493,21 +492,6 @@ class Form:
         if (self.n, self.p) != (other.n, other.p):
             raise ShapeError(
                 f"incompatible forms: ({self.n},{self.p}) vs ({other.n},{other.p})")
-
-
-class ZeroForm(Form):
-    """Identically zero form, flagging a degenerate operation.
-
-    Returned where a construction collapses for degree reasons, e.g. a
-    fiber integral of a form whose degree is below the fiber dimension.
-    Behaves as an ordinary zero form everywhere else.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, n: int, p: int):
-        count = len(combos(n, p))
-        super().__init__(n, p, lambda x: [0.0] * count)
 
 
 class MatrixForm:

@@ -53,7 +53,7 @@ import numpy as np
 
 from .dual import cos, entries, node_sum, sin, trailing
 from .errors import ChartError, DegreeError
-from .forms import Form, SmoothMap, ZeroForm, block_size, combos, combo_index
+from .forms import Form, SmoothMap, block_size, combos, combo_index
 
 
 @lru_cache(maxsize=None)
@@ -325,10 +325,10 @@ class FiberBundleDomain:
 
         The result is the base form whose dx_I coefficient is the fiber
         integral of the dt_1..dt_f ^ dx_I coefficient, dt the fiber block,
-        each one :meth:`ChartDomain.integrate` over the fiber.  Degrees below
-        the fiber dimension integrate to zero and come back as a flagged
-        :class:`ZeroForm`.  One evaluation at a base point holds every fiber
-        node, so the result's width is the form's times the fiber's node
+        each one :meth:`ChartDomain.integrate` over the fiber.  A result
+        degree outside 0..base dimension, negative below the fiber
+        dimension, gives the zero form of that degree.  One evaluation at a
+        base point holds every fiber node, so the result's width is the form's times the fiber's node
         count; at a block of base points, each fiber block is sized by the
         form's width times the entries the base point brings.
         """
@@ -337,11 +337,9 @@ class FiberBundleDomain:
         n_tot = fa + nb
         if form.n != n_tot:
             raise ChartError(f"form dimension {form.n} != total dimension {n_tot}")
-        if form.p < fd:
-            return ZeroForm(nb, 0)
         p_out = form.p - fd
-        if p_out > nb:
-            return ZeroForm(nb, p_out)
+        if not 0 <= p_out <= nb:
+            return Form.zero(nb, p_out)
         idx_tot = combo_index(n_tot, form.p)
         # per base index I: the total indices of K + I, K over the fiber block
         rows = [[idx_tot[K + tuple(i + fa for i in I)] for K in combos(fa, fd)]

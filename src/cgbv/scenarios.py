@@ -676,12 +676,7 @@ def _run_chain_sign_laws(cfg: Config) -> dict:
                         _random_polynomial_form(n, k - 1, rng))
             lhs = nu(sc, pair_d(p))
             pts = sc.base.sample_ambient_points(rng, 3)
-            if k < m:
-                # omega sits below the disk-fiber degree, so nu(p) vanishes
-                # and its degree-0 placeholder cannot be compared with lhs
-                collapse.append(form_sup(lhs, pts))
-            else:
-                collapse.append(form_sup(lhs - nu(sc, p).d().smul(sign), pts))
+            collapse.append(form_sup(lhs - nu(sc, p).d().smul(sign), pts))
 
     # cutoff interpolation: mu of the cone differential is -d of mu
     rho = BumpProfile.exponential()
@@ -716,14 +711,9 @@ def _run_discrete_duality(cfg: Config) -> dict:
         cone = mapping_cone(cm, cb, r)
         bc, bm = betti(cone), betti(cm)
         bd = dirichlet_betti(cm, cb, r, bc)
-        for k in range(len(bc)):
-            dirichlet = bd[k] if k < len(bd) else 0
-            cone_gap.append(bc[k] - dirichlet)
-        n = cm.top
-        for k in range(n + 1):
-            absolute = bm[n - k] if 0 <= n - k < len(bm) else 0
-            relative = bc[k] if k < len(bc) else 0
-            reversal.append(relative - absolute)
+        # each complex spans degrees 0..n, so the three lists align
+        cone_gap.extend(c - d for c, d in zip(bc, bd, strict=True))
+        reversal.extend(c - m for c, m in zip(bc, reversed(bm), strict=True))
         euler.append(cone.euler() - (cm.euler() - cb.euler()))
     return {"cone-dirichlet-gap": float(sup_abs(cone_gap)),
             "betti-reversal-gap": float(sup_abs(reversal)),

@@ -22,7 +22,7 @@ from .bundles import (AssociatedBundles, OddRankTriple, TrivializedBundle,
 from .chern_weil import Connection, pf_form, secondary_transgression, transgression
 from .errors import (BumpError, ClosednessError, ConfigError, RankError,
                      SignConventionError)
-from .forms import Form, SmoothMap, ZeroForm, as_block, form_sup, sup_abs
+from .forms import Form, SmoothMap, as_block, form_sup, sup_abs
 from .geometry import ChartDomain, FiberBundleDomain
 from .relative import FormPair, RelativeDomain
 
@@ -221,10 +221,7 @@ def nu(scenario: ThomScenario, p: FormPair) -> Form:
     if p.gamma is None:
         return de_part
     parts = [se.fiber_integrate(p.gamma) for se in scenario.se]
-    se_part = sum(parts[1:], parts[0])
-    if isinstance(de_part, ZeroForm) and isinstance(se_part, ZeroForm):
-        return de_part
-    return de_part + se_part
+    return de_part + sum(parts[1:], parts[0])
 
 
 def _require_closed(eta: Form, base: ChartDomain, tol: float):

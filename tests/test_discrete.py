@@ -21,6 +21,14 @@ M_BETTI = {
     "cylinder": [1, 1, 0],
 }
 
+MESH_DIMS = {
+    "interval": ([3, 2], [2]),
+    "circle": ([4, 4], [0]),
+    "disk": ([5, 8, 4], [4, 4]),
+    "annulus": ([8, 16, 8], [8, 8]),
+    "cylinder": ([6, 12, 6], [6, 6]),
+}
+
 CONE_BETTI = {
     "interval": [0, 1],
     "circle": [1, 1],
@@ -77,27 +85,39 @@ class TestMeshRegistry:
         with pytest.raises(ConsistencyError):
             moebius_mesh()
 
-    def test_duplicate_edge_rejected(self):
-        with pytest.raises(ComplexError):
-            Mesh("dup", 2, [(0, 1), (0, 1)])
+    @pytest.mark.parametrize("name", sorted(MESH_DIMS))
+    def test_derived_complex_dims(self, name):
+        cm, cb, r = make_mesh(name).complexes()
+        assert (cm.dims, cb.dims) == MESH_DIMS[name]
+        # one matrix per degree of M, boundary rows by M columns, none on top
+        assert [(len(m), len(m[0]) if m else 0) for m in r] == \
+            [(b, n if b else 0) for b, n in zip(cb.dims + [0], cm.dims)]
 
-    def test_missing_triangle_edge_rejected(self):
-        with pytest.raises(ComplexError):
-            Mesh("hole", 3, [(0, 1), (1, 2)], [(0, 1, 2)])
+    def test_duplicate_edge_rejected(self):
+        with pytest.raises(ComplexError, match="share a vertex set"):
+            Mesh("dup", [(0, 1), (0, 1)])
+        with pytest.raises(ComplexError, match="share a vertex set"):
+            Mesh("reversed", [(0, 1, 2), (1, 3, 2), (2, 1, 0)])
+
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(ComplexError, match="repeats a vertex"):
+            Mesh("loop", [(0, 0), (0, 1)])
+
+    @pytest.mark.parametrize("tops", [[(0, 1, 2), (2, 3)], [(0,), (1,)], []],
+                             ids=["mixed", "points", "empty"])
+    def test_mixed_top_sizes_rejected(self, tops):
+        with pytest.raises(ComplexError, match="one size"):
+            Mesh("mixed", tops)
 
     def test_overused_edge_rejected(self):
-        edges = [(0, 1), (1, 2), (2, 0), (1, 3), (3, 0), (1, 4), (4, 0)]
-        tris = [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
         with pytest.raises(ComplexError):
-            Mesh("fan", 5, edges, tris)
+            Mesh("fan", [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
 
     def test_incoherent_orientation_rejected(self):
         # second triangle deliberately flipped
-        rim = [(0, 1), (1, 2), (2, 3), (3, 0)]
-        spokes = [(0, 4), (1, 4), (2, 4), (3, 4)]
         tris = [(0, 1, 4), (2, 1, 4), (2, 3, 4), (3, 0, 4)]
         with pytest.raises(ConsistencyError):
-            Mesh("flipped", 5, rim + spokes, tris)
+            Mesh("flipped", tris)
 
 
 class TestBetti:
@@ -225,6 +245,46 @@ class TestDuality:
         cm, cb, r = make_mesh(name).complexes()
         cone = mapping_cone(cm, cb, r)
         assert cone.euler() == cm.euler() - cb.euler()
+
+
+# Kuhn's six tetrahedra of the unit cube around its diagonal 0-7 (vertex
+# i at the bits of i), and a solid torus: a ring of three triangular prisms
+# (layers 012, 345, 678, glued back to 012), each cut into three tetrahedra.
+SOLIDS = {
+    "kuhn-cube": ([(0, 1, 3, 7), (1, 0, 5, 7), (2, 0, 3, 7), (0, 2, 6, 7),
+                   (0, 4, 5, 7), (4, 0, 6, 7)],
+                  ([8, 19, 18, 6], [8, 18, 12]),
+                  ([1, 0, 0, 0], [1, 0, 1], [0, 0, 0, 1])),
+    "solid-torus": ([(0, 1, 2, 5), (1, 0, 4, 5), (0, 3, 4, 5), (3, 4, 5, 8),
+                     (4, 3, 7, 8), (3, 6, 7, 8), (6, 7, 8, 2), (7, 6, 1, 2),
+                     (6, 0, 1, 2)],
+                    ([9, 27, 27, 9], [9, 27, 18]),
+                    ([1, 1, 0, 0], [1, 2, 1], [0, 0, 1, 1])),
+}
+
+
+class TestThreeDimensional:
+    """Lefschetz duality on 3-manifolds with boundary, given by their tetrahedra."""
+
+    @pytest.mark.parametrize("name", sorted(SOLIDS))
+    def test_duality(self, name):
+        tops, dims, (bm, bb, bc) = SOLIDS[name]
+        cm, cb, r = Mesh(name, tops).complexes()
+        assert (cm.dims, cb.dims) == dims
+        assert betti(cm) == bm
+        assert betti(cb) == bb
+        cone = betti(mapping_cone(cm, cb, r))
+        assert cone == bc
+        assert dirichlet_betti(cm, cb, r, cone) == bc
+        # b^k(M, bdry M) = b_(3-k)(M)
+        assert cone == list(reversed(bm))
+        assert les_check(cm, cb, r).failures() == []
+
+    def test_flipped_tetrahedron_rejected(self):
+        tops = SOLIDS["kuhn-cube"][0]
+        a, b, c, d = tops[0]
+        with pytest.raises(ConsistencyError):
+            Mesh("flipped-cube", [(b, a, c, d)] + tops[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from cgbv.chern_weil import Connection, pf_form
 from cgbv.dual import Dual
-from cgbv.errors import DegreeError, ShapeError
+from cgbv.errors import ShapeError
 from cgbv.forms import (Form, MatrixForm, SmoothMap, _mul_smat, _smul_mat,
                         as_block, combos, det, form_sup, is_zero, merge_sign,
                         minus, plus, sup_abs, times, wedge_coeffs, zero_coeffs)
@@ -118,12 +118,18 @@ class TestFormOperations:
         assert dw([0.2, 0.3, 0.4]) == []
 
     def test_degree_validation(self):
-        with pytest.raises(DegreeError):
-            Form(2, -1, lambda x: [0.0])
         with pytest.raises(ShapeError):
             Form(2, 1, lambda x: [0.0])([0.0, 0.0])
-        # degree above the chart dimension is the zero space: no components
+        # degrees below 0 or above the chart dimension are the zero space:
+        # no components, and a closure that returns some still raises
         assert Form(2, 3, lambda x: [])([0.1, 0.2]) == []
+        below = Form(2, -1, lambda x: [])
+        assert below.p == -1 and below([0.1, 0.2]) == []
+        with pytest.raises(ShapeError):
+            Form(2, -1, lambda x: [0.0])([0.1, 0.2])
+        # d of the zero space below degree 0 is the zero 0-form
+        d = below.d()
+        assert (d.n, d.p) == (2, 0) and d([0.1, 0.2]) == [0.0]
 
 
 class TestPullback:

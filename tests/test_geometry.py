@@ -12,7 +12,7 @@ import random
 import pytest
 
 from cgbv.errors import ChartError, DegreeError
-from cgbv.forms import Form, SmoothMap, ZeroForm, det
+from cgbv.forms import Form, SmoothMap, det
 from cgbv.geometry import (ChartDomain, FiberBundleDomain,
                            stokes_residual as residual_op, unit_sphere_point)
 
@@ -171,8 +171,10 @@ class TestFiberIntegration:
         base = ChartDomain.interval("x", -1.0, 1.0, 8)
         bundle = FiberBundleDomain(fiber, base)
         out = bundle.fiber_integrate(Form.scalar(2, lambda x: x[0]))
-        assert isinstance(out, ZeroForm)
-        assert out([0.3]) == [0.0]
+        # a 0-form integrated over a 1-dimensional fiber has degree -1
+        assert (out.n, out.p) == (1, -1)
+        assert out([0.3]) == []
+        assert out.d()([0.3]) == [0.0]
 
     def test_only_front_block_survives(self):
         # dx-only components never contribute to the fiber integral

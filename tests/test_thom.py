@@ -12,7 +12,7 @@ from cgbv.bundles import (TrivializedBundle, make_bundle,
 from cgbv.chern_weil import Connection, MatrixForm, pf_form, transgression
 from cgbv.errors import (BumpError, ClosednessError, ConfigError, RankError,
                          SignConventionError)
-from cgbv.forms import Form, ZeroForm, combos
+from cgbv.forms import Form, combos
 from cgbv.geometry import ChartDomain, FiberBundleDomain
 from cgbv.relative import pair_d
 from cgbv.thom import (ODD_SCALE, BumpProfile, ThomScenario, cgb_defect,
@@ -225,8 +225,9 @@ class TestNu:
         rng = random.Random(17)
         p = sc.pair(affine_form(4, 1, rng), affine_form(4, 0, rng))
         out = nu(sc, p)
-        assert isinstance(out, ZeroForm)
-        assert out.p == 0
+        # a 1-form over the 2-disk fiber integrates to the zero (-1)-form
+        assert out.p == -1
+        assert out([0.1, 0.2]) == []
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_relative_faces_are_the_sphere_bundle(self, m):
