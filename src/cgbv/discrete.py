@@ -205,7 +205,11 @@ def mapping_cone(cm: CochainComplex, cb: CochainComplex, r) -> CochainComplex:
 
     The differential sends (omega, gamma) to (-d omega, r omega + d gamma).
     """
-    r = _check_chain_map(cm, cb, r)
+    return _cone(cm, cb, _check_chain_map(cm, cb, r))
+
+
+def _cone(cm: CochainComplex, cb: CochainComplex, r) -> CochainComplex:
+    """:func:`mapping_cone` of a restriction ``_check_chain_map`` returned."""
     top = max(cm.top, cb.top + 1)
     bdim = lambda k: cb.dims[k] if 0 <= k < len(cb.dims) else 0
     mdim = lambda k: cm.dims[k] if 0 <= k < len(cm.dims) else 0
@@ -293,7 +297,7 @@ def les_check(cm: CochainComplex, cb: CochainComplex, r) -> ExactnessReport:
     by exact rank bookkeeping on induced matrices.
     """
     r = _check_chain_map(cm, cb, r)
-    cone = mapping_cone(cm, cb, r)
+    cone = _cone(cm, cb, r)
     bdim = lambda k: cb.dims[k] if 0 <= k < len(cb.dims) else 0
     mdim = lambda k: cm.dims[k] if 0 <= k < len(cm.dims) else 0
     cdim = lambda k: cone.dims[k] if 0 <= k < len(cone.dims) else 0

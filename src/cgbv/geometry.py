@@ -17,10 +17,13 @@ node gets long blocks and a nested-dual matrix integrand short ones, and
 reduces the node axis with :func:`cgbv.dual.node_sum`.  A sampled check
 of an identity reduces the form ``lhs - rhs`` with
 :func:`cgbv.forms.form_sup`, which passes its sample points in blocks sized
-the same way; sampling and Newton steps pass floats.
+the same way; sampling passes floats, and the zero finder of
+:mod:`cgbv.relative` passes its Newton starts as one block.
 Closures therefore compute elementwise and must not branch on values: a
 piecewise formula selects through :func:`cgbv.dual.where` on clamped
-arguments.
+arguments.  Nor may they write into a block: quadrature blocks are views
+of a rule shared by every chart with the same bounds and orders, and are
+read-only.
 
 A fiber integral is a chart integral over the fiber, its base point given a
 trailing axis (:func:`cgbv.dual.trailing`): a block of B base points meets F
@@ -67,6 +70,20 @@ def gauss_nodes(order: int, lo: float, hi: float):
     x, w = _leggauss(order)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return [mid + half * xi for xi in x], [half * wi for wi in w]
+
+
+@lru_cache(maxsize=None)
+def _tensor_rule(bounds: tuple, orders: tuple):
+    """Read-only tensor Gauss-Legendre rule of :meth:`ChartDomain.nodes`."""
+    axes = [gauss_nodes(o, lo, hi) for (lo, hi), o in zip(bounds, orders)]
+    grids = np.meshgrid(*(np.array(xs) for xs, _ in axes), indexing="ij")
+    weights = np.ones(())
+    for _, ws in axes:
+        weights = np.multiply.outer(weights, ws)
+    coords, weights = [g.ravel() for g in grids], weights.ravel()
+    for a in coords + [weights]:
+        a.flags.writeable = False
+    return coords, weights
 
 
 def unit_sphere_point(angles):
@@ -234,14 +251,10 @@ class ChartDomain:
 
         One coordinate array per reference axis, node i at index i of each,
         on the tensor Gauss-Legendre grid in row-major order; a
-        0-dimensional chart has a single node of weight 1.
+        0-dimensional chart has a single node of weight 1.  Charts with
+        equal bounds and orders share one read-only rule.
         """
-        axes = [gauss_nodes(o, lo, hi) for (lo, hi), o in zip(self.bounds, self.orders)]
-        grids = np.meshgrid(*(np.array(xs) for xs, _ in axes), indexing="ij")
-        weights = np.ones(())
-        for _, ws in axes:
-            weights = np.multiply.outer(weights, ws)
-        return [g.ravel() for g in grids], weights.ravel()
+        return _tensor_rule(tuple(self.bounds), tuple(self.orders))
 
     def integrate(self, form: Form) -> float:
         """Integral of an ambient form of degree equal to the chart dimension."""

@@ -301,37 +301,80 @@ def _membership(B: ChartDomain):
     raise ChartError(f"no membership test for domain kind {B.kind!r}")
 
 
-def _newton(smap: SmoothMap, x0):
-    """Damped Newton to |f| < 1e-12 in at most 60 steps; None if it stalls."""
-    x = np.asarray(x0, dtype=float)
-    fx = np.asarray(smap(list(x)), dtype=float)
+def _rows(vals, count: int):
+    """Point-block values (floats or length-``count`` arrays) as a (count, k) array."""
+    return np.stack([np.broadcast_to(v, (count,)) for v in vals], axis=-1)
+
+
+def _newton_steps(smap: SmoothMap, x, fx):
+    """Newton steps -J^-1 f at the rows of ``x``, one stacked solve.
+
+    Returns (steps, regular): a row whose Jacobian is singular has no step
+    and is False in ``regular``.
+    """
+    count = len(x)
+    J = np.stack([_rows(row, count) for row in smap.jacobian(list(x.T))[1]], axis=1)
+    try:
+        return np.linalg.solve(J, -fx[..., None])[..., 0], np.ones(count, dtype=bool)
+    except np.linalg.LinAlgError:
+        regular = np.ones(count, dtype=bool)
+        steps = np.zeros_like(fx)
+        for i in range(count):
+            try:
+                steps[i] = np.linalg.solve(J[i], -fx[i])
+            except np.linalg.LinAlgError:
+                regular[i] = False
+        return steps, regular
+
+
+def _newton(smap: SmoothMap, starts):
+    """Damped Newton from every row of ``starts`` (S, m), all rows as one block.
+
+    Each start runs to |f| < 1e-12 in at most 60 steps, halving its step up
+    to 30 times until |f| decreases.  A start stalls when the halvings run
+    out (a NaN residual never decreases), its Jacobian is singular, or the
+    steps run out.  Returns (points, converged): the (S, m) last iterates
+    and a mask of the starts that converged.
+    """
+    x = np.array(starts, dtype=float)
+    converged = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
+    fx = _rows(smap(list(x.T)), len(x))
+    nrm = np.linalg.norm(fx, axis=1)
     for _ in range(60):
-        nrm = float(np.linalg.norm(fx))
-        if nrm < 1e-12:
-            return [float(v) for v in x]
-        J = np.asarray(smap.jacobian(list(x))[1], dtype=float)
-        try:
-            step = np.linalg.solve(J, -fx)
-        except np.linalg.LinAlgError:
-            return None
-        lam = 1.0
+        hit = nrm < 1e-12
+        converged[live[hit]] = True
+        live, fx, nrm = live[~hit], fx[~hit], nrm[~hit]
+        if not len(live):
+            break
+        step, regular = _newton_steps(smap, x[live], fx)
+        live, fx, nrm, step = live[regular], fx[regular], nrm[regular], step[regular]
+        xl = x[live]
+        lam = np.ones(len(live))
+        xn, fn = np.empty_like(xl), np.empty_like(fx)
+        # rows still halving their step
+        todo = np.arange(len(live))
         for _ in range(30):
-            xn = x + lam * step
-            fn = np.asarray(smap(list(xn)), dtype=float)
-            if float(np.linalg.norm(fn)) < nrm:
+            xn[todo] = xl[todo] + lam[todo, None] * step[todo]
+            fn[todo] = _rows(smap(list(xn[todo].T)), len(todo))
+            todo = todo[~(np.linalg.norm(fn[todo], axis=1) < nrm[todo])]
+            if not len(todo):
                 break
-            lam *= 0.5
-        else:
-            return None
-        x, fx = xn, fn
-    return None
+            lam[todo] *= 0.5
+        moved = np.ones(len(live), dtype=bool)
+        moved[todo] = False
+        live, fx = live[moved], fn[moved]
+        x[live] = xn[moved]
+        nrm = np.linalg.norm(fx, axis=1)
+    return x, converged
 
 
 def signed_zero_count(section, B: ChartDomain, zeros=None):
     """Zeros of a section over a chart, each signed by its vertical derivative.
 
-    Zeros are polished by damped Newton, starting from the explicit list
-    when given and from a 7-per-axis reference grid otherwise.  A zero
+    Zeros are polished by damped Newton (:func:`_newton`, every start in
+    one block), starting from the explicit list when given and from a
+    7-per-axis reference grid otherwise.  A zero
     closer than 1e-6 to the boundary, or with smallest singular value of
     ds below 1e-6, raises.  The sign of a zero is the sign of det(ds) in
     the ambient trivialization, so the identity section counts +1.
@@ -341,26 +384,14 @@ def signed_zero_count(section, B: ChartDomain, zeros=None):
     smap = SmoothMap(m, m, section)
     inside, bdist = _membership(B)
     if zeros is not None:
-        starts = [list(z) for z in zeros]
+        starts = np.array(zeros, dtype=float).reshape(len(zeros), m)
     else:
-        emb = B.embedding()
-        axes = [[lo + (hi - lo) * (i + 0.5) / 7 for i in range(7)]
-                for lo, hi in B.bounds]
-        starts = []
-
-        def fill(prefix, rest):
-            if not rest:
-                starts.append(emb(prefix))
-                return
-            for v in rest[0]:
-                fill(prefix + [v], rest[1:])
-
-        fill([], axes)
+        axes = [lo + (hi - lo) * (np.arange(7) + 0.5) / 7 for lo, hi in B.bounds]
+        grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+        starts = _rows(B.embedding()(grid), len(grid[0]))
+    points, converged = _newton(smap, starts)
     found = []
-    for x0 in starts:
-        z = _newton(smap, x0)
-        if z is None:
-            continue
+    for z in points[converged].tolist():
         if any(sum((a - b) ** 2 for a, b in zip(z, w)) < 1e-12 for w, _ in found):
             continue
         margin = bdist(z)

@@ -174,7 +174,9 @@ def _polynomials(draws: list, per: int = 1):
     One draw has float coefficients and takes any point or block.  R draws
     are a family: a coefficient is an array over a block of R * per points,
     draw r on points r*per ... (r+1)*per - 1, and any other point raises
-    :class:`ShapeError`.
+    :class:`ShapeError`.  Each distinct monomial is computed once per
+    evaluation, as a lower monomial times one coordinate, and every term is
+    its coefficient times its monomial.
     """
     size = len(draws) * per if len(draws) > 1 else 0
     monos = []
@@ -185,19 +187,29 @@ def _polynomials(draws: list, per: int = 1):
                 groups.setdefault(expo, [0.0] * len(draws))[r] += coef
         monos.append([(cs[0] if len(cs) == 1 else np.repeat(cs, per), expo)
                       for expo, cs in groups.items()])
+    # each monomial x^e a term needs is x^lower * x_k, k the last nonzero
+    # exponent, so it multiplies left to right; by degree, lower ones first
+    steps = {}
+    for terms in monos:
+        for _, expo in terms:
+            while any(expo) and expo not in steps:
+                k = max(i for i, e in enumerate(expo) if e)
+                lower = expo[:k] + (expo[k] - 1,) + expo[k + 1:]
+                steps[expo] = (lower, k)
+                expo = lower
+    steps = [(expo, *steps[expo]) for expo in sorted(steps, key=sum)]
 
     def comps(x):
         if size and any(np.shape(dual.real(xk))[-1:] != (size,) for xk in x):
             raise ShapeError(f"a family of draws is evaluated on a block of {size} points")
+        mono = {}
+        for expo, lower, k in steps:
+            mono[expo] = mono[lower] * x[k] if lower in mono else x[k]
         out = []
         for terms in monos:
             acc = 0.0
             for c, expo in terms:
-                t = c
-                for xi, e in zip(x, expo):
-                    for _ in range(e):
-                        t = t * xi
-                acc = acc + t
+                acc = acc + (c * mono[expo] if expo in mono else c)
             out.append(acc)
         return out
 

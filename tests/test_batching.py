@@ -9,7 +9,8 @@ a reduction that reorders the rule, shows up as a disagreement.  The sums
 are taken in a different order, hence agreement to 1e-13 relative rather
 than bit for bit.  Zero-dimensional charts (S^0 among them, as the two
 signed faces of the interval) and a NaN at a single node of a block are
-pinned too.
+pinned too, as is the sharing of one read-only rule by every chart with
+the same bounds and orders.
 
 ``FiberBundleDomain.fiber_integrate`` is a chart integral over the fiber:
 its oracle below walks the fiber rule node by node with the Jacobian minors
@@ -256,6 +257,34 @@ class TestZeroDimensionalCharts:
         assert sum(face.integrate(f) for face in ends) == pytest.approx(3.5 - 2.0)
         assert sum(face.reorient(-1).integrate(f) for face in ends) == pytest.approx(
             -(3.5 - 2.0))
+
+
+class TestSharedNodeRules:
+    """Each tensor Gauss rule is built once per (bounds, orders), read-only."""
+
+    def test_equal_bounds_and_orders_share_one_rule(self):
+        # a disk and an annulus from radius 0 have the same reference box
+        ball = ChartDomain.ball(2, order=9)
+        shell = ChartDomain.annulus(0.0, 1.0, order=9)
+        (bc, bw), (sc, sw) = ball.nodes(), shell.nodes()
+        assert bw is sw and all(a is b for a, b in zip(bc, sc))
+        other = ChartDomain.ball(2, order=10).nodes()
+        assert other[1] is not bw and len(other[1]) == 100
+
+    def test_a_closure_cannot_write_into_its_block(self):
+        sq = square()
+        coords, weights = sq.nodes()
+        assert not weights.flags.writeable
+        assert not any(c.flags.writeable for c in coords)
+
+        def writes(x):
+            x[0] *= 2.0
+            return [x[0] * x[1]]
+
+        with pytest.raises(ValueError, match="read-only"):
+            sq.integrate(Form(2, 2, writes))
+        form = Form(2, 2, lambda x: [x[0] * x[1] + 1.0])
+        assert sq.integrate(form) == pytest.approx(per_node_integral(sq, form), rel=REL)
 
 
 def nan_at(t, node: float):
@@ -659,6 +688,40 @@ class TestRandomFamilies:
             for got, want in zip(build(a, b, phi)(block), zip(*singles)):
                 want = np.concatenate(want)
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_each_monomial_is_computed_once(self):
+        products = []
+
+        class Coord:
+            """A float coordinate that records each product of two coordinates."""
+
+            def __init__(self, v):
+                self.v = v
+
+            def __mul__(self, other):
+                if isinstance(other, Coord):
+                    products.append(1)
+                    return Coord(self.v * other.v)
+                return Coord(self.v * other)
+
+            __rmul__ = __mul__
+
+            def __add__(self, other):
+                return Coord(self.v + (other.v if isinstance(other, Coord) else other))
+
+            __radd__ = __add__
+
+        # x0 x1 x2 takes two products and x0^2 one, however many terms use them
+        draw = [[(0.5, (1, 1, 1)), (2.0, (2, 0, 0))],
+                [(1.5, (1, 1, 1)), (-0.75, (0, 1, 0))],
+                [(-1.0, (2, 0, 0)), (0.25, (0, 0, 0))]]
+        x = [0.3, -0.7, 1.1]
+        got = scenarios._polynomials([draw])([Coord(v) for v in x])
+        assert len(products) == 3
+        want = [0.5 * x[0] * x[1] * x[2] + 2.0 * x[0] * x[0],
+                1.5 * x[0] * x[1] * x[2] - 0.75 * x[1],
+                -x[0] * x[0] + 0.25]
+        assert [g.v for g in got] == pytest.approx(want, rel=1e-15)
 
     def test_family_refuses_points_off_its_block(self):
         a, b, phi, pts = scenarios._calculus_families(random.Random(0), 3, 2)

@@ -191,8 +191,9 @@ class TestTransgression:
         assert T([0.1, 0.2]) == []
         assert all(abs(v) < 1e-15 for v in T.d()([0.1, 0.2]))
 
-    # rank 4 puts a curvature factor into T; rank 2 has none
-    @pytest.mark.parametrize("n,m,t_order", [(2, 2, 16), (3, 4, 8)])
+    # rank 4 puts a curvature factor into T; rank 2 has none; rank 6 puts
+    # two and runs the node loop of the kernel's exact rule
+    @pytest.mark.parametrize("n,m,t_order", [(2, 2, 16), (3, 4, 8), (5, 6, 4)])
     def test_generic_cylinder_route_agrees(self, n, m, t_order):
         rng = random.Random(6)
         c1 = random_skew_connection(n, m, rng)
@@ -288,8 +289,8 @@ class TestSecondaryTransgression:
                         for a, b in zip(got[i][j][2:], want[i][j][1:]):
                             assert a == pytest.approx(b, abs=1e-8)
 
-    # at rank 2 the secondary vanishes identically; rank 4 does not
-    @pytest.mark.parametrize("n,m,t_order", [(2, 2, 16), (3, 4, 8)])
+    # at rank 2 the secondary vanishes identically; ranks 4 and 6 do not
+    @pytest.mark.parametrize("n,m,t_order", [(2, 2, 16), (3, 4, 8), (5, 6, 4)])
     def test_generic_simplex_route_agrees(self, n, m, t_order):
         rng = random.Random(12)
         cs = [random_skew_connection(n, m, rng) for _ in range(3)]

@@ -191,6 +191,19 @@ class TestLesCheck:
         spot = next(s for s in report.spots if s.label == "H^1(cone)")
         assert spot.rank_in == 1
 
+    @pytest.mark.parametrize("public", [les_check, mapping_cone])
+    def test_one_restriction_check_per_call(self, public, monkeypatch):
+        calls = []
+        check = discrete._check_chain_map
+
+        def counted(*args):
+            calls.append(1)
+            return check(*args)
+
+        monkeypatch.setattr(discrete, "_check_chain_map", counted)
+        public(*make_mesh("annulus").complexes())
+        assert len(calls) == 1
+
 
 class TestDirichlet:
     @pytest.mark.parametrize("name", sorted(CONE_BETTI))

@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
-from cgbv import dual
+from cgbv import dual, relative
 from cgbv.bundles import section_transgression
 from cgbv.chern_weil import Connection, pf_form
 from cgbv.errors import (BoundaryZeroError, ChartError, DegreeError,
@@ -508,3 +510,137 @@ class TestSignedZeroCount:
         total, _ = signed_zero_count(section, B)
         assert total == expected
         assert abs(boundary_winding(section, B) - expected) <= 1e-6
+
+
+def scalar_newton(smap: SmoothMap, x0):
+    """Per-start oracle: damped Newton on one float point, None if it stalls."""
+    x = np.asarray(x0, dtype=float)
+    fx = np.asarray(smap(list(x)), dtype=float)
+    for _ in range(60):
+        nrm = float(np.linalg.norm(fx))
+        if nrm < 1e-12:
+            return x
+        J = np.asarray(smap.jacobian(list(x))[1], dtype=float)
+        try:
+            step = np.linalg.solve(J, -fx)
+        except np.linalg.LinAlgError:
+            return None
+        lam = 1.0
+        for _ in range(30):
+            xn = x + lam * step
+            fn = np.asarray(smap(list(xn)), dtype=float)
+            if float(np.linalg.norm(fn)) < nrm:
+                break
+            lam *= 0.5
+        else:
+            return None
+        x, fx = xn, fn
+    return None
+
+
+def grid_starts(B: ChartDomain) -> list:
+    """The 7-per-axis reference grid, embedded one float point at a time."""
+    emb = B.embedding()
+    axes = [[lo + (hi - lo) * (i + 0.5) / 7 for i in range(7)] for lo, hi in B.bounds]
+    return [emb(list(p)) for p in itertools.product(*axes)]
+
+
+def oracle_zeros(section, B: ChartDomain) -> list:
+    """Distinct interior zeros of the per-start loop over the grid, in start order."""
+    smap = SmoothMap(2, 2, section)
+    inside, _ = relative._membership(B)
+    found = []
+    for x0 in grid_starts(B):
+        z = scalar_newton(smap, x0)
+        if z is None or any(float(np.sum((z - w) ** 2)) < 1e-12 for w in found):
+            continue
+        if inside(list(z)):
+            found.append(z)
+    return found
+
+
+ZERO_CHARTS = {
+    "ball": lambda: ChartDomain.ball(2, order=8),
+    "annulus": lambda: ChartDomain.annulus(0.25, 1.0, order=8),
+    "box": lambda: ChartDomain.box("sq", [(-1.0, 1.0)] * 2, [4, 4]),
+}
+
+# the three sections of the zero-set-duality scenario ("square" is
+# doubling_section), doubling_section rescaled, and a cubic whose full
+# Newton step overshoots from starts near its turning points: the line
+# search halves there, and which zero a start reaches depends on it
+ZERO_SECTIONS = {
+    "identity": lambda x: [x[0], x[1]],
+    "conjugate": lambda x: [x[0], -x[1]],
+    "square": doubling_section,
+    "doubling-times-3": lambda x: [3.0 * v for v in doubling_section(x)],
+    "damped": lambda x: [4.0 * x[0] ** 3 - x[0] + 0.1 * x[1], x[1] - 0.2 * x[0]],
+}
+
+
+class TestBlockNewton:
+    """``relative._newton`` runs every start as one block; the oracle runs
+    the same damped Newton loop one float start at a time."""
+
+    @pytest.mark.parametrize("section", sorted(ZERO_SECTIONS))
+    @pytest.mark.parametrize("chart", sorted(ZERO_CHARTS))
+    def test_matches_per_start_loop(self, chart, section, monkeypatch):
+        B = ZERO_CHARTS[chart]()
+        smap = SmoothMap(2, 2, ZERO_SECTIONS[section])
+        starts = grid_starts(B)
+        points, converged = relative._newton(smap, starts)
+        for x0, z, ok in zip(starts, points, converged):
+            want = scalar_newton(smap, x0)
+            assert ok == (want is not None), x0
+            if ok:
+                assert float(np.max(np.abs(z - want))) <= 1e-12, x0
+        passed = []
+        newton = relative._newton
+
+        def recorded(smap, block):
+            passed.append(block)
+            return newton(smap, block)
+
+        monkeypatch.setattr(relative, "_newton", recorded)
+        _, zeros = signed_zero_count(ZERO_SECTIONS[section], B)
+        # the grid reaches Newton as one block, in the oracle's start order
+        assert len(passed) == 1
+        assert float(np.max(np.abs(passed[0] - np.array(starts)))) <= 1e-15
+        want = oracle_zeros(ZERO_SECTIONS[section], B)
+        assert len(zeros) == len(want)
+        for (z, _), w in zip(zeros, want):
+            assert float(np.max(np.abs(np.array(z) - w))) <= 1e-12
+
+    def test_singular_jacobian_drops_only_its_start(self):
+        # ds = diag(2 x0, 1) is exactly singular on the grid column x0 = 0
+        box = ZERO_CHARTS["box"]()
+        smap = SmoothMap(2, 2, lambda x: [x[0] * x[0] - 0.04, x[1]])
+        starts = grid_starts(box)
+        singular = [i for i, x0 in enumerate(starts) if x0[0] == 0.0]
+        assert len(singular) == 7
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.array([smap.jacobian(x0)[1] for x0 in starts]),
+                            np.ones((len(starts), 2, 1)))
+        points, converged = relative._newton(smap, starts)
+        assert np.flatnonzero(~converged).tolist() == singular
+        assert all(scalar_newton(smap, starts[i]) is None for i in singular)
+        total, zeros = signed_zero_count(smap.fn, box)
+        assert total == 0
+        assert sorted(round(z[0], 9) for z, _ in zeros) == [-0.2, 0.2]
+
+    def test_nan_starts_drop_without_raising(self):
+        def section(x):
+            bad = dual.where(dual.real(x[0]) > 0.6, math.nan, 1.0)
+            return [(x[0] - 0.1) * bad, x[1] * bad]
+
+        box = ZERO_CHARTS["box"]()
+        smap = SmoothMap(2, 2, section)
+        starts = grid_starts(box)
+        nan_rows = [i for i, x0 in enumerate(starts) if x0[0] > 0.6]
+        assert len(nan_rows) == 7
+        points, converged = relative._newton(smap, starts)
+        assert np.flatnonzero(~converged).tolist() == nan_rows
+        assert all(scalar_newton(smap, starts[i]) is None for i in nan_rows)
+        total, zeros = signed_zero_count(section, box)
+        assert total == 1
+        assert max_abs([zeros[0][0][0] - 0.1, zeros[0][0][1]]) <= 1e-12
