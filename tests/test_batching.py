@@ -631,6 +631,28 @@ def test_sampled_scenarios_match_golden_values(golden_file):
             assert abs(got[identity] - want) <= 1e-12, (name, identity)
 
 
+def test_registry_matches_report_seed0():
+    """Every item of the registry at seed 0 and count 50 against its record.
+
+    Items graded at tolerance 0 (the discrete integers) must agree exactly,
+    every other item to 1e-12.  A failure lists each moved value as
+    scenario, identity, old and new value.
+    """
+    with open(os.path.join(os.path.dirname(__file__), "data", "report_seed0.json")) as fh:
+        golden = json.load(fh)
+    cfg = Config(**golden["config"])
+    assert list(golden["computed"]) == [s.name for s in scenarios.all_scenarios()]
+    moved = []
+    for name, values in golden["computed"].items():
+        report = run_scenario(get_scenario(name), cfg)
+        assert [item.identity for item in report.items] == list(values)
+        for item in report.items:
+            old = values[item.identity]
+            if not abs(item.computed - old) <= (0.0 if item.tol == 0.0 else 1e-12):
+                moved.append(f"{name} {item.identity}: {old!r} -> {item.computed!r}")
+    assert not moved, "moved values:\n" + "\n".join(moved)
+
+
 class TestRandomFamilies:
     """A family of R random draws is one form over a block of R * per points.
 
