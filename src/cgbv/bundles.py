@@ -382,15 +382,8 @@ def _random_skew_polynomial(n: int, m: int, seed: int):
                for _ in range(n)] for _ in range(m)] for _ in range(m)]
 
     def ev(x):
-        out = [[[0.0] * n for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                for c in range(n):
-                    a, b, cc = coefs[i][j][c]
-                    val = a + b * x[0] + cc * (x[0] * x[1 % n])
-                    out[i][j][c] = val
-                    out[j][i][c] = -val
-        return out
+        return _skew(m, n, lambda i, j: [a + b * x[0] + c * (x[0] * x[1 % n])
+                                         for a, b, c in coefs[i][j]])
 
     return ev
 

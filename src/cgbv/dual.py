@@ -182,11 +182,12 @@ def trailing(x):
 
 
 def node_sum(w, x):
-    """Sum of ``w * x`` over the last (node) axis, slot by slot; 0-d gives a float."""
+    """Sum of ``w * x`` over the last (node) axis, slot by slot; a sum of
+    shape () or (1,), one draw, gives a float."""
     if isinstance(x, Dual):
         return Dual(node_sum(w, x.a), node_sum(w, x.b))
     s = np.sum(w * x, axis=-1)
-    return float(s) if s.ndim == 0 else s
+    return s.item() if s.shape in ((), (1,)) else s
 
 
 def sin(x):

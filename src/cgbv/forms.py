@@ -3,9 +3,10 @@
 A degree-p form on an n-dimensional chart is a callable returning the list
 of coefficients against the lexicographic basis ``dx_I``, ``|I| = p``.
 Coefficients can be plain floats, arrays over a block of quadrature nodes
-or of sample points (:func:`as_block`), or :class:`~cgbv.dual.Dual` numbers
-over either, so the same closures serve integration, sampled checks and
-differentiation.  Exterior derivatives and Jacobians are exact (forward-mode
+or of sample points, or :class:`~cgbv.dual.Dual` numbers over either, so
+the same closures serve integration, sampled checks and differentiation.
+A block leads with a draw axis, of length 1 or of the R draws of a random
+family, and keeps its node or point axis last.  Exterior derivatives and Jacobians are exact (forward-mode
 duals), never finite differences: :func:`lift_point` seeds every chart
 direction at once on a leading axis of the derivative slots, so ``d``, a
 matrix ``d`` and a Jacobian run their closure once per evaluation and read
@@ -17,7 +18,8 @@ fiber nodes.
 
 Every form and matrix form carries a structural ``width``, the array
 entries one evaluation holds per node or sample point, up to a constant: 1
-for a plain closure, m * m for an m x m matrix, multiplied by the number of
+for a plain closure, R for a family of R draws, m * m for an m x m matrix,
+multiplied by the number of
 directions at each ``d``, pullback or Jacobian level, and the larger of the
 two for a sum or wedge.  :func:`block_size` turns it into the number of
 nodes or points one evaluation gets, so blocks depend only on how a form is
@@ -82,11 +84,7 @@ def combo_index(n: int, p: int) -> dict:
 
 def merge_sign(I: tuple, J: tuple) -> int:
     """Sign of sorting the concatenation of two sorted disjoint tuples."""
-    inversions = 0
-    for a in I:
-        for b in J:
-            if b < a:
-                inversions += 1
+    inversions = sum(1 for a in I for b in J if b < a)
     return -1 if inversions % 2 else 1
 
 
@@ -204,16 +202,23 @@ def sup_abs(values) -> float:
 def form_sup(form: Form, points) -> float:
     """:func:`sup_abs` of every coefficient of a form over the points.
 
-    The points are evaluated in blocks of ``block_size(form.width)``.  A sup
-    does not depend on the order it is taken in, so this is the value one
-    block of every point gives, without holding all their arrays at once.
-    A sampled identity lhs = rhs is checked as ``form_sup(lhs - rhs,
-    points)``: a degree mismatch raises :class:`ShapeError` when the
-    difference is built, before anything is evaluated.
+    ``points`` lists P points shared by every draw, or R lists of P, one
+    per draw of a family; they are evaluated as (1, P) or (R, P) blocks of
+    ``block_size(form.width)`` points per row.  A sup does not depend on
+    the order it is taken in, so this is the value one block of every
+    point gives, without holding all their arrays at once.  A sampled
+    identity lhs = rhs is checked as ``form_sup(lhs - rhs, points)``: a
+    degree mismatch raises :class:`ShapeError` when the difference is
+    built, before anything is evaluated.
     """
+    if not len(points):
+        return 0.0
+    pts = np.asarray(points, dtype=float)
+    # one array per coordinate, (n, R, P), R = 1 for shared points
+    coords = np.moveaxis(pts if pts.ndim == 3 else pts[None], -1, 0).copy()
     step = block_size(form.width)
-    return sup_abs(sup_abs(form(as_block(points[s:s + step])))
-                   for s in range(0, len(points), step))
+    return sup_abs(sup_abs(form(list(coords[..., s:s + step])))
+                   for s in range(0, coords.shape[-1], step))
 
 
 def wedge_coeffs(n: int, p: int, q: int, a: list, b: list) -> list:
@@ -306,10 +311,6 @@ def det(M) -> float:
     return total
 
 
-def submatrix(M, rows, cols):
-    return [[M[r][c] for c in cols] for r in rows]
-
-
 def pullback_coeffs(p: int, J, coeffs: list, n_dst: int, n_src: int) -> list:
     """Transform coefficients of a p-form through a Jacobian J (dst x src)."""
     if p == 0:
@@ -320,7 +321,7 @@ def pullback_coeffs(p: int, J, coeffs: list, n_dst: int, n_src: int) -> list:
         for iI, I in enumerate(combos(n_dst, p)):
             aI = coeffs[iI]
             if not is_zero(aI):
-                acc = plus(acc, times(aI, det(submatrix(J, I, K))))
+                acc = plus(acc, times(aI, det([[J[r][c] for c in K] for r in I])))
         out.append(acc)
     return out
 

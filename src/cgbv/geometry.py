@@ -9,16 +9,17 @@ embedding and applies tensor Gauss-Legendre quadrature, so every integral
 in the package reduces to polynomial-exact rules on boxes.
 
 Evaluation model: a form closure, an embedding and a section receive a
-point as a list of coordinates, each either a float or a numpy array whose
-last axis holds one entry per node of a block (all of equal shape).
-``integrate`` passes blocks of :func:`cgbv.forms.block_size` nodes for the
-width of the pulled-back form, so an integrand that holds few arrays per
-node gets long blocks and a nested-dual matrix integrand short ones, and
-reduces the node axis with :func:`cgbv.dual.node_sum`.  A sampled check
-of an identity reduces the form ``lhs - rhs`` with
-:func:`cgbv.forms.form_sup`, which passes its sample points in blocks sized
-the same way; sampling passes floats, and the zero finder of
-:mod:`cgbv.relative` passes its Newton starts as one block.
+point as a list of coordinates, each a float or a numpy array.  A block of
+nodes or sample points carries a leading draw axis and its node or point
+axis last: ``integrate`` passes (1, N) blocks of
+:func:`cgbv.forms.block_size` nodes for the width of the pulled-back form
+and reduces the node axis with :func:`cgbv.dual.node_sum`, and
+:func:`cgbv.forms.form_sup` passes (1, P) blocks of sample points, or
+(R, P) blocks with draw r's own points in row r.  A family of R random
+draws (``scenarios._polynomials``) puts its draws on that axis, so one
+integral returns R values and a single draw a float.  Sampling passes
+floats, and the zero finder of :mod:`cgbv.relative` passes its Newton
+starts as one block.
 Closures therefore compute elementwise and must not branch on values: a
 piecewise formula selects through :func:`cgbv.dual.where` on clamped
 arguments.  Nor may they write into a block: quadrature blocks are views
@@ -169,8 +170,7 @@ class ChartDomain:
         m = ambient_dim
         name = name or f"D{m}"
         if m == 1:
-            dom = ChartDomain.box(name, [(-radius, radius)], [order])
-            return dom
+            return ChartDomain.box(name, [(-radius, radius)], [order])
         embed = SmoothMap(m, m,
                           lambda ra: [ra[0] * v for v in unit_sphere_point(ra[1:])])
         bounds = [(0.0, radius)] + sphere_bounds(m)
@@ -269,8 +269,8 @@ class ChartDomain:
         step = block_size(pulled.width)
         total = 0.0
         for s in range(0, len(weights), step):
-            block = [c[s:s + step] for c in coords]
-            total += node_sum(weights[s:s + step], pulled.comps(block)[0])
+            block = [c[None, s:s + step] for c in coords]
+            total = total + node_sum(weights[s:s + step], pulled.comps(block)[0])
         return self.orientation * total
 
     def boundary_faces(self):

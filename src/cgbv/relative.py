@@ -275,19 +275,14 @@ def homotopy_defect_II(phi: SmoothMap, t: float, eta: Form, p: FormPair,
 
 def _membership(B: ChartDomain):
     """(inside, boundary distance) predicates for the supported chart kinds."""
+    def r(x):
+        return math.sqrt(sum(v * v for v in x))
+
     if B.kind == "ball":
         radius = B.bounds[0][1]
-
-        def r(x):
-            return math.sqrt(sum(v * v for v in x))
-
         return (lambda x: r(x) < radius), (lambda x: radius - r(x))
     if B.kind == "annulus":
         rin, rout = B.bounds[0]
-
-        def r(x):
-            return math.sqrt(sum(v * v for v in x))
-
         return (lambda x: rin < r(x) < rout), (lambda x: min(r(x) - rin, rout - r(x)))
     if B.kind == "box" and B.embed is None:
 

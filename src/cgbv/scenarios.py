@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .bundles import (TrivializedBundle, make_bundle,
+from .bundles import (TrivializedBundle, _skew, make_bundle,
                       section_splitting_connection, section_transgression)
 from .chern_weil import (Connection, MatrixForm, gauge_residual,
                          pf_form, pfaffian, secondary_transgression,
@@ -162,30 +162,37 @@ def _draw_polynomial(n: int, p: int, rng: random.Random) -> list:
     return monos
 
 
-def _random_polynomial_form(n: int, p: int, rng: random.Random) -> Form:
-    """One draw as a form: degree <= 3 polynomial coefficients, coeffs in [-1, 1]."""
-    return Form(n, p, _polynomials([_draw_polynomial(n, p, rng)]))
+def _draw(shapes, rng: random.Random) -> list:
+    """One draw: a :func:`_draw_polynomial` per (n, p) of ``shapes``, in order."""
+    return [_draw_polynomial(n, p, rng) for n, p in shapes]
 
 
-def _polynomials(draws: list, per: int = 1):
+def _families(shapes, draws: list) -> list:
+    """R draws of ``shapes`` as one family of p-forms on R^n per (n, p), width R."""
+    return [Form(n, p, _polynomials(list(col)), len(draws))
+            for (n, p), col in zip(shapes, zip(*draws))]
+
+
+def _polynomials(draws: list):
     """Closure x -> values of drawn polynomials, grouped by exponents.
 
     A draw lists (c, exponents) terms per polynomial (:func:`_draw_polynomial`).
-    One draw has float coefficients and takes any point or block.  R draws
-    are a family: a coefficient is an array over a block of R * per points,
-    draw r on points r*per ... (r+1)*per - 1, and any other point raises
+    One draw has float coefficients and takes any point.  R > 1 draws are a
+    family on the leading draw axis: on a block of k axes a coefficient has
+    shape (R,) + (1,) * (k - 1), so draw r meets row r of an (R, P) block
+    and every row of a (1, N) one; any other point raises
     :class:`ShapeError`.  Each distinct monomial is computed once per
     evaluation, as a lower monomial times one coordinate, and every term is
     its coefficient times its monomial.
     """
-    size = len(draws) * per if len(draws) > 1 else 0
+    R = len(draws)
     monos = []
     for c in range(len(draws[0])):
         groups = {}
         for r, draw in enumerate(draws):
             for coef, expo in draw[c]:
-                groups.setdefault(expo, [0.0] * len(draws))[r] += coef
-        monos.append([(cs[0] if len(cs) == 1 else np.repeat(cs, per), expo)
+                groups.setdefault(expo, [0.0] * R)[r] += coef
+        monos.append([(cs[0] if R == 1 else np.array(cs), expo)
                       for expo, cs in groups.items()])
     # each monomial x^e a term needs is x^lower * x_k, k the last nonzero
     # exponent, so it multiplies left to right; by degree, lower ones first
@@ -198,15 +205,23 @@ def _polynomials(draws: list, per: int = 1):
                 steps[expo] = (lower, k)
                 expo = lower
     steps = [(expo, *steps[expo]) for expo in sorted(steps, key=sum)]
+    shaped = {1: monos}  # coefficients per number of block axes
 
     def comps(x):
-        if size and any(np.shape(dual.real(xk))[-1:] != (size,) for xk in x):
-            raise ShapeError(f"a family of draws is evaluated on a block of {size} points")
+        axes = 1
+        if R > 1:
+            shape = np.broadcast_shapes(*(np.shape(dual.real(xk)) for xk in x))
+            if shape[:1] not in ((1,), (R,)):
+                raise ShapeError(f"a family of {R} draws is evaluated on a block of shape {shape}")
+            axes = len(shape)
+            if axes not in shaped:
+                lead = (R,) + (1,) * (axes - 1)
+                shaped[axes] = [[(c.reshape(lead), e) for c, e in terms] for terms in monos]
         mono = {}
         for expo, lower, k in steps:
             mono[expo] = mono[lower] * x[k] if lower in mono else x[k]
         out = []
-        for terms in monos:
+        for terms in shaped[axes]:
             acc = 0.0
             for c, expo in terms:
                 acc = acc + (c * mono[expo] if expo in mono else c)
@@ -222,15 +237,8 @@ def _random_skew_connection(n: int, m: int, rng: random.Random) -> Connection:
                for _ in range(n)] for _ in range(m)] for _ in range(m)]
 
     def ev(x):
-        out = [[[0.0] * n for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                for c in range(n):
-                    a, b, q = coefs[i][j][c]
-                    val = a + b * x[0] + q * x[0] * x[-1]
-                    out[i][j][c] = val
-                    out[j][i][c] = -val
-        return out
+        return _skew(m, n, lambda i, j: [a + b * x[0] + q * x[0] * x[-1]
+                                         for a, b, q in coefs[i][j]])
 
     return Connection(m, MatrixForm(n, 1, m, ev))
 
@@ -284,9 +292,9 @@ def _run_boundary_orientation(cfg: Config) -> dict:
     out = {}
     for key, dom in domains:
         rng = _rng(cfg, f"boundary-orientation:{key}")
-        out[key] = sup_abs(stokes_residual(
-            _random_polynomial_form(dom.ambient_dim, dom.dim - 1, rng), dom)
-            for _ in range(reps))
+        shapes = ((dom.ambient_dim, dom.dim - 1),)
+        family, = _families(shapes, [_draw(shapes, rng) for _ in range(reps)])
+        out[key] = sup_abs([stokes_residual(family, dom)])
     return out
 
 
@@ -296,9 +304,9 @@ def _run_stokes_convention(cfg: Config) -> dict:
     sq = ChartDomain.box("B", [(0.0, 1.0), (0.0, 1.0)], [o, o])
     cyl = ChartDomain.product(seg, sq)
     rng = _rng(cfg, "stokes-convention")
+    family, = _families(((3, 2),), [_draw(((3, 2),), rng) for _ in range(cfg.count)])
     return {"cylinder-stokes-sup": sup_abs(
-        stokes_residual(_random_polynomial_form(3, 2, rng), cyl, cylinder=True)
-        for _ in range(cfg.count))}
+        [stokes_residual(family, cyl, cylinder=True)])}
 
 
 def _run_fiber_projection(cfg: Config) -> dict:
@@ -306,14 +314,12 @@ def _run_fiber_projection(cfg: Config) -> dict:
     base = ChartDomain.box("Q", [(0.0, 1.0), (-0.5, 0.5)], [8] * 2)
     fb = FiberBundleDomain(fiber, base)
     rng = _rng(cfg, "fiber-projection")
-    gaps = []
-    for _ in range(min(cfg.count, 10)):
-        alpha = _random_polynomial_form(4, 2, rng)
-        beta = _random_polynomial_form(2, 1, rng)
-        lhs = fb.total.integrate(alpha.wedge(beta.pullback(fb.projection())))
-        rhs = base.integrate(fb.fiber_integrate(alpha).wedge(beta))
-        gaps.append(lhs - rhs)
-    return {"projection-formula": sup_abs(gaps)}
+    shapes = ((4, 2), (2, 1))
+    alpha, beta = _families(shapes, [_draw(shapes, rng)
+                                     for _ in range(min(cfg.count, 10))])
+    lhs = fb.total.integrate(alpha.wedge(beta.pullback(fb.projection())))
+    rhs = base.integrate(fb.fiber_integrate(alpha).wedge(beta))
+    return {"projection-formula": sup_abs([lhs - rhs])}
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +327,18 @@ def _run_fiber_projection(cfg: Config) -> dict:
 
 def _calculus_families(rng: random.Random, reps: int, per: int = 4):
     """Families a, b of 1-forms and phi of maps u -> c0 + c4 u0 u2 + c1 u0 +
-    c2 u1 + c3 u2 on R^3, and their reps * per points; each repetition
-    draws a, b, c0 ... c4 per component of phi, then its points."""
+    c2 u1 + c3 u2 on R^3, and their per-draw points, reps rows of ``per``;
+    each repetition draws a, b, c0 ... c4 per component of phi, then its
+    points."""
     expos = ((0, 0, 0), (1, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    a, b, phi, pts = [], [], [], []
+    draws, phi, pts = [], [], []
     for _ in range(reps):
-        a.append(_draw_polynomial(3, 1, rng))
-        b.append(_draw_polynomial(3, 1, rng))
+        draws.append(_draw(((3, 1), (3, 1)), rng))
         rows = [[rng.uniform(-0.4, 0.4) for _ in range(5)] for _ in range(3)]
         phi.append([list(zip([c[0], c[4], c[1], c[2], c[3]], expos)) for c in rows])
-        pts += [[rng.uniform(-1.0, 1.0) for _ in range(3)] for _ in range(per)]
-    return (Form(3, 1, _polynomials(a, per)), Form(3, 1, _polynomials(b, per)),
-            SmoothMap(3, 3, _polynomials(phi, per)), pts)
+        pts.append([[rng.uniform(-1.0, 1.0) for _ in range(3)] for _ in range(per)])
+    a, b = _families(((3, 1), (3, 1)), draws)
+    return a, b, SmoothMap(3, 3, _polynomials(phi)), pts
 
 
 def _run_forms_calculus(cfg: Config) -> dict:
@@ -408,15 +414,9 @@ def _trig_skew_connection(m: int, rng: random.Random) -> Connection:
               for _ in range(m)] for _ in range(m)]
 
     def ev(x):
-        psi = x[0]
-        out = [[[0.0] for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                a, b, c = coefs[i][j]
-                val = a + b * dual.cos(psi) + c * dual.sin(psi)
-                out[i][j] = [val]
-                out[j][i] = [-val]
-        return out
+        c, s = dual.cos(x[0]), dual.sin(x[0])
+        return _skew(m, 1, lambda i, j: [coefs[i][j][0] + coefs[i][j][1] * c
+                                         + coefs[i][j][2] * s])
 
     return Connection(m, MatrixForm(1, 1, m, ev))
 
@@ -641,13 +641,13 @@ def _run_homotopy_operators(cfg: Config) -> dict:
     dom = _disk_domain(22)
     phi = _twist_flow()
     rng = _rng(cfg, "homotopy-operators")
+    # draw i: a pair (omega, gamma) of degree k = 1 + i % 2 and a test form eta
+    shapes = {k: ((2, k), (2, k - 1), (2, 2 - k)) for k in (1, 2)}
+    draws = [_draw(shapes[1 + i % 2], rng) for i in range(cfg.count)]
     first, second = [], []
-    for i in range(cfg.count):
-        k = 1 + (i % 2)
-        omega = _random_polynomial_form(2, k, rng)
-        gamma = _random_polynomial_form(2, k - 1, rng)
+    for k in (1, 2)[:cfg.count]:
+        omega, gamma, eta = _families(shapes[k], draws[k - 1::2])
         p = FormPair(dom, omega, gamma)
-        eta = _random_polynomial_form(2, 2 - k, rng)
         first.append(homotopy_defect_I(phi, 0.6, p, eta, dom))
         second.append(homotopy_defect_II(phi, 0.6, eta, p, dom))
     return {"homotopy-defect-absolute": sup_abs(first),
@@ -660,15 +660,17 @@ def _run_chain_sign_laws(cfg: Config) -> dict:
     # six points are drawn to keep the rng stream; three are checked
     head = dom.manifold.sample_ambient_points(rng, 6)[:3]
 
+    # draw i: a pair of degree k = i % 2, a companion only for k = 1, and
+    # a test form eta
+    shapes = (((2, 0), (2, 1)), ((2, 1), (2, 0), (2, 0)))
+    draws = [_draw(shapes[i % 2], rng) for i in range(cfg.count)]
     dd, transpose = [], []
-    for i in range(cfg.count):
-        k = i % 2
-        p = FormPair(dom, _random_polynomial_form(2, k, rng),
-                     None if k == 0 else _random_polynomial_form(2, k - 1, rng))
+    for k in (0, 1)[:cfg.count]:
+        omega, *gamma, eta = _families(shapes[k], draws[k::2])
+        p = FormPair(dom, omega, gamma[0] if k else None)
         ddp = pair_d(pair_d(p))
         dd += [form_sup(ddp.omega, head), form_sup(ddp.gamma, head)]
-        eta = _random_polynomial_form(2, 1 - k, rng)
-        sign = -1.0 if k % 2 else 1.0
+        sign = -1.0 if k else 1.0
         lhs = lefschetz_I(pair_d(p), eta)
         rhs = sign * lefschetz_I(p, eta.d())
         transpose.append(lhs - rhs)
@@ -682,12 +684,17 @@ def _run_chain_sign_laws(cfg: Config) -> dict:
             m, base, Connection.flat(m, 2, "flat"), "flat-collapse"))
         sign = 1.0 if m % 2 else -1.0
         n = m + 2
+        # draw: a degree k, a pair of that degree, then three base points
+        groups = {}
         for _ in range(min(cfg.count, 12)):
             k = rng.randint(1, m + 1)
-            p = sc.pair(_random_polynomial_form(n, k, rng),
-                        _random_polynomial_form(n, k - 1, rng))
+            shapes = ((n, k), (n, k - 1))
+            draws, pts = groups.setdefault(shapes, ([], []))
+            draws.append(_draw(shapes, rng))
+            pts.append(sc.base.sample_ambient_points(rng, 3))
+        for shapes, (draws, pts) in groups.items():
+            p = sc.pair(*_families(shapes, draws))
             lhs = nu(sc, pair_d(p))
-            pts = sc.base.sample_ambient_points(rng, 3)
             collapse.append(form_sup(lhs - nu(sc, p).d().smul(sign), pts))
 
     # cutoff interpolation: mu of the cone differential is -d of mu
@@ -698,10 +705,13 @@ def _run_chain_sign_laws(cfg: Config) -> dict:
         x = [rng.uniform(-2.3, 2.3) for _ in range(3)]
         if math.hypot(x[0], x[1]) > 0.05:
             mu_pts.append(x)
+    groups = {}
     for _ in range(min(cfg.count, 20)):
         k = rng.randint(1, 2)
-        om = _random_polynomial_form(3, k, rng)
-        ga = _random_polynomial_form(3, k - 1, rng)
+        shapes = ((3, k), (3, k - 1))
+        groups.setdefault(shapes, []).append(_draw(shapes, rng))
+    for shapes, draws in groups.items():
+        om, ga = _families(shapes, draws)
         lhs = mu(om.d().smul(-1.0), om + ga.d(), rho, 2)
         rhs = mu(om, ga, rho, 2).d().smul(-1.0)
         cutoff.append(form_sup(lhs - rhs, mu_pts))

@@ -1,8 +1,9 @@
 """Node-block quadrature against a per-node scalar oracle.
 
 ``ChartDomain.integrate`` evaluates each form closure once per block of
-nodes, with 1-D coordinate arrays in place of floats; the block length is
-``block_size`` of the pulled-back form's structural width.  The oracle below
+nodes, with (1, N) coordinate arrays in place of floats, the draw axis of
+a family leading; the block length N is ``block_size`` of the pulled-back
+form's structural width.  The oracle below
 rebuilds the tensor Gauss-Legendre rule itself and calls the same closures
 with one float point at a time, so any closure that branches on values, or
 a reduction that reorders the rule, shows up as a disagreement.  The sums
@@ -26,6 +27,10 @@ file pins the scenarios that reach ``SmoothMap.jacobian`` through
 still took one dual pass per direction; its ``homotopy-operators`` and
 ``symmetry-reflection`` entries were added before the sampling and
 tolerance options of ``relative`` and ``thom`` became constants.
+
+A third, ``report_seed0``, pins every item of the registry at seed 0 and
+count 50, recorded while the integral scenarios still integrated one
+random draw at a time.
 
 Each golden file is ``{"config": {...}, "computed": {scenario: {identity:
 value}}}``.  It is recorded by running, at the code it guards,
@@ -53,6 +58,7 @@ from cgbv.errors import ClosednessError, ShapeError, VanishingSectionError
 from cgbv.forms import (ENTRY_BUDGET, Form, SmoothMap, as_block, block_size,
                         combo_index, combos)
 from cgbv.geometry import ChartDomain, FiberBundleDomain, stokes_residual
+from cgbv.relative import FormPair, homotopy_defect_I, homotopy_defect_II
 from cgbv.scenarios import Config, get_scenario, run_scenario
 from cgbv.thom import (ThomScenario, _equator_samples, _odd_core,
                        _parallel_defect, _require_closed, _se_sample_points,
@@ -654,17 +660,20 @@ def test_registry_matches_report_seed0():
 
 
 class TestRandomFamilies:
-    """A family of R random draws is one form over a block of R * per points.
+    """A family of R random draws is one form on the leading draw axis.
 
     ``forms-calculus`` draws its forms, maps and points per repetition and
-    then checks every repetition in one evaluation; ``pfaffian-identities``
-    stacks its matrices.  The oracles draw from a second generator of the
-    same seed, build one form per draw and evaluate it at that draw's
-    points alone, or loop over the matrices one at a time.  A family sums
-    each coefficient's terms grouped by exponents across all its draws, in
-    another order than one draw does, so forms agree to 1e-15 of each
-    coefficient's sup; the stacked Pfaffians run the same operations per
-    matrix and agree exactly.
+    then checks every repetition in one evaluation of an (R, P) block, draw
+    r at the points of row r; the integral scenarios integrate each family
+    over (1, N) node blocks, every draw at the same nodes;
+    ``pfaffian-identities`` stacks its matrices.  The oracles draw from a
+    second generator of the same seed, build one form per draw and evaluate
+    or integrate it alone, or loop over the matrices one at a time.  A
+    family sums each coefficient's terms grouped by exponents across all
+    its draws, in another order than one draw does, so forms agree to 1e-15
+    of each coefficient's sup and integrated residuals, differences of
+    integrals of order one, to 1e-14; the stacked Pfaffians run the same
+    operations per matrix and agree exactly.
     """
 
     reps, per = 25, 4
@@ -700,16 +709,74 @@ class TestRandomFamilies:
         a, b, phi, pts = scenarios._calculus_families(rng, self.reps, self.per)
         draws = self.oracle_draws(oracle_rng)
         assert rng.random() == oracle_rng.random()
-        assert pts == [x for *_, p in draws for x in p]
-        block = as_block(pts)
+        assert pts == [p for *_, p in draws]
+        # one (R, P) array per coordinate, draw r's points in row r
+        block = list(np.moveaxis(np.array(pts), -1, 0))
         built = (lambda a, b, phi: a, lambda a, b, phi: a.d(),
                  lambda a, b, phi: a.pullback(phi), lambda a, b, phi: a.wedge(b))
         for build in built:
             # each draw's form at its own points, coefficient by coefficient
             singles = [build(ar, br, phir)(as_block(pr)) for ar, br, phir, pr in draws]
             for got, want in zip(build(a, b, phi)(block), zip(*singles)):
-                want = np.concatenate(want)
+                want = np.stack(want)
+                assert got.shape == want.shape == (self.reps, self.per)
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_homotopy_families_match_each_draw(self, seed):
+        cfg = Config(seed=seed, count=4)
+        dom, phi = scenarios._disk_domain(22), scenarios._twist_flow()
+        oracle_rng = scenarios._rng(cfg, "homotopy-operators")
+        want = []
+        for i in range(cfg.count):
+            k = 1 + i % 2
+            omega = random_polynomial_form(2, k, oracle_rng)
+            gamma = random_polynomial_form(2, k - 1, oracle_rng)
+            p = FormPair(dom, omega, gamma)
+            eta = random_polynomial_form(2, 2 - k, oracle_rng)
+            want.append((homotopy_defect_I(phi, 0.6, p, eta, dom),
+                         homotopy_defect_II(phi, 0.6, eta, p, dom)))
+        # draws alternate between degrees 1 and 2, in the runner's order
+        rng = scenarios._rng(cfg, "homotopy-operators")
+        shapes = {k: ((2, k), (2, k - 1), (2, 2 - k)) for k in (1, 2)}
+        draws = [scenarios._draw(shapes[k], rng) for k in (1, 2, 1, 2)]
+        assert rng.random() == oracle_rng.random()
+        for k in (1, 2):
+            omega, gamma, eta = scenarios._families(shapes[k], draws[k - 1::2])
+            p = FormPair(dom, omega, gamma)
+            got = (homotopy_defect_I(phi, 0.6, p, eta, dom),
+                   homotopy_defect_II(phi, 0.6, eta, p, dom))
+            for g, w in zip(got, zip(*want[k - 1::2])):
+                assert g.shape == (2,)
+                assert np.max(np.abs(g - np.array(w))) <= 1e-14
+        out = scenarios._run_homotopy_operators(cfg)
+        for identity, values in zip(("homotopy-defect-absolute",
+                                     "homotopy-defect-relative"), zip(*want)):
+            assert abs(out[identity] - max(values)) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_projection_family_matches_each_draw(self, seed):
+        cfg = Config(seed=seed, count=4)
+        fb = FiberBundleDomain(ChartDomain.sphere(2, order=16),
+                               ChartDomain.box("Q", [(0.0, 1.0), (-0.5, 0.5)], [8] * 2))
+        oracle_rng = scenarios._rng(cfg, "fiber-projection")
+        want = []
+        for _ in range(cfg.count):
+            alpha = random_polynomial_form(4, 2, oracle_rng)
+            beta = random_polynomial_form(2, 1, oracle_rng)
+            want.append(fb.total.integrate(alpha.wedge(beta.pullback(fb.projection())))
+                        - fb.base.integrate(fb.fiber_integrate(alpha).wedge(beta)))
+        rng = scenarios._rng(cfg, "fiber-projection")
+        shapes = ((4, 2), (2, 1))
+        alpha, beta = scenarios._families(
+            shapes, [scenarios._draw(shapes, rng) for _ in range(cfg.count)])
+        assert rng.random() == oracle_rng.random()
+        got = (fb.total.integrate(alpha.wedge(beta.pullback(fb.projection())))
+               - fb.base.integrate(fb.fiber_integrate(alpha).wedge(beta)))
+        assert got.shape == (cfg.count,)
+        assert np.max(np.abs(got - np.array(want))) <= 1e-14
+        out = scenarios._run_fiber_projection(cfg)
+        assert abs(out["projection-formula"] - forms.sup_abs(want)) <= 1e-14
 
     def test_each_monomial_is_computed_once(self):
         products = []
@@ -745,14 +812,17 @@ class TestRandomFamilies:
                 -x[0] * x[0] + 0.25]
         assert [g.v for g in got] == pytest.approx(want, rel=1e-15)
 
-    def test_family_refuses_points_off_its_block(self):
+    def test_family_refuses_a_leading_axis_other_than_one_or_its_draws(self):
         a, b, phi, pts = scenarios._calculus_families(random.Random(0), 3, 2)
+        per_draw = list(np.moveaxis(np.array(pts), -1, 0))
         for form in (a, a.d(), a.pullback(phi)):
-            with pytest.raises(ShapeError):
-                form([0.1, 0.2, 0.3])
-            with pytest.raises(ShapeError):
-                form(as_block(pts[:5]))
-            assert len(form(as_block(pts))) == len(combos(3, form.p))
+            # a float point has no draw axis; 2 rows are neither 1 nor 3 draws
+            for block in ([0.1, 0.2, 0.3], [c[:2] for c in per_draw]):
+                with pytest.raises(ShapeError):
+                    form(block)
+            # every draw at its own row, or all draws at one shared row
+            for block in (per_draw, [c[:1] for c in per_draw]):
+                assert len(form(block)) == len(combos(3, form.p))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batched_pfaffian_identities_equal_the_matrix_loop(self, seed):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cgbv
@@ -279,9 +280,9 @@ def test_main_returns_int(capsys):
 
 
 def test_nan_residual_after_finite_one_fails_the_item(monkeypatch):
-    residuals = iter([0.1, math.nan])
+    # one residual per draw of the family, a NaN after a finite one
     monkeypatch.setattr("cgbv.scenarios.stokes_residual",
-                        lambda *args, **kwargs: next(residuals))
+                        lambda *args, **kwargs: np.array([0.1, math.nan]))
     report = run_scenario(get_scenario("stokes-convention"), Config(count=2))
     (item,) = report.items
     assert math.isnan(item.computed)
@@ -289,9 +290,9 @@ def test_nan_residual_after_finite_one_fails_the_item(monkeypatch):
 
 
 def test_nan_residual_is_named_not_finite(monkeypatch, capsys):
-    residuals = iter([0.1, math.nan])
+    # one residual per draw of the family, a NaN after a finite one
     monkeypatch.setattr("cgbv.scenarios.stokes_residual",
-                        lambda *args, **kwargs: next(residuals))
+                        lambda *args, **kwargs: np.array([0.1, math.nan]))
     code = main(["run", "stokes-convention", "--count", "2"])
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err

@@ -354,7 +354,7 @@ class TestFormSup:
 
     def spied(self, lengths, width):
         def comps(x):
-            lengths.append(len(x[0]))
+            lengths.append(x[0].shape[-1])
             return [x[0], -2.0 * x[0]]
         return Form(2, 1, comps, width)
 
