@@ -6,19 +6,19 @@ Coefficients can be plain floats, arrays over a block of quadrature nodes
 or of sample points, or :class:`~cgbv.dual.Dual` numbers over either, so
 the same closures serve integration, sampled checks and differentiation.
 A block leads with a draw axis, of length 1 or of the R draws of a random
-family, and keeps its node or point axis last.  Exterior derivatives and Jacobians are exact (forward-mode
-duals), never finite differences: :func:`lift_point` seeds every chart
-direction at once on a leading axis of the derivative slots, so ``d``, a
-matrix ``d`` and a Jacobian run their closure once per evaluation and read
-each direction back with :func:`cgbv.dual.direction`.
-:meth:`SmoothMap.jacobian` returns values and first derivatives from that
-one lifted pass, the values read from its value slots.  Sums are
-``a = a + b``: an in-place ``+=`` cannot widen (B, 1) base points against F
-fiber nodes.
+family, and keeps its node or point axis last.  Exterior derivatives and
+Jacobians are exact (forward-mode duals), never finite differences:
+:func:`lift_point` seeds every chart direction at once on a leading axis
+of the derivative slots, so ``d``, a matrix ``d`` and a Jacobian run their
+closure once per evaluation and read each direction back with
+:func:`cgbv.dual.direction`.  :meth:`SmoothMap.jacobian` returns values
+and first derivatives from that one lifted pass, the values read from its
+value slots.  Sums are ``a = a + b``: an in-place ``+=`` cannot widen
+(B, 1) base points against F fiber nodes, nor one draw against R.
 
 Every form and matrix form carries a structural ``width``, the array
 entries one evaluation holds per node or sample point, up to a constant: 1
-for a plain closure, R for a family of R draws, m * m for an m x m matrix,
+for a plain closure, 2R for a family of R draws, m * m for an m x m matrix,
 multiplied by the number of
 directions at each ``d``, pullback or Jacobian level, and the larger of the
 two for a sum or wedge.  :func:`block_size` turns it into the number of

@@ -14,12 +14,11 @@ nodes or sample points carries a leading draw axis and its node or point
 axis last: ``integrate`` passes (1, N) blocks of
 :func:`cgbv.forms.block_size` nodes for the width of the pulled-back form
 and reduces the node axis with :func:`cgbv.dual.node_sum`, and
-:func:`cgbv.forms.form_sup` passes (1, P) blocks of sample points, or
-(R, P) blocks with draw r's own points in row r.  A family of R random
-draws (``scenarios._polynomials``) puts its draws on that axis, so one
-integral returns R values and a single draw a float.  Sampling passes
-floats, and the zero finder of :mod:`cgbv.relative` passes its Newton
-starts as one block.
+:func:`cgbv.forms.form_sup` passes (1, P) blocks, or (R, P) blocks with
+draw r's own points in row r.  A family of R random draws
+(``scenarios._polynomials``) lives on that axis, so one integral returns
+R values and a single draw a float.  Sampling passes floats, and the zero
+finder of :mod:`cgbv.relative` passes its Newton starts as one block.
 Closures therefore compute elementwise and must not branch on values: a
 piecewise formula selects through :func:`cgbv.dual.where` on clamped
 arguments.  Nor may they write into a block: quadrature blocks are views
