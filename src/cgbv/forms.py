@@ -19,11 +19,11 @@ value slots.  Sums are ``a = a + b``: an in-place ``+=`` cannot widen
 Every form and matrix form carries a structural ``width``, the array
 entries one evaluation holds per node or sample point, up to a constant: 1
 for a plain closure, 2R for a family of R draws, m * m for an m x m matrix,
-multiplied by the number of
-directions at each ``d``, pullback or Jacobian level, and the larger of the
-two for a sum or wedge.  :func:`block_size` turns it into the number of
-nodes or points one evaluation gets, so blocks depend only on how a form is
-built and sum in the same order on every run and machine.
+multiplied by the number of directions at each ``d``, pullback or Jacobian
+level, and the larger of the two for a sum or wedge.  :func:`block_size`
+turns it into the number of nodes or points one evaluation gets, so blocks
+depend only on how a form is built and sum in the same order on every run
+and machine.
 
 A sampled identity lhs = rhs is one form, ``lhs - rhs``, built with the
 arithmetic below, and :func:`form_sup` reduces it over the sample points in

@@ -370,9 +370,9 @@ def signed_zero_count(section, B: ChartDomain, zeros=None):
     Zeros are polished by damped Newton (:func:`_newton`, every start in
     one block), starting from the explicit list when given and from a
     7-per-axis reference grid otherwise.  A zero closer than 1e-6 to the
-    boundary, or with smallest singular value of ds below 1e-6, raises.  The sign of a zero is the sign of det(ds) in
-    the ambient trivialization, so the identity section counts +1.
-    Returns (total, [(point, sign), ...]).
+    boundary, or with smallest singular value of ds below 1e-6, raises.
+    The sign of a zero is the sign of det(ds) in the ambient trivialization,
+    so the identity section counts +1.  Returns (total, [(point, sign), ...]).
     """
     m = B.ambient_dim
     smap = SmoothMap(m, m, section)

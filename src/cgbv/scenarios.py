@@ -169,8 +169,8 @@ def _draw(shapes, rng: random.Random) -> list:
 
 def _families(shapes, draws: list) -> list:
     """R draws of ``shapes`` as one family of p-forms on R^n per (n, p), width 2R."""
-    # at width R first-order family integrands fill the entry budget, and the
-    # registry's peak RSS rose 7.5% over one draw at a time; 2R keeps it within 3%
+    # at width R the blocks of first-order family integrands fill the entry
+    # budget and their arrays raise the peak RSS of a registry run; 2R halves them
     return [Form(n, p, _polynomials(list(col)), 2 * len(draws))
             for (n, p), col in zip(shapes, zip(*draws))]
 
