@@ -17,6 +17,7 @@ for m >= 2, and the two signed end bundles for m = 1.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -374,25 +375,34 @@ def _flat_disk(rank: int) -> TrivializedBundle:
                              f"flat-rank{rank}-disk")
 
 
-def _random_skew_polynomial(n: int, m: int, seed: int):
-    """Skew potential whose coefficients are random a + b x0 + c x0 x1."""
-    import random as _random
-    rng = _random.Random(seed)
-    coefs = [[[[rng.uniform(-1.0, 1.0) for _ in range(3)]
-               for _ in range(n)] for _ in range(m)] for _ in range(m)]
+POLYNOMIAL_BASIS = (lambda x: 1.0, lambda x: x[0], lambda x: x[0] * x[-1])
+
+
+def random_skew_connection(n: int, m: int, rng: random.Random, basis,
+                           label: str = "") -> Connection:
+    """Rank-m connection on R^n whose potential entries are random
+    combinations of ``basis``, a tuple of scalar functions of the point.
+
+    Only the strict upper triangle is drawn: per entry (i, j), i < j, in
+    row order, per coefficient, one uniform in [-1, 1] per basis function,
+    so m(m - 1)/2 * n * len(basis) draws in all.  The basis is evaluated
+    once per point, and :func:`_skew` mirrors the triangle.
+    """
+    coefs = {(i, j): [[rng.uniform(-1.0, 1.0) for _ in basis] for _ in range(n)]
+             for i in range(m) for j in range(i + 1, m)}
 
     def ev(x):
-        return _skew(m, n, lambda i, j: [a + b * x[0] + c * (x[0] * x[1 % n])
-                                         for a, b, c in coefs[i][j]])
+        vals = [f(x) for f in basis]
+        return _skew(m, n, lambda i, j: [sum(c * v for c, v in zip(cs, vals))
+                                         for cs in coefs[i, j]])
 
-    return ev
+    return Connection(m, MatrixForm(n, 1, m, ev), label)
 
 
 def _random_disk(rank: int, seed: int) -> TrivializedBundle:
     base = ChartDomain.ball(2, order=16)
-    conn = Connection(rank, MatrixForm(2, 1, rank,
-                                       _random_skew_polynomial(2, rank, seed)),
-                      f"random-{seed}")
+    conn = random_skew_connection(2, rank, random.Random(seed), POLYNOMIAL_BASIS,
+                                  f"random-{seed}")
     return TrivializedBundle(rank, base, conn, f"random-rank{rank}-disk")
 
 

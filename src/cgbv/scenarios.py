@@ -9,10 +9,17 @@ quadrature orders, tolerances and bundle rank; a scenario that checks a
 second rank is a second entry.  Runners are pure functions of a
 :class:`Config`, which carries only the seed and the sample count, so a
 fixed seed and count reproduce every digit and reports can be diffed.
+
+Random inputs come from one generator per scenario label, and every draw
+is used: a polynomial term picks its exponents in one choice among the
+admissible ones, a family of R random forms is drawn whole before the next,
+and a random skew potential draws its strict upper triangle only.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 import time
@@ -21,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .bundles import (TrivializedBundle, _skew, make_bundle,
-                      section_splitting_connection, section_transgression)
+from .bundles import (POLYNOMIAL_BASIS, TrivializedBundle, make_bundle,
+                      random_skew_connection, section_splitting_connection,
+                      section_transgression)
 from .chern_weil import (Connection, MatrixForm, gauge_residual,
                          pf_form, pfaffian, secondary_transgression,
                          symmetry_check, transgression, loop_transgression)
@@ -148,31 +156,39 @@ def _rng(config: Config, label: str) -> random.Random:
     return random.Random(f"{config.seed}:{label}")
 
 
+@functools.cache
+def _exponents(n: int) -> tuple:
+    """Exponent tuples of the monomials of degree <= 3 on R^n, in
+    lexicographic order: 4, 10, 20 and 35 of them for n = 1..4."""
+    return tuple(e for e in itertools.product(range(4), repeat=n) if sum(e) <= 3)
+
+
 def _draw_polynomial(n: int, p: int, rng: random.Random) -> list:
-    """Per coefficient of a p-form on R^n: four (c, exponents) terms of degree <= 3."""
+    """Per coefficient of a p-form on R^n: four (c, exponents) terms of degree
+    <= 3, each its exponents by one choice from :func:`_exponents`, then c."""
+    expos = _exponents(n)
     monos = []
     for _ in range(len(combos(n, p))):
         terms = []
         for _ in range(4):
-            expo = [rng.randint(0, 3) for _ in range(n)]
-            while sum(expo) > 3:
-                expo = [rng.randint(0, 3) for _ in range(n)]
-            terms.append((rng.uniform(-1.0, 1.0), tuple(expo)))
+            expo = rng.choice(expos)
+            terms.append((rng.uniform(-1.0, 1.0), expo))
         monos.append(terms)
     return monos
 
 
-def _draw(shapes, rng: random.Random) -> list:
-    """One draw: a :func:`_draw_polynomial` per (n, p) of ``shapes``, in order."""
-    return [_draw_polynomial(n, p, rng) for n, p in shapes]
-
-
-def _families(shapes, draws: list) -> list:
-    """R draws of ``shapes`` as one family of p-forms on R^n per (n, p), width 2R."""
+def _family(n: int, p: int, draws: list) -> Form:
+    """R drawn p-forms on R^n as one family, width 2R."""
     # at width R the blocks of first-order family integrands fill the entry
     # budget and their arrays raise the peak RSS of a registry run; 2R halves them
-    return [Form(n, p, _polynomials(list(col)), 2 * len(draws))
-            for (n, p), col in zip(shapes, zip(*draws))]
+    return Form(n, p, _polynomials(draws), 2 * len(draws))
+
+
+def _families(shapes, reps: int, rng: random.Random) -> list:
+    """One family of ``reps`` draws per (n, p) of ``shapes``: every draw of
+    the first family, then every draw of the next."""
+    return [_family(n, p, [_draw_polynomial(n, p, rng) for _ in range(reps)])
+            for n, p in shapes]
 
 
 def _polynomials(draws: list):
@@ -233,18 +249,6 @@ def _polynomials(draws: list):
     return comps
 
 
-def _random_skew_connection(n: int, m: int, rng: random.Random) -> Connection:
-    """Skew potential whose entries are degree <= 2 polynomial 1-forms."""
-    coefs = [[[[rng.uniform(-1.0, 1.0) for _ in range(3)]
-               for _ in range(n)] for _ in range(m)] for _ in range(m)]
-
-    def ev(x):
-        return _skew(m, n, lambda i, j: [a + b * x[0] + q * x[0] * x[-1]
-                                         for a, b, q in coefs[i][j]])
-
-    return Connection(m, MatrixForm(n, 1, m, ev))
-
-
 def _disk_domain(order: int) -> RelativeDomain:
     ball = ChartDomain.ball(2, order=order)
     return RelativeDomain(ball,
@@ -294,8 +298,7 @@ def _run_boundary_orientation(cfg: Config) -> dict:
     out = {}
     for key, dom in domains:
         rng = _rng(cfg, f"boundary-orientation:{key}")
-        shapes = ((dom.ambient_dim, dom.dim - 1),)
-        family, = _families(shapes, [_draw(shapes, rng) for _ in range(reps)])
+        family, = _families(((dom.ambient_dim, dom.dim - 1),), reps, rng)
         out[key] = sup_abs([stokes_residual(family, dom)])
     return out
 
@@ -306,7 +309,7 @@ def _run_stokes_convention(cfg: Config) -> dict:
     sq = ChartDomain.box("B", [(0.0, 1.0), (0.0, 1.0)], [o, o])
     cyl = ChartDomain.product(seg, sq)
     rng = _rng(cfg, "stokes-convention")
-    family, = _families(((3, 2),), [_draw(((3, 2),), rng) for _ in range(cfg.count)])
+    family, = _families(((3, 2),), cfg.count, rng)
     return {"cylinder-stokes-sup": sup_abs(
         [stokes_residual(family, cyl, cylinder=True)])}
 
@@ -316,9 +319,7 @@ def _run_fiber_projection(cfg: Config) -> dict:
     base = ChartDomain.box("Q", [(0.0, 1.0), (-0.5, 0.5)], [8] * 2)
     fb = FiberBundleDomain(fiber, base)
     rng = _rng(cfg, "fiber-projection")
-    shapes = ((4, 2), (2, 1))
-    alpha, beta = _families(shapes, [_draw(shapes, rng)
-                                     for _ in range(min(cfg.count, 10))])
+    alpha, beta = _families(((4, 2), (2, 1)), min(cfg.count, 10), rng)
     lhs = fb.total.integrate(alpha.wedge(beta.pullback(fb.projection())))
     rhs = base.integrate(fb.fiber_integrate(alpha).wedge(beta))
     return {"projection-formula": sup_abs([lhs - rhs])}
@@ -329,17 +330,16 @@ def _run_fiber_projection(cfg: Config) -> dict:
 
 def _calculus_families(rng: random.Random, reps: int, per: int = 4):
     """Families a, b of 1-forms and phi of maps u -> c0 + c4 u0 u2 + c1 u0 +
-    c2 u1 + c3 u2 on R^3, and their per-draw points, reps rows of ``per``;
-    each repetition draws a, b, c0 ... c4 per component of phi, then its
-    points."""
+    c2 u1 + c3 u2 on R^3, and their per-draw points, reps rows of ``per``,
+    drawn in that order: a, b, c0 ... c4 per component of each map, points."""
+    a, b = _families(((3, 1), (3, 1)), reps, rng)
     expos = ((0, 0, 0), (1, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    draws, phi, pts = [], [], []
+    phi = []
     for _ in range(reps):
-        draws.append(_draw(((3, 1), (3, 1)), rng))
         rows = [[rng.uniform(-0.4, 0.4) for _ in range(5)] for _ in range(3)]
         phi.append([list(zip([c[0], c[4], c[1], c[2], c[3]], expos)) for c in rows])
-        pts.append([[rng.uniform(-1.0, 1.0) for _ in range(3)] for _ in range(per)])
-    a, b = _families(((3, 1), (3, 1)), draws)
+    pts = [[[rng.uniform(-1.0, 1.0) for _ in range(3)] for _ in range(per)]
+           for _ in range(reps)]
     return a, b, SmoothMap(3, 3, _polynomials(phi)), pts
 
 
@@ -367,25 +367,24 @@ def _scalar_pfaffian(M):
 
 def _run_pfaffian_identities(cfg: Config) -> dict:
     rng = _rng(cfg, "pfaffian-identities")
-    norms, Ms, Gs = [], {2: [], 4: [], 6: []}, {2: [], 4: [], 6: []}
-    for _ in range(min(cfg.count, 25)):
-        a = rng.uniform(-2.0, 2.0)
-        norms.append([[0.0, a], [-a, 0.0]])
-        for m in Ms:
-            M = np.zeros((m, m))
-            for i in range(m):
-                for j in range(i + 1, m):
-                    M[i, j] = rng.uniform(-1.0, 1.0)
-                    M[j, i] = -M[i, j]
-            Ms[m].append(M)
-            Gs[m].append([[rng.gauss(0.0, 1.0) for _ in range(m)] for _ in range(m)])
-    N = np.array(norms)
-    norm, sq, rot, refl = [_scalar_pfaffian(N) - N[:, 0, 1]], [], [], []
-    for m in Ms:
-        M = np.array(Ms[m])
+    reps = min(cfg.count, 25)
+    # the normalization stack first, then per size the skew stack (upper
+    # triangles in row order) and the Gaussian stack its rotations come from
+    a = np.array([rng.uniform(-2.0, 2.0) for _ in range(reps)])
+    N = np.zeros((reps, 2, 2))
+    N[:, 0, 1], N[:, 1, 0] = a, -a
+    norm, sq, rot, refl = [_scalar_pfaffian(N) - a], [], [], []
+    for m in (2, 4, 6):
+        upper = np.triu_indices(m, 1)
+        M = np.zeros((reps, m, m))
+        M[:, upper[0], upper[1]] = [[rng.uniform(-1.0, 1.0) for _ in upper[0]]
+                                    for _ in range(reps)]
+        M = M - M.transpose(0, 2, 1)
+        G = [[[rng.gauss(0.0, 1.0) for _ in range(m)] for _ in range(m)]
+             for _ in range(reps)]
         pf = _scalar_pfaffian(M)
         sq.append(pf * pf - np.linalg.det(M))
-        R, _ = np.linalg.qr(np.array(Gs[m]))
+        R, _ = np.linalg.qr(np.array(G))
         R[np.linalg.det(R) < 0.0, :, 0] *= -1.0
         rot.append(_scalar_pfaffian(R.transpose(0, 2, 1) @ M @ R) - pf)
         S = R.copy()
@@ -401,8 +400,8 @@ def _run_transgression_derivative(cfg: Config) -> dict:
     out = {}
     for n, m, key in ((2, 2, "rank2"), (4, 4, "rank4")):
         rng = _rng(cfg, f"transgression-derivative:{key}")
-        c1 = _random_skew_connection(n, m, rng)
-        c2 = _random_skew_connection(n, m, rng)
+        c1 = random_skew_connection(n, m, rng, POLYNOMIAL_BASIS)
+        c2 = random_skew_connection(n, m, rng, POLYNOMIAL_BASIS)
         dT = transgression(c1, c2).d()
         pf1, pf2 = pf_form(c1), pf_form(c2)
         pts = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(cfg.count)]
@@ -410,22 +409,13 @@ def _run_transgression_derivative(cfg: Config) -> dict:
     return out
 
 
-def _trig_skew_connection(m: int, rng: random.Random) -> Connection:
-    """Rank-m skew potential with one-harmonic entries, periodic on the circle."""
-    coefs = [[[rng.uniform(-1.0, 1.0) for _ in range(3)]
-              for _ in range(m)] for _ in range(m)]
-
-    def ev(x):
-        c, s = dual.cos(x[0]), dual.sin(x[0])
-        return _skew(m, 1, lambda i, j: [coefs[i][j][0] + coefs[i][j][1] * c
-                                         + coefs[i][j][2] * s])
-
-    return Connection(m, MatrixForm(1, 1, m, ev))
+TRIG_BASIS = (lambda x: 1.0, lambda x: dual.cos(x[0]), lambda x: dual.sin(x[0]))
 
 
 def _run_secondary_transgression(cfg: Config) -> dict:
     rng = _rng(cfg, "secondary-transgression")
-    cs = [_trig_skew_connection(2, rng) for _ in range(3)]
+    # one-harmonic entries, periodic on the circle
+    cs = [random_skew_connection(1, 2, rng, TRIG_BASIS) for _ in range(3)]
     dQ = secondary_transgression(*cs).d()
     edges = [transgression(cs[0], cs[1]), transgression(cs[1], cs[2]),
              transgression(cs[2], cs[0])]
@@ -643,12 +633,11 @@ def _run_homotopy_operators(cfg: Config) -> dict:
     dom = _disk_domain(22)
     phi = _twist_flow()
     rng = _rng(cfg, "homotopy-operators")
-    # draw i: a pair (omega, gamma) of degree k = 1 + i % 2 and a test form eta
-    shapes = {k: ((2, k), (2, k - 1), (2, 2 - k)) for k in (1, 2)}
-    draws = [_draw(shapes[1 + i % 2], rng) for i in range(cfg.count)]
     first, second = [], []
-    for k in (1, 2)[:cfg.count]:
-        omega, gamma, eta = _families(shapes[k], draws[k - 1::2])
+    # per degree k: pairs (omega, gamma) and test forms eta, ceil(count / 2)
+    # draws at k = 1 and the rest at k = 2
+    for k, reps in ((1, (cfg.count + 1) // 2), (2, cfg.count // 2))[:cfg.count]:
+        omega, gamma, eta = _families(((2, k), (2, k - 1), (2, 2 - k)), reps, rng)
         p = FormPair(dom, omega, gamma)
         first.append(homotopy_defect_I(phi, 0.6, p, eta, dom))
         second.append(homotopy_defect_II(phi, 0.6, eta, p, dom))
@@ -659,16 +648,14 @@ def _run_homotopy_operators(cfg: Config) -> dict:
 def _run_chain_sign_laws(cfg: Config) -> dict:
     dom = _disk_domain(28)
     rng = _rng(cfg, "chain-sign-laws")
-    # six points are drawn to keep the rng stream; three are checked
-    head = dom.manifold.sample_ambient_points(rng, 6)[:3]
+    head = dom.manifold.sample_ambient_points(rng, 3)
 
-    # draw i: a pair of degree k = i % 2, a companion only for k = 1, and
-    # a test form eta
+    # per degree k: pairs of degree k, a companion only for k = 1, and test
+    # forms eta, ceil(count / 2) draws at k = 0 and the rest at k = 1
     shapes = (((2, 0), (2, 1)), ((2, 1), (2, 0), (2, 0)))
-    draws = [_draw(shapes[i % 2], rng) for i in range(cfg.count)]
     dd, transpose = [], []
-    for k in (0, 1)[:cfg.count]:
-        omega, *gamma, eta = _families(shapes[k], draws[k::2])
+    for k, reps in ((0, (cfg.count + 1) // 2), (1, cfg.count // 2))[:cfg.count]:
+        omega, *gamma, eta = _families(shapes[k], reps, rng)
         p = FormPair(dom, omega, gamma[0] if k else None)
         ddp = pair_d(pair_d(p))
         dd += [form_sup(ddp.omega, head), form_sup(ddp.gamma, head)]
@@ -686,34 +673,32 @@ def _run_chain_sign_laws(cfg: Config) -> dict:
             m, base, Connection.flat(m, 2, "flat"), "flat-collapse"))
         sign = 1.0 if m % 2 else -1.0
         n = m + 2
-        # draw: a degree k, a pair of that degree, then three base points
+        # draw: a degree k, a pair of that degree, then three base points;
+        # the pairs of one degree are one family
         groups = {}
         for _ in range(min(cfg.count, 12)):
             k = rng.randint(1, m + 1)
-            shapes = ((n, k), (n, k - 1))
-            draws, pts = groups.setdefault(shapes, ([], []))
-            draws.append(_draw(shapes, rng))
+            omegas, gammas, pts = groups.setdefault(k, ([], [], []))
+            omegas.append(_draw_polynomial(n, k, rng))
+            gammas.append(_draw_polynomial(n, k - 1, rng))
             pts.append(sc.base.sample_ambient_points(rng, 3))
-        for shapes, (draws, pts) in groups.items():
-            p = sc.pair(*_families(shapes, draws))
+        for k, (omegas, gammas, pts) in groups.items():
+            p = sc.pair(_family(n, k, omegas), _family(n, k - 1, gammas))
             lhs = nu(sc, pair_d(p))
             collapse.append(form_sup(lhs - nu(sc, p).d().smul(sign), pts))
 
     # cutoff interpolation: mu of the cone differential is -d of mu
     rho = BumpProfile.exponential()
     cutoff = []
-    mu_pts = []
-    while len(mu_pts) < 6:
-        x = [rng.uniform(-2.3, 2.3) for _ in range(3)]
-        if math.hypot(x[0], x[1]) > 0.05:
-            mu_pts.append(x)
+    mu_pts = [[rng.uniform(-2.3, 2.3) for _ in range(3)] for _ in range(6)]
     groups = {}
     for _ in range(min(cfg.count, 20)):
         k = rng.randint(1, 2)
-        shapes = ((3, k), (3, k - 1))
-        groups.setdefault(shapes, []).append(_draw(shapes, rng))
-    for shapes, draws in groups.items():
-        om, ga = _families(shapes, draws)
+        omegas, gammas = groups.setdefault(k, ([], []))
+        omegas.append(_draw_polynomial(3, k, rng))
+        gammas.append(_draw_polynomial(3, k - 1, rng))
+    for k, (omegas, gammas) in groups.items():
+        om, ga = _family(3, k, omegas), _family(3, k - 1, gammas)
         lhs = mu(om.d().smul(-1.0), om + ga.d(), rho, 2)
         rhs = mu(om, ga, rho, 2).d().smul(-1.0)
         cutoff.append(form_sup(lhs - rhs, mu_pts))

@@ -20,17 +20,14 @@ base arrives as a block), and at a dual base point (``.d()``).
 
 Sampled checks stack their sample points into one block as well; each
 batched checker is compared with a per-point loop over float points, and
-the values of the sampled scenarios are pinned by a golden file recorded
-when every sampled check still looped point by point.  A second golden
-file pins the scenarios that reach ``SmoothMap.jacobian`` through
-``integrate`` and ``fiber_integrate``, recorded while every derivative
-still took one dual pass per direction; its ``homotopy-operators`` and
-``symmetry-reflection`` entries were added before the sampling and
-tolerance options of ``relative`` and ``thom`` became constants.
-
-A third, ``report_seed0``, pins every item of the registry at seed 0 and
-count 50, recorded while the integral scenarios still integrated one
-random draw at a time.
+the values of the sampled scenarios are pinned by a golden file,
+``sampled_seed3``.  A second golden file, ``integral_seed3``, pins the
+scenarios that reach ``SmoothMap.jacobian`` through ``integrate`` and
+``fiber_integrate``.  A third, ``report_seed0``, pins every item of the
+registry at seed 0 and count 50.  All three were recorded when the seeded
+stream last changed on purpose: exponents drawn with one ``rng.choice``
+from the admissible tuple, random potentials drawn on their upper
+triangle only, and every family drawn whole, one after another.
 
 Each golden file is ``{"config": {...}, "computed": {scenario: {identity:
 value}}}``.  It is recorded by running, at the code it guards,
@@ -65,7 +62,7 @@ from cgbv.thom import (ThomScenario, _equator_samples, _odd_core,
                        odd_pair_residual, persistent_section_residual, thom_form)
 
 from test_chern_weil import random_skew_connection, round_sphere_connection
-from test_forms import random_polynomial_form
+from test_forms import exponents, random_polynomial_form
 
 REL = 1e-13
 
@@ -569,10 +566,10 @@ def test_sampled_check_at_large_count_keeps_budget_blocks(monkeypatch):
     # transgression-derivative draws --count points; rank 2 forms are at most
     # 16 wide (2048 points a block) and rank 4 ones 256 wide (512 points)
     lengths = {2: [], 4: []}
-    make = scenarios._random_skew_connection
+    make = scenarios.random_skew_connection
 
-    def spied(n, m, rng):
-        A = make(n, m, rng).A
+    def spied(n, m, rng, basis):
+        A = make(n, m, rng, basis).A
 
         def eval_fn(x):
             lengths[m].append(np.shape(dual.real(x[0]))[-1])
@@ -580,7 +577,7 @@ def test_sampled_check_at_large_count_keeps_budget_blocks(monkeypatch):
 
         return Connection(m, MatrixForm(n, 1, m, eval_fn, A.width))
 
-    monkeypatch.setattr(scenarios, "_random_skew_connection", spied)
+    monkeypatch.setattr(scenarios, "random_skew_connection", spied)
     cfg = Config(seed=1, count=600)
     report = run_scenario(get_scenario("transgression-derivative"), cfg)
     assert max(lengths[2]) == 600
@@ -662,13 +659,15 @@ def test_registry_matches_report_seed0():
 class TestRandomFamilies:
     """A family of R random draws is one form on the leading draw axis.
 
-    ``forms-calculus`` draws its forms, maps and points per repetition and
-    then checks every repetition in one evaluation of an (R, P) block, draw
-    r at the points of row r; the integral scenarios integrate each family
-    over (1, N) node blocks, every draw at the same nodes;
-    ``pfaffian-identities`` stacks its matrices.  The oracles draw from a
-    second generator of the same seed, build one form per draw and evaluate
-    or integrate it alone, or loop over the matrices one at a time.  A
+    Each family is drawn whole before the next.  ``forms-calculus`` draws
+    its a and b families, then its maps and points, and checks every
+    repetition in one evaluation of an (R, P) block, draw r at the points
+    of row r; the integral scenarios integrate each family over (1, N)
+    node blocks, every draw at the same nodes; ``pfaffian-identities``
+    draws and stacks its matrices per size.  The oracles draw from a
+    second generator of the same seed in the same order, build one form
+    per draw and evaluate or integrate it alone, or loop over the matrices
+    one at a time.  A
     family sums each coefficient's terms grouped by exponents across all
     its draws, in another order than one draw does, so forms agree to 1e-15
     of each coefficient's sup and integrated residuals, differences of
@@ -694,14 +693,19 @@ class TestRandomFamilies:
         return SmoothMap(3, 3, fn)
 
     def oracle_draws(self, rng):
-        out = []
-        for _ in range(self.reps):
-            a = random_polynomial_form(3, 1, rng)
-            b = random_polynomial_form(3, 1, rng)
-            phi = self.oracle_map(rng)
-            pts = [[rng.uniform(-1.0, 1.0) for _ in range(3)] for _ in range(self.per)]
-            out.append((a, b, phi, pts))
-        return out
+        # every a, then every b, every map and every draw's points
+        a = [random_polynomial_form(3, 1, rng) for _ in range(self.reps)]
+        b = [random_polynomial_form(3, 1, rng) for _ in range(self.reps)]
+        phi = [self.oracle_map(rng) for _ in range(self.reps)]
+        pts = [[[rng.uniform(-1.0, 1.0) for _ in range(3)] for _ in range(self.per)]
+               for _ in range(self.reps)]
+        return list(zip(a, b, phi, pts))
+
+    @pytest.mark.parametrize("n, size", [(1, 4), (2, 10), (3, 20), (4, 35)])
+    def test_admissible_exponents_match_an_independent_enumeration(self, n, size):
+        # the order matters too: rng.choice picks by position
+        assert scenarios._exponents(n) == tuple(exponents(n))
+        assert len(set(exponents(n))) == size
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_family_matches_each_draw_and_keeps_the_stream(self, seed):
@@ -727,31 +731,30 @@ class TestRandomFamilies:
         cfg = Config(seed=seed, count=4)
         dom, phi = scenarios._disk_domain(22), scenarios._twist_flow()
         oracle_rng = scenarios._rng(cfg, "homotopy-operators")
-        want = []
-        for i in range(cfg.count):
-            k = 1 + i % 2
-            omega = random_polynomial_form(2, k, oracle_rng)
-            gamma = random_polynomial_form(2, k - 1, oracle_rng)
-            p = FormPair(dom, omega, gamma)
-            eta = random_polynomial_form(2, 2 - k, oracle_rng)
-            want.append((homotopy_defect_I(phi, 0.6, p, eta, dom),
-                         homotopy_defect_II(phi, 0.6, eta, p, dom)))
-        # draws alternate between degrees 1 and 2, in the runner's order
-        rng = scenarios._rng(cfg, "homotopy-operators")
-        shapes = {k: ((2, k), (2, k - 1), (2, 2 - k)) for k in (1, 2)}
-        draws = [scenarios._draw(shapes[k], rng) for k in (1, 2, 1, 2)]
-        assert rng.random() == oracle_rng.random()
+        # per degree k = 1, 2: every omega, every gamma, every test form eta
+        want = {}
         for k in (1, 2):
-            omega, gamma, eta = scenarios._families(shapes[k], draws[k - 1::2])
+            forms_k = [[random_polynomial_form(2, p, oracle_rng) for _ in range(2)]
+                       for p in (k, k - 1, 2 - k)]
+            want[k] = []
+            for omega, gamma, eta in zip(*forms_k):
+                p = FormPair(dom, omega, gamma)
+                want[k].append((homotopy_defect_I(phi, 0.6, p, eta, dom),
+                                homotopy_defect_II(phi, 0.6, eta, p, dom)))
+        rng = scenarios._rng(cfg, "homotopy-operators")
+        families = {k: scenarios._families(((2, k), (2, k - 1), (2, 2 - k)), 2, rng)
+                    for k in (1, 2)}
+        assert rng.random() == oracle_rng.random()
+        for k, (omega, gamma, eta) in families.items():
             p = FormPair(dom, omega, gamma)
             got = (homotopy_defect_I(phi, 0.6, p, eta, dom),
                    homotopy_defect_II(phi, 0.6, eta, p, dom))
-            for g, w in zip(got, zip(*want[k - 1::2])):
+            for g, w in zip(got, zip(*want[k])):
                 assert g.shape == (2,)
                 assert np.max(np.abs(g - np.array(w))) <= 1e-14
         out = scenarios._run_homotopy_operators(cfg)
         for identity, values in zip(("homotopy-defect-absolute",
-                                     "homotopy-defect-relative"), zip(*want)):
+                                     "homotopy-defect-relative"), zip(*want[1] + want[2])):
             assert abs(out[identity] - max(values)) <= 1e-14
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -760,16 +763,15 @@ class TestRandomFamilies:
         fb = FiberBundleDomain(ChartDomain.sphere(2, order=16),
                                ChartDomain.box("Q", [(0.0, 1.0), (-0.5, 0.5)], [8] * 2))
         oracle_rng = scenarios._rng(cfg, "fiber-projection")
+        # every alpha, then every beta
+        alphas = [random_polynomial_form(4, 2, oracle_rng) for _ in range(cfg.count)]
+        betas = [random_polynomial_form(2, 1, oracle_rng) for _ in range(cfg.count)]
         want = []
-        for _ in range(cfg.count):
-            alpha = random_polynomial_form(4, 2, oracle_rng)
-            beta = random_polynomial_form(2, 1, oracle_rng)
+        for alpha, beta in zip(alphas, betas):
             want.append(fb.total.integrate(alpha.wedge(beta.pullback(fb.projection())))
                         - fb.base.integrate(fb.fiber_integrate(alpha).wedge(beta)))
         rng = scenarios._rng(cfg, "fiber-projection")
-        shapes = ((4, 2), (2, 1))
-        alpha, beta = scenarios._families(
-            shapes, [scenarios._draw(shapes, rng) for _ in range(cfg.count)])
+        alpha, beta = scenarios._families(((4, 2), (2, 1)), cfg.count, rng)
         assert rng.random() == oracle_rng.random()
         got = (fb.total.integrate(alpha.wedge(beta.pullback(fb.projection())))
                - fb.base.integrate(fb.fiber_integrate(alpha).wedge(beta)))
@@ -836,15 +838,21 @@ class TestRandomFamilies:
         for _ in range(25):
             a = rng.uniform(-2.0, 2.0)
             norm.append(pfaff([[0.0, a], [-a, 0.0]]) - a)
-            for m in (2, 4, 6):
+        # per size every skew matrix, then every Gaussian matrix
+        for m in (2, 4, 6):
+            Ms = []
+            for _ in range(25):
                 M = np.zeros((m, m))
                 for i in range(m):
                     for j in range(i + 1, m):
                         M[i, j] = rng.uniform(-1.0, 1.0)
                         M[j, i] = -M[i, j]
+                Ms.append(M)
+            Gs = [np.array([[rng.gauss(0.0, 1.0) for _ in range(m)] for _ in range(m)])
+                  for _ in range(25)]
+            for M, G in zip(Ms, Gs):
                 pf = pfaff(M.tolist())
                 sq.append(pf * pf - float(np.linalg.det(M)))
-                G = np.array([[rng.gauss(0.0, 1.0) for _ in range(m)] for _ in range(m)])
                 R, _ = np.linalg.qr(G)
                 if np.linalg.det(R) < 0.0:
                     R[:, 0] = -R[:, 0]

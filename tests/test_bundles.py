@@ -4,12 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from cgbv import dual, scenarios
+from cgbv import dual
 from cgbv.bundles import (AssociatedBundles, ODD_REGISTRY, OddRankTriple,
-                          REGISTRY, Subbundle, TrivializedBundle,
-                          _random_skew_polynomial,
-                          frame_split_connection, make_bundle, point_base,
-                          projected_connection, rank_extension,
+                          POLYNOMIAL_BASIS, REGISTRY, Subbundle,
+                          TrivializedBundle, frame_split_connection,
+                          make_bundle, point_base, projected_connection,
+                          random_skew_connection, rank_extension,
                           section_splitting_connection, section_transgression,
                           stereographic, stereographic_total, total_connection)
 from cgbv.chern_weil import Connection, transgression
@@ -254,8 +254,30 @@ def frame_oracle(conn: Connection, frames) -> MatrixForm:
 
 def oracle_conns(n: int, m: int) -> list:
     """A nonzero polynomial potential and the flat one, whose entries are literal zeros."""
-    return [Connection(m, MatrixForm(n, 1, m, _random_skew_polynomial(n, m, 41))),
+    return [random_skew_connection(n, m, random.Random(41), POLYNOMIAL_BASIS),
             Connection.flat(m, n)]
+
+
+@pytest.mark.parametrize("n, m, basis", [
+    (2, 2, POLYNOMIAL_BASIS), (3, 4, POLYNOMIAL_BASIS),
+    (1, 3, (lambda x: 1.0, lambda x: dual.cos(x[0]), lambda x: dual.sin(x[0])))])
+def test_random_potential_draws_only_its_upper_triangle(n, m, basis):
+    rng, ahead, oracle = (random.Random(5) for _ in range(3))
+    conn = random_skew_connection(n, m, rng, basis)
+    for _ in range(m * (m - 1) // 2 * n * len(basis)):
+        ahead.random()
+    assert rng.random() == ahead.random()
+    # per entry i < j in row order, per coefficient, one uniform per basis function
+    x = [0.3, -0.6, 0.9][:n]
+    vals = [f(x) for f in basis]
+    A = conn.A.eval(x)
+    for i in range(m):
+        assert all(is_zero(v) for v in A[i][i])
+        for j in range(i + 1, m):
+            for c in range(n):
+                want = sum(oracle.uniform(-1.0, 1.0) * v for v in vals)
+                assert A[i][j][c] == pytest.approx(want, rel=1e-15)
+                assert A[j][i][c] == -A[i][j][c]
 
 
 def oracle_block(n: int, seed: int) -> list:
@@ -451,7 +473,7 @@ class TestOddRankTriple:
         # built from the strict upper triangle: the lower one is its exact
         # negative and the diagonal is structural zeros
         tri = OddRankTriple(make_bundle("odd-rank3-point"), fiber_order=6)
-        conn = scenarios._random_skew_connection(3, 3, random.Random(37))
+        conn = random_skew_connection(3, 3, random.Random(37), POLYNOMIAL_BASIS)
         curved = section_splitting_connection(
             conn, lambda x: [1.0 + x[0] * x[0], x[1], x[2]])
         rng = random.Random(38)

@@ -14,16 +14,27 @@ from cgbv.forms import (Form, MatrixForm, SmoothMap, _mul_smat, _smul_mat,
                         minus, plus, sup_abs, times, wedge_coeffs, zero_coeffs)
 
 
+def exponents(n: int) -> list:
+    """Exponents of the monomials of degree <= 3 on R^n, in lexicographic order."""
+    if n == 0:
+        return [()]
+    return [(e,) + rest for e in range(4) for rest in exponents(n - 1)
+            if e + sum(rest) <= 3]
+
+
 def random_polynomial_form(n: int, p: int, rng: random.Random) -> Form:
-    """Form whose coefficients are degree <= 3 polynomials, coeffs in [-1, 1]."""
+    """Form whose coefficients are degree <= 3 polynomials, coeffs in [-1, 1].
+
+    Per coefficient, four terms, each its exponents (one ``rng.choice`` of
+    :func:`exponents`) and then its coefficient.
+    """
     ncomp = len(combos(n, p))
+    expos = exponents(n)
     monos = []
     for _ in range(ncomp):
         terms = []
         for _ in range(4):
-            expo = [rng.randint(0, 3) for _ in range(n)]
-            while sum(expo) > 3:
-                expo = [rng.randint(0, 3) for _ in range(n)]
+            expo = rng.choice(expos)
             terms.append((rng.uniform(-1, 1), expo))
         monos.append(terms)
 
