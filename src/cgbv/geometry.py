@@ -340,9 +340,10 @@ class FiberBundleDomain:
         each one :meth:`ChartDomain.integrate` over the fiber.  A result
         degree outside 0..base dimension, negative below the fiber
         dimension, gives the zero form of that degree.  One evaluation at a
-        base point holds every fiber node, so the result's width is the form's times the fiber's node
-        count; at a block of base points, each fiber block is sized by the
-        form's width times the entries the base point brings.
+        base point holds every fiber node, so the result's width is the
+        form's times the fiber's node count; at a block of base points,
+        each fiber block is sized by the form's width times the entries the
+        base point brings.
         """
         fa, fd = self.fiber.ambient_dim, self.fiber.dim
         nb = self.base.ambient_dim
