@@ -667,12 +667,11 @@ class TestRandomFamilies:
     draws and stacks its matrices per size.  The oracles draw from a
     second generator of the same seed in the same order, build one form
     per draw and evaluate or integrate it alone, or loop over the matrices
-    one at a time.  A
-    family sums each coefficient's terms grouped by exponents across all
-    its draws, in another order than one draw does, so forms agree to 1e-15
-    of each coefficient's sup and integrated residuals, differences of
-    integrals of order one, to 1e-14; the stacked Pfaffians run the same
-    operations per matrix and agree exactly.
+    one at a time.  A family sums each coefficient's terms grouped by
+    exponents across all its draws, in another order than one draw does,
+    so forms agree to 1e-15 of each coefficient's sup and integrated
+    residuals, differences of integrals of order one, to 1e-14; the stacked
+    Pfaffians run the same operations per matrix and agree exactly.
     """
 
     reps, per = 25, 4
