@@ -25,9 +25,9 @@ from . import dual
 from .chern_weil import Connection, transgression
 from .errors import (ChartError, NonFiniteError, ProjectorError, RankError,
                      ShapeError, VanishingSectionError)
-from .forms import (Form, MatrixForm, SmoothMap, _live, _mul_smat, _smul_mat,
-                    add_coeffs, as_block, is_zero, minus, plus, sub_coeffs,
-                    sup_abs, times)
+from .forms import (Form, MatrixForm, SmoothMap, _mul_smat, _smul_mat,
+                    _wedge_into, add_coeffs, as_block, combos, is_zero, minus,
+                    plus, sup_abs, times, wedge_table)
 from .geometry import ChartDomain, FiberBundleDomain
 
 
@@ -74,17 +74,6 @@ class Subbundle:
         return worst
 
 
-def _complement(P):
-    """Q = 1 - P."""
-    m = len(P)
-    return [[minus(1.0 if i == j else 0.0, P[i][j]) for j in range(m)] for i in range(m)]
-
-
-def _sandwich(S, A0):
-    """Strict upper triangle of S A0 S, S a scalar matrix, A0 coefficient lists."""
-    return _mul_smat(_smul_mat(S, A0), S, upper=True)
-
-
 def _skew(m: int, n: int, entry):
     """Skew m x m matrix of 1-forms from ``entry(i, j)``, i < j: the lower
     triangle its exact negative, the diagonal structural zeros."""
@@ -116,10 +105,12 @@ def projected_connection(conn: Connection, sub: Subbundle) -> Connection:
         flat, dflat = proj.jacobian(x)
         P = [flat[i * m:(i + 1) * m] for i in range(m)]
         dP = [dflat[i * m:(i + 1) * m] for i in range(m)]
-        Q = _complement(P)
+        Q = [[minus(1.0 if i == j else 0.0, P[i][j]) for j in range(m)] for i in range(m)]
         A0 = conn.A.eval(x)
         PmQ = [[minus(p, q) for p, q in zip(rp, rq)] for rp, rq in zip(P, Q)]
-        D, SP, SQ = _smul_mat(PmQ, dP, upper=True), _sandwich(P, A0), _sandwich(Q, A0)
+        # the strict upper triangles of (P - Q) dP, P A0 P and Q A0 Q
+        D = _smul_mat(PmQ, dP, upper=True)
+        SP, SQ = (_mul_smat(_smul_mat(S, A0), S, upper=True) for S in (P, Q))
         return _skew(m, n, lambda i, j: add_coeffs(add_coeffs(D[i][j], SP[i][j]), SQ[i][j]))
 
     # the projector's m * m entries ride one lifted pass over n directions
@@ -130,15 +121,15 @@ def projected_connection(conn: Connection, sub: Subbundle) -> Connection:
 def section_splitting_connection(conn: Connection, section) -> Connection:
     """Split a connection along the line spanned by a nonvanishing section.
 
-    The section is normalized internally, so the output is invariant under
-    scaling the section.  The line factor carries the compressed connection,
-    which makes the normalized section parallel.  Wherever the projector is
-    evaluated, at every point of a block, the section must be at least 1e-8
-    long and not NaN, or ``VanishingSectionError`` is raised.
+    This is :func:`frame_split_connection` along the one-vector frame
+    s/|s|, so the output is invariant under scaling the section, and the
+    normalized section is parallel.  Wherever the frame is evaluated, at
+    every point of a block, the section must be at least 1e-8 long and not
+    NaN, or ``VanishingSectionError`` is raised.
     """
     m = conn.rank
 
-    def proj(x):
+    def unit(x):
         s = section(x)
         if len(s) != m:
             raise ShapeError(f"section has {len(s)} components, rank is {m}")
@@ -149,61 +140,112 @@ def section_splitting_connection(conn: Connection, section) -> Connection:
             shortest = np.min(np.sqrt(np.maximum(length2, 0.0)))
             raise VanishingSectionError(
                 f"section length {shortest:.3e} below 1.0e-08")
-        r = 1.0 / norm2  # one reciprocal, and the symmetric half of s s^T r
-        t = [times(v, r) for v in s]
-        P = [[0.0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                P[i][j] = P[j][i] = times(t[i], s[j])
-        return P
+        r = 1.0 / dual.sqrt(norm2)
+        return [times(v, r) for v in s]
 
-    return projected_connection(conn, Subbundle(m, proj, "line"))
+    return Connection(m, frame_split_connection(conn, (unit,)).A,
+                      f"split({conn.label},line)")
+
+
+def _add_scaled(out: list, s, coeffs: list, sign: int = 1) -> list:
+    """Add ``sign * s * coeffs`` to ``out`` in place, structural zeros skipped."""
+    if is_zero(s):
+        return out
+    for c, v in enumerate(coeffs):
+        if not is_zero(v):
+            t = s * v
+            out[c] = plus(out[c], t) if sign > 0 else minus(out[c], t)
+    return out
+
+
+def _dot(out: list, scalars, forms) -> list:
+    """Add sum_k scalars[k] * forms[k] to ``out`` in place."""
+    for s, coeffs in zip(scalars, forms):
+        _add_scaled(out, s, coeffs)
+    return out
+
+
+def _wedges(out: list, table, lefts, rights) -> list:
+    """Add sum_k lefts[k] ^ rights[k] to ``out`` in place."""
+    for a, b in zip(lefts, rights):
+        _wedge_into(out, table, a, b)
+    return out
 
 
 def frame_split_connection(conn: Connection, frames) -> Connection:
     """Split along the span of an orthonormal frame, frame made parallel.
 
-    The frame vectors are declared parallel (trivial connection on their
-    span); the complement carries the compressed connection.  The frame is
-    taken as orthonormal, not checked; then S - Q dP + Q A Q, S the span
-    block below, is skew and is built from its strict upper triangle.  The
-    frames and their derivatives come from one lifted pass.  Every frame
-    vector must be finite wherever it is evaluated, at every point of a
-    block, or ``VanishingSectionError`` is raised: a normalized vector such
-    as u/|u| is not finite where u vanishes, and products skip structural
-    zeros, so a NaN that meets only them would otherwise drop out of a form
-    built to vanish.
+    The frame vectors f_a are declared parallel (trivial connection on
+    their span); the complement carries the compressed connection.  With
+    v_a = df_a + A f_a and c_ab = f_a . v_b the potential is
+
+        A' = A + sum_a (f_a v_a^T - v_a f_a^T) + sum_{a != b} c_ab f_a f_b^T,
+
+    so that A' f_a = -df_a, and A' w = P dP w + Q A w for w orthogonal to
+    the span (P the projector onto it, Q = 1 - P).  The frame is taken as
+    orthonormal, not checked; then A' is skew and is built from its strict
+    upper triangle (:func:`_skew`).  Its d is closed form too, through
+    dv_a = dA f_a - A ^ df_a and dc_ab = df_a . ^ v_b + f_a . dv_b: one
+    first-order pass over the frames and the base potential's own
+    ``eval_with_d``, no second dual level.  Every frame vector must be finite wherever it is
+    evaluated, at every point of a block, or ``VanishingSectionError`` is
+    raised: a normalized vector such as u/|u| is not finite where u
+    vanishes, and products skip structural zeros, so a NaN that meets only
+    them would otherwise drop out of a form built to vanish.
     """
     m, n = conn.rank, conn.n
     r = len(frames)
     frame_map = SmoothMap(n, r * m, lambda x: [v for f in frames for v in f(x)])
+    pairs = [(a, b) for a in range(r) for b in range(r) if a != b]
+    wedge11 = wedge_table(n, 1, 1)
 
-    def eval_fn(x):
+    def eval_fn(x, with_d=False):
         flat, dflat = frame_map.jacobian(x)
         if not all(np.all(np.isfinite(dual.real(v))) for v in flat):
             raise VanishingSectionError("frame vector is not finite")
-        A0 = conn.A.eval(x)
-        # P = sum_a f_a f_a^T and the span block S = sum_a f_a df_a^T;
-        # dP = sum_a (df_a f_a^T + f_a df_a^T) = S + S^T
-        P = [[0.0] * m for _ in range(m)]
-        S = [[[0.0] * n for _ in range(m)] for _ in range(m)]
-        for a in range(r):
-            f, df = flat[a * m:(a + 1) * m], dflat[a * m:(a + 1) * m]
-            live = [_live(v) for v in df]
-            for i in range(m):
-                if is_zero(f[i]):
-                    continue
-                for j in range(m):
-                    P[i][j] = plus(P[i][j], times(f[i], f[j]))
-                    d = S[i][j]
-                    for c in live[j]:
-                        d[c] = plus(d[c], f[i] * df[j][c])
-        dP = [[add_coeffs(S[i][j], S[j][i]) for j in range(m)] for i in range(m)]
-        Q = _complement(P)
-        QdP, SQ = _smul_mat(Q, dP, upper=True), _sandwich(Q, A0)
-        return _skew(m, n, lambda i, j: add_coeffs(sub_coeffs(S[i][j], QdP[i][j]), SQ[i][j]))
+        A, dA = conn.A.eval_with_d(x) if with_d else (conn.A.eval(x), None)
+        f = [flat[a * m:(a + 1) * m] for a in range(r)]
+        df = [dflat[a * m:(a + 1) * m] for a in range(r)]
+        v = [[_dot(list(df[a][i]), f[a], A[i]) for i in range(m)] for a in range(r)]
+        c = {(a, b): _dot([0.0] * n, f[a], v[b]) for a, b in pairs}
 
-    return Connection(m, MatrixForm(n, 1, m, eval_fn, max(m * m * n, conn.A.width)),
+        def entry(i, j):
+            out = list(A[i][j])
+            for a in range(r):
+                _add_scaled(out, f[a][i], v[a][j])
+                _add_scaled(out, f[a][j], v[a][i], -1)
+            for a, b in pairs:
+                _add_scaled(out, times(f[a][i], f[b][j]), c[a, b])
+            return out
+
+        if not with_d:
+            return _skew(m, n, entry)
+        n2 = len(combos(n, 2))
+        # dv_a = dA f_a + df_a . ^ A^T, since -A_ik ^ df_ak = df_ak ^ A_ik
+        dv = [[_wedges(_dot([0.0] * n2, f[a], dA[i]), wedge11, df[a], A[i])
+               for i in range(m)] for a in range(r)]
+        dc = {(a, b): _dot(_wedges([0.0] * n2, wedge11, df[a], v[b]), f[a], dv[b])
+              for a, b in pairs}
+
+        def d_entry(i, j):
+            out = list(dA[i][j])
+            for a in range(r):
+                _wedge_into(out, wedge11, df[a][i], v[a][j])
+                _add_scaled(out, f[a][i], dv[a][j])
+                _add_scaled(out, f[a][j], dv[a][i], -1)
+                _wedge_into(out, wedge11, v[a][i], df[a][j])
+            for a, b in pairs:
+                # d(f_ai f_bj c_ab) = d(f_ai f_bj) ^ c_ab + f_ai f_bj dc_ab
+                dff = _add_scaled(_add_scaled([0.0] * n, f[b][j], df[a][i]),
+                                  f[a][i], df[b][j])
+                _wedge_into(out, wedge11, dff, c[a, b])
+                _add_scaled(out, times(f[a][i], f[b][j]), dc[a, b])
+            return out
+
+        return _skew(m, n, entry), _skew(m, n2, d_entry)
+
+    return Connection(m, MatrixForm(n, 1, m, eval_fn, max(m * m * n, conn.A.width),
+                                    closed_d=True),
                       f"frame-split({conn.label})")
 
 
@@ -240,36 +282,48 @@ def stereographic_total(m: int, base_dim: int) -> SmoothMap:
 def total_connection(conn: Connection, fiber_ambient: int) -> Connection:
     """Pull a base connection back to a (fiber, base) total chart.
 
-    Coefficients just shift past the fiber block; no differentiation.
+    Coefficients just shift past the fiber block, those of dA too, since
+    the base combinations come last in lexicographic order: d is the base
+    potential's own, with no differentiation here.
     """
-    n, m = conn.n, conn.rank
+    n, m, F = conn.n, conn.rank, fiber_ambient
+    F2 = len(combos(F + n, 2)) - len(combos(n, 2))
 
-    def eval_fn(x):
-        A = conn.A.eval(list(x[fiber_ambient:]))
-        return [[[0.0] * fiber_ambient + A[i][j] for j in range(m)] for i in range(m)]
+    def pad(M, k):
+        return [[[0.0] * k + e for e in row] for row in M]
 
-    return Connection(m, MatrixForm(fiber_ambient + n, 1, m, eval_fn, conn.A.width),
+    def eval_fn(x, with_d=False):
+        if not with_d:
+            return pad(conn.A.eval(list(x[F:])), F)
+        A, dA = conn.A.eval_with_d(list(x[F:]))
+        return pad(A, F), pad(dA, F2)
+
+    return Connection(m, MatrixForm(F + n, 1, m, eval_fn, conn.A.width, closed_d=True),
                       conn.label)
 
 
 def rank_extension(conn: Connection) -> Connection:
     """Extend by a parallel trivial line: block potential 0 (+) A.
 
-    A's live coefficients must be finite wherever evaluated, or
+    Its d is 0 (+) dA, from the potential's own ``eval_with_d``.  A's live
+    coefficients must be finite wherever evaluated, or
     :class:`NonFiniteError` is raised: a product that meets a NaN only
     through structural zeros would drop it.
     """
     m, n = conn.rank, conn.n
 
-    def eval_fn(x):
-        A = conn.A.eval(x)
+    def extend(M, k):
+        return [[[0.0] * k for _ in range(m + 1)]] + [[[0.0] * k] + row for row in M]
+
+    def eval_fn(x, with_d=False):
+        A, dA = conn.A.eval_with_d(x) if with_d else (conn.A.eval(x), None)
         if not all(np.all(np.isfinite(dual.real(v))) for row in A for entry in row
                    for v in entry if not is_zero(v)):
             raise NonFiniteError(f"potential {conn.label or '?'} is not finite")
-        return [[[0.0] * n for _ in range(m + 1)]] + [[[0.0] * n] + row for row in A]
+        return (extend(A, n), extend(dA, len(combos(n, 2)))) if with_d else extend(A, n)
 
     return Connection(m + 1, MatrixForm(n, 1, m + 1, eval_fn,
-                                        max((m + 1) ** 2, conn.A.width)),
+                                        max((m + 1) ** 2, conn.A.width), closed_d=True),
                       f"r+{conn.label}")
 
 

@@ -11,9 +11,9 @@ through :func:`where` instead of ``if``, and a dual defines no ordering.
 
 A derivative slot may hold every chart direction at once, on a leading axis
 of each of its arrays (:func:`cgbv.forms.lift_point` seeds them), so one
-pass through a closure yields all directions; :func:`direction` reads one
-back.  An inner level's direction axis broadcasts behind the outer one, and
-the node axis stays last.
+pass through a closure yields all directions; :func:`directions` reads
+them back in one walk.  An inner level's direction axis broadcasts behind
+the outer one, and the node axis stays last.
 """
 
 from __future__ import annotations
@@ -113,32 +113,33 @@ def depth(x) -> int:
     return 0
 
 
-def direction(x, j: int, levels: int = 0):
-    """Direction j of a derivative slot seeded by :func:`cgbv.forms.lift_point`.
+def directions(x, n: int, levels: int = 0) -> list:
+    """The n directions of a derivative slot seeded by
+    :func:`cgbv.forms.lift_point`, read in one walk.
 
-    Axis 0 of every array slot runs over the directions.  ``levels`` counts
-    the dual levels of the point that was lifted: broadcasting against the
-    seed leaves a singleton axis for each of them in front of an array, up
-    to the first derivative slot of a lower level, and those are dropped.
-    An array left with a single entry becomes a float, as a constant
-    derivative is with one pass per direction.
+    Axis 0 of every array slot runs over the directions; entry j of the
+    result is direction j.  ``levels`` counts the dual levels of the point
+    that was lifted: broadcasting against the seed leaves a singleton axis
+    for each of them in front of an array, up to the first derivative slot
+    of a lower level, and those are dropped.  An array left with a single
+    entry becomes a float, as a constant derivative is with one pass per
+    direction.
     """
-    return _direction(x, j, levels, 0)
+    return _directions(x, n, levels, 0)
 
 
-def _direction(x, j, drop, above):
+def _directions(x, n, drop, above):
     if isinstance(x, Dual):
-        return Dual(_direction(x.a, j, drop, above + 1),
-                    _direction(x.b, j, min(drop, above), above + 1))
+        return [Dual(u, w) for u, w in zip(_directions(x.a, n, drop, above + 1),
+                                           _directions(x.b, n, min(drop, above), above + 1))]
     if not isinstance(x, np.ndarray):
-        return x
-    v = x[j]
-    if v.size == 1:
-        return v.item()
-    while drop and v.shape[0] == 1:
-        v = v[0]
+        return [x] * n
+    if x[0].size == 1:
+        return [x[j].item() for j in range(n)]
+    while drop and x.shape[1] == 1:
+        x = x[:, 0]
         drop -= 1
-    return v
+    return [x[j] for j in range(n)]
 
 
 def where(cond, a, b):

@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dual import Dual, depth, deriv, direction, value
+from .dual import Dual, depth, deriv, directions, value
 from .errors import DegreeError, ShapeError
 
 
@@ -90,16 +90,15 @@ def merge_sign(I: tuple, J: tuple) -> int:
 
 @lru_cache(maxsize=None)
 def wedge_table(n: int, p: int, q: int) -> tuple:
-    """Entries (iI, iJ, iK, sign) with dx_I ^ dx_J = sign * dx_K."""
+    """Per left index iI in order, the entries (iJ, iK, sign) with
+    dx_I ^ dx_J = sign * dx_K: a tuple of (iI, entries), empty rows left out."""
     idx = combo_index(n, p + q)
     table = []
     for iI, I in enumerate(combos(n, p)):
-        setI = set(I)
-        for iJ, J in enumerate(combos(n, q)):
-            if setI & set(J):
-                continue
-            K = tuple(sorted(I + J))
-            table.append((iI, iJ, idx[K], merge_sign(I, J)))
+        row = tuple((iJ, idx[tuple(sorted(I + J))], merge_sign(I, J))
+                    for iJ, J in enumerate(combos(n, q)) if not set(I) & set(J))
+        if row:
+            table.append((iI, row))
     return tuple(table)
 
 
@@ -228,14 +227,19 @@ def wedge_coeffs(n: int, p: int, q: int, a: list, b: list) -> list:
 def _wedge_into(out: list, table, a: list, b: list) -> list:
     """Add a ^ b to ``out`` term by term, skipping structural zeros.
 
-    The sign of a table entry picks ``plus`` or ``minus``: multiplying a
-    dual by +-1 would cost as much as a product and change nothing.
+    A structural zero of ``a`` skips its whole row of the table.  The sign
+    of a table entry picks ``plus`` or ``minus``: multiplying a dual by +-1
+    would cost as much as a product and change nothing.
     """
-    live_a = [not is_zero(v) for v in a]
-    live_b = [not is_zero(v) for v in b]
-    for iI, iJ, iK, sign in table:
-        if live_a[iI] and live_b[iJ]:
-            t = a[iI] * b[iJ]
+    for iI, row in table:
+        x = a[iI]
+        if type(x) is float and x == 0.0:
+            continue
+        for iJ, iK, sign in row:
+            y = b[iJ]
+            if type(y) is float and y == 0.0:
+                continue
+            t = x * y
             out[iK] = plus(out[iK], t) if sign > 0 else minus(out[iK], t)
     return out
 
@@ -275,19 +279,19 @@ def _ndim(v) -> int:
 def _d_coeffs(n: int, p: int, lifted: list, levels: int) -> list:
     """Coefficients of d from the coefficients of a p-form at a lifted point."""
     table = d_table(n, p)
-    tangents = [deriv(v) for v in lifted]
-    live = [not is_zero(t) for t in tangents]
+    dirs = [None if is_zero(t) else directions(t, n, levels)
+            for t in (deriv(v) for v in lifted)]
     out = zero_coeffs(n, p + 1)
     for j in range(n):
         for iI, iK, sign in table[j]:
-            if live[iI]:
-                t = direction(tangents[iI], j, levels)
+            if dirs[iI] is not None:
+                t = dirs[iI][j]
                 out[iK] = plus(out[iK], t) if sign > 0 else minus(out[iK], t)
     return out
 
 
 def _levels(x) -> int:
-    """Dual levels in a point, the ``levels`` of :func:`cgbv.dual.direction`."""
+    """Dual levels in a point, the ``levels`` of :func:`cgbv.dual.directions`."""
     return max((depth(xk) for xk in x), default=0)
 
 
@@ -356,7 +360,7 @@ class SmoothMap:
         levels = _levels(x)
         y = self(lift_point(x, range(self.src_dim)))
         return ([value(c) for c in y],
-                [[direction(deriv(c), j, levels) for j in range(self.src_dim)] for c in y])
+                [directions(deriv(c), self.src_dim, levels) for c in y])
 
     def compose(self, inner: "SmoothMap") -> "SmoothMap":
         if inner.dst_dim != self.src_dim:
@@ -505,33 +509,47 @@ class MatrixForm:
     or the chart dimension.  The width of a plain matrix closure is m * m.
     The stored ``eval`` raises :class:`ShapeError` unless the closure returns
     m rows of m lists of ``len(combos(n, p))`` coefficients.
+
+    With ``closed_d`` the closure also takes ``with_d=True`` and then
+    returns the values and the matrix of their ``d``, both count-checked;
+    :meth:`eval_with_d` takes that path instead of a lifted pass.
     """
 
-    __slots__ = ("n", "p", "m", "eval", "width")
+    __slots__ = ("n", "p", "m", "eval", "width", "closed_d")
 
-    def __init__(self, n: int, p: int, m: int, eval_fn, width: int | None = None):
+    def __init__(self, n: int, p: int, m: int, eval_fn, width: int | None = None,
+                 closed_d: bool = False):
         if p < 0:
             raise DegreeError(f"negative degree {p}")
         self.n = n
         self.p = p
         self.m = m
         self.width = m * m if width is None else width
-        count = len(combos(n, p))
+        self.closed_d = closed_d
 
-        def checked(x):
-            A = eval_fn(x)
+        def check(A, q):
+            count = len(combos(n, q))
             if (len(A) != m or {len(r) for r in A} - {m}
                     or {len(e) for r in A for e in r} - {count}):
                 raise ShapeError(f"matrix form needs {m} x {m} entries of {count} coefficients")
             return A
 
+        def checked(x, with_d=False):
+            if not with_d:
+                return check(eval_fn(x), p)
+            A, dA = eval_fn(x, with_d=True)
+            return check(A, p), check(dA, p + 1)
+
         self.eval = checked
 
     @staticmethod
     def zero(n: int, p: int, m: int) -> "MatrixForm":
-        def eval_fn(x):
-            return [[zero_coeffs(n, p) for _ in range(m)] for _ in range(m)]
-        return MatrixForm(n, p, m, eval_fn)
+        def eval_fn(x, with_d=False):
+            z = [[zero_coeffs(n, p) for _ in range(m)] for _ in range(m)]
+            if not with_d:
+                return z
+            return z, [[zero_coeffs(n, p + 1) for _ in range(m)] for _ in range(m)]
+        return MatrixForm(n, p, m, eval_fn, closed_d=True)
 
     @staticmethod
     def from_forms(grid) -> "MatrixForm":
@@ -582,11 +600,14 @@ class MatrixForm:
         As in :meth:`SmoothMap.jacobian`, every direction rides the leading
         axis of the derivative slots, and the values are read from the value
         slots of that pass: ``eval_with_d(x)[0]`` equals ``self.eval(x)``.
-        The pass goes through the instance's ``eval``, like any evaluation.
+        The pass goes through the instance's ``eval``, like any evaluation;
+        a form built with ``closed_d`` evaluates both there in closed form.
         """
         n, p, m = self.n, self.p, self.m
         if p >= n:
             return self.eval(x), [[zero_coeffs(n, p + 1) for _ in range(m)] for _ in range(m)]
+        if self.closed_d:
+            return self.eval(x, with_d=True)
         levels = _levels(x)
         L = self.eval(lift_point(x, range(n)))
         return ([[[value(v) for v in L[r][c]] for c in range(m)] for r in range(m)],
