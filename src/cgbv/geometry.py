@@ -59,9 +59,31 @@ from .errors import ChartError, DegreeError
 from .forms import Form, SmoothMap, block_size, combos, combo_index
 
 
+def _legendre(order: int, x):
+    """P_n(x) and P_n'(x), n = order, by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, order):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, order * (p_prev - x * p) / (1.0 - x * x)
+
+
 @lru_cache(maxsize=None)
 def _leggauss(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre rule on [-1, 1] by Golub-Welsch.
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix of the
+    Legendre recurrence, refined by one Newton step on P_n; the weights
+    2 / ((1 - x^2) P_n'(x)^2) are made symmetric and scaled to sum to 2.
+    """
+    k = np.arange(1.0, order)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
+    p, dp = _legendre(order, x)
+    x = x - p / dp
+    _, dp = _legendre(order, x)
+    w = 1.0 / ((1.0 - x * x) * dp * dp)
+    x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    w *= 2.0 / w.sum()
     return tuple(float(v) for v in x), tuple(float(v) for v in w)
 
 
