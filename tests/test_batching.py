@@ -61,7 +61,8 @@ from cgbv.thom import (ThomScenario, _equator_samples, _odd_core,
                        _parallel_defect, _require_closed, _se_sample_points,
                        odd_pair_residual, persistent_section_residual, thom_form)
 
-from test_chern_weil import random_skew_connection, round_sphere_connection
+from skew_oracle import random_skew
+from test_chern_weil import round_sphere_connection
 from test_forms import exponents, random_polynomial_form
 
 REL = 1e-13
@@ -209,7 +210,7 @@ class TestBlockSizes:
         assert f.pullback(phi).width == 2 and f.pullback(phi).d().width == 4
         assert Form.scalar(3, lambda x: x[0]).pullback(phi).width == 1
         assert f.wedge(f.d()).width == 3 and (f + f.smul(2.0)).width == 1
-        A = random_skew_connection(4, 4, random.Random(1)).A
+        A = random_skew(4, 4, random.Random(1)).A
         assert A.width == 16 and A.d().width == 64
         assert pf_form(Connection(4, A)).width == 64
 
@@ -487,7 +488,7 @@ class TestSampledChecks:
     @pytest.mark.parametrize("conn, psi", [
         (round_sphere_connection(), [[math.cos(0.3), -math.sin(0.3)],
                                      [math.sin(0.3), math.cos(0.3)]]),
-        (random_skew_connection(2, 3, random.Random(4)),
+        (random_skew(2, 3, random.Random(4)),
          [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]),
     ], ids=["round-s2", "skew-rank3"])
     def test_gauge_residual(self, conn, psi):

@@ -14,27 +14,9 @@ from cgbv.errors import (ConsistencyError, DegreeError, ShapeError,
                          SymmetryPreconditionError)
 from cgbv.forms import Form, MatrixForm, SmoothMap, det
 from cgbv.geometry import ChartDomain, FiberBundleDomain, gauss_nodes
+from skew_oracle import random_skew
 
 TWO_PI = 2.0 * math.pi
-
-
-def random_skew_connection(n: int, m: int, rng: random.Random) -> Connection:
-    """Skew potential with polynomial entries of total degree <= 2."""
-    coefs = [[[[rng.uniform(-1.0, 1.0) for _ in range(3)]
-               for _ in range(n)] for _ in range(m)] for _ in range(m)]
-
-    def ev(x):
-        out = [[[0.0] * n for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                for c in range(n):
-                    a, b, cc = coefs[i][j][c]
-                    val = a + b * x[0] + cc * x[0] * x[-1]
-                    out[i][j][c] = val
-                    out[j][i][c] = -val
-        return out
-
-    return Connection(m, MatrixForm(n, 1, m, ev))
 
 
 def round_sphere_connection() -> Connection:
@@ -98,7 +80,7 @@ class TestCurvature:
 
     def test_abelian_curvature_is_dA(self):
         rng = random.Random(1)
-        conn = random_skew_connection(2, 2, rng)
+        conn = random_skew(2, 2, rng)
         F = conn.curvature()
         dA = conn.A.d()
         for _ in range(10):
@@ -110,7 +92,7 @@ class TestCurvature:
 
     def test_equals_d_plus_wedge_bit_for_bit(self):
         # A and dA from one lifted pass, whose value slots are the plain values
-        conn = random_skew_connection(3, 4, random.Random(3))
+        conn = random_skew(3, 4, random.Random(3))
         for x in ([0.2, -0.4, 0.7],
                   [np.array([0.2, 0.5]), np.array([-0.4, 0.1]), np.array([0.7, -0.3])]):
             got = conn.curvature().eval(x)
@@ -126,7 +108,7 @@ class TestCurvature:
 
     def test_curvature_skew(self):
         rng = random.Random(2)
-        conn = random_skew_connection(2, 4, rng)
+        conn = random_skew(2, 4, rng)
         F = conn.curvature()
         x = [0.3, -0.5]
         A = F.eval(x)
@@ -143,8 +125,8 @@ class TestPfForm:
 
     def test_closedness(self):
         rng = random.Random(3)
-        for conn in (random_skew_connection(2, 2, rng),
-                     random_skew_connection(3, 4, rng),
+        for conn in (random_skew(2, 2, rng),
+                     random_skew(3, 4, rng),
                      round_sphere_connection()):
             dpf = pf_form(conn).d()
             pts = [[rng.uniform(0.2, 1.0) for _ in range(conn.n)] for _ in range(100)]
@@ -165,15 +147,15 @@ class TestPfForm:
 class TestTransgression:
     def test_same_connection_vanishes(self):
         rng = random.Random(4)
-        conn = random_skew_connection(2, 2, rng)
+        conn = random_skew(2, 2, rng)
         T = transgression(conn, conn)
         assert all(abs(v) < 1e-14 for v in T([0.3, 0.1]))
 
     @pytest.mark.parametrize("n,m", [(2, 2), (4, 4)])
     def test_differential_law(self, n, m):
         rng = random.Random(100 + m)
-        c1 = random_skew_connection(n, m, rng)
-        c2 = random_skew_connection(n, m, rng)
+        c1 = random_skew(n, m, rng)
+        c2 = random_skew(n, m, rng)
         dT = transgression(c1, c2).d()
         pf1, pf2 = pf_form(c1), pf_form(c2)
         for _ in range(100):
@@ -185,8 +167,8 @@ class TestTransgression:
     def test_degenerate_degree_is_zero(self):
         # rank 4 over a 2-dimensional chart: degree 3 form has no components
         rng = random.Random(5)
-        c1 = random_skew_connection(2, 4, rng)
-        c2 = random_skew_connection(2, 4, rng)
+        c1 = random_skew(2, 4, rng)
+        c2 = random_skew(2, 4, rng)
         T = transgression(c1, c2)
         assert T([0.1, 0.2]) == []
         assert all(abs(v) < 1e-15 for v in T.d()([0.1, 0.2]))
@@ -196,8 +178,8 @@ class TestTransgression:
     @pytest.mark.parametrize("n,m,t_order", [(2, 2, 16), (3, 4, 8), (5, 6, 4)])
     def test_generic_cylinder_route_agrees(self, n, m, t_order):
         rng = random.Random(6)
-        c1 = random_skew_connection(n, m, rng)
-        c2 = random_skew_connection(n, m, rng)
+        c1 = random_skew(n, m, rng)
+        c2 = random_skew(n, m, rng)
         fast = transgression(c1, c2)
         base = ChartDomain.box("b", [(-1.0, 1.0)] * n, [4] * n)
         generic = transgression_forms_of_family(connection_path(c1, c2), base,
@@ -208,8 +190,8 @@ class TestTransgression:
 
     def test_path_endpoints(self):
         rng = random.Random(7)
-        c1 = random_skew_connection(2, 2, rng)
-        c2 = random_skew_connection(2, 2, rng)
+        c1 = random_skew(2, 2, rng)
+        c2 = random_skew(2, 2, rng)
         path = connection_path(c1, c2)
         x = [0.4, -0.2]
         for t, ref in ((0.0, c1), (1.0, c2)):
@@ -225,8 +207,8 @@ class TestTransgression:
         # TPf(1,2) + TPf(2,1) is exact, so it integrates to zero over the
         # boundary circles of an annulus
         rng = random.Random(8)
-        c1 = random_skew_connection(2, 2, rng)
-        c2 = random_skew_connection(2, 2, rng)
+        c1 = random_skew(2, 2, rng)
+        c2 = random_skew(2, 2, rng)
         s = transgression(c1, c2) + transgression(c2, c1)
         annulus = ChartDomain.annulus(0.5, 1.5, order=20)
         for cycle in annulus.boundary_faces():
@@ -240,14 +222,14 @@ class TestTransgression:
 class TestSecondaryTransgression:
     def test_constant_family_vanishes(self):
         rng = random.Random(9)
-        c = random_skew_connection(1, 2, rng)
+        c = random_skew(1, 2, rng)
         Q = secondary_transgression(c, c, c)
         assert all(abs(v) < 1e-14 for v in Q([0.3]))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_sum_rule(self, n):
         rng = random.Random(10 + n)
-        cs = [random_skew_connection(n, 2, rng) for _ in range(3)]
+        cs = [random_skew(n, 2, rng) for _ in range(3)]
         dQ = secondary_transgression(*cs).d()
         t12 = transgression(cs[0], cs[1])
         t23 = transgression(cs[1], cs[2])
@@ -260,7 +242,7 @@ class TestSecondaryTransgression:
 
     def test_sum_rule_rank4(self):
         rng = random.Random(13)
-        cs = [random_skew_connection(3, 4, rng) for _ in range(3)]
+        cs = [random_skew(3, 4, rng) for _ in range(3)]
         dQ = secondary_transgression(*cs).d()
         ts = [transgression(cs[0], cs[1]), transgression(cs[1], cs[2]),
               transgression(cs[2], cs[0])]
@@ -272,7 +254,7 @@ class TestSecondaryTransgression:
     def test_edge_restriction_matches_paths(self):
         # edges of the parameter triangle: (s,0), (1-u,u), (0,1-u)
         rng = random.Random(11)
-        cs = [random_skew_connection(2, 2, rng) for _ in range(3)]
+        cs = [random_skew(2, 2, rng) for _ in range(3)]
         fam = simplex_family(*cs)
         paths = [connection_path(cs[0], cs[1]), connection_path(cs[1], cs[2]),
                  connection_path(cs[2], cs[0])]
@@ -293,7 +275,7 @@ class TestSecondaryTransgression:
     @pytest.mark.parametrize("n,m,t_order", [(2, 2, 16), (3, 4, 8), (5, 6, 4)])
     def test_generic_simplex_route_agrees(self, n, m, t_order):
         rng = random.Random(12)
-        cs = [random_skew_connection(n, m, rng) for _ in range(3)]
+        cs = [random_skew(n, m, rng) for _ in range(3)]
         fast = secondary_transgression(*cs)
         base = ChartDomain.box("b", [(-1.0, 1.0)] * n, [4] * n)
         generic = transgression_forms_of_family(simplex_family(*cs), base,
@@ -310,9 +292,9 @@ class TestExactSimplexRule:
     @staticmethod
     def build(kind, n, m, rng, order=None):
         if kind == "path":
-            c1, c2 = (random_skew_connection(n, m, rng) for _ in range(2))
+            c1, c2 = (random_skew(n, m, rng) for _ in range(2))
             return transgression(c1, c2, t_order=order)
-        cs = [random_skew_connection(n, m, rng) for _ in range(3)]
+        cs = [random_skew(n, m, rng) for _ in range(3)]
         return secondary_transgression(*cs, order=order)
 
     @staticmethod
@@ -542,7 +524,7 @@ class TestSymmetry:
 
     def test_identity_isomorphism(self):
         rng = random.Random(21)
-        conn = random_skew_connection(2, 2, rng)
+        conn = random_skew(2, 2, rng)
         pf = pf_form(conn)
         ident = SmoothMap.identity(2)
         eye = [[1.0, 0.0], [0.0, 1.0]]

@@ -10,8 +10,9 @@ from cgbv.chern_weil import Connection, pf_form
 from cgbv.dual import Dual
 from cgbv.errors import ShapeError
 from cgbv.forms import (Form, MatrixForm, SmoothMap, _mul_smat, _smul_mat,
-                        as_block, combos, det, form_sup, is_zero, merge_sign,
-                        minus, plus, sup_abs, times, wedge_coeffs, zero_coeffs)
+                        as_block, combo_index, combos, det, form_sup, is_zero,
+                        merge_sign, minus, plus, sup_abs, times, wedge_coeffs,
+                        wedge_table, zero_coeffs)
 
 
 def exponents(n: int) -> list:
@@ -70,6 +71,57 @@ class TestTables:
         b = [0.0, 1.0]
         assert wedge_coeffs(2, 1, 1, a, b) == [1.0]
         assert wedge_coeffs(2, 1, 1, b, a) == [-1.0]
+
+    SHAPES = [(4, 1, 1), (4, 1, 2), (4, 2, 2), (5, 2, 1), (3, 0, 2), (4, 2, 0)]
+
+    @pytest.mark.parametrize("n, p, q", SHAPES)
+    def test_grouped_table_is_the_flat_table_in_order(self, n, p, q):
+        grouped = [(iI, iJ, iK, sign) for iI, row in wedge_table(n, p, q)
+                   for iJ, iK, sign in row]
+        assert grouped == flat_wedge_table(n, p, q)
+
+    @pytest.mark.parametrize("n, p, q", SHAPES)
+    def test_grouped_wedge_is_bit_identical_to_the_table_loop(self, n, p, q):
+        rng = random.Random(7 * n + 3 * p + q)
+
+        def coeff():
+            kind = rng.randrange(4)
+            if kind == 0:
+                return 0.0  # a structural zero
+            if kind == 1:
+                return rng.uniform(-1, 1)
+            arr = np.array([rng.uniform(-1, 1) for _ in range(3)])
+            return arr if kind == 2 else Dual(arr, rng.uniform(-1, 1) * arr)
+
+        for _ in range(20):
+            a = [coeff() for _ in combos(n, p)]
+            b = [coeff() for _ in combos(n, q)]
+            got, want = wedge_coeffs(n, p, q, a, b), table_wedge(n, p, q, a, b)
+            for g, w in zip(got, want):
+                assert type(g) is type(w)
+                for u, v in zip((g.a, g.b) if isinstance(g, Dual) else (g,),
+                                (w.a, w.b) if isinstance(w, Dual) else (w,)):
+                    assert np.array_equal(u, v)
+
+
+def flat_wedge_table(n: int, p: int, q: int) -> list:
+    """Entries (iI, iJ, iK, sign) with dx_I ^ dx_J = sign * dx_K, ungrouped."""
+    idx = combo_index(n, p + q)
+    return [(iI, iJ, idx[tuple(sorted(I + J))], merge_sign(I, J))
+            for iI, I in enumerate(combos(n, p))
+            for iJ, J in enumerate(combos(n, q)) if not set(I) & set(J)]
+
+
+def table_wedge(n: int, p: int, q: int, a: list, b: list) -> list:
+    """a ^ b by one loop over the flat table: the kernel the grouped one replaces."""
+    out = zero_coeffs(n, p + q)
+    live_a = [not is_zero(v) for v in a]
+    live_b = [not is_zero(v) for v in b]
+    for iI, iJ, iK, sign in flat_wedge_table(n, p, q):
+        if live_a[iI] and live_b[iJ]:
+            t = a[iI] * b[iJ]
+            out[iK] = plus(out[iK], t) if sign > 0 else minus(out[iK], t)
+    return out
 
 
 class TestFormOperations:
@@ -350,6 +402,23 @@ class TestEvalWithD:
         ref = A.d().eval(x)
         assert all(np.array_equal(u, v) for r1, r2 in zip(dA, ref)
                    for e1, e2 in zip(r1, r2) for u, v in zip(e1, e2))
+
+    def test_closed_form_d_goes_through_eval_and_is_count_checked(self):
+        calls = []
+
+        def ev(x, with_d=False):
+            calls.append(with_d)
+            A = [[[0.0, x[0]], [x[1], 0.0]], [[-x[1], 0.0], [0.0, -x[0]]]]
+            return (A, [[[1.0], [-1.0]], [[1.0], [-1.0]]]) if with_d else A
+
+        A = MatrixForm(2, 1, 2, ev, closed_d=True)
+        vals, dA = A.eval_with_d([0.5, 0.25])
+        assert calls == [True] and vals == ev([0.5, 0.25])
+        assert A.d().eval([0.5, 0.25]) == dA
+        bad = MatrixForm(2, 1, 2, lambda x, with_d=False: (ev(x), ev(x)) if with_d
+                         else ev(x), closed_d=True)
+        with pytest.raises(ShapeError):
+            bad.eval_with_d([0.5, 0.25])
 
     def test_top_degree_has_zero_d(self):
         A = MatrixForm(2, 2, 2, lambda x: [[[x[0]], [1.0]], [[2.0], [x[1]]]])

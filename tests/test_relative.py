@@ -17,7 +17,7 @@ from cgbv.relative import (FormPair, RelativeDomain, boundary_winding,
                            homotopy_defect_I, homotopy_defect_II, lefschetz_I,
                            lefschetz_II, pair_d, pair_pullback,
                            signed_zero_count, slice_map)
-from test_chern_weil import random_skew_connection
+from skew_oracle import random_skew
 from test_forms import random_polynomial_form
 
 TWO_PI = 2.0 * math.pi
@@ -138,7 +138,7 @@ class TestPairCalculus:
         """(Pfaffian, -transgression of a nonvanishing split) has zero differential."""
         rng = random.Random(105)
         dom = disk_domain()
-        conn = random_skew_connection(2, 2, rng)
+        conn = random_skew(2, 2, rng)
         tp = section_transgression(conn, lambda x: [1.0, 0.0])
         p = FormPair(dom, pf_form(conn), tp.smul(-1.0))
         out = pair_d(p)
@@ -246,7 +246,7 @@ class TestLefschetzII:
         total = ChartDomain.product(ball, circle)
         dom = RelativeDomain(total,
                              boundary_defect=lambda x: x[0] ** 2 + x[1] ** 2 - 1.0)
-        conn = random_skew_connection(4, 2, rng)
+        conn = random_skew(4, 2, rng)
         pf = pf_form(conn)
         core = ChartDomain.box(
             "core", [(0.0, TWO_PI)], [12],

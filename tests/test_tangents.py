@@ -347,3 +347,61 @@ def test_lift_point_seeds_are_built_once():
     assert not a[1].b.flags.writeable
     # a nested lift puts the new axis in front of the inner one and the nodes
     assert lift_point(a, range(N))[0].b.shape == (N, 1, 1)
+
+
+def per_j_direction(x, j: int, levels: int = 0):
+    """Direction j alone: the per-j read that ``dual.directions`` replaces,
+    kept as its oracle."""
+    return _per_j(x, j, levels, 0)
+
+
+def _per_j(x, j, drop, above):
+    if isinstance(x, Dual):
+        return Dual(_per_j(x.a, j, drop, above + 1),
+                    _per_j(x.b, j, min(drop, above), above + 1))
+    if not isinstance(x, np.ndarray):
+        return x
+    v = x[j]
+    if v.size == 1:
+        return v.item()
+    while drop and v.shape[0] == 1:
+        v = v[0]
+        drop -= 1
+    return v
+
+
+class TestDirections:
+    """``dual.directions`` reads every direction in one walk, as the per-j reads do."""
+
+    @staticmethod
+    def tangents(x):
+        return [deriv(v) for v in generic_form(N, 1, 95)(lift_point(x, range(N)))]
+
+    @pytest.mark.parametrize("x", [POINT, BLOCK, lift_point(POINT, range(N)),
+                                   lift_point(BLOCK, range(N))],
+                             ids=["point", "block", "lifted-point", "lifted-block"])
+    def test_equals_per_j_reads(self, x):
+        levels = max(dual.depth(v) for v in x)
+        for t in self.tangents(x):
+            got = dual.directions(t, N, levels)
+            assert len(got) == N
+            for j in range(N):
+                assert_identical(got[j], per_j_direction(t, j, levels))
+
+    def test_size_one_rows_become_floats(self):
+        # at a float point each direction of a first-order tangent is one entry
+        for t in self.tangents(POINT):
+            assert all(type(v) is float for v in dual.directions(t, N))
+
+    def test_singleton_axes_are_dropped(self):
+        # one level below, the seed leaves a singleton axis in front of the
+        # nodes in the value slot of the outer tangent: (N, 1, 5) -> (5,)
+        t = self.tangents(lift_point(BLOCK, range(N)))[0]
+        assert t.a.shape == (N, 1, 5)
+        got = dual.directions(t, N, 1)
+        assert [np.shape(s) for s in slots(got[2])] == [(5,), (N, 5)]
+
+    def test_constants_repeat(self):
+        assert dual.directions(0.0, 3) == [0.0, 0.0, 0.0]
+        got = dual.directions(Dual(2.0, np.arange(3.0)), 3)
+        assert_identical(got, [Dual(2.0, 0.0), Dual(2.0, 1.0), Dual(2.0, 2.0)])
