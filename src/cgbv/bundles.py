@@ -5,7 +5,11 @@ coordinate chart, so a subbundle is a projector field, a section is a
 vector-valued function, and all induced connections are explicit potential
 formulas.  Splitting a connection along a subbundle compresses it to the
 two factors, which keeps skewness manifest and makes parallel sections easy
-to arrange.
+to arrange.  A split along an orthonormal frame, a normalized section
+being the one-vector case, has the potential and its d in closed form from
+one first-order pass over the frame (:func:`frame_split_connection`);
+:func:`projected_connection` keeps the general projector construction on a
+lifted pass of the projector.
 
 The unit-sphere, unit-disk, and sphere-of-sum charts attached to a bundle
 put fiber coordinates in front of base coordinates, matching the fiber
@@ -175,26 +179,22 @@ def _wedges(out: list, table, lefts, rights) -> list:
 def frame_split_connection(conn: Connection, frames) -> Connection:
     """Split along the span of an orthonormal frame, frame made parallel.
 
-    The frame vectors f_a are declared parallel (trivial connection on
-    their span); the complement carries the compressed connection.  With
-    v_a = df_a + A f_a and c_ab = f_a . v_b the potential is
+    The span of the f_a gets the trivial connection, the complement the
+    compressed one.  With v_a = df_a + A f_a and c_ab = f_a . v_b,
 
         A' = A + sum_a (f_a v_a^T - v_a f_a^T) + sum_{a != b} c_ab f_a f_b^T,
 
-    so that A' f_a = -df_a, and A' w = P dP w + Q A w for w orthogonal to
-    the span (P the projector onto it, Q = 1 - P).  The frame is taken as
-    orthonormal, not checked; then A' is skew and is built from its strict
-    upper triangle (:func:`_skew`).  Its d is closed form too, through
-    dv_a = dA f_a - A ^ df_a and dc_ab = df_a . ^ v_b + f_a . dv_b: one
+    so A' f_a = -df_a, and A' w = P dP w + Q A w for w orthogonal to the
+    span.  The frame is taken as orthonormal, not checked; then A' is skew
+    and is built from its strict upper triangle (:func:`_skew`).  Its d is
+    closed form too, through dv_a = dA f_a - A ^ df_a and dc_ab, from one
     first-order pass over the frames and the base potential's own
-    ``eval_with_d``, no second dual level.  Every frame vector must be finite wherever it is
+    ``eval_with_d``.  Every frame vector must be finite wherever it is
     evaluated, at every point of a block, or ``VanishingSectionError`` is
-    raised: a normalized vector such as u/|u| is not finite where u
-    vanishes, and products skip structural zeros, so a NaN that meets only
-    them would otherwise drop out of a form built to vanish.
+    raised: a normalized u/|u| is not finite where u vanishes, and products
+    skip structural zeros, so a NaN that meets only them would drop out.
     """
-    m, n = conn.rank, conn.n
-    r = len(frames)
+    m, n, r = conn.rank, conn.n, len(frames)
     frame_map = SmoothMap(n, r * m, lambda x: [v for f in frames for v in f(x)])
     pairs = [(a, b) for a in range(r) for b in range(r) if a != b]
     wedge11 = wedge_table(n, 1, 1)
@@ -236,8 +236,7 @@ def frame_split_connection(conn: Connection, frames) -> Connection:
                 _wedge_into(out, wedge11, v[a][i], df[a][j])
             for a, b in pairs:
                 # d(f_ai f_bj c_ab) = d(f_ai f_bj) ^ c_ab + f_ai f_bj dc_ab
-                dff = _add_scaled(_add_scaled([0.0] * n, f[b][j], df[a][i]),
-                                  f[a][i], df[b][j])
+                dff = _dot([0.0] * n, (f[b][j], f[a][i]), (df[a][i], df[b][j]))
                 _wedge_into(out, wedge11, dff, c[a, b])
                 _add_scaled(out, times(f[a][i], f[b][j]), dc[a, b])
             return out

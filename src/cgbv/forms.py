@@ -10,11 +10,13 @@ family, and keeps its node or point axis last.  Exterior derivatives and
 Jacobians are exact (forward-mode duals), never finite differences:
 :func:`lift_point` seeds every chart direction at once on a leading axis
 of the derivative slots, so ``d``, a matrix ``d`` and a Jacobian run their
-closure once per evaluation and read each direction back with
-:func:`cgbv.dual.direction`.  :meth:`SmoothMap.jacobian` returns values
+closure once per evaluation and read every direction back in one walk
+(:func:`cgbv.dual.directions`).  :meth:`SmoothMap.jacobian` returns values
 and first derivatives from that one lifted pass, the values read from its
-value slots.  Sums are ``a = a + b``: an in-place ``+=`` cannot widen
-(B, 1) base points against F fiber nodes, nor one draw against R.
+value slots; a :class:`MatrixForm` built with ``closed_d`` returns its
+``d`` in closed form instead (the split connections of
+:mod:`cgbv.bundles`).  Sums are ``a = a + b``: an in-place ``+=`` cannot
+widen (B, 1) base points against F fiber nodes, nor one draw against R.
 
 Every form and matrix form carries a structural ``width``, the array
 entries one evaluation holds per node or sample point, up to a constant: 1
