@@ -42,8 +42,9 @@ structural zeros at once, without entering its loops.  Only the literal
 float counts, never an array or a dual, whatever it holds, so which
 products run depends on how a form is built and not on the data.  A NaN
 reaches every term it takes part in; a term whose other factor is a
-structural zero is zero without reading it.  The matrix and wedge kernels
-test each coefficient once, before their table loops.
+structural zero is zero without reading it.  The matrix kernels test each
+coefficient once, before their loops; the wedge kernel tests a left factor
+once per row of its table and skips the row when it is zero.
 """
 
 from __future__ import annotations
