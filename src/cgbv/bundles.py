@@ -29,9 +29,9 @@ from . import dual
 from .chern_weil import Connection, transgression
 from .errors import (ChartError, NonFiniteError, ProjectorError, RankError,
                      ShapeError, VanishingSectionError)
-from .forms import (Form, MatrixForm, SmoothMap, _mul_smat, _smul_mat,
-                    _wedge_into, add_coeffs, as_block, combos, is_zero, minus,
-                    plus, sup_abs, times, wedge_table)
+from .forms import (Form, MatrixForm, SmoothMap, _wedge_into, _wedges,
+                    add_coeffs, as_block, combos, is_zero, mat_mul_wedge, minus,
+                    sup_abs, times, wedge_table)
 from .geometry import ChartDomain, FiberBundleDomain
 
 
@@ -95,10 +95,12 @@ def projected_connection(conn: Connection, sub: Subbundle) -> Connection:
     The potential of P nabla P (+) (1-P) nabla (1-P) in the ambient
     trivialization is P dP + P A P + Q dQ + Q A Q with Q = 1 - P, and
     since dQ = -dP the two derivative blocks are one product, (P - Q) dP.
-    For a projector it is skew, as are the sandwiches of a skew A, so only
-    the strict upper triangle is computed (:func:`_skew`).  P and dP come
-    from one lifted pass of the projector, which is taken as given:
-    :meth:`Subbundle.check` tests it on a block of points.
+    For a projector it is skew, as are the sandwiches of a skew A, so the
+    strict upper triangle of the full products is read (:func:`_skew`).
+    P and dP come from one lifted pass of the projector, which is taken as
+    given: :meth:`Subbundle.check` tests it on a block of points.  This is
+    the oracle the closed-form :func:`frame_split_connection` is tested
+    against.
     """
     if conn.rank != sub.rank:
         raise ShapeError("projector size does not match connection rank")
@@ -111,10 +113,12 @@ def projected_connection(conn: Connection, sub: Subbundle) -> Connection:
         dP = [dflat[i * m:(i + 1) * m] for i in range(m)]
         Q = [[minus(1.0 if i == j else 0.0, P[i][j]) for j in range(m)] for i in range(m)]
         A0 = conn.A.eval(x)
-        PmQ = [[minus(p, q) for p, q in zip(rp, rq)] for rp, rq in zip(P, Q)]
-        # the strict upper triangles of (P - Q) dP, P A0 P and Q A0 Q
-        D = _smul_mat(PmQ, dP, upper=True)
-        SP, SQ = (_mul_smat(_smul_mat(S, A0), S, upper=True) for S in (P, Q))
+        # the scalar matrices P - Q, P and Q as matrices of 0-forms
+        PmQ = [[[minus(p, q)] for p, q in zip(rp, rq)] for rp, rq in zip(P, Q)]
+        D = mat_mul_wedge(n, 0, 1, PmQ, dP)
+        P0, Q0 = ([[[v] for v in row] for row in S] for S in (P, Q))
+        SP, SQ = (mat_mul_wedge(n, 1, 0, mat_mul_wedge(n, 0, 1, S0, A0), S0)
+                  for S0 in (P0, Q0))
         return _skew(m, n, lambda i, j: add_coeffs(add_coeffs(D[i][j], SP[i][j]), SQ[i][j]))
 
     # the projector's m * m entries ride one lifted pass over n directions
@@ -151,31 +155,6 @@ def section_splitting_connection(conn: Connection, section) -> Connection:
                       f"split({conn.label},line)")
 
 
-def _add_scaled(out: list, s, coeffs: list, sign: int = 1) -> list:
-    """Add ``sign * s * coeffs`` to ``out`` in place, structural zeros skipped."""
-    if is_zero(s):
-        return out
-    for c, v in enumerate(coeffs):
-        if not is_zero(v):
-            t = s * v
-            out[c] = plus(out[c], t) if sign > 0 else minus(out[c], t)
-    return out
-
-
-def _dot(out: list, scalars, forms) -> list:
-    """Add sum_k scalars[k] * forms[k] to ``out`` in place."""
-    for s, coeffs in zip(scalars, forms):
-        _add_scaled(out, s, coeffs)
-    return out
-
-
-def _wedges(out: list, table, lefts, rights) -> list:
-    """Add sum_k lefts[k] ^ rights[k] to ``out`` in place."""
-    for a, b in zip(lefts, rights):
-        _wedge_into(out, table, a, b)
-    return out
-
-
 def frame_split_connection(conn: Connection, frames) -> Connection:
     """Split along the span of an orthonormal frame, frame made parallel.
 
@@ -197,48 +176,53 @@ def frame_split_connection(conn: Connection, frames) -> Connection:
     m, n, r = conn.rank, conn.n, len(frames)
     frame_map = SmoothMap(n, r * m, lambda x: [v for f in frames for v in f(x)])
     pairs = [(a, b) for a in range(r) for b in range(r) if a != b]
-    wedge11 = wedge_table(n, 1, 1)
+    # a frame entry is a 0-form: it scales a 1-form by wedge01, a 2-form by wedge02
+    wedge01, wedge02, wedge11 = (wedge_table(n, p, q) for p, q in ((0, 1), (0, 2), (1, 1)))
 
     def eval_fn(x, with_d=False):
         flat, dflat = frame_map.jacobian(x)
         if not all(np.all(np.isfinite(dual.real(v))) for v in flat):
             raise VanishingSectionError("frame vector is not finite")
         A, dA = conn.A.eval_with_d(x) if with_d else (conn.A.eval(x), None)
-        f = [flat[a * m:(a + 1) * m] for a in range(r)]
+        fs = [flat[a * m:(a + 1) * m] for a in range(r)]
+        f = [[[s] for s in fa] for fa in fs]
+        # the subtracted terms scale by -f: negation is exact, and -0.0 is
+        # still a structural zero
+        g = [[[-s] for s in fa] for fa in fs]
         df = [dflat[a * m:(a + 1) * m] for a in range(r)]
-        v = [[_dot(list(df[a][i]), f[a], A[i]) for i in range(m)] for a in range(r)]
-        c = {(a, b): _dot([0.0] * n, f[a], v[b]) for a, b in pairs}
+        v = [[_wedges(list(df[a][i]), wedge01, f[a], A[i]) for i in range(m)] for a in range(r)]
+        c = {(a, b): _wedges([0.0] * n, wedge01, f[a], v[b]) for a, b in pairs}
 
         def entry(i, j):
             out = list(A[i][j])
             for a in range(r):
-                _add_scaled(out, f[a][i], v[a][j])
-                _add_scaled(out, f[a][j], v[a][i], -1)
+                _wedge_into(out, wedge01, f[a][i], v[a][j])
+                _wedge_into(out, wedge01, g[a][j], v[a][i])
             for a, b in pairs:
-                _add_scaled(out, times(f[a][i], f[b][j]), c[a, b])
+                _wedge_into(out, wedge01, [times(fs[a][i], fs[b][j])], c[a, b])
             return out
 
         if not with_d:
             return _skew(m, n, entry)
         n2 = len(combos(n, 2))
         # dv_a = dA f_a + df_a . ^ A^T, since -A_ik ^ df_ak = df_ak ^ A_ik
-        dv = [[_wedges(_dot([0.0] * n2, f[a], dA[i]), wedge11, df[a], A[i])
+        dv = [[_wedges(_wedges([0.0] * n2, wedge02, f[a], dA[i]), wedge11, df[a], A[i])
                for i in range(m)] for a in range(r)]
-        dc = {(a, b): _dot(_wedges([0.0] * n2, wedge11, df[a], v[b]), f[a], dv[b])
+        dc = {(a, b): _wedges(_wedges([0.0] * n2, wedge11, df[a], v[b]), wedge02, f[a], dv[b])
               for a, b in pairs}
 
         def d_entry(i, j):
             out = list(dA[i][j])
             for a in range(r):
                 _wedge_into(out, wedge11, df[a][i], v[a][j])
-                _add_scaled(out, f[a][i], dv[a][j])
-                _add_scaled(out, f[a][j], dv[a][i], -1)
+                _wedge_into(out, wedge02, f[a][i], dv[a][j])
+                _wedge_into(out, wedge02, g[a][j], dv[a][i])
                 _wedge_into(out, wedge11, v[a][i], df[a][j])
             for a, b in pairs:
                 # d(f_ai f_bj c_ab) = d(f_ai f_bj) ^ c_ab + f_ai f_bj dc_ab
-                dff = _dot([0.0] * n, (f[b][j], f[a][i]), (df[a][i], df[b][j]))
+                dff = _wedges([0.0] * n, wedge01, (f[b][j], f[a][i]), (df[a][i], df[b][j]))
                 _wedge_into(out, wedge11, dff, c[a, b])
-                _add_scaled(out, times(f[a][i], f[b][j]), dc[a, b])
+                _wedge_into(out, wedge02, [times(fs[a][i], fs[b][j])], dc[a, b])
             return out
 
         return _skew(m, n, entry), _skew(m, n2, d_entry)

@@ -31,10 +31,9 @@ from functools import lru_cache
 
 from .errors import (ConsistencyError, DegreeError, RankError, ShapeError,
                      SymmetryPreconditionError)
-from .forms import (Form, MatrixForm, SmoothMap, _mul_smat,
-                    _smul_mat, add_coeffs, as_block, combos, form_sup,
-                    is_zero, mat_mul_wedge, minus, plus, scale_coeffs, sub_coeffs,
-                    sup_abs, times, wedge_coeffs, wedge_entry, zero_coeffs)
+from .forms import (Form, MatrixForm, SmoothMap, _wedges, add_coeffs, as_block,
+                    combos, form_sup, mat_mul_wedge, minus, plus, scale_coeffs,
+                    sub_coeffs, sup_abs, wedge_coeffs, wedge_table, zero_coeffs)
 from .geometry import ChartDomain, FiberBundleDomain, gauss_nodes
 
 TWO_PI = 2.0 * math.pi
@@ -233,7 +232,9 @@ def _simplex_transgression(conns, order: int | None) -> Form:
     # with k = q every pair holds a theta and F is never needed
     width = max(c.A.width for c in conns) * (n if f_pairs else 1)
     pairs = combos(m, 2)
-    f_size = len(combos(n, 2))
+    # the scalar weights l_a, l_a l_b and w are 0-forms
+    wedge11, wedge02, wedge0k = (wedge_table(n, p, q)
+                                 for p, q in ((1, 1), (0, 2), (0, out_deg)))
     scale = (-1) ** (q * (q - 1) // 2) * TWO_PI ** -k
 
     def comps(x):
@@ -254,15 +255,16 @@ def _simplex_transgression(conns, order: int | None) -> Form:
         terms = {}
         if f_pairs:
             def W(a, b, i, j):
-                return wedge_entry(n, 1, 1, A[a], A[b], i, j)
-            terms = {(i, j): _live_terms([d[i][j] for d in dA]
-                                         + [W(a, b, i, j) if a == b
-                                            else add_coeffs(W(a, b, i, j), W(b, a, i, j))
-                                            for a, b in upper])
+                return _wedges(zero_coeffs(n, 2), wedge11, A[a][i], [row[j] for row in A[b]])
+            terms = {(i, j): [d[i][j] for d in dA]
+                     + [W(a, b, i, j) if a == b else add_coeffs(W(a, b, i, j), W(b, a, i, j))
+                        for a, b in upper]
                      for i, j in f_pairs}
         out = zero_coeffs(n, out_deg)
         for coefs, w in rule:
-            F = {pr: _weighted_sum(coefs, live, f_size) for pr, live in terms.items()}
+            weights = [[c] for c in coefs]
+            F = {pr: _wedges(zero_coeffs(n, 2), wedge02, weights, vecs)
+                 for pr, vecs in terms.items()}
             block = zero_coeffs(n, out_deg)
             for sign, front, rest in placements:
                 prod = fronts[front]
@@ -272,29 +274,10 @@ def _simplex_transgression(conns, order: int | None) -> Form:
                     deg += 2
                 for idx, v in enumerate(prod):
                     block[idx] = plus(block[idx], v) if sign > 0 else minus(block[idx], v)
-            for idx in range(len(out)):
-                out[idx] = plus(out[idx], times(w, block[idx]))
+            _wedges(out, wedge0k, [[w]], [block])
         return scale_coeffs(scale, out)
 
     return Form(n, out_deg, comps, width)
-
-
-def _live_terms(vecs) -> list:
-    """(r, c, vecs[r][c]) for every entry that is not a structural zero, r-major."""
-    return [(r, c, v) for r, vec in enumerate(vecs) for c, v in enumerate(vec)
-            if not is_zero(v)]
-
-
-def _weighted_sum(coefs, terms, size: int) -> list:
-    """sum_r coefs[r] * vecs[r] componentwise, added left to right.
-
-    ``terms`` is :func:`_live_terms` of the vectors, tested once per point
-    while the weights change with every node.
-    """
-    out = [0.0] * size
-    for r, c, v in terms:
-        out[c] = plus(out[c], times(coefs[r], v))
-    return out
 
 
 def connection_path(c1: Connection, c2: Connection) -> Connection:
@@ -421,9 +404,13 @@ def gauge_pullback_potential(conn: Connection, phi: SmoothMap, psi) -> MatrixFor
     """
     m = conn.rank
     pulled = conn.A.pullback(phi)
-    psiT = [[psi[j][i] for j in range(m)] for i in range(m)]
-    return MatrixForm(pulled.n, 1, m,
-                      lambda x: _mul_smat(_smul_mat(psiT, pulled.eval(x)), psi),
+    n = pulled.n
+    # psi and its transpose as matrices of 0-forms
+    psi0 = [[[v] for v in row] for row in psi]
+    psiT0 = [[[psi[j][i]] for j in range(m)] for i in range(m)]
+    return MatrixForm(n, 1, m,
+                      lambda x: mat_mul_wedge(n, 1, 0, mat_mul_wedge(n, 0, 1, psiT0,
+                                                                     pulled.eval(x)), psi0),
                       pulled.width)
 
 

@@ -34,17 +34,16 @@ coefficient lists.
 
 A closure returns the literal float ``0.0`` for a coefficient that vanishes
 identically, such as the dt slot of a path potential or every entry of a
-flat connection: that is a structural zero (:func:`is_zero`).  Products skip
-it in either factor, and a sum with it returns the other operand
-(:func:`plus`, :func:`minus`, :func:`times`).  A matrix product whose
-coefficient matrix has no live entry, such as a flat potential, returns
-structural zeros at once, without entering its loops.  Only the literal
-float counts, never an array or a dual, whatever it holds, so which
-products run depends on how a form is built and not on the data.  A NaN
-reaches every term it takes part in; a term whose other factor is a
-structural zero is zero without reading it.  The matrix kernels test each
-coefficient once, before their loops; the wedge kernel tests a left factor
-once per row of its table and skips the row when it is zero.
+flat connection: that is a structural zero (:func:`is_zero`).  Only the
+literal float counts, never an array or a dual, whatever it holds, so which
+products run depends on how a form is built and not on the data.  Every
+product of coefficient lists runs through one wedge kernel, a scalar
+factor (a frame entry, a constant gauge, a simplex weight) being the
+0-form ``[s]``.  It skips a structural zero in either factor, testing a
+left factor once per row of its table and a right factor once per term,
+and a sum with a structural zero returns the other operand (:func:`plus`,
+:func:`minus`, :func:`times`).  A NaN reaches every term it takes part in;
+a term whose other factor is a structural zero is zero without reading it.
 """
 
 from __future__ import annotations
@@ -153,11 +152,6 @@ def times(a, b):
     return a * b
 
 
-def _live(coeffs) -> list:
-    """Positions of the coefficients that are not structural zeros."""
-    return [c for c, v in enumerate(coeffs) if not is_zero(v)]
-
-
 def zero_coeffs(n: int, p: int) -> list:
     return [0.0] * len(combos(n, p))
 
@@ -244,6 +238,13 @@ def _wedge_into(out: list, table, a: list, b: list) -> list:
                 continue
             t = x * y
             out[iK] = plus(out[iK], t) if sign > 0 else minus(out[iK], t)
+    return out
+
+
+def _wedges(out: list, table, lefts, rights) -> list:
+    """Add sum_k lefts[k] ^ rights[k] to ``out`` in place, k ascending."""
+    for a, b in zip(lefts, rights):
+        _wedge_into(out, table, a, b)
     return out
 
 
@@ -641,57 +642,13 @@ class MatrixForm:
 
 
 def mat_mul_wedge(n: int, p: int, q: int, A, B):
-    """Raw matrix product with entrywise wedge on coefficient lists."""
+    """Raw matrix product with entrywise wedge on coefficient lists.
+
+    A scalar matrix S enters as the 0-form matrix ``[[[s] for s in row]
+    for row in S]``, on either side, with p or q equal to 0.
+    """
     m = len(A)
-    return [[wedge_entry(n, p, q, A, B, i, k) for k in range(m)] for i in range(m)]
-
-
-def wedge_entry(n: int, p: int, q: int, A, B, i: int, k: int) -> list:
-    """Entry (i, k) of :func:`mat_mul_wedge`: sum over j of A_ij ^ B_jk."""
     table = wedge_table(n, p, q)
-    acc = zero_coeffs(n, p + q)
-    for j in range(len(A)):
-        _wedge_into(acc, table, A[i][j], B[j][k])
-    return acc
-
-
-def _smul_mat(S, M, upper=False):
-    """Scalar matrix times matrix of coefficient lists, structural zeros
-    skipped; ``upper`` forms only the strict upper triangle."""
-    m = len(S)
-    ncomp = len(M[0][0])
-    live = [[_live(entry) for entry in row] for row in M]
-    out = [[[0.0] * ncomp for _ in range(m)] for _ in range(m)]
-    if not any(c for row in live for c in row):
-        return out
-    for i in range(m):
-        for a in range(m):
-            s = S[i][a]
-            if is_zero(s):
-                continue
-            for j in range(i + 1 if upper else 0, m):
-                src, d = M[a][j], out[i][j]
-                for c in live[a][j]:
-                    d[c] = plus(d[c], s * src[c])
-    return out
-
-
-def _mul_smat(M, S, upper=False):
-    """Matrix of coefficient lists times scalar matrix, as :func:`_smul_mat`."""
-    m = len(S)
-    ncomp = len(M[0][0])
-    live = [[_live(entry) for entry in row] for row in M]
-    out = [[[0.0] * ncomp for _ in range(m)] for _ in range(m)]
-    if not any(c for row in live for c in row):
-        return out
-    for i in range(m):
-        for j in range(i + 1 if upper else 0, m):
-            d = out[i][j]
-            for a in range(m):
-                s = S[a][j]
-                if is_zero(s):
-                    continue
-                src = M[i][a]
-                for c in live[i][a]:
-                    d[c] = plus(d[c], src[c] * s)
-    return out
+    cols = [[row[k] for row in B] for k in range(m)]
+    return [[_wedges(zero_coeffs(n, p + q), table, A[i], cols[k]) for k in range(m)]
+            for i in range(m)]

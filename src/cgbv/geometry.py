@@ -291,7 +291,7 @@ class ChartDomain:
         total = 0.0
         for s in range(0, len(weights), step):
             block = [c[None, s:s + step] for c in coords]
-            total = total + node_sum(weights[s:s + step], pulled.comps(block)[0])
+            total = total + node_sum(weights[s:s + step], pulled(block)[0])
         return self.orientation * total
 
     def boundary_faces(self):
@@ -382,7 +382,7 @@ class FiberBundleDomain:
 
         def front_block(row, tail, width):
             def comps(v):
-                vals = form.comps(list(v) + tail)
+                vals = form(list(v) + tail)
                 return [vals[i] for i in row]
             return Form(fa, fd, comps, width)
 

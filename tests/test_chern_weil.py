@@ -330,7 +330,7 @@ class TestExactSimplexRule:
         # with k - q <= 1 a node's block is affine in its weights, so the
         # order-12 rule costs what the exact rule costs and gives its values
         calls = []
-        for name in ("wedge_coeffs", "_weighted_sum", "times"):
+        for name in ("wedge_coeffs", "_wedges"):
             fn = getattr(chern_weil, name)
             monkeypatch.setattr(chern_weil, name,
                                 lambda *a, fn=fn: calls.append(1) or fn(*a))

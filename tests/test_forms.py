@@ -9,10 +9,10 @@ import pytest
 from cgbv.chern_weil import Connection, pf_form
 from cgbv.dual import Dual
 from cgbv.errors import ShapeError
-from cgbv.forms import (Form, MatrixForm, SmoothMap, _mul_smat, _smul_mat,
-                        as_block, combo_index, combos, det, form_sup, is_zero,
-                        merge_sign, minus, plus, sup_abs, times, wedge_coeffs,
-                        wedge_table, zero_coeffs)
+from cgbv.forms import (Form, MatrixForm, SmoothMap, as_block, combo_index,
+                        combos, det, form_sup, is_zero, mat_mul_wedge, merge_sign,
+                        minus, plus, sup_abs, times, wedge_coeffs, wedge_table,
+                        zero_coeffs)
 
 
 def exponents(n: int) -> list:
@@ -325,11 +325,9 @@ class Untouchable:
     __rmul__ = __mul__
 
 
-class Unread(list):
-    """A matrix that fails the test if a row is ever read."""
-
-    def __getitem__(self, i):
-        raise AssertionError("a row of the matrix was read")
+def zero_forms(S):
+    """A scalar matrix as a matrix of 0-forms."""
+    return [[[s] for s in row] for row in S]
 
 
 class TestStructuralZeros:
@@ -351,12 +349,13 @@ class TestStructuralZeros:
         assert wedge_coeffs(2, 1, 1, [0.0, 0.0], [U, U]) == [0.0]
         assert wedge_coeffs(2, 1, 1, [U, U], [0.0, 0.0]) == [0.0]
         assert wedge_coeffs(2, 1, 1, [2.0, 0.0], [U, 3.0]) == [6.0]
-        assert _smul_mat([[0.0]], [[[U, U]]]) == [[[0.0, 0.0]]]
-        assert _smul_mat([[U]], [[[0.0, 0.0]]]) == [[[0.0, 0.0]]]
-        assert _mul_smat([[[U]]], [[0.0]]) == [[[0.0]]]
-        assert _mul_smat([[[0.0]]], [[U]]) == [[[0.0]]]
+        # scalars as 0-forms, on either side of the product
+        assert mat_mul_wedge(2, 0, 1, [[[0.0]]], [[[U, U]]]) == [[[0.0, 0.0]]]
+        assert mat_mul_wedge(2, 0, 1, [[[U]]], [[[0.0, 0.0]]]) == [[[0.0, 0.0]]]
+        assert mat_mul_wedge(1, 1, 0, [[[U]]], [[[0.0]]]) == [[[0.0]]]
+        assert mat_mul_wedge(1, 1, 0, [[[0.0]]], [[[U]]]) == [[[0.0]]]
 
-    def test_zero_matrix_product_returns_at_once(self, monkeypatch):
+    def test_zero_matrix_product_multiplies_nothing(self, monkeypatch):
         calls = [0]
         mul = Dual.__mul__
 
@@ -366,19 +365,45 @@ class TestStructuralZeros:
 
         monkeypatch.setattr(Dual, "__mul__", counting)
         monkeypatch.setattr(Dual, "__rmul__", counting)
-        S = [[Dual(np.ones(2), np.ones(2)) for _ in range(3)] for _ in range(3)]
+        S0 = zero_forms([[Dual(np.ones(2), np.ones(2)) for _ in range(3)] for _ in range(3)])
         M = [[[0.0, 0.0] for _ in range(3)] for _ in range(3)]
-        for out in (_smul_mat(S, M), _mul_smat(M, S), _smul_mat(S, M, upper=True)):
-            assert out == M
+        assert mat_mul_wedge(2, 0, 1, S0, M) == M
+        assert mat_mul_wedge(2, 1, 0, M, S0) == M
         assert calls[0] == 0
-        # no entry of the scalar matrix is read, not even to test it for zero
-        assert _smul_mat(Unread(S), M) == M and _mul_smat(M, Unread(S)) == M
 
-    def test_upper_product_leaves_the_rest_zero(self):
-        S = [[1.0, 2.0], [3.0, 4.0]]
-        M = [[[1.0], [0.5]], [[2.0], [-1.0]]]
-        assert _smul_mat(S, M, upper=True) == [[[0.0], [-1.5]], [[0.0], [0.0]]]
-        assert _mul_smat(M, S, upper=True) == [[[0.0], [4.0]], [[0.0], [0.0]]]
+    def test_scalar_products_match_an_explicit_sum_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+
+        def entry():
+            return Dual(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, (3, 4)))
+
+        # three or more live terms per entry, so that the summation order shows
+        m, n, p = 4, 3, 1
+        S = [[0.0 if (i + j) % 4 == 0 else entry() for j in range(m)] for i in range(m)]
+        M = [[[0.0 if (i + j + c) % 5 == 1 else entry() for c in range(n)]
+              for j in range(m)] for i in range(m)]
+
+        def explicit(term):
+            # sum_j term(i, j, k, c) in ascending j, structural zeros skipped
+            out = [[[0.0] * n for _ in range(m)] for _ in range(m)]
+            for i in range(m):
+                for k in range(m):
+                    for j in range(m):
+                        for c in range(n):
+                            out[i][k][c] = plus(out[i][k][c], term(i, j, k, c))
+            return out
+
+        left = explicit(lambda i, j, k, c: times(S[i][j], M[j][k][c]))
+        right = explicit(lambda i, j, k, c: times(M[i][j][c], S[j][k]))
+        for got, ref in ((mat_mul_wedge(n, 0, p, zero_forms(S), M), left),
+                         (mat_mul_wedge(n, p, 0, M, zero_forms(S)), right)):
+            for u, v in ((u, v) for r1, r2 in zip(got, ref) for e1, e2 in zip(r1, r2)
+                         for u, v in zip(e1, e2)):
+                assert type(u) is type(v)
+                if isinstance(u, Dual):
+                    assert np.array_equal(u.a, v.a) and np.array_equal(u.b, v.b)
+                else:
+                    assert u == v == 0.0
 
     def test_nan_in_a_live_factor_survives(self):
         v = np.array([1.0, math.nan])

@@ -16,7 +16,7 @@ import numpy as np
 import numpy.polynomial.legendre
 import pytest
 
-from cgbv.errors import ChartError, DegreeError
+from cgbv.errors import ChartError, DegreeError, ShapeError
 from cgbv.forms import Form, SmoothMap, det
 from cgbv.geometry import (ChartDomain, FiberBundleDomain, _leggauss,
                            stokes_residual as residual_op, unit_sphere_point)
@@ -241,6 +241,20 @@ class TestValidation:
         disk = ChartDomain.ball(2)
         with pytest.raises(ChartError):
             disk.integrate(Form.constant(3, 2, [0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("domain", [
+        ChartDomain.box("Q", [(0.0, 1.0), (0.0, 1.0)], [4, 4]), ChartDomain.ball(2)])
+    def test_integral_checks_coefficient_count(self, domain):
+        # a chart without an embedding integrates the caller's form itself
+        with pytest.raises(ShapeError):
+            domain.integrate(Form(2, 2, lambda x: [1.0, 99.0]))
+
+    def test_fiber_integral_checks_coefficient_count(self):
+        bundle = FiberBundleDomain(ChartDomain.interval("t", 0.0, 1.0, 4),
+                                   ChartDomain.interval("x", 0.0, 1.0, 4))
+        out = bundle.fiber_integrate(Form(2, 1, lambda x: [1.0, 0.0, 0.0]))
+        with pytest.raises(ShapeError):
+            out([0.5])
 
 
 class TestStokesResidualModes:
