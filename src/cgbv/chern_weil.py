@@ -176,8 +176,11 @@ def _simplex_nodes(q: int, order: int):
 
     q = 1 is the unit interval, l = (1-t, t).  q = 2 is the triangle
     {s,t >= 0, s+t <= 1} through the square substitution
-    (u,v) -> (u(1-v), uv) with Jacobian u, orientation ds^dt.
+    (u,v) -> (u(1-v), uv) with Jacobian u, orientation ds^dt.  No other
+    simplex has a rule: any other q raises :class:`ShapeError`.
     """
+    if q not in (1, 2):
+        raise ShapeError(f"no Gauss rule on the {q}-simplex, only on q = 1 and 2")
     xs, ws = gauss_nodes(order, 0.0, 1.0)
     if q == 1:
         return [((1.0 - t, t), w) for t, w in zip(xs, ws)]

@@ -13,10 +13,12 @@ of the derivative slots, so ``d``, a matrix ``d`` and a Jacobian run their
 closure once per evaluation and read every direction back in one walk
 (:func:`cgbv.dual.directions`).  :meth:`SmoothMap.jacobian` returns values
 and first derivatives from that one lifted pass, the values read from its
-value slots; a :class:`MatrixForm` built with ``closed_d`` returns its
-``d`` in closed form instead (the split connections of
-:mod:`cgbv.bundles`).  Sums are ``a = a + b``: an in-place ``+=`` cannot
-widen (B, 1) base points against F fiber nodes, nor one draw against R.
+value slots; a map built with ``jac`` returns its Jacobian in closed form
+instead (the chart embeddings of :mod:`cgbv.geometry`), as a
+:class:`MatrixForm` built with ``closed_d`` returns its ``d`` (the split
+connections of :mod:`cgbv.bundles`).  Sums are ``a = a + b``: an in-place
+``+=`` cannot widen (B, 1) base points against F fiber nodes, nor one draw
+against R.
 
 Every form and matrix form carries a structural ``width``, the array
 entries one evaluation holds per node or sample point, up to a constant: 1
@@ -337,14 +339,19 @@ def pullback_coeffs(p: int, J, coeffs: list, n_dst: int, n_src: int) -> list:
 class SmoothMap:
     """Map between charts given by a plain callable on coordinate lists.
 
-    The callable must accept Dual entries; every Jacobian in the package is
-    extracted from it by forward-mode differentiation.
+    The callable must accept Dual entries.  Its Jacobian comes from
+    forward-mode differentiation, unless ``jac`` gives it in closed form:
+    ``jac(x)`` returns the values and the dst_dim x src_dim matrix of
+    partials, the values from the same expressions as ``fn`` (the chart
+    embeddings of :mod:`cgbv.geometry`), as ``closed_d`` does for a
+    :class:`MatrixForm`.
     """
 
-    def __init__(self, src_dim: int, dst_dim: int, fn):
+    def __init__(self, src_dim: int, dst_dim: int, fn, jac=None):
         self.src_dim = src_dim
         self.dst_dim = dst_dim
         self.fn = fn
+        self.jac = jac
 
     def __call__(self, x):
         y = self.fn(list(x))
@@ -353,14 +360,20 @@ class SmoothMap:
         return y
 
     def jacobian(self, x):
-        """Values at x and the dst_dim x src_dim matrix of partials, from one dual pass.
+        """Values at x and the dst_dim x src_dim matrix of partials.
 
-        Every column rides on the leading direction axis of the derivative
-        slots, so the map runs once whatever the source dimension, and the
-        value slots of that pass are the values: ``jacobian(x)[0]`` equals
-        ``self(x)``.  This is the one place a callable is lifted for its
-        first derivatives.
+        A map built with ``jac`` evaluates it.  Otherwise every column rides
+        on the leading direction axis of the derivative slots of one dual
+        pass, so the map runs once whatever the source dimension, and the
+        value slots of that pass are the values.  Either way
+        ``jacobian(x)[0]`` equals ``self(x)``.  This is the one place a map
+        is lifted for its first derivatives.
         """
+        if self.jac is not None:
+            y, J = self.jac(list(x))
+            if len(y) != self.dst_dim:
+                raise ShapeError(f"map returned {len(y)} components, expected {self.dst_dim}")
+            return y, J
         levels = _levels(x)
         y = self(lift_point(x, range(self.src_dim)))
         return ([value(c) for c in y],
@@ -373,7 +386,8 @@ class SmoothMap:
 
     @staticmethod
     def identity(n: int) -> "SmoothMap":
-        return SmoothMap(n, n, lambda x: list(x))
+        eye = tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
+        return SmoothMap(n, n, lambda x: list(x), lambda x: (list(x), eye))
 
 
 class Form:

@@ -4,9 +4,15 @@ A :class:`ChartDomain` is a reference box together with an embedding into
 the ambient coordinates its forms are written in, plus a global orientation
 sign.  A 0-dimensional box is a signed point: S^0 is
 ``ChartDomain.ball(1).boundary_faces()``, the point +r with sign +1 and
--r with sign -1.  Integration pulls the form back along the
-embedding and applies tensor Gauss-Legendre quadrature, so every integral
-in the package reduces to polynomial-exact rules on boxes.
+-r with sign -1.  Integration pulls the form back along the embedding
+and applies tensor Gauss-Legendre quadrature, so every integral in the
+package reduces to polynomial-exact rules on boxes.  Per block of nodes it
+takes the embedding's values and Jacobian once and pulls the form's
+coefficients back through the minors of that Jacobian.  Balls, spheres,
+annuli, products and identity embeddings give their Jacobians in closed
+form (one recursion beside :func:`unit_sphere_point`, block diagonal for a
+product), so a chart integral lifts no point; box faces, slices and user
+maps take one lifted pass (:meth:`cgbv.forms.SmoothMap.jacobian`).
 
 Evaluation model: a form closure, an embedding and a section receive a
 point as a list of coordinates, each a float or a numpy array.  A block of
@@ -25,11 +31,13 @@ arguments.  Nor may they write into a block: quadrature blocks are views
 of a rule shared by every chart with the same bounds and orders, and are
 read-only.
 
-A fiber integral is a chart integral over the fiber, its base point given a
-trailing axis (:func:`cgbv.dual.trailing`): a block of B base points meets F
-fiber nodes as (B, F) arrays, and a dual base point passes through.  The
-fiber blocks count the entries each base point brings, so base times fiber
-entries stay within the same budget.
+A fiber integral runs the chart integral's block loop over the fiber, its
+base point given a trailing axis (:func:`cgbv.dual.trailing`): a block of B
+base points meets F fiber nodes as (B, F) arrays, and a dual base point
+passes through.  Each block of fiber nodes evaluates the total-space form
+and the fiber embedding's Jacobian once and reduces every output
+coefficient from them.  The fiber blocks count the entries each base point
+brings, so base times fiber entries stay within the same budget.
 
 Orientation conventions, pinned once and tested:
 
@@ -56,7 +64,8 @@ import numpy as np
 
 from .dual import cos, entries, node_sum, sin, trailing
 from .errors import ChartError, DegreeError
-from .forms import Form, SmoothMap, block_size, combos, combo_index
+from .forms import (Form, SmoothMap, block_size, combos, combo_index, det,
+                    plus, times)
 
 
 def _legendre(order: int, x):
@@ -121,6 +130,36 @@ def unit_sphere_point(angles):
     return [c] + [s * v for v in inner]
 
 
+def _sphere_jet(angles):
+    """:func:`unit_sphere_point` and its m x (m-1) matrix of partials.
+
+    The same recursion, cos and sin taken once per angle: u = (c, s v)
+    has the column (-s, c v) for the first angle and (0, s dv) for the
+    others, the 0 a structural zero.  Dual-number safe.
+    """
+    c, s = cos(angles[0]), sin(angles[0])
+    if len(angles) == 1:
+        return [c, s], [[-s], [c]]
+    inner, dinner = _sphere_jet(angles[1:])
+    return ([c] + [s * v for v in inner],
+            [[-s] + [0.0] * (len(angles) - 1)]
+            + [[c * v] + [times(s, e) for e in row] for v, row in zip(inner, dinner)])
+
+
+def _polar_map(m: int) -> SmoothMap:
+    """(r, angles) -> r * unit_sphere_point(angles), with its Jacobian in closed form."""
+    def fn(ra):
+        return [ra[0] * v for v in unit_sphere_point(ra[1:])]
+
+    def jac(ra):
+        r = ra[0]
+        u, du = _sphere_jet(ra[1:])
+        return ([r * v for v in u],
+                [[v] + [times(r, e) for e in row] for v, row in zip(u, du)])
+
+    return SmoothMap(m, m, fn, jac)
+
+
 def sphere_bounds(m: int):
     """Reference bounds for the m-1 angles of S^(m-1) in R^m."""
     return [(0.0, math.pi)] * (m - 2) + [(0.0, 2.0 * math.pi)]
@@ -179,8 +218,13 @@ class ChartDomain:
             raise ChartError(
                 f"sphere needs ambient dimension >= 2, got {m}; "
                 "S^0 is ChartDomain.ball(1).boundary_faces()")
+        def jac(a):
+            u, du = _sphere_jet(a)
+            return ([radius * v for v in u],
+                    [[times(radius, e) for e in row] for row in du])
+
         embed = SmoothMap(m - 1, m,
-                          lambda a: [radius * v for v in unit_sphere_point(a)])
+                          lambda a: [radius * v for v in unit_sphere_point(a)], jac)
         return ChartDomain(name, "sphere", m - 1, m, sphere_bounds(m),
                            [order] * (m - 1), embed)
 
@@ -192,8 +236,7 @@ class ChartDomain:
         name = name or f"D{m}"
         if m == 1:
             return ChartDomain.box(name, [(-radius, radius)], [order])
-        embed = SmoothMap(m, m,
-                          lambda ra: [ra[0] * v for v in unit_sphere_point(ra[1:])])
+        embed = _polar_map(m)
         bounds = [(0.0, radius)] + sphere_bounds(m)
 
         def boundary():
@@ -208,8 +251,7 @@ class ChartDomain:
         """Radial shell; outer sphere +1, inner sphere -1 on the boundary."""
         m = ambient_dim
         name = name or f"shell{m}"
-        embed = SmoothMap(m, m,
-                          lambda ra: [ra[0] * v for v in unit_sphere_point(ra[1:])])
+        embed = _polar_map(m)
         bounds = [(r_inner, r_outer)] + sphere_bounds(m)
 
         def boundary():
@@ -230,7 +272,14 @@ class ChartDomain:
         def fn(x):
             return ea.fn(x[:da]) + eb.fn(x[da:])
 
-        embed = SmoothMap(a.dim + b.dim, na + nb, fn)
+        def jac(x):
+            # block diagonal, the off-diagonal blocks structural zeros
+            ya, Ja = ea.jacobian(x[:da])
+            yb, Jb = eb.jacobian(x[da:])
+            za, zb = [0.0] * b.dim, [0.0] * da
+            return ya + yb, [list(r) + za for r in Ja] + [zb + list(r) for r in Jb]
+
+        embed = SmoothMap(a.dim + b.dim, na + nb, fn, jac)
 
         def boundary():
             faces = [ChartDomain.product(fa, b) for fa in a.boundary_faces()]
@@ -262,7 +311,7 @@ class ChartDomain:
 
     def embedding(self) -> SmoothMap:
         """Reference to ambient coordinates; the identity without an embedding."""
-        return self.embed or SmoothMap(self.dim, self.ambient_dim, lambda x: list(x))
+        return self.embed or SmoothMap.identity(self.dim)
 
     # ------------------------------------------------------------------
     # integration
@@ -285,14 +334,44 @@ class ChartDomain:
         if form.p != self.dim:
             raise DegreeError(
                 f"degree {form.p} form cannot be integrated over {self.dim}-dimensional {self.name}")
-        pulled = form.pullback(self.embed) if self.embed is not None else form
+        return self._integrate_rows(form, [range(len(combos(form.n, form.p)))],
+                                    form.width)[0]
+
+    def _integrate_rows(self, comps, rows, width: int) -> list:
+        """Integrals of several top-degree forms that share one evaluation.
+
+        ``comps(y)`` gives coefficients at ambient points y; each row lists
+        the positions in them of one form's coefficients, aligned with
+        ``combos(ambient_dim, dim)``.  Per block of nodes the embedding's
+        values and Jacobian and ``comps`` are evaluated once, and every row
+        is pulled back through the same minors of that Jacobian, in the
+        order of :func:`cgbv.forms.pullback_coeffs`.  Blocks are sized for
+        ``width`` as the pullback of a form of that width would be.
+        """
+        k, embed = self.dim, self.embed
+        pulled = embed is not None and k > 0
         coords, weights = self.nodes()
-        step = block_size(pulled.width)
-        total = 0.0
+        step = block_size(width * (k if pulled else 1))
+        totals = [0.0] * len(rows)
         for s in range(0, len(weights), step):
             block = [c[None, s:s + step] for c in coords]
-            total = total + node_sum(weights[s:s + step], pulled(block)[0])
-        return self.orientation * total
+            if not pulled:
+                vals = comps(block if embed is None else embed(block))
+                tops = [vals[row[0]] for row in rows]
+            else:
+                y, J = embed.jacobian(block)
+                vals = comps(y)
+                minors = [det([[J[r][c] for c in range(k)] for r in I])
+                          for I in combos(self.ambient_dim, k)]
+                tops = []
+                for row in rows:
+                    acc = 0.0
+                    for i, minor in zip(row, minors):
+                        acc = plus(acc, times(vals[i], minor))
+                    tops.append(acc)
+            w = weights[s:s + step]
+            totals = [t + node_sum(w, f) for t, f in zip(totals, tops)]
+        return [self.orientation * t for t in totals]
 
     def boundary_faces(self):
         """Oriented codimension-one faces; empty for closed domains."""
@@ -358,8 +437,10 @@ class FiberBundleDomain:
         """Integrate the front block of a total-space form over the fiber.
 
         The result is the base form whose dx_I coefficient is the fiber
-        integral of the dt_1..dt_f ^ dx_I coefficient, dt the fiber block,
-        each one :meth:`ChartDomain.integrate` over the fiber.  A result
+        integral of the dt_1..dt_f ^ dx_I coefficient, dt the fiber block.
+        All of them come from one pass over the fiber's nodes, which
+        evaluates the form and the fiber embedding's Jacobian once per
+        block of fiber nodes (:meth:`ChartDomain._integrate_rows`).  A result
         degree outside 0..base dimension, negative below the fiber
         dimension, gives the zero form of that degree.  One evaluation at a
         base point holds every fiber node, so the result's width is the
@@ -380,16 +461,10 @@ class FiberBundleDomain:
         rows = [[idx_tot[K + tuple(i + fa for i in I)] for K in combos(fa, fd)]
                 for I in combos(nb, p_out)]
 
-        def front_block(row, tail, width):
-            def comps(v):
-                vals = form(list(v) + tail)
-                return [vals[i] for i in row]
-            return Form(fa, fd, comps, width)
-
         def comps(y):
             tail = [trailing(c) for c in y]
             width = form.width * max((entries(c) for c in y), default=1)
-            return [self.fiber.integrate(front_block(row, tail, width)) for row in rows]
+            return self.fiber._integrate_rows(lambda v: form(list(v) + tail), rows, width)
 
         return Form(nb, p_out, comps, form.width * math.prod(self.fiber.orders))
 

@@ -21,8 +21,9 @@ import random
 import numpy as np
 
 from .errors import (BoundaryZeroError, ChartError, DegreeError,
-                     HomotopyError, TransversalityError)
-from .forms import Form, SmoothMap, as_block
+                     HomotopyError, ShapeError, TransversalityError)
+from .forms import (Form, SmoothMap, _wedge_into, as_block, pullback_coeffs,
+                    scale_coeffs, wedge_table, zero_coeffs)
 from .geometry import ChartDomain
 
 
@@ -172,36 +173,85 @@ def _check_boundary_compat(phi: SmoothMap, t: float, source: RelativeDomain,
     target.flows_checked.add((phi, t, source))
 
 
-def _cylinder_pairing(phi: SmoothMap, t: float, p: FormPair, eta: Form,
-                      source: RelativeDomain, target: RelativeDomain,
-                      pair_map: SmoothMap, eta_map: SmoothMap) -> tuple:
-    """Both cylinder integrals of a pair and a test form over [0,t] x source.
+def _pulled_wedges(terms, pair_map: SmoothMap, eta_map: SmoothMap) -> Form:
+    """sum of c * pair_map^*a ^ eta_map^*b over the (c, a, b) terms, one form.
 
-    The pair is pulled back along ``pair_map`` and the test form along
+    Each map's values and Jacobian are taken once per evaluation, whatever
+    the number of terms, and only for a map that some term pulls back in
+    positive degree.
+    """
+    n = pair_map.src_dim
+    if any(a.n != pair_map.dst_dim or b.n != eta_map.dst_dim for _, a, b in terms):
+        raise ShapeError("pullback target dimension mismatch")
+    deg = terms[0][1].p + terms[0][2].p
+    need_pair = any(a.p for _, a, _ in terms)
+    need_eta = any(b.p for _, _, b in terms)
+
+    def pulled(phi, need, u):
+        return phi.jacobian(u) if need else (phi(u), None)
+
+    def comps(u):
+        ya, Ja = pulled(pair_map, need_pair, u)
+        yb, Jb = pulled(eta_map, need_eta, u)
+        out = zero_coeffs(n, deg)
+        for c, a, b in terms:
+            ca = pullback_coeffs(a.p, Ja, a(ya), a.n, n)
+            cb = pullback_coeffs(b.p, Jb, b(yb), b.n, n)
+            if c != 1.0:
+                ca = scale_coeffs(c, ca)
+            _wedge_into(out, wedge_table(n, a.p, b.p), ca, cb)
+        return out
+
+    width = max(max(a.width * (n if a.p else 1), b.width * (n if b.p else 1))
+                for _, a, b in terms)
+    return Form(n, deg, comps, width)
+
+
+def _cylinder_pairing(phi: SmoothMap, t: float, terms, source: RelativeDomain,
+                      target: RelativeDomain, pair_map: SmoothMap,
+                      eta_map: SmoothMap) -> tuple:
+    """Both cylinder integrals of a sum of (coefficient, pair, test form) terms.
+
+    Each pair is pulled back along ``pair_map`` and its test form along
     ``eta_map``, one of them the flow and the other the projection that
-    drops the parameter.  Returns (-int_{[0,t] x B} omega_c ^ eta_c,
-    sum over the faces of int_{[0,t] x face} gamma_c ^ eta_c).  The flow
-    parameter takes 10 Gauss nodes: the flow is not polynomial in it, so
-    no exact rule exists.
+    drops the parameter.  Returns (-int_{[0,t] x B} sum c omega_c ^ eta_c,
+    sum over the faces of int_{[0,t] x face} sum c gamma_c ^ eta_c), each
+    sum one integrand (:func:`_pulled_wedges`).  The flow parameter takes
+    10 Gauss nodes: the flow is not polynomial in it, so no exact rule
+    exists.
     """
     if (phi.src_dim != source.ambient_dim + 1
             or phi.dst_dim != target.ambient_dim):
         raise ChartError("flow does not map the source cylinder to the target chart")
-    if p.omega.p + eta.p != source.dim + 1:
-        raise DegreeError(
-            f"cylinder pairing needs degree {source.dim + 1 - p.omega.p} "
-            f"test forms, got {eta.p}")
+    for _, p, eta in terms:
+        if p.omega.p + eta.p != source.dim + 1:
+            raise DegreeError(
+                f"cylinder pairing needs degree {source.dim + 1 - p.omega.p} "
+                f"test forms, got {eta.p}")
     _check_boundary_compat(phi, t, source, target)
     seg = ChartDomain.interval("s", 0.0, t, 10)
-    eta_c = eta.pullback(eta_map)
-    first = -ChartDomain.product(seg, source.manifold).integrate(
-        p.omega.pullback(pair_map).wedge(eta_c))
+    first = -ChartDomain.product(seg, source.manifold).integrate(_pulled_wedges(
+        [(c, p.omega, eta) for c, p, eta in terms], pair_map, eta_map))
     second = 0.0
-    if p.gamma is not None:
-        gpull = p.gamma.pullback(pair_map)
+    edge = [(c, p.gamma, eta) for c, p, eta in terms if p.gamma is not None]
+    if edge:
+        integrand = _pulled_wedges(edge, pair_map, eta_map)
         for face in source.faces:
-            second += ChartDomain.product(seg, face).integrate(gpull.wedge(eta_c))
+            second += ChartDomain.product(seg, face).integrate(integrand)
     return first, second
+
+
+def _operator_I(phi: SmoothMap, t: float, terms, source: RelativeDomain) -> tuple:
+    """The first operator on a sum of terms: pairs pulled back along the flow."""
+    return _cylinder_pairing(phi, t, terms, source, terms[0][1].domain, phi,
+                             _drop_first(source.ambient_dim))
+
+
+def _operator_II(phi: SmoothMap, t: float, terms, target: RelativeDomain) -> tuple:
+    """The second operator on a sum of terms: test forms pulled back along the flow."""
+    source = terms[0][1].domain
+    return _cylinder_pairing(phi, t, terms, source, target,
+                             _drop_first(source.ambient_dim), phi)
 
 
 def homotopy_TI(phi: SmoothMap, t: float, p: FormPair, eta: Form,
@@ -211,8 +261,7 @@ def homotopy_TI(phi: SmoothMap, t: float, p: FormPair, eta: Form,
     The value is -int_{[0,t] x B} phi^*omega ^ pr^*eta plus the boundary
     cylinder integral of phi^*gamma ^ pr^*eta, pr the projection to B.
     """
-    first, second = _cylinder_pairing(phi, t, p, eta, source, p.domain, phi,
-                                      _drop_first(source.ambient_dim))
+    first, second = _operator_I(phi, t, [(1.0, p, eta)], source)
     return first + second
 
 
@@ -223,9 +272,7 @@ def homotopy_TII(phi: SmoothMap, t: float, eta: Form, p: FormPair,
     Returns (-int_{[0,t] x B} pr^*omega ^ phi^*eta,
              int_{[0,t] x bB} pr^*gamma ^ phi^*eta).
     """
-    source = p.domain
-    return _cylinder_pairing(phi, t, p, eta, source, target,
-                             _drop_first(source.ambient_dim), phi)
+    return _operator_II(phi, t, [(1.0, p, eta)], target)
 
 
 def homotopy_defect_I(phi: SmoothMap, t: float, p: FormPair, eta: Form,
@@ -234,12 +281,13 @@ def homotopy_defect_I(phi: SmoothMap, t: float, p: FormPair, eta: Form,
 
     The operator applied to the differentiated pair, plus (-1)^(k-1) times
     the operator transposed onto d(eta), must equal the difference of the
-    endpoint pairings.
+    endpoint pairings.  Both operators are one cylinder integrand.
     """
     k = p.degree
     sign = 1.0 if (k - 1) % 2 == 0 else -1.0
-    lhs = homotopy_TI(phi, t, pair_d(p), eta, source)
-    lhs += sign * homotopy_TI(phi, t, p, eta.d(), source)
+    first, second = _operator_I(phi, t, [(1.0, pair_d(p), eta), (sign, p, eta.d())],
+                                source)
+    lhs = first + second
     end = lefschetz_I(pair_pullback(p, slice_map(phi, t), source), eta)
     start = lefschetz_I(pair_pullback(p, slice_map(phi, 0.0), source), eta)
     return abs(lhs - (end - start))
@@ -253,16 +301,17 @@ def homotopy_defect_II(phi: SmoothMap, t: float, eta: Form, p: FormPair,
     (-1)^(a+1) T(d eta) + T(eta) on the differentiated pair
     = endpoint pairing difference.  The exponent a+1 is forced by Stokes
     on the two cylinders once the transpositions above are fixed; see the
-    sign derivation exercised in the tests.
+    sign derivation exercised in the tests.  Both operators are one
+    cylinder integrand.
     """
     a = p.degree
     if a + eta.p != p.domain.dim:
         raise DegreeError(
             f"identity needs a degree {p.domain.dim - a} test form, got {eta.p}")
     sign = 1.0 if (a + 1) % 2 == 0 else -1.0
-    lhs1 = homotopy_TII(phi, t, eta.d(), p, target)
-    lhs2 = homotopy_TII(phi, t, eta, pair_d(p), target)
-    lhs = sign * (lhs1[0] + lhs1[1]) + lhs2[0] + lhs2[1]
+    first, second = _operator_II(phi, t, [(sign, p, eta.d()), (1.0, pair_d(p), eta)],
+                                 target)
+    lhs = first + second
 
     def endpoint(s: float) -> float:
         return sum(lefschetz_II(eta.pullback(slice_map(phi, s)), p))

@@ -353,6 +353,14 @@ class TestExactSimplexRule:
             x = [rng.uniform(-1, 1) for _ in range(5)]
             assert max(abs(a - b) for a, b in zip(exact(x), ref(x))) <= 1e-14
 
+    def test_tetrahedron_has_no_rule(self):
+        # four rank-6 vertices on R^4: q = 3 <= k, so the kernel needs a rule
+        # on the 3-simplex, which it does not have
+        rng = random.Random(20)
+        cs = [random_skew(4, 6, rng) for _ in range(4)]
+        with pytest.raises(ShapeError, match="3-simplex"):
+            chern_weil._simplex_transgression(cs, None)
+
     def test_rank6_one_node_fewer_is_not_exact(self):
         short = self.build("path", 5, 6, random.Random(17), order=2)
         exact = self.build("path", 5, 6, random.Random(17))

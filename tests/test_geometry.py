@@ -16,8 +16,10 @@ import numpy as np
 import numpy.polynomial.legendre
 import pytest
 
+from cgbv import forms
+from cgbv.dual import Dual, deriv, value
 from cgbv.errors import ChartError, DegreeError, ShapeError
-from cgbv.forms import Form, SmoothMap, det
+from cgbv.forms import Form, SmoothMap, combos, det, lift_point
 from cgbv.geometry import (ChartDomain, FiberBundleDomain, _leggauss,
                            stokes_residual as residual_op, unit_sphere_point)
 
@@ -229,6 +231,113 @@ class TestFiberIntegration:
         lhs = bundle.total.integrate(w.wedge(eta.pullback(bundle.projection())))
         rhs = base.integrate(bundle.fiber_integrate(w).wedge(eta))
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    def test_one_evaluation_per_fiber_block(self):
+        # a degree-1 result on a plane base has two coefficients, and the 8
+        # nodes of the fiber circle are one block: the total-space closure
+        # runs once per base point, not once per coefficient
+        calls = []
+
+        def comps(x):
+            calls.append(1)
+            return [x[0] * x[2], x[1] * x[3], x[0], x[1], x[2] * x[3], x[0] * x[1]]
+
+        fiber = ChartDomain.sphere(2, order=8)
+        bundle = FiberBundleDomain(fiber, ChartDomain.box("xy", [(0.0, 1.0)] * 2))
+        out = bundle.fiber_integrate(Form(4, 2, comps))
+        assert len(out([0.3, 0.6])) == 2
+        assert len(calls) == 1
+        # and one per block of a (1, N) block of base points
+        calls.clear()
+        out([np.full((1, 5), 0.3), np.full((1, 5), 0.6)])
+        assert len(calls) == 1
+
+
+def lifted_reference(smap: SmoothMap) -> SmoothMap:
+    """The same map without its closed-form Jacobian: one lifted dual pass."""
+    return SmoothMap(smap.src_dim, smap.dst_dim, smap.fn)
+
+
+def paired_slots(a, b) -> list:
+    """(slot of a, slot of b) pairs, depth first through duals; a plain
+    entry facing a dual stands for a dual whose derivative slots are 0."""
+    if isinstance(a, Dual) or isinstance(b, Dual):
+        return paired_slots(value(a), value(b)) + paired_slots(deriv(a), deriv(b))
+    return [(np.asarray(a, dtype=float), np.asarray(b, dtype=float))]
+
+
+CLOSED_FORM_CHARTS = {
+    "ball2": lambda: ChartDomain.ball(2, order=4),
+    "ball3": lambda: ChartDomain.ball(3, order=4),
+    "ball4": lambda: ChartDomain.ball(4, order=3),
+    "sphere2": lambda: ChartDomain.sphere(2, radius=1.5, order=4),
+    "sphere3": lambda: ChartDomain.sphere(3, order=4),
+    "sphere4": lambda: ChartDomain.sphere(4, order=3),
+    "annulus": lambda: ChartDomain.annulus(0.5, 2.0, order=4),
+    "interval-x-ball2": lambda: ChartDomain.product(
+        ChartDomain.interval("s", 0.0, 0.7, 4), ChartDomain.ball(2, order=4)),
+    "ball2-x-sphere2": lambda: ChartDomain.product(
+        ChartDomain.ball(2, order=3), ChartDomain.sphere(2, order=3)),
+}
+
+
+class TestClosedFormJacobians:
+    """Chart embeddings give their Jacobians in closed form; those agree
+    with one lifted dual pass of the same map."""
+
+    @staticmethod
+    def points(chart, kind):
+        rng = random.Random(chart.dim)
+        pts = chart.sample_ref_points(rng, 5)
+        if kind == "float":
+            return pts[0]
+        block = [np.array([p[i] for p in pts])[None] for i in range(chart.dim)]
+        if kind == "block":
+            return block
+        return lift_point(block, range(chart.dim))
+
+    @pytest.mark.parametrize("kind", ["float", "block", "lifted"])
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_CHARTS))
+    def test_matches_lifted_pass(self, name, kind):
+        chart = CLOSED_FORM_CHARTS[name]()
+        x = self.points(chart, kind)
+        y, J = chart.embed.jacobian(x)
+        y_ref, J_ref = lifted_reference(chart.embed).jacobian(x)
+        assert len(y) == chart.ambient_dim and len(J) == chart.ambient_dim
+        for a, b in zip(y, y_ref):
+            assert all(np.array_equal(u, v) for u, v in paired_slots(a, b))
+        for row, row_ref in zip(J, J_ref):
+            assert len(row) == len(row_ref) == chart.dim
+            for a, b in zip(row, row_ref):
+                for u, v in paired_slots(a, b):
+                    assert np.max(np.abs(u - v), initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_CHARTS))
+    def test_values_are_the_embedding(self, name):
+        chart = CLOSED_FORM_CHARTS[name]()
+        x = self.points(chart, "block")
+        y = chart.embed.jacobian(x)[0]
+        assert all(np.array_equal(a, b) for a, b in zip(y, chart.embed(x)))
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_CHARTS))
+    def test_integral_lifts_no_point(self, name, monkeypatch):
+        chart = CLOSED_FORM_CHARTS[name]()
+        calls = []
+        lift = forms.lift_point
+        monkeypatch.setattr(forms, "lift_point",
+                            lambda x, dirs: calls.append(1) or lift(x, dirs))
+        n, k = chart.ambient_dim, chart.dim
+        w = Form(n, k, lambda x: [x[0] * x[-1] + 1.0] * len(combos(n, k)))
+        assert math.isfinite(chart.integrate(w))
+        assert calls == []
+
+    def test_product_off_diagonal_blocks_are_structural_zeros(self):
+        chart = CLOSED_FORM_CHARTS["ball2-x-sphere2"]()
+        J = chart.embed.jacobian(self.points(chart, "block"))[1]
+        assert all(J[r][c] == 0.0 and type(J[r][c]) is float
+                   for r in range(2) for c in range(2, 3))
+        assert all(J[r][c] == 0.0 and type(J[r][c]) is float
+                   for r in range(2, 4) for c in range(2))
 
 
 class TestValidation:

@@ -303,6 +303,31 @@ class TestHomotopyOperators:
             eta = affine_form(2, dom.dim - a, rng)
             assert homotopy_defect_II(phi, 0.6, eta, p, dom) <= 1e-6
 
+    @pytest.mark.parametrize("identity", ["I", "II"])
+    def test_one_flow_jacobian_per_cylinder_block(self, identity):
+        # at order 3, [0,t] x disk has 90 nodes and [0,t] x circle 30, one
+        # block each: both operators of an identity share one integrand per
+        # cylinder, so the flow's Jacobian runs once per cylinder chart
+        class CountingMap(SmoothMap):
+            def __init__(self, inner):
+                super().__init__(inner.src_dim, inner.dst_dim, inner.fn)
+                self.calls = 0
+
+            def jacobian(self, x):
+                self.calls += 1
+                return super().jacobian(x)
+
+        rng = random.Random(139)
+        dom = disk_domain(order=3)
+        phi = CountingMap(twist_flow())
+        p = affine_pair(dom, 1, rng)
+        eta = affine_form(2, 1, rng)
+        if identity == "I":
+            homotopy_defect_I(phi, 0.6, p, eta, dom)
+        else:
+            homotopy_defect_II(phi, 0.6, eta, p, dom)
+        assert phi.calls == 1 + len(dom.faces)
+
     def test_second_identity_sign_has_teeth(self):
         # flipping the transposition sign must break the identity
         rng = random.Random(137)
