@@ -13,10 +13,13 @@ of the derivative slots, so ``d``, a matrix ``d`` and a Jacobian run their
 closure once per evaluation and read every direction back in one walk
 (:func:`cgbv.dual.directions`).  :meth:`SmoothMap.jacobian` returns values
 and first derivatives from that one lifted pass, the values read from its
-value slots; a map built with ``jac`` returns its Jacobian in closed form
+value slots; a map built from ``jac`` alone returns both in closed form
 instead (the chart embeddings of :mod:`cgbv.geometry`), as a
 :class:`MatrixForm` built with ``closed_d`` returns its ``d`` (the split
-connections of :mod:`cgbv.bundles`).  Sums are ``a = a + b``: an in-place
+connections of :mod:`cgbv.bundles`).  Every pullback in positive degree,
+of a form, a matrix form, a chart integrand or a cylinder integrand, takes
+one :func:`minors` table per Jacobian and pulls coefficients back through
+it with :func:`contract`.  Sums are ``a = a + b``: an in-place
 ``+=`` cannot widen (B, 1) base points against F fiber nodes, nor one draw
 against R.
 
@@ -321,17 +324,25 @@ def det(M) -> float:
     return total
 
 
-def pullback_coeffs(p: int, J, coeffs: list, n_dst: int, n_src: int) -> list:
-    """Transform coefficients of a p-form through a Jacobian J (dst x src)."""
-    if p == 0:
-        return list(coeffs)
+def minors(J, p: int, n_dst: int, n_src: int) -> list:
+    """The p x p minors of a Jacobian J (dst x src), built once per J.
+
+    Row k lists det J[I, K] for the k-th K of ``combos(n_src, p)``, one
+    entry per I of ``combos(n_dst, p)``; :func:`contract` pulls any number
+    of coefficient lists back through one table.
+    """
+    return [[det([[J[r][c] for c in K] for r in I]) for I in combos(n_dst, p)]
+            for K in combos(n_src, p)]
+
+
+def contract(table, coeffs: list) -> list:
+    """Pulled-back coefficients: per row of a :func:`minors` table, the sum
+    over I of ``coeffs[I]`` times its minor, I ascending."""
     out = []
-    for K in combos(n_src, p):
+    for row in table:
         acc = 0.0
-        for iI, I in enumerate(combos(n_dst, p)):
-            aI = coeffs[iI]
-            if not is_zero(aI):
-                acc = plus(acc, times(aI, det([[J[r][c] for c in K] for r in I])))
+        for a, minor in zip(coeffs, row):
+            acc = plus(acc, times(a, minor))
         out.append(acc)
     return out
 
@@ -342,12 +353,18 @@ class SmoothMap:
     The callable must accept Dual entries.  Its Jacobian comes from
     forward-mode differentiation, unless ``jac`` gives it in closed form:
     ``jac(x)`` returns the values and the dst_dim x src_dim matrix of
-    partials, the values from the same expressions as ``fn`` (the chart
-    embeddings of :mod:`cgbv.geometry`), as ``closed_d`` does for a
-    :class:`MatrixForm`.
+    partials (the chart embeddings of :mod:`cgbv.geometry`), as
+    ``closed_d`` does for a :class:`MatrixForm`.  A map built from ``jac``
+    alone takes its values from ``jac(x)[0]``; ``fn`` may be omitted only
+    then.
     """
 
-    def __init__(self, src_dim: int, dst_dim: int, fn, jac=None):
+    def __init__(self, src_dim: int, dst_dim: int, fn=None, jac=None):
+        if fn is None:
+            if jac is None:
+                raise TypeError("SmoothMap needs fn or jac")
+            def fn(x):
+                return jac(x)[0]
         self.src_dim = src_dim
         self.dst_dim = dst_dim
         self.fn = fn
@@ -387,7 +404,7 @@ class SmoothMap:
     @staticmethod
     def identity(n: int) -> "SmoothMap":
         eye = tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
-        return SmoothMap(n, n, lambda x: list(x), lambda x: (list(x), eye))
+        return SmoothMap(n, n, jac=lambda x: (list(x), eye))
 
 
 class Form:
@@ -507,7 +524,7 @@ class Form:
             if p == 0:
                 return self(phi(u))
             y, J = phi.jacobian(u)
-            return pullback_coeffs(p, J, self(y), n_dst, n_src)
+            return contract(minors(J, p, n_dst, n_src), self(y))
 
         return Form(n_src, p, comps, self.width * (n_src if p else 1))
 
@@ -645,9 +662,8 @@ class MatrixForm:
             if p == 0:
                 return self.eval(phi(u))
             y, J = phi.jacobian(u)
-            A = self.eval(y)
-            return [[pullback_coeffs(p, J, A[i][j], n_dst, n_src)
-                     for j in range(m)] for i in range(m)]
+            table = minors(J, p, n_dst, n_src)
+            return [[contract(table, e) for e in row] for row in self.eval(y)]
         return MatrixForm(n_src, p, m, eval_fn, self.width * (n_src if p else 1))
 
     def _compat(self, other: "MatrixForm"):

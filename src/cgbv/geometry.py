@@ -8,11 +8,13 @@ sign.  A 0-dimensional box is a signed point: S^0 is
 and applies tensor Gauss-Legendre quadrature, so every integral in the
 package reduces to polynomial-exact rules on boxes.  Per block of nodes it
 takes the embedding's values and Jacobian once and pulls the form's
-coefficients back through the minors of that Jacobian.  Balls, spheres,
-annuli, products and identity embeddings give their Jacobians in closed
-form (one recursion beside :func:`unit_sphere_point`, block diagonal for a
-product), so a chart integral lifts no point; box faces, slices and user
-maps take one lifted pass (:meth:`cgbv.forms.SmoothMap.jacobian`).
+coefficients back through the minors of that Jacobian, every chart alike:
+an identity box or a point has the unit matrix, minor 1.0.  Balls,
+spheres, annuli, products and identity embeddings are built from their
+closed-form Jacobians alone, values included (the sphere's from the one
+recursion of :func:`unit_sphere_point`, a product's block diagonal), so a
+chart integral lifts no point; box faces, slices and user maps take one
+lifted pass (:meth:`cgbv.forms.SmoothMap.jacobian`).
 
 Evaluation model: a form closure, an embedding and a section receive a
 point as a list of coordinates, each a float or a numpy array.  A block of
@@ -64,8 +66,8 @@ import numpy as np
 
 from .dual import cos, entries, node_sum, sin, trailing
 from .errors import ChartError, DegreeError
-from .forms import (Form, SmoothMap, block_size, combos, combo_index, det,
-                    plus, times)
+from .forms import (Form, SmoothMap, block_size, combos, combo_index, contract,
+                    minors, times)
 
 
 def _legendre(order: int, x):
@@ -123,19 +125,15 @@ def unit_sphere_point(angles):
     One angle gives (cos, sin); each extra angle theta prepends cos(theta)
     and scales the remaining block by sin(theta).  Dual-number safe.
     """
-    if len(angles) == 1:
-        return [cos(angles[0]), sin(angles[0])]
-    inner = unit_sphere_point(angles[1:])
-    c, s = cos(angles[0]), sin(angles[0])
-    return [c] + [s * v for v in inner]
+    return _sphere_jet(angles)[0]
 
 
 def _sphere_jet(angles):
     """:func:`unit_sphere_point` and its m x (m-1) matrix of partials.
 
-    The same recursion, cos and sin taken once per angle: u = (c, s v)
-    has the column (-s, c v) for the first angle and (0, s dv) for the
-    others, the 0 a structural zero.  Dual-number safe.
+    One recursion, cos and sin taken once per angle: u = (c, s v) has the
+    column (-s, c v) for the first angle and (0, s dv) for the others, the
+    0 a structural zero.  Dual-number safe.
     """
     c, s = cos(angles[0]), sin(angles[0])
     if len(angles) == 1:
@@ -147,17 +145,14 @@ def _sphere_jet(angles):
 
 
 def _polar_map(m: int) -> SmoothMap:
-    """(r, angles) -> r * unit_sphere_point(angles), with its Jacobian in closed form."""
-    def fn(ra):
-        return [ra[0] * v for v in unit_sphere_point(ra[1:])]
-
+    """(r, angles) -> r * unit_sphere_point(angles), built from its closed-form Jacobian."""
     def jac(ra):
         r = ra[0]
         u, du = _sphere_jet(ra[1:])
         return ([r * v for v in u],
                 [[v] + [times(r, e) for e in row] for v, row in zip(u, du)])
 
-    return SmoothMap(m, m, fn, jac)
+    return SmoothMap(m, m, jac=jac)
 
 
 def sphere_bounds(m: int):
@@ -223,10 +218,8 @@ class ChartDomain:
             return ([radius * v for v in u],
                     [[times(radius, e) for e in row] for row in du])
 
-        embed = SmoothMap(m - 1, m,
-                          lambda a: [radius * v for v in unit_sphere_point(a)], jac)
         return ChartDomain(name, "sphere", m - 1, m, sphere_bounds(m),
-                           [order] * (m - 1), embed)
+                           [order] * (m - 1), SmoothMap(m - 1, m, jac=jac))
 
     @staticmethod
     def ball(ambient_dim: int, radius: float = 1.0, order: int = 16,
@@ -269,9 +262,6 @@ class ChartDomain:
         ea, eb = a.embedding(), b.embedding()
         da = a.dim
 
-        def fn(x):
-            return ea.fn(x[:da]) + eb.fn(x[da:])
-
         def jac(x):
             # block diagonal, the off-diagonal blocks structural zeros
             ya, Ja = ea.jacobian(x[:da])
@@ -279,7 +269,7 @@ class ChartDomain:
             za, zb = [0.0] * b.dim, [0.0] * da
             return ya + yb, [list(r) + za for r in Ja] + [zb + list(r) for r in Jb]
 
-        embed = SmoothMap(a.dim + b.dim, na + nb, fn, jac)
+        embed = SmoothMap(a.dim + b.dim, na + nb, jac=jac)
 
         def boundary():
             faces = [ChartDomain.product(fa, b) for fa in a.boundary_faces()]
@@ -344,33 +334,22 @@ class ChartDomain:
         the positions in them of one form's coefficients, aligned with
         ``combos(ambient_dim, dim)``.  Per block of nodes the embedding's
         values and Jacobian and ``comps`` are evaluated once, and every row
-        is pulled back through the same minors of that Jacobian, in the
-        order of :func:`cgbv.forms.pullback_coeffs`.  Blocks are sized for
-        ``width`` as the pullback of a form of that width would be.
+        is pulled back through the same minors of that Jacobian
+        (:func:`cgbv.forms.contract`); an identity embedding has the unit
+        matrix, whose minor is 1.0.  Blocks are sized for ``width`` as the
+        pullback of a form of that width would be.
         """
-        k, embed = self.dim, self.embed
-        pulled = embed is not None and k > 0
+        k, embed = self.dim, self.embedding()
         coords, weights = self.nodes()
-        step = block_size(width * (k if pulled else 1))
+        step = block_size(width * max(k, 1))
         totals = [0.0] * len(rows)
         for s in range(0, len(weights), step):
-            block = [c[None, s:s + step] for c in coords]
-            if not pulled:
-                vals = comps(block if embed is None else embed(block))
-                tops = [vals[row[0]] for row in rows]
-            else:
-                y, J = embed.jacobian(block)
-                vals = comps(y)
-                minors = [det([[J[r][c] for c in range(k)] for r in I])
-                          for I in combos(self.ambient_dim, k)]
-                tops = []
-                for row in rows:
-                    acc = 0.0
-                    for i, minor in zip(row, minors):
-                        acc = plus(acc, times(vals[i], minor))
-                    tops.append(acc)
+            y, J = embed.jacobian([c[None, s:s + step] for c in coords])
+            vals = comps(y)
+            top = minors(J, k, self.ambient_dim, k)
             w = weights[s:s + step]
-            totals = [t + node_sum(w, f) for t, f in zip(totals, tops)]
+            totals = [t + node_sum(w, contract(top, [vals[i] for i in row])[0])
+                      for t, row in zip(totals, rows)]
         return [self.orientation * t for t in totals]
 
     def boundary_faces(self):

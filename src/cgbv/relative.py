@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (BoundaryZeroError, ChartError, DegreeError,
                      HomotopyError, ShapeError, TransversalityError)
-from .forms import (Form, SmoothMap, _wedge_into, as_block, pullback_coeffs,
+from .forms import (Form, SmoothMap, _wedge_into, as_block, contract, minors,
                     scale_coeffs, wedge_table, zero_coeffs)
 from .geometry import ChartDomain
 
@@ -32,16 +32,13 @@ class RelativeDomain:
 
     ``boundary_defect`` measures how far an ambient point is from the
     boundary; the homotopy operators require it to spot-check that a flow
-    keeps boundary points on the boundary.  The (flow, time, source) triples
-    that passed that check against this domain are kept, since the check is
-    a fixed function of them and one identity applies several operators.
+    keeps boundary points on the boundary.
     """
 
     def __init__(self, manifold: ChartDomain, faces=None, boundary_defect=None):
         self.manifold = manifold
         self.faces = list(faces) if faces is not None else manifold.boundary_faces()
         self.boundary_defect = boundary_defect
-        self.flows_checked = set()
 
     @property
     def dim(self) -> int:
@@ -150,14 +147,10 @@ def _check_boundary_compat(phi: SmoothMap, t: float, source: RelativeDomain,
 
     Four points per face, each at three times, evaluated as one block per
     face; the error names the worst sample, a NaN defect counting as worst.
-    Runs once per (phi, t, source) against a target: a pass is recorded in
-    ``target.flows_checked``.
     """
     if target.boundary_defect is None:
         raise ChartError(
             f"target domain {target.manifold.name} has no boundary defect function")
-    if (phi, t, source) in target.flows_checked:
-        return
     rng = random.Random(7)
     for face in source.faces:
         pts = [[s] + list(x) for x in face.sample_ambient_points(rng, 4)
@@ -170,7 +163,6 @@ def _check_boundary_compat(phi: SmoothMap, t: float, source: RelativeDomain,
             raise HomotopyError(
                 f"flow leaves the boundary at s={pts[worst][0]:.3f}: "
                 f"defect {defect[worst]:.3e}")
-    target.flows_checked.add((phi, t, source))
 
 
 def _pulled_wedges(terms, pair_map: SmoothMap, eta_map: SmoothMap) -> Form:
@@ -187,16 +179,16 @@ def _pulled_wedges(terms, pair_map: SmoothMap, eta_map: SmoothMap) -> Form:
     need_pair = any(a.p for _, a, _ in terms)
     need_eta = any(b.p for _, _, b in terms)
 
-    def pulled(phi, need, u):
-        return phi.jacobian(u) if need else (phi(u), None)
-
     def comps(u):
-        ya, Ja = pulled(pair_map, need_pair, u)
-        yb, Jb = pulled(eta_map, need_eta, u)
+        ya, Ja = pair_map.jacobian(u) if need_pair else (pair_map(u), None)
+        yb, Jb = eta_map.jacobian(u) if need_eta else (eta_map(u), None)
         out = zero_coeffs(n, deg)
         for c, a, b in terms:
-            ca = pullback_coeffs(a.p, Ja, a(ya), a.n, n)
-            cb = pullback_coeffs(b.p, Jb, b(yb), b.n, n)
+            ca, cb = a(ya), b(yb)
+            if a.p:
+                ca = contract(minors(Ja, a.p, a.n, n), ca)
+            if b.p:
+                cb = contract(minors(Jb, b.p, b.n, n), cb)
             if c != 1.0:
                 ca = scale_coeffs(c, ca)
             _wedge_into(out, wedge_table(n, a.p, b.p), ca, cb)

@@ -250,6 +250,13 @@ class TestSmoothMap:
         assert h([3.0])[0] == pytest.approx(12.0)
         assert h.jacobian([3.0])[1][0][0] == pytest.approx(7.0)
 
+    def test_values_from_jac_alone(self):
+        phi = SmoothMap(1, 2, jac=lambda t: ([t[0], 2.0 * t[0]], [[1.0], [2.0]]))
+        assert phi([1.5]) == [1.5, 3.0]
+        assert phi.compose(SmoothMap.identity(1))([1.5]) == [1.5, 3.0]
+        with pytest.raises(TypeError):
+            SmoothMap(1, 2)
+
 
 class TestDeterminant:
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
@@ -297,6 +304,30 @@ class TestMatrixForm:
                     single = forms[i][j].pullback(phi)(u)
                     for a, b in zip(whole[i][j], single):
                         assert a == pytest.approx(b, abs=1e-12)
+
+    @pytest.mark.parametrize("m, p", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_pullback_builds_one_minors_table(self, m, p, monkeypatch):
+        # one table of the map's minors, each determinant taken once, serves
+        # all m * m entries, bit for bit the entries' own pullbacks
+        from cgbv import forms as forms_module
+        from cgbv.dual import sin as dsin
+        phi = SmoothMap(3, 3, lambda u: [u[0] * u[1], dsin(u[2]), u[1] + u[2] ** 2])
+        rng = random.Random(29 + m + p)
+        grid = [[random_polynomial_form(3, p, rng) for _ in range(m)] for _ in range(m)]
+        pulled = MatrixForm.from_forms(grid).pullback(phi)
+        u = [0.3, -0.4, 0.8]
+        singles = [[f.pullback(phi)(u) for f in row] for row in grid]
+        dets = []
+        det_fn = forms_module.det
+        monkeypatch.setattr(forms_module, "det", lambda M: dets.append(1) or det_fn(M))
+        assert pulled.eval(u) == singles
+        assert len(dets) == len(combos(3, p)) ** 2
+        tables = []
+        minors = forms_module.minors
+        monkeypatch.setattr(forms_module, "minors",
+                            lambda *args: tables.append(1) or minors(*args))
+        pulled.eval(u)
+        assert len(tables) == 1
 
 
 def test_sup_abs_keeps_non_finite_values():

@@ -384,24 +384,37 @@ class TestHomotopyOperators:
         # the shrink leaves the circle further the later the time
         assert str(err.value).startswith("flow leaves the boundary at s=0.500: ")
 
-    def test_boundary_check_runs_once_per_flow_and_time(self):
-        # one identity of each kind applies four cylinder operators to one
-        # (flow, time); the boundary samples are evaluated once, one block per face
+    def test_boundary_check_one_block_per_face_per_pairing(self):
+        # each cylinder pairing checks its flow once, four samples per face at
+        # three times evaluated as one block per face; an identity applies
+        # both of its operators as one pairing
         rng = random.Random(145)
         blocks = []
 
-        def defect(x):
-            blocks.append(len(x[0]))
-            return x[0] ** 2 + x[1] ** 2 - 1.0
+        def counted(defect):
+            def fn(x):
+                blocks.append(len(x[0]))
+                return defect(x)
+            return fn
 
-        dom = RelativeDomain(ChartDomain.ball(2, order=8), boundary_defect=defect)
+        dom = RelativeDomain(ChartDomain.ball(2, order=8),
+                             boundary_defect=counted(lambda x: x[0] ** 2 + x[1] ** 2 - 1.0))
         phi = twist_flow()
         p = random_pair(dom, 1, rng)
         eta = random_polynomial_form(2, 1, rng)
         homotopy_defect_I(phi, 0.5, p, eta, dom)
-        homotopy_defect_II(phi, 0.5, eta, p, dom)
         assert blocks == [12]
-        homotopy_TI(phi, 0.6, p, eta.d(), dom)
+        homotopy_defect_II(phi, 0.5, eta, p, dom)
+        assert blocks == [12] * 2
+        homotopy_TI(phi, 0.5, p, eta.d(), dom)
+        assert blocks == [12] * 3
+        # the interval's two point faces, a block each
+        blocks.clear()
+        seg = interval_domain(order=10)
+        seg = RelativeDomain(seg.manifold, boundary_defect=counted(seg.boundary_defect))
+        flow = SmoothMap(2, 1, lambda z: [z[1] + 0.4 * z[0] * z[1] * (1.0 - z[1])])
+        homotopy_defect_I(flow, 0.9, random_pair(seg, 1, rng),
+                          random_polynomial_form(1, 0, rng), seg)
         assert blocks == [12, 12]
 
     def test_boundary_violation_after_a_pass_raises(self):

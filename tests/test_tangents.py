@@ -27,8 +27,8 @@ from cgbv.bundles import (Subbundle, frame_split_connection, make_bundle,
                           projected_connection, stereographic)
 from cgbv.chern_weil import Connection, secondary_transgression, transgression
 from cgbv.dual import Dual, deriv
-from cgbv.forms import (Form, MatrixForm, SmoothMap, as_block, combos, d_table,
-                        lift_point, pullback_coeffs, zero_coeffs)
+from cgbv.forms import (Form, MatrixForm, SmoothMap, as_block, combos, contract,
+                        d_table, lift_point, minors, zero_coeffs)
 from cgbv.thom import ThomScenario, _parallel_defect, persistent_section_residual
 
 
@@ -115,9 +115,10 @@ def oracle_jacobian(phi: SmoothMap, x):
 
 
 def oracle_pullback(form: Form, phi: SmoothMap) -> Form:
+    """Pullback in positive degree through the minors of the oracle Jacobian."""
     def comps(u):
-        return pullback_coeffs(form.p, oracle_jacobian(phi, u), form.comps(phi(u)),
-                               form.n, phi.src_dim)
+        table = minors(oracle_jacobian(phi, u), form.p, form.n, phi.src_dim)
+        return contract(table, form.comps(phi(u)))
     return Form(phi.src_dim, form.p, comps)
 
 
