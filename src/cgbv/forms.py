@@ -382,7 +382,9 @@ class SmoothMap:
         A map built with ``jac`` evaluates it.  Otherwise every column rides
         on the leading direction axis of the derivative slots of one dual
         pass, so the map runs once whatever the source dimension, and the
-        value slots of that pass are the values.  Either way
+        value slots of that pass are the values.  A map with no source
+        directions (the point faces of intervals and boxes) returns its
+        values and the empty Jacobian without that pass.  Either way
         ``jacobian(x)[0]`` equals ``self(x)``.  This is the one place a map
         is lifted for its first derivatives.
         """
@@ -391,6 +393,9 @@ class SmoothMap:
             if len(y) != self.dst_dim:
                 raise ShapeError(f"map returned {len(y)} components, expected {self.dst_dim}")
             return y, J
+        if self.src_dim == 0:
+            y = self(x)
+            return y, [[] for _ in y]
         levels = _levels(x)
         y = self(lift_point(x, range(self.src_dim)))
         return ([value(c) for c in y],

@@ -5,16 +5,19 @@ the ambient coordinates its forms are written in, plus a global orientation
 sign.  A 0-dimensional box is a signed point: S^0 is
 ``ChartDomain.ball(1).boundary_faces()``, the point +r with sign +1 and
 -r with sign -1.  Integration pulls the form back along the embedding
-and applies tensor Gauss-Legendre quadrature, so every integral in the
-package reduces to polynomial-exact rules on boxes.  Per block of nodes it
+and applies a tensor product of 1-D rules chosen per reference axis by the
+chart kind (:meth:`ChartDomain.nodes`): Gauss-Jacobi in a ball's radius
+and in the cosine of each polar angle, with the r^(m-1) and sin^k factors
+of the polar Jacobian absorbed into the weights, equally spaced nodes on
+an azimuth, Gauss-Legendre on boxes and annulus radii.  Per block of nodes it
 takes the embedding's values and Jacobian once and pulls the form's
 coefficients back through the minors of that Jacobian, every chart alike:
 an identity box or a point has the unit matrix, minor 1.0.  Balls,
 spheres, annuli, products and identity embeddings are built from their
 closed-form Jacobians alone, values included (the sphere's from the one
 recursion of :func:`unit_sphere_point`, a product's block diagonal), so a
-chart integral lifts no point; box faces, slices and user maps take one
-lifted pass (:meth:`cgbv.forms.SmoothMap.jacobian`).
+chart integral lifts no point; box faces of positive dimension, slices
+and user maps take one lifted pass (:meth:`cgbv.forms.SmoothMap.jacobian`).
 
 Evaluation model: a form closure, an embedding and a section receive a
 point as a list of coordinates, each a float or a numpy array.  A block of
@@ -30,7 +33,7 @@ finder of :mod:`cgbv.relative` passes its Newton starts as one block.
 Closures therefore compute elementwise and must not branch on values: a
 piecewise formula selects through :func:`cgbv.dual.where` on clamped
 arguments.  Nor may they write into a block: quadrature blocks are views
-of a rule shared by every chart with the same bounds and orders, and are
+of a rule shared by every chart with the same axis rules, and are
 read-only.
 
 A fiber integral runs the chart integral's block loop over the fiber, its
@@ -70,48 +73,94 @@ from .forms import (Form, SmoothMap, block_size, combos, combo_index, contract,
                     minors, times)
 
 
-def _legendre(order: int, x):
-    """P_n(x) and P_n'(x), n = order, by the three-term recurrence."""
-    p_prev, p = np.ones_like(x), x
-    for j in range(1, order):
-        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-    return p, order * (p_prev - x * p) / (1.0 - x * x)
-
-
 @lru_cache(maxsize=None)
-def _leggauss(order: int):
-    """Gauss-Legendre rule on [-1, 1] by Golub-Welsch.
+def _gauss_jacobi(order: int, alpha: float, beta: float):
+    """Gauss-Jacobi rule for the weight (1 - x)^alpha (1 + x)^beta on [-1, 1].
 
-    The nodes are the eigenvalues of the symmetric Jacobi matrix of the
-    Legendre recurrence, refined by one Newton step on P_n; the weights
-    2 / ((1 - x^2) P_n'(x)^2) are made symmetric and scaled to sum to 2.
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the orthonormal recurrence, refined by one Newton step on
+    p_n; the weight at a node is the Christoffel number 1 / sum_(j<n)
+    p_j^2, made symmetric when alpha == beta and scaled to the weight's
+    total mass.  Exact for polynomials of degree 2 * order - 1.
+    Gauss-Legendre is (0, 0).  Read-only arrays, nodes ascending.
     """
-    k = np.arange(1.0, order)
-    beta = k / np.sqrt(4.0 * k * k - 1.0)
-    x = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
-    p, dp = _legendre(order, x)
+    ab = alpha + beta
+    mass = (2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0)
+            * math.gamma(beta + 1.0) / math.gamma(ab + 2.0))
+    # orthonormal recurrence: diagonal a_0..a_(n-1), off-diagonal b_1..b_n
+    k = np.arange(1.0, order + 1)
+    s = 2.0 * k + ab
+    diag = np.append((beta - alpha) / (ab + 2.0),
+                     (beta * beta - alpha * alpha) / (s * (s + 2.0)))[:order]
+    off = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + ab)
+                  / (s * s * (s + 1.0) * (s - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    # b_(j+1) p_(j+1) = (x - a_j) p_j - b_j p_(j-1), p_0 = mass^(-1/2)
+    p0 = 1.0 / math.sqrt(mass)
+    steps = list(zip(diag.tolist(), off.tolist(), [0.0] + off.tolist()[:-1]))
+    p_prev, p, dp_prev, dp = 0.0, p0, 0.0, 0.0
+    for a, b, b_prev in steps:
+        u = x - a
+        p_prev, p, dp_prev, dp = (p, (u * p - b_prev * p_prev) / b,
+                                  dp, (p + u * dp - b_prev * dp_prev) / b)
     x = x - p / dp
-    _, dp = _legendre(order, x)
-    w = 1.0 / ((1.0 - x * x) * dp * dp)
-    x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
-    w *= 2.0 / w.sum()
-    return tuple(float(v) for v in x), tuple(float(v) for v in w)
+    p_prev, p, squares = 0.0, p0, np.full_like(x, p0 * p0)
+    for a, b, b_prev in steps[:-1]:
+        p_prev, p = p, ((x - a) * p - b_prev * p_prev) / b
+        squares = squares + p * p
+    w = 1.0 / squares
+    if alpha == beta:
+        x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    w *= mass / w.sum()
+    for a in (x, w):
+        a.flags.writeable = False
+    return x, w
 
 
 def gauss_nodes(order: int, lo: float, hi: float):
     """Gauss-Legendre nodes and weights on [lo, hi]."""
-    x, w = _leggauss(order)
+    x, w = _gauss_jacobi(order, 0.0, 0.0)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return [mid + half * xi for xi in x], [half * wi for wi in w]
+    return [mid + half * float(xi) for xi in x], [half * float(wi) for wi in w]
 
 
 @lru_cache(maxsize=None)
-def _tensor_rule(bounds: tuple, orders: tuple):
-    """Read-only tensor Gauss-Legendre rule of :meth:`ChartDomain.nodes`."""
-    axes = [gauss_nodes(o, lo, hi) for (lo, hi), o in zip(bounds, orders)]
-    grids = np.meshgrid(*(np.array(xs) for xs, _ in axes), indexing="ij")
+def _axis_rule(rule: str, lo: float, hi: float, order: int, power: int):
+    """Nodes and weights of one reference axis of :meth:`ChartDomain.nodes`.
+
+    ``legendre`` is Gauss-Legendre on [lo, hi].  The weights of the round
+    axes are divided by the factor the chart's Jacobian brings, so that
+    they integrate the pulled-back integrand against the rule's own weight:
+    ``radius`` is Gauss-Jacobi(0, power) in r on [0, hi], weights over
+    r^power; ``polar`` is Gauss-Jacobi((power - 1)/2, (power - 1)/2) in
+    cos(theta) on [0, pi], weights over sin(theta)^power; ``azimuth``
+    takes ``order`` equally spaced interior nodes of equal weight, exact
+    for frequencies below ``order``.
+    """
+    if rule == "azimuth":
+        step = (hi - lo) / order
+        x, w = lo + step * (np.arange(order) + 0.5), np.full(order, step)
+    elif rule == "polar":
+        half = 0.5 * (power - 1)
+        c, wc = _gauss_jacobi(order, half, half)
+        x = np.arccos(c[::-1])
+        w = wc[::-1] / np.sin(x) ** power
+    else:
+        t, wt = _gauss_jacobi(order, 0.0, float(power))
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        x, w = mid + half * t, half * wt
+        if power:
+            w = w * half ** power / x ** power
+    return x, w
+
+
+@lru_cache(maxsize=None)
+def _tensor_rule(axes: tuple):
+    """Read-only tensor rule of :meth:`ChartDomain.nodes` over its axis rules."""
+    rules = [_axis_rule(*axis) for axis in axes]
+    grids = np.meshgrid(*(xs for xs, _ in rules), indexing="ij")
     weights = np.ones(())
-    for _, ws in axes:
+    for _, ws in rules:
         weights = np.multiply.outer(weights, ws)
     coords, weights = [g.ravel() for g in grids], weights.ravel()
     for a in coords + [weights]:
@@ -310,11 +359,37 @@ class ChartDomain:
         """Quadrature rule as (coordinate arrays, weight array).
 
         One coordinate array per reference axis, node i at index i of each,
-        on the tensor Gauss-Legendre grid in row-major order; a
-        0-dimensional chart has a single node of weight 1.  Charts with
-        equal bounds and orders share one read-only rule.
+        on the tensor grid of one 1-D rule per axis in row-major order; a
+        0-dimensional chart has a single node of weight 1.  Each axis takes
+        ``orders[i]`` nodes of the rule its chart kind fits
+        (:func:`_axis_rule`): a ball's radius Gauss-Jacobi, a polar angle
+        Gauss-Jacobi in cos(theta), an azimuth equally spaced nodes, an
+        annulus radius and every box axis Gauss-Legendre, a product its
+        factors' axes.  The weights absorb the r^(m-1) and sin^k(theta)
+        factors of the chart's Jacobian, so an ambient polynomial of
+        degree 2n - 1 is integrated exactly on a ball or sphere whose
+        azimuth has 2n nodes and other axes n.  Charts with the same axis
+        rules share one read-only rule.
         """
-        return _tensor_rule(tuple(self.bounds), tuple(self.orders))
+        return _tensor_rule(tuple(
+            (rule, lo, hi, order, power) for (rule, power), (lo, hi), order
+            in zip(self._axis_kinds(), self.bounds, self.orders)))
+
+    def _axis_kinds(self) -> list:
+        """(rule, power) of :func:`_axis_rule` per reference axis."""
+        if self.kind == "product":
+            a, b = self.factors
+            return a._axis_kinds() + b._axis_kinds()
+        if self.kind not in ("sphere", "ball", "annulus"):
+            return [("legendre", 0)] * self.dim
+        # the polar angles of S^k carry sin^(k-1) .. sin^1, then the azimuth
+        k = self.dim - (self.kind != "sphere")
+        kinds = [("polar", j) for j in range(k - 1, 0, -1)] + [("azimuth", 0)]
+        if self.kind == "ball":
+            return [("radius", self.dim - 1)] + kinds
+        if self.kind == "annulus":
+            return [("legendre", 0)] + kinds
+        return kinds
 
     def integrate(self, form: Form) -> float:
         """Integral of an ambient form of degree equal to the chart dimension."""

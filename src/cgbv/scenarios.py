@@ -271,7 +271,7 @@ def _twist_flow() -> SmoothMap:
 # geometry scenarios
 
 def _run_quadrature_volumes(cfg: Config) -> dict:
-    o = 16
+    o = 2
     area = Form(2, 2, lambda x: [1.0])
     flux = Form(3, 2, lambda x: [x[2], -x[1], x[0]])
     vol4 = Form(4, 4, lambda x: [1.0])
@@ -279,14 +279,14 @@ def _run_quadrature_volumes(cfg: Config) -> dict:
         "ball2-area": ChartDomain.ball(2, order=o).integrate(area),
         "sphere2-flux": ChartDomain.sphere(3, order=o).integrate(flux),
         "annulus-area": ChartDomain.annulus(1.0, 2.0, order=o).integrate(area),
-        "ball4-volume": ChartDomain.ball(4, order=10).integrate(vol4),
+        "ball4-volume": ChartDomain.ball(4, order=o).integrate(vol4),
     }
 
 
 def _run_boundary_orientation(cfg: Config) -> dict:
     reps = min(cfg.count, 12)
-    curved = 16
-    flat = 8
+    curved = 5
+    flat = 2
     domains = (
         ("stokes-ball2", ChartDomain.ball(2, order=curved)),
         ("stokes-annulus2", ChartDomain.annulus(0.5, 1.5, order=curved)),
@@ -304,7 +304,7 @@ def _run_boundary_orientation(cfg: Config) -> dict:
 
 
 def _run_stokes_convention(cfg: Config) -> dict:
-    o = 6
+    o = 2
     seg = ChartDomain.interval("t", 0.0, 1.0, o)
     sq = ChartDomain.box("B", [(0.0, 1.0), (0.0, 1.0)], [o, o])
     cyl = ChartDomain.product(seg, sq)
@@ -315,8 +315,8 @@ def _run_stokes_convention(cfg: Config) -> dict:
 
 
 def _run_fiber_projection(cfg: Config) -> dict:
-    fiber = ChartDomain.sphere(2, order=16)
-    base = ChartDomain.box("Q", [(0.0, 1.0), (-0.5, 0.5)], [8] * 2)
+    fiber = ChartDomain.sphere(2, order=2)
+    base = ChartDomain.box("Q", [(0.0, 1.0), (-0.5, 0.5)], [2] * 2)
     fb = FiberBundleDomain(fiber, base)
     rng = _rng(cfg, "fiber-projection")
     alpha, beta = _families(((4, 2), (2, 1)), min(cfg.count, 10), rng)
@@ -471,7 +471,7 @@ def _run_cgb_sphere(cfg: Config) -> dict:
 
 
 def _run_cgb_disk(cfg: Config) -> dict:
-    disk = ChartDomain.ball(2, order=20, name="D2")
+    disk = ChartDomain.ball(2, order=2, name="D2")
     flat = Connection.flat(2, 2, "flat")
     nsplit = section_splitting_connection(flat, lambda x: [x[0], x[1]])
     defect = cgb_defect(disk, disk.boundary_faces(), flat, 1,
@@ -486,7 +486,7 @@ def _run_cgb_caps(cfg: Config) -> dict:
     for theta0, key in ((math.pi / 6, "cap30"), (math.pi / 2, "cap90"),
                         (2.0 * math.pi / 3, "cap120")):
         cap = ChartDomain.box(f"cap{key}", [(0.0, theta0), (0.0, TWO_PI)],
-                              [16, 24])
+                              [8, 2])
         rim = cap.boundary_faces()[0]
         defect = cgb_defect(cap, [rim], conn, 1, boundary_connection=bconn)
         out[f"euler-number-{key}"] = 1.0 + defect
@@ -605,7 +605,7 @@ def _run_symmetry_reflection(cfg: Config) -> dict:
 # relative scenarios
 
 def _run_zero_set(cfg: Config) -> dict:
-    dom = _disk_domain(40)
+    dom = _disk_domain(15)
     conn = Connection.flat(2, 2)
     pf = pf_form(conn)
     one = Form.constant(2, 0, [1.0])
@@ -630,7 +630,7 @@ def _run_zero_set(cfg: Config) -> dict:
 
 
 def _run_homotopy_operators(cfg: Config) -> dict:
-    dom = _disk_domain(22)
+    dom = _disk_domain(9)
     phi = _twist_flow()
     rng = _rng(cfg, "homotopy-operators")
     first, second = [], []
@@ -646,7 +646,7 @@ def _run_homotopy_operators(cfg: Config) -> dict:
 
 
 def _run_chain_sign_laws(cfg: Config) -> dict:
-    dom = _disk_domain(28)
+    dom = _disk_domain(9)
     rng = _rng(cfg, "chain-sign-laws")
     head = dom.manifold.sample_ambient_points(rng, 3)
 
@@ -670,7 +670,8 @@ def _run_chain_sign_laws(cfg: Config) -> dict:
     for m in (1, 2):
         base = ChartDomain.box("B2", [(0.0, 1.0), (-0.5, 0.5)], [10, 10])
         sc = ThomScenario(TrivializedBundle(
-            m, base, Connection.flat(m, 2, "flat"), "flat-collapse"))
+            m, base, Connection.flat(m, 2, "flat"), "flat-collapse"),
+            fiber_order=5)
         sign = 1.0 if m % 2 else -1.0
         n = m + 2
         # draw: a degree k, a pair of that degree, then three base points;

@@ -4,14 +4,15 @@
 nodes, with (1, N) coordinate arrays in place of floats, the draw axis of
 a family leading; the block length N is ``block_size`` of the pulled-back
 form's structural width.  The oracle below
-rebuilds the tensor Gauss-Legendre rule itself and calls the same closures
-with one float point at a time, so any closure that branches on values, or
-a reduction that reorders the rule, shows up as a disagreement.  The sums
+walks the chart's own rule (``nodes()``) one float node at a time and calls
+the same closures there, so any closure that branches on values, or a
+block loop that drops, repeats or misweights a node, shows up as a
+disagreement.  The sums
 are taken in a different order, hence agreement to 1e-13 relative rather
 than bit for bit.  Zero-dimensional charts (S^0 among them, as the two
 signed faces of the interval) and a NaN at a single node of a block are
 pinned too, as is the sharing of one read-only rule by every chart with
-the same bounds and orders.
+the same axis rules.
 
 ``FiberBundleDomain.fiber_integrate`` is a chart integral over the fiber:
 its oracle below walks the fiber rule node by node with the Jacobian minors
@@ -37,7 +38,6 @@ and storing ``item.computed`` per ``item.identity``, written with
 must leave these files as they are.
 """
 
-import itertools
 import json
 import math
 import os
@@ -69,15 +69,11 @@ REL = 1e-13
 
 
 def per_node_rule(domain: ChartDomain):
-    """(reference point, weight) pairs, one float point at a time."""
-    rules = [np.polynomial.legendre.leggauss(o) for o in domain.orders]
-    for idx in itertools.product(*(range(o) for o in domain.orders)):
-        pt, w = [], 1.0
-        for (lo, hi), (xs, ws), i in zip(domain.bounds, rules, idx):
-            half = 0.5 * (hi - lo)
-            pt.append(0.5 * (lo + hi) + half * float(xs[i]))
-            w *= half * float(ws[i])
-        yield pt, w
+    """(reference point, weight) pairs of the chart's own rule, one float
+    node at a time."""
+    coords, weights = domain.nodes()
+    for i, w in enumerate(weights):
+        yield [float(c[i]) for c in coords], float(w)
 
 
 def per_node_integral(domain: ChartDomain, form: Form) -> float:
@@ -262,18 +258,43 @@ class TestZeroDimensionalCharts:
         assert sum(face.reorient(-1).integrate(f) for face in ends) == pytest.approx(
             -(3.5 - 2.0))
 
+    def test_point_faces_lift_no_point(self, monkeypatch):
+        lifted = []
+        real = forms.lift_point
+        monkeypatch.setattr(forms, "lift_point",
+                            lambda x, dirs: lifted.append(len(dirs)) or real(x, dirs))
+        f = Form.scalar(2, lambda x: 3.0 * x[0] + x[1])
+        seg = ChartDomain.box("seg", [(0.0, 1.0)], embed=SmoothMap(
+            1, 2, lambda t: [t[0], 2.0 - 1.5 * t[0]]))
+        ends = seg.boundary_faces() + ChartDomain.interval("t", 0.0, 2.0).boundary_faces()
+        assert [face.dim for face in ends] == [0, 0, 0, 0]
+        assert sum(face.integrate(f) for face in ends[:2]) == pytest.approx(3.5 - 2.0)
+        assert [face.integrate(Form.scalar(1, lambda x: x[0])) for face in ends[2:]] == [
+            2.0, 0.0]
+        assert lifted == []
+        # an edge of a square is a composed map with one source direction
+        edge = ChartDomain.box("sq", [(0.0, 1.0)] * 2).boundary_faces()[0]
+        edge.integrate(Form(2, 1, lambda x: [x[1], x[0]]))
+        assert lifted and set(lifted) == {1}
+
 
 class TestSharedNodeRules:
-    """Each tensor Gauss rule is built once per (bounds, orders), read-only."""
+    """Each tensor rule is built once per tuple of axis rules, read-only."""
 
     def test_equal_bounds_and_orders_share_one_rule(self):
-        # a disk and an annulus from radius 0 have the same reference box
-        ball = ChartDomain.ball(2, order=9)
-        shell = ChartDomain.annulus(0.0, 1.0, order=9)
-        (bc, bw), (sc, sw) = ball.nodes(), shell.nodes()
+        # a ball's boundary sphere and a sphere built alone have the same
+        # axis rules; a disk and an annulus from radius 0 do not, since a
+        # ball's radius takes Gauss-Jacobi and an annulus's Gauss-Legendre
+        (bc, bw) = ChartDomain.ball(3, order=9).boundary_faces()[0].nodes()
+        (sc, sw) = ChartDomain.sphere(3, order=9, name="other").nodes()
         assert bw is sw and all(a is b for a, b in zip(bc, sc))
+        assert not bw.flags.writeable
+        ball = ChartDomain.ball(2, order=9).nodes()
+        shell = ChartDomain.annulus(0.0, 1.0, order=9).nodes()
+        assert ball[1] is not shell[1]
+        assert not np.array_equal(ball[0][0], shell[0][0])
         other = ChartDomain.ball(2, order=10).nodes()
-        assert other[1] is not bw and len(other[1]) == 100
+        assert other[1] is not ball[1] and len(other[1]) == 100
 
     def test_a_closure_cannot_write_into_its_block(self):
         sq = square()

@@ -20,7 +20,7 @@ from cgbv import forms
 from cgbv.dual import Dual, deriv, value
 from cgbv.errors import ChartError, DegreeError, ShapeError
 from cgbv.forms import Form, SmoothMap, combos, det, lift_point
-from cgbv.geometry import (ChartDomain, FiberBundleDomain, _leggauss,
+from cgbv.geometry import (ChartDomain, FiberBundleDomain, _gauss_jacobi,
                            stokes_residual as residual_op, unit_sphere_point)
 
 from test_forms import random_polynomial_form
@@ -417,7 +417,8 @@ class TestStokesResidualModes:
 
 
 class TestGaussLegendreRule:
-    """Golub-Welsch nodes and weights against numpy's rule and exact moments.
+    """The (0, 0) case of the Gauss-Jacobi rule against numpy's Gauss-Legendre
+    rule and exact moments.
 
     numpy's own weights are off by up to 4.0e-15 at orders up to 40 (held
     against 40-digit values), so they bound the weights to 5e-15; the
@@ -426,14 +427,14 @@ class TestGaussLegendreRule:
 
     @pytest.mark.parametrize("order", range(1, 41))
     def test_against_numpy(self, order):
-        x, w = (np.array(v) for v in _leggauss(order))
+        x, w = _gauss_jacobi(order, 0.0, 0.0)
         nx, nw = numpy.polynomial.legendre.leggauss(order)
         assert np.max(np.abs(x - nx)) <= 2e-15
         assert np.max(np.abs(w - nw)) <= 5e-15
 
     @pytest.mark.parametrize("order", range(1, 41))
     def test_exact_moments_and_symmetry(self, order):
-        x, w = (np.array(v) for v in _leggauss(order))
+        x, w = _gauss_jacobi(order, 0.0, 0.0)
         assert np.all(np.diff(x) > 0)
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
         for k in range(2 * order):
@@ -443,7 +444,95 @@ class TestGaussLegendreRule:
     def test_package_does_not_import_numpy_polynomial(self):
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
         code = ("import sys, cgbv.cli, cgbv.geometry as g; g.gauss_nodes(12, 0.0, 1.0); "
+                "g.ChartDomain.ball(3, order=12).nodes(); "
                 "print('numpy.polynomial' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
         assert out.stdout.strip() == "False"
+
+
+def exponents(m: int, top: int) -> np.ndarray:
+    """Every exponent tuple of m variables with total degree at most top."""
+    return np.array([a for a in np.ndindex(*(top + 1,) * m) if sum(a) <= top])
+
+
+def sphere_moments(alphas: np.ndarray) -> np.ndarray:
+    """int over the unit sphere S^(m-1) of x^alpha: 2 prod Gamma((a_i + 1)/2)
+    / Gamma((|alpha| + m)/2) when every a_i is even, else 0."""
+    m = alphas.shape[1]
+    out = np.zeros(len(alphas))
+    for i, a in enumerate(alphas):
+        if not (a % 2).any():
+            out[i] = (2.0 * math.prod(math.gamma((k + 1) / 2.0) for k in a)
+                      / math.gamma((a.sum() + m) / 2.0))
+    return out
+
+
+def monomial_form(alphas: np.ndarray, degree: int) -> Form:
+    """x^alpha for every row of alphas as one family: times the volume form
+    (degree m), or the unit normal contraction of it (degree m - 1)."""
+    m = alphas.shape[1]
+
+    def monos(x):
+        X = np.concatenate(x)
+        return np.prod(X[None] ** alphas[:, :, None], axis=1)
+
+    if degree == m:
+        return Form(m, m, lambda x: [monos(x)])
+    # combos(m, m - 1) lists the face without axis i at position m - 1 - i
+    return Form(m, m - 1, lambda x: [(-1) ** i * x[i] * monos(x)
+                                     for i in reversed(range(m))])
+
+
+def stroud(chart: ChartDomain, n: int) -> ChartDomain:
+    """The chart with 2n azimuth nodes and n on every other axis: the
+    product rule exact for ambient polynomials of degree 2n - 1."""
+    return chart._copy(orders=[n] * (chart.dim - 1) + [2 * n])
+
+
+class TestRoundChartExactness:
+    """Ball, sphere and annulus rules integrate monomials exactly.
+
+    The radius, polar-angle and azimuth rules absorb the r^(m-1) and
+    sin^k(theta) factors of the polar Jacobian, so with n nodes per axis
+    and 2n on the azimuth every x^alpha of degree at most 2n - 1 comes out
+    at its Gamma-function value to rounding: within 1e-14 times the
+    chart's measure, the alpha = 0 moment (S^4 has area 26.3, and its
+    sums of a few hundred weights round at 1.8e-14).  The constructors give
+    every axis the same order n, so their charts are exact to degree
+    n - 1, which n equally spaced azimuth nodes bound.  An annulus radius keeps
+    Gauss-Legendre, exact while the radial degree |alpha| + m - 1 stays
+    at most 2n - 1.
+    """
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_sphere(self, m, n):
+        alphas = exponents(m, 2 * n - 1)
+        got = stroud(ChartDomain.sphere(m, order=n), n).integrate(monomial_form(alphas, m - 1))
+        want = sphere_moments(alphas)
+        assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
+        low = alphas.sum(axis=1) <= n - 1
+        got = ChartDomain.sphere(m, order=n).integrate(monomial_form(alphas[low], m - 1))
+        assert np.max(np.abs(got - want[low])) <= 1e-14 * want[0]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_ball(self, m, n):
+        alphas = exponents(m, 2 * n - 1)
+        got = stroud(ChartDomain.ball(m, order=n), n).integrate(monomial_form(alphas, m))
+        want = sphere_moments(alphas) / (alphas.sum(axis=1) + m)
+        assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
+        low = alphas.sum(axis=1) <= n - 1
+        got = ChartDomain.ball(m, order=n).integrate(monomial_form(alphas[low], m))
+        assert np.max(np.abs(got - want[low])) <= 1e-14 * want[0]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_annulus(self, m, n):
+        alphas = exponents(m, 2 * n - m)
+        got = stroud(ChartDomain.annulus(0.5, 1.0, m, order=n), n).integrate(
+            monomial_form(alphas, m))
+        d = alphas.sum(axis=1) + m
+        want = sphere_moments(alphas) * (1.0 - 0.5 ** d) / d
+        assert np.max(np.abs(got - want)) <= 1e-14 * want[0]

@@ -26,9 +26,9 @@ TWO_PI = 2.0 * math.pi
 def disk_domain(order: int = 28) -> RelativeDomain:
     """Unit disk with its boundary circle and the radius-squared defect.
 
-    Full-period Gauss nodes only resolve trigonometric degree up to
-    roughly half the order, so the default is sized for products of two
-    cubic-coefficient forms.
+    The azimuth's equally spaced nodes resolve trigonometric degree below
+    the order, and the radius rule polynomial degree up to twice it; the
+    default is sized for products of two cubic-coefficient forms.
     """
     ball = ChartDomain.ball(2, order=order)
     return RelativeDomain(ball, boundary_defect=lambda x: x[0] ** 2 + x[1] ** 2 - 1.0)
