@@ -121,8 +121,7 @@ def projected_connection(conn: Connection, sub: Subbundle) -> Connection:
                   for S0 in (P0, Q0))
         return _skew(m, n, lambda i, j: add_coeffs(add_coeffs(D[i][j], SP[i][j]), SQ[i][j]))
 
-    # the projector's m * m entries ride one lifted pass over n directions
-    return Connection(m, MatrixForm(n, 1, m, eval_fn, max(m * m * n, conn.A.width)),
+    return Connection(m, MatrixForm(n, 1, m, eval_fn),
                       f"split({conn.label},{sub.label})")
 
 
@@ -227,8 +226,7 @@ def frame_split_connection(conn: Connection, frames) -> Connection:
 
         return _skew(m, n, entry), _skew(m, n2, d_entry)
 
-    return Connection(m, MatrixForm(n, 1, m, eval_fn, max(m * m * n, conn.A.width),
-                                    closed_d=True),
+    return Connection(m, MatrixForm(n, 1, m, eval_fn, closed_d=True),
                       f"frame-split({conn.label})")
 
 
@@ -281,7 +279,7 @@ def total_connection(conn: Connection, fiber_ambient: int) -> Connection:
         A, dA = conn.A.eval_with_d(list(x[F:]))
         return pad(A, F), pad(dA, F2)
 
-    return Connection(m, MatrixForm(F + n, 1, m, eval_fn, conn.A.width, closed_d=True),
+    return Connection(m, MatrixForm(F + n, 1, m, eval_fn, closed_d=True),
                       conn.label)
 
 
@@ -305,8 +303,7 @@ def rank_extension(conn: Connection) -> Connection:
             raise NonFiniteError(f"potential {conn.label or '?'} is not finite")
         return (extend(A, n), extend(dA, len(combos(n, 2)))) if with_d else extend(A, n)
 
-    return Connection(m + 1, MatrixForm(n, 1, m + 1, eval_fn,
-                                        max((m + 1) ** 2, conn.A.width), closed_d=True),
+    return Connection(m + 1, MatrixForm(n, 1, m + 1, eval_fn, closed_d=True),
                       f"r+{conn.label}")
 
 

@@ -97,7 +97,7 @@ def pfaffian(Mf: MatrixForm) -> Form:
         # degree above the chart dimension: identically zero
         return Form.zero(Mf.n, k * Mf.p)
     n, p = Mf.n, Mf.p
-    return Form(n, k * p, lambda x: pfaffian_coeffs(n, p, Mf.eval(x)), Mf.width)
+    return Form(n, k * p, lambda x: pfaffian_coeffs(n, p, Mf.eval(x)))
 
 
 class Connection:
@@ -131,7 +131,7 @@ class Connection:
             W = mat_mul_wedge(n, 1, 1, val, val)
             return [[add_coeffs(dA[i][j], W[i][j]) for j in range(m)] for i in range(m)]
 
-        return MatrixForm(n, 2, m, eval_fn, A.width * max(n, 1))
+        return MatrixForm(n, 2, m, eval_fn)
 
     def pullback(self, phi: SmoothMap, label: str = "") -> "Connection":
         return Connection(self.rank, self.A.pullback(phi), label or self.label)
@@ -232,8 +232,6 @@ def _simplex_transgression(conns, order: int | None) -> Form:
                                 if r not in slots]))
     fronts_used = {front for _, front, _ in placements}
     f_pairs = {pr for _, _, rest in placements for pr in rest}
-    # with k = q every pair holds a theta and F is never needed
-    width = max(c.A.width for c in conns) * (n if f_pairs else 1)
     pairs = combos(m, 2)
     # the scalar weights l_a, l_a l_b and w are 0-forms
     wedge11, wedge02, wedge0k = (wedge_table(n, p, q)
@@ -280,7 +278,7 @@ def _simplex_transgression(conns, order: int | None) -> Form:
             _wedges(out, wedge0k, [[w]], [block])
         return scale_coeffs(scale, out)
 
-    return Form(n, out_deg, comps, width)
+    return Form(n, out_deg, comps)
 
 
 def connection_path(c1: Connection, c2: Connection) -> Connection:
@@ -305,7 +303,7 @@ def connection_path(c1: Connection, c2: Connection) -> Connection:
             out.append(row)
         return out
 
-    return Connection(m, MatrixForm(n + 1, 1, m, eval_fn, max(c1.A.width, c2.A.width)),
+    return Connection(m, MatrixForm(n + 1, 1, m, eval_fn),
                       f"path({c1.label},{c2.label})")
 
 
@@ -330,8 +328,7 @@ def simplex_family(c1: Connection, c2: Connection, c3: Connection) -> Connection
             out.append(row)
         return out
 
-    return Connection(m, MatrixForm(n + 2, 1, m, eval_fn,
-                                    max(c1.A.width, c2.A.width, c3.A.width)),
+    return Connection(m, MatrixForm(n + 2, 1, m, eval_fn),
                       f"simplex({c1.label},{c2.label},{c3.label})")
 
 
@@ -413,8 +410,7 @@ def gauge_pullback_potential(conn: Connection, phi: SmoothMap, psi) -> MatrixFor
     psiT0 = [[[psi[j][i]] for j in range(m)] for i in range(m)]
     return MatrixForm(n, 1, m,
                       lambda x: mat_mul_wedge(n, 1, 0, mat_mul_wedge(n, 0, 1, psiT0,
-                                                                     pulled.eval(x)), psi0),
-                      pulled.width)
+                                                                     pulled.eval(x)), psi0))
 
 
 def gauge_residual(conn: Connection, phi: SmoothMap, psi,

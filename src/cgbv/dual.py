@@ -156,25 +156,6 @@ def where(cond, a, b):
     return np.where(cond, a, b)
 
 
-def entries(x) -> int:
-    """Entries of ``x`` with its slots broadcast together: nodes times directions.
-
-    A float counts 1, a block of B nodes B, and a block lifted over n
-    directions n * B, since its derivative slots fill out to that shape.
-    """
-    shapes = []
-
-    def walk(v):
-        if isinstance(v, Dual):
-            walk(v.a)
-            walk(v.b)
-        elif isinstance(v, np.ndarray):
-            shapes.append(v.shape)
-
-    walk(x)
-    return math.prod(np.broadcast_shapes(*shapes)) if shapes else 1
-
-
 def trailing(x):
     """``x`` with a new last axis on every array slot, so nodes broadcast."""
     if isinstance(x, Dual):

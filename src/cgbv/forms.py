@@ -23,19 +23,13 @@ it with :func:`contract`.  Sums are ``a = a + b``: an in-place
 ``+=`` cannot widen (B, 1) base points against F fiber nodes, nor one draw
 against R.
 
-Every form and matrix form carries a structural ``width``, the array
-entries one evaluation holds per node or sample point, up to a constant: 1
-for a plain closure, 2R for a family of R draws, m * m for an m x m matrix,
-multiplied by the number of directions at each ``d``, pullback or Jacobian
-level, and the larger of the two for a sum or wedge.  :func:`block_size`
-turns it into the number of nodes or points one evaluation gets, so blocks
-depend only on how a form is built and sum in the same order on every run
-and machine.
+Every evaluation over many nodes or points takes them in blocks of at most
+:data:`BLOCK`, whatever the form, so blocks depend only on the rule or the
+point count and sum in the same order on every run and machine.
 
 A sampled identity lhs = rhs is one form, ``lhs - rhs``, built with the
 arithmetic below, and :func:`form_sup` reduces it over the sample points in
-blocks of that size; the check itself sizes no block and pairs no
-coefficient lists.
+those blocks; the check itself pairs no coefficient lists.
 
 A closure returns the literal float ``0.0`` for a coefficient that vanishes
 identically, such as the dt slot of a path potential or every entry of a
@@ -63,19 +57,12 @@ from .dual import Dual, depth, deriv, directions, value
 from .errors import DegreeError, ShapeError
 
 
-# Array entries per closure evaluation: a form of width w gets blocks of
-# ENTRY_BUDGET // w nodes or points, at least 128 (Python overhead per numpy
-# call dominates below that) and at most 2048 (larger arrays drop out of the
-# cache and run slower per entry).  First-order integrands (width up to 64)
-# get 2048 nodes; the second-order 4 x 4 transgressions that symmetry-
-# reflection integrates over a cylinder (width 3072, about 8 KB a node) keep
-# 128; the rank-4 transgression derivative (width 256) takes 512 points.
-ENTRY_BUDGET = 2 ** 17
-
-
-def block_size(width: int) -> int:
-    """Nodes or sample points per evaluation of a form of this width."""
-    return min(max(ENTRY_BUDGET // width, 128), 2048)
+# Nodes or sample points per closure evaluation, for every form.  Shorter
+# blocks pay more Python overhead per numpy call (at 256 the wide 4 x 4
+# transgressions of symmetry-reflection ran about 20% slower); longer ones
+# hold more arrays at once (at 1024 a registry run peaked about 1 MB higher)
+# and the registry as a whole ran no faster.
+BLOCK = 512
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +192,7 @@ def form_sup(form: Form, points) -> float:
 
     ``points`` lists P points shared by every draw, or R lists of P, one
     per draw of a family; they are evaluated as (1, P) or (R, P) blocks of
-    ``block_size(form.width)`` points per row.  A sup does not depend on
+    at most :data:`BLOCK` points per row.  A sup does not depend on
     the order it is taken in, so this is the value one block of every
     point gives, without holding all their arrays at once.  A sampled
     identity lhs = rhs is checked as ``form_sup(lhs - rhs, points)``: a
@@ -217,9 +204,8 @@ def form_sup(form: Form, points) -> float:
     pts = np.asarray(points, dtype=float)
     # one array per coordinate, (n, R, P), R = 1 for shared points
     coords = np.moveaxis(pts if pts.ndim == 3 else pts[None], -1, 0).copy()
-    step = block_size(form.width)
-    return sup_abs(sup_abs(form(list(coords[..., s:s + step])))
-                   for s in range(0, coords.shape[-1], step))
+    return sup_abs(sup_abs(form(list(coords[..., s:s + BLOCK])))
+                   for s in range(0, coords.shape[-1], BLOCK))
 
 
 def wedge_coeffs(n: int, p: int, q: int, a: list, b: list) -> list:
@@ -426,18 +412,14 @@ class Form:
         fiber integral always lowers it by the fiber dimension).
     comps : callable
         Point -> list of coefficients aligned with ``combos(n, p)``.
-    width : int
-        Array entries one evaluation holds per node, up to a constant
-        (see the module docstring); 1 for a plain closure.
     """
 
-    __slots__ = ("n", "p", "comps", "width")
+    __slots__ = ("n", "p", "comps")
 
-    def __init__(self, n: int, p: int, comps, width: int = 1):
+    def __init__(self, n: int, p: int, comps):
         self.n = n
         self.p = p
         self.comps = comps
-        self.width = width
 
     def evaluate(self, x) -> list:
         vals = self.comps(list(x))
@@ -469,20 +451,18 @@ class Form:
     # than being cut short.
     def __add__(self, other: "Form") -> "Form":
         self._compat(other)
-        return Form(self.n, self.p, lambda x: add_coeffs(self(x), other(x)),
-                    max(self.width, other.width))
+        return Form(self.n, self.p, lambda x: add_coeffs(self(x), other(x)))
 
     def __sub__(self, other: "Form") -> "Form":
         self._compat(other)
-        return Form(self.n, self.p, lambda x: sub_coeffs(self(x), other(x)),
-                    max(self.width, other.width))
+        return Form(self.n, self.p, lambda x: sub_coeffs(self(x), other(x)))
 
     def __neg__(self) -> "Form":
-        return Form(self.n, self.p, lambda x: [-v for v in self.comps(x)], self.width)
+        return Form(self.n, self.p, lambda x: [-v for v in self.comps(x)])
 
     def smul(self, c) -> "Form":
         """Multiply by a constant scalar."""
-        return Form(self.n, self.p, lambda x: scale_coeffs(c, self.comps(x)), self.width)
+        return Form(self.n, self.p, lambda x: scale_coeffs(c, self.comps(x)))
 
     def __mul__(self, c):
         return self.smul(c)
@@ -492,11 +472,10 @@ class Form:
     def wedge(self, other: "Form") -> "Form":
         if other.n != self.n:
             raise ShapeError("wedge of forms on charts of different dimension")
-        if self.p + other.p > self.n:
+        if min(self.p, other.p) < 0 or self.p + other.p > self.n:
             return Form.zero(self.n, self.p + other.p)
         n, p, q = self.n, self.p, other.p
-        return Form(n, p + q, lambda x: wedge_coeffs(n, p, q, self(x), other(x)),
-                    max(self.width, other.width))
+        return Form(n, p + q, lambda x: wedge_coeffs(n, p, q, self(x), other(x)))
 
     def d(self) -> "Form":
         """Exterior derivative from one dual pass carrying every direction.
@@ -511,7 +490,7 @@ class Form:
         def comps(x):
             return _d_coeffs(n, p, self(lift_point(x, range(n))), _levels(x))
 
-        return Form(n, p + 1, comps, self.width * n)
+        return Form(n, p + 1, comps)
 
     def pullback(self, phi: SmoothMap) -> "Form":
         """Pull back along phi, landing on the source chart of phi.
@@ -531,7 +510,7 @@ class Form:
             y, J = phi.jacobian(u)
             return contract(minors(J, p, n_dst, n_src), self(y))
 
-        return Form(n_src, p, comps, self.width * (n_src if p else 1))
+        return Form(n_src, p, comps)
 
     def _compat(self, other: "Form"):
         if (self.n, self.p) != (other.n, other.p):
@@ -546,7 +525,7 @@ class MatrixForm:
     lists aligned with ``combos(n, p)``.  Batching the whole matrix into one
     closure, with every direction on the leading axis of the derivative
     slots, makes ``d`` a single closure call whatever the number of entries
-    or the chart dimension.  The width of a plain matrix closure is m * m.
+    or the chart dimension.
     The stored ``eval`` raises :class:`ShapeError` unless the closure returns
     m rows of m lists of ``len(combos(n, p))`` coefficients.
 
@@ -555,16 +534,14 @@ class MatrixForm:
     :meth:`eval_with_d` takes that path instead of a lifted pass.
     """
 
-    __slots__ = ("n", "p", "m", "eval", "width", "closed_d")
+    __slots__ = ("n", "p", "m", "eval", "closed_d")
 
-    def __init__(self, n: int, p: int, m: int, eval_fn, width: int | None = None,
-                 closed_d: bool = False):
+    def __init__(self, n: int, p: int, m: int, eval_fn, closed_d: bool = False):
         if p < 0:
             raise DegreeError(f"negative degree {p}")
         self.n = n
         self.p = p
         self.m = m
-        self.width = m * m if width is None else width
         self.closed_d = closed_d
 
         def check(A, q):
@@ -606,14 +583,14 @@ class MatrixForm:
         def eval_fn(x):
             A, B = self.eval(x), other.eval(x)
             return [[add_coeffs(A[i][j], B[i][j]) for j in range(self.m)] for i in range(self.m)]
-        return MatrixForm(self.n, self.p, self.m, eval_fn, max(self.width, other.width))
+        return MatrixForm(self.n, self.p, self.m, eval_fn)
 
     def __sub__(self, other: "MatrixForm") -> "MatrixForm":
         self._compat(other)
         def eval_fn(x):
             A, B = self.eval(x), other.eval(x)
             return [[sub_coeffs(A[i][j], B[i][j]) for j in range(self.m)] for i in range(self.m)]
-        return MatrixForm(self.n, self.p, self.m, eval_fn, max(self.width, other.width))
+        return MatrixForm(self.n, self.p, self.m, eval_fn)
 
     def __neg__(self) -> "MatrixForm":
         return self.smul(-1.0)
@@ -622,7 +599,7 @@ class MatrixForm:
         def eval_fn(x):
             A = self.eval(x)
             return [[scale_coeffs(c, A[i][j]) for j in range(self.m)] for i in range(self.m)]
-        return MatrixForm(self.n, self.p, self.m, eval_fn, self.width)
+        return MatrixForm(self.n, self.p, self.m, eval_fn)
 
     def wedge(self, other: "MatrixForm") -> "MatrixForm":
         """Matrix product with entrywise wedge."""
@@ -632,7 +609,7 @@ class MatrixForm:
         def eval_fn(x):
             A, B = self.eval(x), other.eval(x)
             return mat_mul_wedge(n, p, q, A, B)
-        return MatrixForm(n, p + q, m, eval_fn, max(self.width, other.width))
+        return MatrixForm(n, p + q, m, eval_fn)
 
     def eval_with_d(self, x):
         """Values at x and the matrix of their ``d``, from one lifted pass.
@@ -656,8 +633,7 @@ class MatrixForm:
     def d(self) -> "MatrixForm":
         if self.p >= self.n:
             return MatrixForm.zero(self.n, self.p + 1, self.m)
-        return MatrixForm(self.n, self.p + 1, self.m, lambda x: self.eval_with_d(x)[1],
-                          self.width * self.n)
+        return MatrixForm(self.n, self.p + 1, self.m, lambda x: self.eval_with_d(x)[1])
 
     def pullback(self, phi: SmoothMap) -> "MatrixForm":
         if phi.dst_dim != self.n:
@@ -669,7 +645,7 @@ class MatrixForm:
             y, J = phi.jacobian(u)
             table = minors(J, p, n_dst, n_src)
             return [[contract(table, e) for e in row] for row in self.eval(y)]
-        return MatrixForm(n_src, p, m, eval_fn, self.width * (n_src if p else 1))
+        return MatrixForm(n_src, p, m, eval_fn)
 
     def _compat(self, other: "MatrixForm"):
         if (self.n, self.p, self.m) != (other.n, other.p, other.m):

@@ -22,14 +22,14 @@ and user maps take one lifted pass (:meth:`cgbv.forms.SmoothMap.jacobian`).
 Evaluation model: a form closure, an embedding and a section receive a
 point as a list of coordinates, each a float or a numpy array.  A block of
 nodes or sample points carries a leading draw axis and its node or point
-axis last: ``integrate`` passes (1, N) blocks of
-:func:`cgbv.forms.block_size` nodes for the width of the pulled-back form
-and reduces the node axis with :func:`cgbv.dual.node_sum`, and
-:func:`cgbv.forms.form_sup` passes (1, P) blocks, or (R, P) blocks with
-draw r's own points in row r.  A family of R random draws
-(``scenarios._polynomials``) lives on that axis, so one integral returns
-R values and a single draw a float.  Sampling passes floats, and the zero
-finder of :mod:`cgbv.relative` passes its Newton starts as one block.
+axis last: ``integrate`` passes (1, N) blocks of at most
+:data:`cgbv.forms.BLOCK` nodes and reduces the node axis with
+:func:`cgbv.dual.node_sum`, and :func:`cgbv.forms.form_sup` passes (1, P)
+blocks, or (R, P) blocks with draw r's own points in row r.  A family of R
+random draws (``scenarios._polynomials``) lives on that axis, so one
+integral returns R values and a single draw a float.  Sampling passes
+floats, and the zero finder of :mod:`cgbv.relative` passes its Newton
+starts as one block.
 Closures therefore compute elementwise and must not branch on values: a
 piecewise formula selects through :func:`cgbv.dual.where` on clamped
 arguments.  Nor may they write into a block: quadrature blocks are views
@@ -39,10 +39,10 @@ read-only.
 A fiber integral runs the chart integral's block loop over the fiber, its
 base point given a trailing axis (:func:`cgbv.dual.trailing`): a block of B
 base points meets F fiber nodes as (B, F) arrays, and a dual base point
-passes through.  Each block of fiber nodes evaluates the total-space form
-and the fiber embedding's Jacobian once and reduces every output
-coefficient from them.  The fiber blocks count the entries each base point
-brings, so base times fiber entries stay within the same budget.
+passes through.  Each block of at most :data:`cgbv.forms.BLOCK` fiber
+nodes evaluates the total-space form and the fiber embedding's Jacobian
+once and reduces every output coefficient from them, whether the base is
+one point or a block.
 
 Orientation conventions, pinned once and tested:
 
@@ -67,10 +67,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dual import cos, entries, node_sum, sin, trailing
+from .dual import cos, node_sum, sin, trailing
 from .errors import ChartError, DegreeError
-from .forms import (Form, SmoothMap, block_size, combos, combo_index, contract,
-                    minors, times)
+from .forms import (BLOCK, Form, SmoothMap, combos, combo_index, contract, minors,
+                    times)
 
 
 @lru_cache(maxsize=None)
@@ -231,18 +231,12 @@ class ChartDomain:
     # constructors
 
     @staticmethod
-    def box(name: str, bounds, orders=None, embed: SmoothMap | None = None,
-            ambient_dim: int | None = None, orientation: int = 1) -> "ChartDomain":
+    def box(name: str, bounds, orders=None, embed: SmoothMap | None = None) -> "ChartDomain":
         dim = len(bounds)
-        if embed is None:
-            ambient_dim = dim if ambient_dim is None else ambient_dim
-            if ambient_dim != dim:
-                raise ChartError("identity embedding requires ambient_dim == dim")
-        else:
-            ambient_dim = embed.dst_dim
-            if embed.src_dim != dim:
-                raise ChartError("embedding source dimension mismatch")
-        return ChartDomain(name, "box", dim, ambient_dim, bounds, orders, embed, orientation)
+        if embed is not None and embed.src_dim != dim:
+            raise ChartError("embedding source dimension mismatch")
+        ambient_dim = dim if embed is None else embed.dst_dim
+        return ChartDomain(name, "box", dim, ambient_dim, bounds, orders, embed)
 
     @staticmethod
     def interval(name: str, lo: float, hi: float, order: int = 16) -> "ChartDomain":
@@ -399,30 +393,27 @@ class ChartDomain:
         if form.p != self.dim:
             raise DegreeError(
                 f"degree {form.p} form cannot be integrated over {self.dim}-dimensional {self.name}")
-        return self._integrate_rows(form, [range(len(combos(form.n, form.p)))],
-                                    form.width)[0]
+        return self._integrate_rows(form, [range(len(combos(form.n, form.p)))])[0]
 
-    def _integrate_rows(self, comps, rows, width: int) -> list:
+    def _integrate_rows(self, comps, rows) -> list:
         """Integrals of several top-degree forms that share one evaluation.
 
         ``comps(y)`` gives coefficients at ambient points y; each row lists
         the positions in them of one form's coefficients, aligned with
-        ``combos(ambient_dim, dim)``.  Per block of nodes the embedding's
-        values and Jacobian and ``comps`` are evaluated once, and every row
-        is pulled back through the same minors of that Jacobian
-        (:func:`cgbv.forms.contract`); an identity embedding has the unit
-        matrix, whose minor is 1.0.  Blocks are sized for ``width`` as the
-        pullback of a form of that width would be.
+        ``combos(ambient_dim, dim)``.  Per block of at most
+        :data:`cgbv.forms.BLOCK` nodes the embedding's values and Jacobian
+        and ``comps`` are evaluated once, and every row is pulled back
+        through the same minors of that Jacobian (:func:`cgbv.forms.contract`);
+        an identity embedding has the unit matrix, whose minor is 1.0.
         """
         k, embed = self.dim, self.embedding()
         coords, weights = self.nodes()
-        step = block_size(width * max(k, 1))
         totals = [0.0] * len(rows)
-        for s in range(0, len(weights), step):
-            y, J = embed.jacobian([c[None, s:s + step] for c in coords])
+        for s in range(0, len(weights), BLOCK):
+            y, J = embed.jacobian([c[None, s:s + BLOCK] for c in coords])
             vals = comps(y)
             top = minors(J, k, self.ambient_dim, k)
-            w = weights[s:s + step]
+            w = weights[s:s + BLOCK]
             totals = [t + node_sum(w, contract(top, [vals[i] for i in row])[0])
                       for t, row in zip(totals, rows)]
         return [self.orientation * t for t in totals]
@@ -496,11 +487,9 @@ class FiberBundleDomain:
         evaluates the form and the fiber embedding's Jacobian once per
         block of fiber nodes (:meth:`ChartDomain._integrate_rows`).  A result
         degree outside 0..base dimension, negative below the fiber
-        dimension, gives the zero form of that degree.  One evaluation at a
-        base point holds every fiber node, so the result's width is the
-        form's times the fiber's node count; at a block of base points,
-        each fiber block is sized by the form's width times the entries the
-        base point brings.
+        dimension, gives the zero form of that degree.  A float base point
+        and a block of base points alike meet at most
+        :data:`cgbv.forms.BLOCK` fiber nodes per evaluation.
         """
         fa, fd = self.fiber.ambient_dim, self.fiber.dim
         nb = self.base.ambient_dim
@@ -517,10 +506,9 @@ class FiberBundleDomain:
 
         def comps(y):
             tail = [trailing(c) for c in y]
-            width = form.width * max((entries(c) for c in y), default=1)
-            return self.fiber._integrate_rows(lambda v: form(list(v) + tail), rows, width)
+            return self.fiber._integrate_rows(lambda v: form(list(v) + tail), rows)
 
-        return Form(nb, p_out, comps, form.width * math.prod(self.fiber.orders))
+        return Form(nb, p_out, comps)
 
 
 def _slice_chart(base: ChartDomain, value: float, total_ambient: int) -> ChartDomain:

@@ -59,19 +59,14 @@ class FormPair:
     """Cone pair: a degree-k form and its degree k-1 boundary companion.
 
     The companion is only ever read on the boundary faces.  In degree
-    zero the companion space is trivial and ``gamma`` must be None.
+    zero it lies in the zero space of degree -1, ``Form.zero(n, -1)``.
     """
 
-    def __init__(self, domain: RelativeDomain, omega: Form, gamma: Form | None):
+    def __init__(self, domain: RelativeDomain, omega: Form, gamma: Form):
         n = domain.ambient_dim
         if omega.n != n:
             raise ChartError(f"first slot lives in dimension {omega.n}, chart has {n}")
-        if omega.p == 0:
-            if gamma is not None:
-                raise DegreeError("degree-zero pairs carry no boundary companion")
-        elif gamma is None:
-            raise DegreeError("positive-degree pairs need a boundary companion")
-        elif gamma.n != n or gamma.p != omega.p - 1:
+        if not isinstance(gamma, Form) or (gamma.n, gamma.p) != (n, omega.p - 1):
             raise DegreeError(
                 f"companion must be a degree {omega.p - 1} form in dimension {n}")
         self.domain = domain
@@ -85,8 +80,7 @@ class FormPair:
 
 def pair_d(p: FormPair) -> FormPair:
     """Cone differential (omega, gamma) -> (-d omega, omega|b + d gamma)."""
-    second = p.omega if p.gamma is None else p.omega + p.gamma.d()
-    return FormPair(p.domain, p.omega.d().smul(-1.0), second)
+    return FormPair(p.domain, p.omega.d().smul(-1.0), p.omega + p.gamma.d())
 
 
 def from_boundary(domain: RelativeDomain, gamma: Form) -> FormPair:
@@ -96,25 +90,20 @@ def from_boundary(domain: RelativeDomain, gamma: Form) -> FormPair:
 
 def pair_pullback(p: FormPair, phi: SmoothMap, source: RelativeDomain) -> FormPair:
     """Pull a pair back along a map that respects the boundaries."""
-    gamma = None if p.gamma is None else p.gamma.pullback(phi)
-    return FormPair(source, p.omega.pullback(phi), gamma)
+    return FormPair(source, p.omega.pullback(phi), p.gamma.pullback(phi))
 
 
 # ---------------------------------------------------------------------------
 # pairings
 
 def _pairing(p: FormPair, eta: Form) -> tuple:
-    """(int_M omega^eta, int_bM gamma^eta), the second 0.0 without gamma."""
+    """(int_M omega^eta, int_bM gamma^eta)."""
     dom = p.domain
     if p.omega.p + eta.p != dom.dim:
         raise DegreeError(
             f"pairing a degree {p.omega.p} pair needs a degree "
             f"{dom.dim - p.omega.p} test form, got {eta.p}")
-    first = dom.integrate(p.omega.wedge(eta))
-    second = 0.0
-    if p.gamma is not None:
-        second = dom.integrate_boundary(p.gamma.wedge(eta))
-    return first, second
+    return dom.integrate(p.omega.wedge(eta)), dom.integrate_boundary(p.gamma.wedge(eta))
 
 
 def lefschetz_I(p: FormPair, eta: Form) -> float:
@@ -194,9 +183,7 @@ def _pulled_wedges(terms, pair_map: SmoothMap, eta_map: SmoothMap) -> Form:
             _wedge_into(out, wedge_table(n, a.p, b.p), ca, cb)
         return out
 
-    width = max(max(a.width * (n if a.p else 1), b.width * (n if b.p else 1))
-                for _, a, b in terms)
-    return Form(n, deg, comps, width)
+    return Form(n, deg, comps)
 
 
 def _cylinder_pairing(phi: SmoothMap, t: float, terms, source: RelativeDomain,
@@ -225,12 +212,11 @@ def _cylinder_pairing(phi: SmoothMap, t: float, terms, source: RelativeDomain,
     seg = ChartDomain.interval("s", 0.0, t, 5)
     first = -ChartDomain.product(seg, source.manifold).integrate(_pulled_wedges(
         [(c, p.omega, eta) for c, p, eta in terms], pair_map, eta_map))
+    integrand = _pulled_wedges([(c, p.gamma, eta) for c, p, eta in terms],
+                               pair_map, eta_map)
     second = 0.0
-    edge = [(c, p.gamma, eta) for c, p, eta in terms if p.gamma is not None]
-    if edge:
-        integrand = _pulled_wedges(edge, pair_map, eta_map)
-        for face in source.faces:
-            second += ChartDomain.product(seg, face).integrate(integrand)
+    for face in source.faces:
+        second += ChartDomain.product(seg, face).integrate(integrand)
     return first, second
 
 
@@ -461,5 +447,5 @@ def boundary_winding(section, B: ChartDomain) -> float:
         den = (s1 * s1 + s2 * s2) * (2.0 * math.pi)
         return [(s1 * J[1][c] - s2 * J[0][c]) / den for c in range(2)]
 
-    w = Form(2, 1, comps, smap.src_dim)
+    w = Form(2, 1, comps)
     return sum(face.integrate(w) for face in B.boundary_faces())

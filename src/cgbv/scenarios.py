@@ -178,10 +178,8 @@ def _draw_polynomial(n: int, p: int, rng: random.Random) -> list:
 
 
 def _family(n: int, p: int, draws: list) -> Form:
-    """R drawn p-forms on R^n as one family, width 2R."""
-    # at width R the blocks of first-order family integrands fill the entry
-    # budget and their arrays raise the peak RSS of a registry run; 2R halves them
-    return Form(n, p, _polynomials(draws), 2 * len(draws))
+    """R drawn p-forms on R^n as one family."""
+    return Form(n, p, _polynomials(draws))
 
 
 def _families(shapes, reps: int, rng: random.Random) -> list:
@@ -650,13 +648,14 @@ def _run_chain_sign_laws(cfg: Config) -> dict:
     rng = _rng(cfg, "chain-sign-laws")
     head = dom.manifold.sample_ambient_points(rng, 3)
 
-    # per degree k: pairs of degree k, a companion only for k = 1, and test
-    # forms eta, ceil(count / 2) draws at k = 0 and the rest at k = 1
-    shapes = (((2, 0), (2, 1)), ((2, 1), (2, 0), (2, 0)))
+    # per degree k: pairs of degree k, their companions of degree k - 1 (at
+    # k = 0 the zero space, which draws nothing) and test forms eta,
+    # ceil(count / 2) draws at k = 0 and the rest at k = 1
+    shapes = (((2, 0), (2, -1), (2, 1)), ((2, 1), (2, 0), (2, 0)))
     dd, transpose = [], []
     for k, reps in ((0, (cfg.count + 1) // 2), (1, cfg.count // 2))[:cfg.count]:
-        omega, *gamma, eta = _families(shapes[k], reps, rng)
-        p = FormPair(dom, omega, gamma[0] if k else None)
+        omega, gamma, eta = _families(shapes[k], reps, rng)
+        p = FormPair(dom, omega, gamma)
         ddp = pair_d(pair_d(p))
         dd += [form_sup(ddp.omega, head), form_sup(ddp.gamma, head)]
         sign = -1.0 if k else 1.0

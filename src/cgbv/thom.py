@@ -126,7 +126,7 @@ def _slope_dr(rho: BumpProfile, fiber_dim: int, n: int) -> Form:
     return Form(n, 1, comps)
 
 
-def mu(omega: Form, gamma: Form | None, rho: BumpProfile, fiber_dim: int) -> Form:
+def mu(omega: Form, gamma: Form, rho: BumpProfile, fiber_dim: int) -> Form:
     """rho(r)·omega - rho'(r) dr ^ gamma, supported in the radius-2 tube.
 
     The slots are the halves of a relative pair on the bundle chart and
@@ -134,9 +134,7 @@ def mu(omega: Form, gamma: Form | None, rho: BumpProfile, fiber_dim: int) -> For
     The slope factor vanishes near r = 0, which keeps the product smooth
     even though gamma may blow up at the zero section.
     """
-    first = Form(omega.n, omega.p, _scaled_comps(omega, rho, fiber_dim), omega.width)
-    if gamma is None:
-        return first
+    first = Form(omega.n, omega.p, _scaled_comps(omega, rho, fiber_dim))
     return first - _slope_dr(rho, fiber_dim, omega.n).wedge(gamma)
 
 
@@ -208,7 +206,7 @@ class ThomScenario:
                                        faces=[se.total for se in self.se],
                                        boundary_defect=defect)
 
-    def pair(self, omega: Form, gamma: Form | None) -> FormPair:
+    def pair(self, omega: Form, gamma: Form) -> FormPair:
         return FormPair(self.relative, omega, gamma)
 
 
@@ -218,8 +216,6 @@ def nu(scenario: ThomScenario, p: FormPair) -> Form:
     The sphere part sums the fiber integrals over the pieces of SE.
     """
     de_part = scenario.de.fiber_integrate(p.omega)
-    if p.gamma is None:
-        return de_part
     parts = [se.fiber_integrate(p.gamma) for se in scenario.se]
     return de_part + sum(parts[1:], parts[0])
 

@@ -2,8 +2,8 @@
 
 ``ChartDomain.integrate`` evaluates each form closure once per block of
 nodes, with (1, N) coordinate arrays in place of floats, the draw axis of
-a family leading; the block length N is ``block_size`` of the pulled-back
-form's structural width.  The oracle below
+a family leading; the block length N is at most ``forms.BLOCK``, whatever
+the form.  The oracle below
 walks the chart's own rule (``nodes()``) one float node at a time and calls
 the same closures there, so any closure that branches on values, or a
 block loop that drops, repeats or misweights a node, shows up as a
@@ -52,8 +52,7 @@ from cgbv.chern_weil import (Connection, MatrixForm, gauge_pullback_potential,
                              gauge_residual, pf_form, pfaffian, symmetry_check,
                              transgression)
 from cgbv.errors import ClosednessError, ShapeError, VanishingSectionError
-from cgbv.forms import (ENTRY_BUDGET, Form, SmoothMap, as_block, block_size,
-                        combo_index, combos)
+from cgbv.forms import BLOCK, Form, SmoothMap, as_block, combo_index, combos
 from cgbv.geometry import ChartDomain, FiberBundleDomain, stokes_residual
 from cgbv.relative import FormPair, homotopy_defect_I, homotopy_defect_II
 from cgbv.scenarios import Config, get_scenario, run_scenario
@@ -151,16 +150,10 @@ def test_blocks_match_per_node_sum(name, derived):
         assert domain.integrate(form) == pytest.approx(want, rel=REL)
 
 
-def pulled_block(domain: ChartDomain, form: Form) -> int:
-    """Nodes per closure evaluation when ``domain`` integrates ``form``."""
-    return block_size(form.pullback(domain.embed).width)
-
-
 def test_partial_last_block():
     ball = ChartDomain.ball(4, order=10)
     form = smooth_form(4, 4, 11)
-    step = pulled_block(ball, form)
-    assert math.prod(ball.orders) > step and math.prod(ball.orders) % step != 0
+    assert integrate_blocks(ball, form) == [BLOCK] * 19 + [10000 - 19 * BLOCK]
     assert ball.integrate(form) == pytest.approx(per_node_integral(ball, form), rel=REL)
 
 
@@ -170,8 +163,8 @@ def test_thom_form_bump_branches_inside_one_batch():
     tau = thom_form(Connection.flat(2, 0, "flat2"))
     ball = ChartDomain.ball(2, radius=2.0, order=24)
     radii = ball.nodes()[0][0]
-    step = pulled_block(ball, tau)
-    blocks = [radii[s:s + step] for s in range(0, len(radii), step)]
+    assert integrate_blocks(ball, tau) == [BLOCK, 576 - BLOCK]
+    blocks = [radii[s:s + BLOCK] for s in range(0, len(radii), BLOCK)]
     for knot in (0.8, 1.0):
         assert any((b < knot).any() and (b > knot).any() for b in blocks)
     want = per_node_integral(ball, tau)
@@ -179,14 +172,14 @@ def test_thom_form_bump_branches_inside_one_batch():
 
 
 def spied(form: Form):
-    """``form`` at the same width, and the node counts its evaluations see."""
+    """``form``, and the node counts its evaluations see."""
     seen = []
 
     def comps(x):
         seen.append(np.shape(dual.real(x[0]))[-1])
         return form.comps(x)
 
-    return Form(form.n, form.p, comps, form.width), seen
+    return Form(form.n, form.p, comps), seen
 
 
 def integrate_blocks(domain: ChartDomain, form: Form) -> list:
@@ -197,22 +190,13 @@ def integrate_blocks(domain: ChartDomain, form: Form) -> list:
 
 
 class TestBlockSizes:
-    """Blocks follow from how a form is built, never from a run or a machine."""
+    """Blocks hold at most ``BLOCK`` nodes, whatever the form: they follow
+    from the rule alone, never from a run or a machine."""
 
-    def test_width_rules(self):
-        f = Form(3, 1, lambda x: [x[0], x[1], x[2]])
-        phi = SmoothMap(2, 3, lambda u: [u[0], u[1], u[0] * u[1]])
-        assert f.width == 1 and f.d().width == 3 and f.d().d().width == 9
-        assert f.pullback(phi).width == 2 and f.pullback(phi).d().width == 4
-        assert Form.scalar(3, lambda x: x[0]).pullback(phi).width == 1
-        assert f.wedge(f.d()).width == 3 and (f + f.smul(2.0)).width == 1
-        A = random_skew(4, 4, random.Random(1)).A
-        assert A.width == 16 and A.d().width == 64
-        assert pf_form(Connection(4, A)).width == 64
-
-    def test_first_order_pullback_gets_long_blocks(self):
-        # the cylinder integrand of homotopy-operators: a polynomial form
-        # pulled back along a flow, wedged with a pulled-back 1-form
+    def test_first_order_pullback_takes_full_blocks(self):
+        # the cylinder integrand of homotopy-operators (4840 nodes): a
+        # polynomial form pulled back along a flow, wedged with a pulled-back
+        # 1-form
         flow = SmoothMap(3, 2, lambda z: [z[1] * dual.cos(z[0]) - z[2] * dual.sin(z[0]),
                                           z[1] * dual.sin(z[0]) + z[2] * dual.cos(z[0])])
         drop = SmoothMap(3, 2, lambda z: [z[1], z[2]])
@@ -221,19 +205,21 @@ class TestBlockSizes:
         eta = random_polynomial_form(2, 1, rng).pullback(drop)
         cyl = ChartDomain.product(ChartDomain.interval("s", 0.0, 0.6, 10),
                                   ChartDomain.ball(2, order=22))
-        assert pulled_block(cyl, omega.wedge(eta)) >= 2048
-        assert integrate_blocks(cyl, omega.wedge(eta)) == [2048, 2048, 744]
+        assert integrate_blocks(cyl, omega.wedge(eta)) == [BLOCK] * 9 + [4840 - 9 * BLOCK]
 
-    def test_reflection_transgression_keeps_short_blocks(self):
-        # symmetry-reflection's cylinder integrand: the 4 x 4 transgression of
-        # the split and ambient connections, pulled back through the polar map
+    def test_reflection_transgression_takes_full_blocks(self):
+        # symmetry-reflection's cylinder integrand (1000 nodes): the 4 x 4
+        # transgression of the split and ambient connections, pulled back
+        # through the polar map, in the blocks a plain closure gets
         tri = ThomScenario(make_bundle("odd-rank3-point"), fiber_order=12).triple
         t12 = transgression(tri.split, tri.ambient)
         polar = SmoothMap(4, 4, lambda x: [dual.cos(x[0]), dual.sin(x[0]) * x[1],
                                            dual.sin(x[0]) * x[2], dual.sin(x[0]) * x[3]])
         cyl = ChartDomain.product(ChartDomain.interval("theta", 0.0, math.pi, 10),
                                   ChartDomain.sphere(3, order=10))
-        assert pulled_block(cyl, t12.pullback(polar)) == 128
+        assert integrate_blocks(cyl, t12.pullback(polar)) == [512, 488]
+        plain = Form(4, 3, lambda x: [x[0], x[1], x[2], x[3]])
+        assert integrate_blocks(cyl, plain) == [512, 488]
 
 
 class TestZeroDimensionalCharts:
@@ -347,8 +333,8 @@ def unit_square() -> ChartDomain:
 
 
 FIBERS = {
-    # 256 fiber nodes: two blocks of the fiber rule per coefficient, for the
-    # forms of total_form
+    # 256 fiber nodes, the longest rule here; the fiber that spans two
+    # blocks is test_fiber_rule_spans_several_blocks's own
     "ball2-long": lambda: ChartDomain.ball(2, order=16),
     "sphere2": lambda: ChartDomain.sphere(3, order=7),
     # the -1 end of S^0 = ball(1).boundary_faces(): a reoriented 0-dim
@@ -368,17 +354,8 @@ def fiber_cases(top: int = 2):
             yield pytest.param(bundle, p, id=f"{name}-p{p}")
 
 
-def narrow(form: Form) -> Form:
-    """The same closure declared as wide as 128-node blocks allow.
-
-    Its fiber rules of more than 128 nodes then take several blocks, at a
-    float base point and at a block of base points alike.
-    """
-    return Form(form.n, form.p, form.comps, ENTRY_BUDGET // 128)
-
-
 def total_form(bundle: FiberBundleDomain, p: int) -> Form:
-    return narrow(smooth_form(bundle.fiber.ambient_dim + 2, p, 5 + p))
+    return smooth_form(bundle.fiber.ambient_dim + 2, p, 5 + p)
 
 
 def fiber_blocks(bundle: FiberBundleDomain, w: Form, base) -> list:
@@ -390,17 +367,28 @@ def fiber_blocks(bundle: FiberBundleDomain, w: Form, base) -> list:
 
 class TestFiberIntegralAgainstPerNodeSums:
     def test_fiber_rule_spans_several_blocks(self):
-        bundle = FiberBundleDomain(FIBERS["ball2-long"](), unit_square())
-        for base in ([0.3, -0.2], as_block([[0.3, -0.2], [0.1, 0.4]])):
-            assert fiber_blocks(bundle, total_form(bundle, 2), base) == [128, 128]
+        # 576 fiber nodes: blocks of 512 and 64 at a float base point, at a
+        # block of base points and at a dual base point alike
+        bundle = FiberBundleDomain(ChartDomain.ball(2, order=24), unit_square())
+        w = total_form(bundle, 3)
+        pts = [[0.3, -0.2], [0.1, 0.4]]
+        want = [per_node_fiber_integral(bundle, w)(y) for y in pts]
+        assert fiber_blocks(bundle, w, pts[0]) == [512, 64]
+        assert bundle.fiber_integrate(w)(pts[0]) == pytest.approx(want[0], rel=REL, abs=1e-14)
+        assert fiber_blocks(bundle, w, as_block(pts)) == [512, 64]
+        got = bundle.fiber_integrate(w)(as_block(pts))
+        for i, y in enumerate(want):
+            assert [c[i] for c in got] == pytest.approx(y, rel=REL, abs=1e-14)
+        got = bundle.fiber_integrate(w).d()(pts[0])
+        want = per_node_fiber_integral(bundle, w).d()(pts[0])
+        assert got == pytest.approx(want, rel=REL, abs=1e-14)
 
-    def test_fiber_blocks_shrink_as_the_base_block_grows(self):
-        # 2 directions of the fiber chart times B base points per fiber node
+    def test_fiber_blocks_ignore_the_base_block(self):
         bundle = FiberBundleDomain(ChartDomain.ball(2, order=64), unit_square())
         w = smooth_form(4, 2, 5)
-        assert fiber_blocks(bundle, w, [0.3, -0.2]) == [2048, 2048]
+        assert fiber_blocks(bundle, w, [0.3, -0.2]) == [BLOCK] * 8
         base = as_block([[0.01 * i, -0.2] for i in range(64)])
-        assert fiber_blocks(bundle, w, base) == [1024] * 4
+        assert fiber_blocks(bundle, w, base) == [BLOCK] * 8
 
     @pytest.mark.parametrize("bundle, p", fiber_cases())
     def test_float_base_point(self, bundle, p):
@@ -584,9 +572,9 @@ class TestSampledChecks:
         assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_sampled_check_at_large_count_keeps_budget_blocks(monkeypatch):
-    # transgression-derivative draws --count points; rank 2 forms are at most
-    # 16 wide (2048 points a block) and rank 4 ones 256 wide (512 points)
+def test_sampled_check_at_large_count_takes_fixed_blocks(monkeypatch):
+    # transgression-derivative draws --count points, BLOCK of them a block
+    # whatever the rank
     lengths = {2: [], 4: []}
     make = scenarios.random_skew_connection
 
@@ -597,15 +585,14 @@ def test_sampled_check_at_large_count_keeps_budget_blocks(monkeypatch):
             lengths[m].append(np.shape(dual.real(x[0]))[-1])
             return A.eval(x)
 
-        return Connection(m, MatrixForm(n, 1, m, eval_fn, A.width))
+        return Connection(m, MatrixForm(n, 1, m, eval_fn))
 
     monkeypatch.setattr(scenarios, "random_skew_connection", spied)
     cfg = Config(seed=1, count=600)
     report = run_scenario(get_scenario("transgression-derivative"), cfg)
-    assert max(lengths[2]) == 600
-    assert sorted(set(lengths[4])) == [88, 512]
+    assert sorted(set(lengths[2])) == sorted(set(lengths[4])) == [88, BLOCK]
     # one block of every point: the same sups, bit for bit
-    monkeypatch.setattr(forms, "block_size", lambda width: cfg.count)
+    monkeypatch.setattr(forms, "BLOCK", cfg.count)
     one_block = run_scenario(get_scenario("transgression-derivative"), cfg)
     assert [i.computed for i in report.items] == [i.computed for i in one_block.items]
 

@@ -9,7 +9,7 @@ import pytest
 from cgbv.chern_weil import Connection, pf_form
 from cgbv.dual import Dual
 from cgbv.errors import ShapeError
-from cgbv.forms import (Form, MatrixForm, SmoothMap, as_block, combo_index,
+from cgbv.forms import (BLOCK, Form, MatrixForm, SmoothMap, as_block, combo_index,
                         combos, det, form_sup, is_zero, mat_mul_wedge, merge_sign,
                         minus, plus, sup_abs, times, wedge_coeffs, wedge_table,
                         zero_coeffs)
@@ -486,27 +486,28 @@ class TestEvalWithD:
 class TestFormSup:
     """``form_sup`` reduces every coefficient over the points, block by block."""
 
-    pts = [[0.01 * i, 1.0] for i in range(600)]
+    pts = [[0.01 * i, 1.0] for i in range(2 * BLOCK + 1)]
 
-    def spied(self, lengths, width):
+    def spied(self, lengths):
         def comps(x):
             lengths.append(x[0].shape[-1])
             return [x[0], -2.0 * x[0]]
-        return Form(2, 1, comps, width)
+        return Form(2, 1, comps)
 
-    def test_blocks_follow_the_width(self):
+    def test_blocks_hold_at_most_BLOCK_points(self):
         lengths = []
-        assert form_sup(self.spied(lengths, 256), self.pts) == 2.0 * 5.99
-        assert lengths == [512, 88]
+        assert form_sup(self.spied(lengths), self.pts) == 2.0 * self.pts[-1][0]
+        assert lengths == [512, 512, 1]
         lengths.clear()
-        form_sup(self.spied(lengths, 1), self.pts)
-        assert lengths == [600]
+        form_sup(self.spied(lengths), self.pts[:BLOCK])
+        assert lengths == [BLOCK]
 
     def test_nan_in_a_later_block_gives_nan(self):
         def comps(x):
-            return [np.where(x[0] == self.pts[20][0], math.nan, x[0])]
-        # the first block of 512 points is finite and holds the larger values
-        assert math.isnan(form_sup(Form(2, 0, comps, 256), self.pts[::-1]))
+            return [np.where(x[0] == self.pts[0][0], math.nan, x[0])]
+        # the first two blocks are finite and hold the larger values; the
+        # NaN is the one point of the last block
+        assert math.isnan(form_sup(Form(2, 0, comps), self.pts[::-1]))
 
     def test_no_points_give_zero_without_evaluating(self):
         def comps(x):
@@ -517,14 +518,14 @@ class TestFormSup:
         lengths = []
         zero = Form(2, 0, lambda x: [0.0])
         with pytest.raises(ShapeError):
-            form_sup(self.spied(lengths, 1) - zero, self.pts)
+            form_sup(self.spied(lengths) - zero, self.pts)
         assert lengths == []
 
     def test_operand_with_extra_coefficients_raises(self):
         # a pairing of coefficient lists would drop the third one silently
         extra = Form(2, 1, lambda x: [x[0], x[0], x[0]])
         with pytest.raises(ShapeError):
-            form_sup(extra - self.spied([], 1), self.pts)
+            form_sup(extra - self.spied([]), self.pts)
 
 
 class TestOperandCounts:

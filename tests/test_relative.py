@@ -40,8 +40,9 @@ def interval_domain(order: int = 12) -> RelativeDomain:
 
 
 def random_pair(domain: RelativeDomain, k: int, rng: random.Random) -> FormPair:
+    """Companion first; at k = 0 it is the degree -1 zero space, drawn from nothing."""
     n = domain.ambient_dim
-    gamma = None if k == 0 else random_polynomial_form(n, k - 1, rng)
+    gamma = random_polynomial_form(n, k - 1, rng)
     return FormPair(domain, random_polynomial_form(n, k, rng), gamma)
 
 
@@ -58,7 +59,7 @@ def affine_form(n: int, p: int, rng: random.Random) -> Form:
 
 def affine_pair(domain: RelativeDomain, k: int, rng: random.Random) -> FormPair:
     n = domain.ambient_dim
-    gamma = None if k == 0 else affine_form(n, k - 1, rng)
+    gamma = affine_form(n, k - 1, rng)
     return FormPair(domain, affine_form(n, k, rng), gamma)
 
 
@@ -101,10 +102,14 @@ class TestPairCalculus:
 
     def test_slot_degrees_are_enforced(self):
         dom = disk_domain()
+        # a degree-zero pair's companion is the zero space of degree -1
+        p = FormPair(dom, Form.constant(2, 0, [1.0]), Form.zero(2, -1))
+        assert p.gamma.p == -1 and p.gamma([0.5, 0.5]) == []
         with pytest.raises(DegreeError):
             FormPair(dom, Form.constant(2, 0, [1.0]), Form.constant(2, 0, [1.0]))
-        with pytest.raises(DegreeError):
-            FormPair(dom, Form.constant(2, 1, [1.0, 0.0]), None)
+        for k in (0, 1):
+            with pytest.raises(DegreeError):
+                FormPair(dom, Form.constant(2, k, [1.0] * (k + 1)), None)
         with pytest.raises(DegreeError):
             FormPair(dom, Form.constant(2, 1, [1.0, 0.0]),
                      Form.constant(2, 1, [0.0, 1.0]))

@@ -118,7 +118,8 @@ class TestMu:
             x = [2.2 * math.cos(t), 2.2 * math.sin(t)]
             assert max_comp(out, x) == 0.0
 
-    @pytest.mark.parametrize("k", [1, 2])
+    # at k = 0 the companion is the degree -1 zero space, drawn from nothing
+    @pytest.mark.parametrize("k", [0, 1, 2])
     def test_chain_law(self, k):
         """mu of the cone differential equals -d of mu, pointwise."""
         rng = random.Random(3 + k)
@@ -227,6 +228,10 @@ class TestNu:
         out = nu(sc, p)
         # a 1-form over the 2-disk fiber integrates to the zero (-1)-form
         assert out.p == -1
+        assert out([0.1, 0.2]) == []
+        # a degree-zero pair, its companion the zero space of degree -1
+        out = nu(sc, sc.pair(affine_form(4, 0, rng), Form.zero(4, -1)))
+        assert out.p == -2
         assert out([0.1, 0.2]) == []
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -480,7 +485,7 @@ class TestFiberCollapse:
         target = nu(sc, p)
         tube = FiberBundleDomain(ChartDomain.annulus(1.0, 2.0, 2, order=24),
                                  sc.base, "tube")
-        correction = tube.fiber_integrate(mu(p.gamma, None, rho, 2)).d()
+        correction = tube.fiber_integrate(mu(p.gamma, Form.zero(4, 1), rho, 2)).d()
         for x in sc.base.sample_ambient_points(rng, 4):
             assert max(abs(a - b + c)
                        for a, b, c in zip(collapsed(x), target(x),
