@@ -34,7 +34,7 @@ from .errors import (ConsistencyError, DegreeError, RankError, ShapeError,
 from .forms import (Form, MatrixForm, SmoothMap, _wedges, add_coeffs, as_block,
                     combos, form_sup, mat_mul_wedge, minus, plus, scale_coeffs,
                     sub_coeffs, sup_abs, wedge_coeffs, wedge_table, zero_coeffs)
-from .geometry import ChartDomain, FiberBundleDomain, gauss_nodes
+from .geometry import ChartDomain, FiberBundleDomain, _axis_rule
 
 TWO_PI = 2.0 * math.pi
 
@@ -181,7 +181,7 @@ def _simplex_nodes(q: int, order: int):
     """
     if q not in (1, 2):
         raise ShapeError(f"no Gauss rule on the {q}-simplex, only on q = 1 and 2")
-    xs, ws = gauss_nodes(order, 0.0, 1.0)
+    xs, ws = (a.tolist() for a in _axis_rule("legendre", 0.0, 1.0, order, 0))
     if q == 1:
         return [((1.0 - t, t), w) for t, w in zip(xs, ws)]
     duffy = [(u * (1.0 - v), u * v, wu * wv * u)

@@ -76,9 +76,6 @@ class Dual:
     def __neg__(self):
         return Dual(-self.a, -self.b)
 
-    def __pos__(self):
-        return self
-
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("dual powers support integer exponents only")

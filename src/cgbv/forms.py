@@ -457,17 +457,9 @@ class Form:
         self._compat(other)
         return Form(self.n, self.p, lambda x: sub_coeffs(self(x), other(x)))
 
-    def __neg__(self) -> "Form":
-        return Form(self.n, self.p, lambda x: [-v for v in self.comps(x)])
-
     def smul(self, c) -> "Form":
         """Multiply by a constant scalar."""
         return Form(self.n, self.p, lambda x: scale_coeffs(c, self.comps(x)))
-
-    def __mul__(self, c):
-        return self.smul(c)
-
-    __rmul__ = __mul__
 
     def wedge(self, other: "Form") -> "Form":
         if other.n != self.n:
@@ -592,15 +584,6 @@ class MatrixForm:
             return [[sub_coeffs(A[i][j], B[i][j]) for j in range(self.m)] for i in range(self.m)]
         return MatrixForm(self.n, self.p, self.m, eval_fn)
 
-    def __neg__(self) -> "MatrixForm":
-        return self.smul(-1.0)
-
-    def smul(self, c) -> "MatrixForm":
-        def eval_fn(x):
-            A = self.eval(x)
-            return [[scale_coeffs(c, A[i][j]) for j in range(self.m)] for i in range(self.m)]
-        return MatrixForm(self.n, self.p, self.m, eval_fn)
-
     def wedge(self, other: "MatrixForm") -> "MatrixForm":
         """Matrix product with entrywise wedge."""
         if other.n != self.n or other.m != self.m:
@@ -640,8 +623,6 @@ class MatrixForm:
             raise ShapeError("pullback target dimension mismatch")
         n_src, n_dst, p, m = phi.src_dim, self.n, self.p, self.m
         def eval_fn(u):
-            if p == 0:
-                return self.eval(phi(u))
             y, J = phi.jacobian(u)
             table = minors(J, p, n_dst, n_src)
             return [[contract(table, e) for e in row] for row in self.eval(y)]

@@ -117,13 +117,6 @@ def _gauss_jacobi(order: int, alpha: float, beta: float):
     return x, w
 
 
-def gauss_nodes(order: int, lo: float, hi: float):
-    """Gauss-Legendre nodes and weights on [lo, hi]."""
-    x, w = _gauss_jacobi(order, 0.0, 0.0)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return [mid + half * float(xi) for xi in x], [half * float(wi) for wi in w]
-
-
 @lru_cache(maxsize=None)
 def _axis_rule(rule: str, lo: float, hi: float, order: int, power: int):
     """Nodes and weights of one reference axis of :meth:`ChartDomain.nodes`.

@@ -719,7 +719,7 @@ def _run_discrete_duality(cfg: Config) -> dict:
         cm, cb, r = mesh.complexes()
         cone = mapping_cone(cm, cb, r)
         bc, bm = betti(cone), betti(cm)
-        bd = dirichlet_betti(cm, cb, r, bc)
+        bd = dirichlet_betti(cm, cb, r)
         # each complex spans degrees 0..n, so the three lists align
         cone_gap.extend(c - d for c, d in zip(bc, bd, strict=True))
         reversal.extend(c - m for c, m in zip(bc, reversed(bm), strict=True))

@@ -6,7 +6,10 @@ relative pair over the disk and sphere fibers; its inverses are built
 from curvature transgressions, even rank through the tautological
 section split and odd rank through the rank-one extension transferred
 back by the stereographic chart.  The compactly supported representative
-interpolates the two with a radial bump profile.
+interpolates the two with a radial bump profile.  The odd pair's
+closedness is checked once per :class:`ThomScenario`, on first use, by
+:func:`odd_pair_residual`; :func:`nu_inverse_odd` and the registry read
+that one value.
 """
 
 from __future__ import annotations
@@ -198,6 +201,8 @@ class ThomScenario:
             self.assoc = self.triple.assoc
             self.pi_connection = None
         self.de, self.se = self.assoc.de, self.assoc.se
+        # (edge, triangle, defect) of the odd pair, set by odd_pair_residual
+        self.odd_check = None
 
         def defect(x, m=m):
             return sum(x[i] * x[i] for i in range(m)) - 1.0
@@ -249,14 +254,6 @@ def nu_inverse_even(scenario: ThomScenario, eta: Form) -> FormPair:
     return scenario.pair(pf_t.wedge(eta_t), tpf.wedge(eta_t).smul(-1.0))
 
 
-def _odd_core(scenario: ThomScenario):
-    """Edge and triangle transgressions on the extended sphere chart."""
-    tri = scenario.triple
-    t12 = transgression(tri.split, tri.ambient)
-    q = secondary_transgression(tri.split, tri.ambient, tri.plane_split)
-    return t12, q
-
-
 def odd_dual_pair(scenario: ThomScenario):
     """Bare transgression pair on (DE, SE), before scaling and wedging.
 
@@ -265,7 +262,8 @@ def odd_dual_pair(scenario: ThomScenario):
     transgression carried in through the equator inclusion.
     """
     m, nb = scenario.rank, scenario.base.ambient_dim
-    t12, q = _odd_core(scenario)
+    odd_pair_residual(scenario)
+    t12, q, _ = scenario.odd_check
     inc = SmoothMap(m + nb, 1 + m + nb, lambda x: [0.0] + list(x))
     return (t12.pullback(scenario.assoc.stereo).smul(-1.0),
             q.pullback(inc).smul(-1.0))
@@ -293,17 +291,24 @@ def odd_pair_residual(scenario: ThomScenario) -> float:
     and only tangentially, so that part is pulled back through each
     equator chart first (at rank 1 over a point the two equator points
     carry no degree-1 components and contribute nothing).
+
+    This is the pair's one closedness check: it runs once per scenario, on
+    first use, and keeps the edge and triangle transgressions it builds,
+    with the defect, in ``scenario.odd_check`` for :func:`odd_dual_pair`.
     """
-    t12, q = _odd_core(scenario)
-    tri = scenario.triple
-    rng = random.Random(23)
-    pts = [[0.0] + list(p)
-           for p in _se_sample_points(scenario, rng, 4)]
-    sups = [form_sup(t12.d(), pts)]
-    for piece, inc in tri.equators:
-        sups.append(form_sup((t12 + q.d()).pullback(inc),
-                             _equator_samples(scenario, piece, rng, 4)))
-    return sup_abs(sups)
+    if scenario.odd_check is None:
+        tri = scenario.triple
+        t12 = transgression(tri.split, tri.ambient)
+        q = secondary_transgression(tri.split, tri.ambient, tri.plane_split)
+        rng = random.Random(23)
+        pts = [[0.0] + list(p)
+               for p in _se_sample_points(scenario, rng, 4)]
+        sups = [form_sup(t12.d(), pts)]
+        for piece, inc in tri.equators:
+            sups.append(form_sup((t12 + q.d()).pullback(inc),
+                                 _equator_samples(scenario, piece, rng, 4)))
+        scenario.odd_check = (t12, q, sup_abs(sups))
+    return scenario.odd_check[2]
 
 
 def parallel_pair_residuals(scenario: ThomScenario) -> dict:
@@ -382,7 +387,11 @@ def persistent_section_residual(scenario: ThomScenario) -> float:
 
 
 def nu_inverse_odd(scenario: ThomScenario, eta: Form) -> FormPair:
-    """Odd-rank dual pair, scaled so the unit pairing comes back as +1."""
+    """Odd-rank dual pair, scaled so the unit pairing comes back as +1.
+
+    Raises :class:`SignConventionError` when the scenario's one closedness
+    check, :func:`odd_pair_residual`, reads above ``PAIR_TOL``.
+    """
     if scenario.parity != "odd":
         raise RankError("odd-rank dual pair requested on an even-rank bundle")
     _require_closed(eta, scenario.base, CLOSED_TOL)

@@ -49,14 +49,15 @@ import pytest
 from cgbv import dual, forms, scenarios
 from cgbv.bundles import make_bundle, section_transgression
 from cgbv.chern_weil import (Connection, MatrixForm, gauge_pullback_potential,
-                             gauge_residual, pf_form, pfaffian, symmetry_check,
+                             gauge_residual, pf_form, pfaffian,
+                             secondary_transgression, symmetry_check,
                              transgression)
 from cgbv.errors import ClosednessError, ShapeError, VanishingSectionError
 from cgbv.forms import BLOCK, Form, SmoothMap, as_block, combo_index, combos
 from cgbv.geometry import ChartDomain, FiberBundleDomain, stokes_residual
 from cgbv.relative import FormPair, homotopy_defect_I, homotopy_defect_II
 from cgbv.scenarios import Config, get_scenario, run_scenario
-from cgbv.thom import (ThomScenario, _equator_samples, _odd_core,
+from cgbv.thom import (ThomScenario, _equator_samples,
                        _parallel_defect, _require_closed, _se_sample_points,
                        odd_pair_residual, persistent_section_residual, thom_form)
 
@@ -538,11 +539,13 @@ class TestSampledChecks:
 
     def test_odd_pair_residual(self):
         sc = ThomScenario(make_bundle("odd-rank1-point"))
-        t12, q = _odd_core(sc)
+        tri = sc.triple
+        t12 = transgression(tri.split, tri.ambient)
+        q = secondary_transgression(tri.split, tri.ambient, tri.plane_split)
         rng = random.Random(23)
         pts = [[0.0] + list(p) for p in _se_sample_points(sc, rng, 4)]
         want = per_point_sup(t12.d(), pts)
-        for piece, inc in sc.triple.equators:
+        for piece, inc in tri.equators:
             defect = (t12 + q.d()).pullback(inc)
             want = max(want, per_point_sup(defect, _equator_samples(sc, piece, rng, 4)))
         assert odd_pair_residual(sc) == pytest.approx(want, abs=1e-12)

@@ -13,7 +13,7 @@ from cgbv.chern_weil import (Connection, connection_path, gauge_pullback_potenti
 from cgbv.errors import (ConsistencyError, DegreeError, ShapeError,
                          SymmetryPreconditionError)
 from cgbv.forms import Form, MatrixForm, SmoothMap, det
-from cgbv.geometry import ChartDomain, FiberBundleDomain, gauss_nodes
+from cgbv.geometry import ChartDomain, FiberBundleDomain, _axis_rule
 from skew_oracle import random_skew
 
 TWO_PI = 2.0 * math.pi
@@ -301,11 +301,11 @@ class TestExactSimplexRule:
     def recorded_orders(monkeypatch, build):
         orders = []
 
-        def recording(order, lo, hi):
+        def recording(rule, lo, hi, order, power):
             orders.append(order)
-            return gauss_nodes(order, lo, hi)
+            return _axis_rule(rule, lo, hi, order, power)
 
-        monkeypatch.setattr(chern_weil, "gauss_nodes", recording)
+        monkeypatch.setattr(chern_weil, "_axis_rule", recording)
         build()
         return orders
 

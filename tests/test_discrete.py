@@ -38,10 +38,6 @@ CONE_BETTI = {
 }
 
 
-def cone_betti(cm, cb, r):
-    return betti(mapping_cone(cm, cb, r))
-
-
 class TestCochainComplex:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ComplexError):
@@ -191,7 +187,7 @@ class TestLesCheck:
         spot = next(s for s in report.spots if s.label == "H^1(cone)")
         assert spot.rank_in == 1
 
-    @pytest.mark.parametrize("public", [les_check, mapping_cone])
+    @pytest.mark.parametrize("public", [dirichlet_betti, les_check, mapping_cone])
     def test_one_restriction_check_per_call(self, public, monkeypatch):
         calls = []
         check = discrete._check_chain_map
@@ -209,25 +205,35 @@ class TestDirichlet:
     @pytest.mark.parametrize("name", sorted(CONE_BETTI))
     def test_matches_cone(self, name):
         cm, cb, r = make_mesh(name).complexes()
-        assert dirichlet_betti(cm, cb, r, cone_betti(cm, cb, r)) == CONE_BETTI[name]
+        assert dirichlet_betti(cm, cb, r) == CONE_BETTI[name]
 
     def test_empty_boundary_equals_mesh_betti(self):
         cm, cb, r = make_mesh("circle").complexes()
-        assert dirichlet_betti(cm, cb, r, cone_betti(cm, cb, r)) == betti(cm)
+        assert dirichlet_betti(cm, cb, r) == betti(cm)
 
     def test_non_surjective_restriction_rejected(self):
         cm, cb, _ = make_mesh("interval").complexes()
         bad = [[[1, 0, 0], [1, 0, 0]], []]
         with pytest.raises(SurjectivityError):
-            dirichlet_betti(cm, cb, bad, CONE_BETTI["interval"])
+            dirichlet_betti(cm, cb, bad)
 
-    @pytest.mark.parametrize("name", sorted(CONE_BETTI))
-    def test_other_cone_betti_raise(self, name):
-        cm, cb, r = make_mesh(name).complexes()
-        wrong = list(CONE_BETTI[name])
-        wrong[-1] += 1
-        with pytest.raises(ConsistencyError):
-            dirichlet_betti(cm, cb, r, wrong)
+    def test_wrong_kernel_betti_fails_the_gap_item(self, monkeypatch):
+        """The scenario, not dirichlet_betti, grades the gap to the cone."""
+        from cgbv import scenarios
+
+        def off_by_one(c):
+            out = betti(c)
+            if c.label.startswith("ker("):
+                out[-1] += 1
+            return out
+
+        monkeypatch.setattr(discrete, "betti", off_by_one)
+        report = scenarios.run_scenario(scenarios.get_scenario("discrete-duality"))
+        items = {item.identity: item for item in report.items}
+        assert items["cone-dirichlet-gap"].computed == 1.0
+        assert not items["cone-dirichlet-gap"].passed
+        assert items["betti-reversal-gap"].passed
+        assert items["euler-additivity-gap"].passed
 
     def test_duality_scenario_builds_one_cone_per_mesh(self, monkeypatch):
         from cgbv import scenarios
@@ -288,7 +294,7 @@ class TestThreeDimensional:
         assert betti(cb) == bb
         cone = betti(mapping_cone(cm, cb, r))
         assert cone == bc
-        assert dirichlet_betti(cm, cb, r, cone) == bc
+        assert dirichlet_betti(cm, cb, r) == bc
         # b^k(M, bdry M) = b_(3-k)(M)
         assert cone == list(reversed(bm))
         assert les_check(cm, cb, r).failures() == []
@@ -454,7 +460,7 @@ class TestOneElimination:
         mesh = name.split("-")[0]
         assert betti(cm) == M_BETTI[mesh]
         assert betti(mapping_cone(cm, cb, r)) == CONE_BETTI[mesh]
-        assert dirichlet_betti(cm, cb, r, cone_betti(cm, cb, r)) == CONE_BETTI[mesh]
+        assert dirichlet_betti(cm, cb, r) == CONE_BETTI[mesh]
         assert les_check(cm, cb, r).all_exact
 
     def test_scrambled_pivots_need_fractions(self):
@@ -509,8 +515,7 @@ class TestExactEntries:
         for c, h in ((cm, hm), (cb, hb),
                      (mapping_cone(cm, cb, r), mapping_cone(hm, hb, r))):
             assert betti(h) == betti(c)
-        assert (dirichlet_betti(hm, hb, r, cone_betti(hm, hb, r))
-                == dirichlet_betti(cm, cb, r, cone_betti(cm, cb, r)))
+        assert dirichlet_betti(hm, hb, r) == dirichlet_betti(cm, cb, r)
         assert les_check(hm, hb, r).all_exact
 
         def restriction_maps(m, b):

@@ -391,6 +391,32 @@ class TestNuInverseOdd:
         sc = ThomScenario(make_bundle("odd-rank3-point"), fiber_order=12)
         assert odd_pair_residual(sc) <= 1e-6
 
+    def test_one_closedness_check_per_run(self, monkeypatch):
+        """The registry run evaluates the pair's check once, and every
+        later read of the kept defect is still held to PAIR_TOL."""
+        from cgbv.scenarios import get_scenario, run_scenario
+        sups = []
+        form_sup = thom.form_sup
+
+        def counted(*args):
+            sups.append(1)
+            return form_sup(*args)
+
+        monkeypatch.setattr(thom, "form_sup", counted)
+        assert run_scenario(get_scenario("odd-rank3-point")).passed
+        per_run = len(sups)
+        sups.clear()
+        sc = ThomScenario(make_bundle("odd-rank3-point"), fiber_order=12)
+        one = Form(0, 0, lambda x: [1.0])
+        odd_pair_residual(sc)
+        per_check = len(sups)
+        nu_inverse_odd(sc, one)
+        odd_pair_residual(sc)
+        assert per_run == per_check == len(sups) > 0
+        monkeypatch.setattr(thom, "PAIR_TOL", -1.0)
+        with pytest.raises(SignConventionError, match="residual"):
+            nu_inverse_odd(sc, one)
+
     def test_rank_three_unit_pairing(self):
         """D3/S2 fiber quadrature at order 12; the slow spot of the suite."""
         sc = ThomScenario(make_bundle("odd-rank3-point"), fiber_order=12)
