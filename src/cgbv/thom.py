@@ -296,6 +296,8 @@ def odd_pair_residual(scenario: ThomScenario) -> float:
     first use, and keeps the edge and triangle transgressions it builds,
     with the defect, in ``scenario.odd_check`` for :func:`odd_dual_pair`.
     """
+    if scenario.parity != "odd":
+        raise RankError("odd-rank dual pair requested on an even-rank bundle")
     if scenario.odd_check is None:
         tri = scenario.triple
         t12 = transgression(tri.split, tri.ambient)

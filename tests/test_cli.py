@@ -21,13 +21,17 @@ from cgbv.scenarios import Config, all_scenarios, get_scenario, run_scenario
 FAST = ["quadrature-volumes", "cgb-sphere"]
 
 
-def cli(*args):
+def python(*args):
     # the child imports the same cgbv as this process, installed or not
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(cgbv.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "cgbv.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env)
+
+
+def cli(*args):
+    return python("-m", "cgbv.cli", *args)
 
 
 def failing_sphere():
@@ -158,6 +162,34 @@ def test_run_names_intersected_with_filter():
     proc = cli("run", "cgb-sphere", "--filter", "discrete")
     assert proc.returncode == EXIT_OK
     assert "cgb-sphere" not in proc.stdout
+
+
+# a reference cycle dropped just before exit, whose finalizer writes to fd 1
+CYCLE = """
+import os
+class Cycle:
+    def __del__(self):
+        os.write(1, b"finalized")
+c = Cycle()
+c.me = c
+del c
+"""
+
+
+def test_exit_skips_the_teardown_collection(tmp_path):
+    # the interpreter's teardown collection finalizes the cycle ...
+    assert python("-c", CYCLE).stdout == "finalized"
+    # ... and a process that imports the CLI skips that collection
+    assert python("-c", "import cgbv.cli" + CYCLE).stdout == ""
+    # streams still flush, the report is whole and the exit code stands
+    target = tmp_path / "report.json"
+    proc = cli("run", *FAST, "--json", str(target))
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.splitlines()[-1].startswith("summary: ")
+    payload = json.loads(target.read_text())
+    config = Config()
+    reports = [run_scenario(get_scenario(n), config) for n in FAST]
+    assert strip_walls(payload) == strip_walls(report_payload(reports, config))
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,16 @@ class TestNuInverseOdd:
         with pytest.raises(RankError):
             nu_inverse_odd(sc, Form(0, 0, lambda x: [1.0]))
 
+    def test_even_rank_rejected_by_the_pair_check(self):
+        # an even-rank scenario has no odd triple; both entry points of the
+        # odd pair name the parity instead of failing on the missing triple
+        sc = ThomScenario(make_bundle("tangent-s2"))
+        with pytest.raises(RankError):
+            odd_pair_residual(sc)
+        with pytest.raises(RankError):
+            odd_dual_pair(sc)
+        assert sc.odd_check is None
+
     def test_open_pair_is_rejected_with_its_residual(self, monkeypatch):
         # the genuine residual sits at roundoff, so the error branch is
         # driven by an impossible tolerance
